@@ -11,7 +11,9 @@ freegens   free-generator series of the distinguished ideals
 Every run is a pure function of its configuration; reports are cached by
 the configuration hash and cache hits are byte-identical to recomputation
 (--no-cache recomputes and diffs).  Exit code 0 means every requested
-verification passed.
+verification passed, 1 that one failed, 2 that the input was malformed
+(one `symalg: error: ...` line on stderr) and 3 that a recomputation
+differed from the cached report.
 """
 
 import argparse
@@ -29,6 +31,7 @@ from .engine import (
     tym_hat_generators,
 )
 from .presentation import (
+    PresentationError,
     SymPresentation,
     build_relations,
     check_nondegenerate,
@@ -48,6 +51,7 @@ from .presentation import (
 )
 from .resolution import verify_resolution
 from .superlie import (
+    SuperLieError,
     functional_from_json,
     load_algebra,
     vergne_polarization,
@@ -62,14 +66,34 @@ from .refdata import (
 )
 
 
+class UsageError(Exception):
+    """Malformed command-line input; main() reports it and exits with 2."""
+
+
 def _load_presentation(args):
     if getattr(args, "presentation", None):
-        with open(args.presentation) as fh:
-            return SymPresentation.from_json(json.load(fh))
+        try:
+            with open(args.presentation) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.presentation}: {exc.strerror}")
+        except ValueError as exc:
+            raise UsageError(f"{args.presentation} is not JSON: {exc}")
+        try:
+            return SymPresentation.from_json(doc)
+        except PresentationError as exc:
+            raise UsageError(f"{args.presentation}: {exc}")
     if getattr(args, "preset", None):
-        n, s = (int(v) for v in args.preset.split(","))
-        return preset(n, s)
-    raise SystemExit("provide --preset n,s or --presentation file.json")
+        parts = args.preset.split(",")
+        if len(parts) != 2 or not all(v.strip().isdecimal() for v in parts):
+            raise UsageError(
+                f"--preset expects n,s with integers n, s >= 0; got {args.preset!r}"
+            )
+        try:
+            return preset(*(int(v) for v in parts))
+        except PresentationError as exc:
+            raise UsageError(f"--preset {args.preset}: {exc}")
+    raise UsageError("provide --preset n,s or --presentation file.json")
 
 
 def _hash(p):
@@ -195,7 +219,7 @@ def cmd_verify(args):
         report["quartic_zero"] = qzero
         try:
             gt = derive_gamma_tilde(p)
-        except Exception:
+        except PresentationError:
             gt = _companion_fallback(p)
         ders = susy_derivations(p, gt)
         W = superpotential(p)
@@ -289,7 +313,7 @@ def cmd_dixmier(args):
                     ),
                     "odd": sum(1 for v in pol if g.parities[next(iter(v))] == 1),
                 }
-            except Exception as exc:
+            except SuperLieError as exc:
                 report["error"] = str(exc)
                 report["ok"] = False
     elif target == "surject":
@@ -327,7 +351,7 @@ def cmd_freegens(args):
         series = free_gen_series_tym(p.n, p.s, order=max_w)
     elif args.ideal == "k1s":
         if p.n != 1:
-            raise SystemExit("--ideal k1s requires an n = 1 presentation")
+            raise UsageError("--ideal k1s requires an n = 1 presentation")
         analysis = k1s_generators(model, p.s, max_weight=max_w)
         series = free_gen_series_k1s(p.s)
     else:
@@ -439,7 +463,11 @@ def main(argv=None):
         data = cached
         report = json.loads(data)
     else:
-        report = args.func(args)
+        try:
+            report = args.func(args)
+        except UsageError as exc:
+            sys.stderr.write(f"symalg: error: {exc}\n")
+            return 2
         report["config"] = config
         data = (
             json.dumps(report, sort_keys=True, indent=1, default=str) + "\n"

@@ -1,8 +1,8 @@
 """Weight-truncated Lie quotient engine.
 
 The quotient of a free graded super Lie algebra by the ideal generated by a
-finite homogeneous relation set is computed one weight at a time, entirely
-through exact linear algebra on tensor-algebra coordinates:
+finite homogeneous relation set is computed one weight at a time by exact
+linear algebra on tensor-algebra coordinates:
 
 * the ideal component at weight w is spanned by the relations of weight w
   together with brackets of generators against the ideal at lower weights
@@ -11,12 +11,23 @@ through exact linear algebra on tensor-algebra coordinates:
   representatives (plus the generators themselves), kept greedily whenever
   they are independent modulo the ideal.
 
-Every representative keeps its exact tensor expansion, so projections,
-ideal membership, structure constants and subalgebra analyses are all
-reductions against one tracked echelon per weight.
+Reducing a candidate [g, b_j] through the weight's tracked echelon either
+accepts it as a representative or solves it over the earlier ones, so the
+build also records the columns of ad_g, the matrix of bracketing with the
+generator g, in quotient coordinates.  Structure constants never leave
+those coordinates: every representative is a generator or a bracket
+[g, c] with c a lower representative, and
+
+    [[g, c], b] = [g, [c, b]] - (-1)^{|g||c|} [c, [g, b]]
+
+reduces every bracket to ad columns (the nilpotent-quotient approach of
+de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Arbitrary tensor
+polynomials are still projected through the tracked echelons.
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from .linalg import Echelon, intvec
 from .tensor import Poly, bracket_word_name, super_commutator
@@ -26,16 +37,26 @@ class EngineError(ValueError):
     pass
 
 
+# Version of the pickled LieModel layout; a cached model of another
+# version is rebuilt.  Version 2 added the ad columns and Rep.tail.
+MODEL_SCHEMA = 2
+
+
 class Rep:
-    """Coset representative: a bracket monomial with its tensor expansion."""
+    """Coset representative: a bracket monomial with its tensor expansion.
 
-    __slots__ = ("label", "poly", "weight", "parity")
+    `tail` is the (weight, position) of the lower representative c when the
+    label is (g, c), and None for a generator.
+    """
 
-    def __init__(self, label, poly, weight, parity):
+    __slots__ = ("label", "poly", "weight", "parity", "tail")
+
+    def __init__(self, label, poly, weight, parity, tail=None):
         self.label = label
         self.poly = poly
         self.weight = weight
         self.parity = parity
+        self.tail = tail
 
     @property
     def name(self):
@@ -74,6 +95,7 @@ class LieModel:
                     "engine requires generator parity == weight parity "
                     f"(violated by {g.name})"
                 )
+        self.schema = MODEL_SCHEMA
         self.alphabet = alphabet
         self.cutoff = cutoff
         self.max_weight = cutoff + 1
@@ -87,6 +109,9 @@ class LieModel:
         self.reps = {}
         self.solvers = {}
         self.ideal_rows = {}
+        # (generator name, weight, position) -> quotient coordinates of
+        # [g, b] for the representative b at (weight, position)
+        self.ad = {}
         self._struct = {}
         self._build()
 
@@ -125,15 +150,21 @@ class LieModel:
                         reps.append(Rep(g.name, p, w, g.parity))
             for g in A.generators:
                 wl = w - g.weight
-                for rep in self.reps.get(wl, ()):
+                for j, rep in enumerate(self.reps.get(wl, ())):
                     p = super_commutator(A.gen(g.name), rep.poly)
-                    if p.is_zero():
-                        continue
-                    iv = _poly_int_row(p, index)
-                    if solver.insert(iv, {len(reps): 1}) is not None:
-                        reps.append(
-                            Rep((g.name, rep.label), p, w, (g.parity + rep.parity) % 2)
+                    coords = {}
+                    if not p.is_zero():
+                        # bracket monomials have integer coefficients, so
+                        # the row is p itself and coords are those of p
+                        k = len(reps)
+                        pivot, coords = solver.insert_or_solve(
+                            _poly_int_row(p, index), k
                         )
+                        if pivot is not None:
+                            coords = {k: Fraction(1)}
+                            reps.append(Rep((g.name, rep.label), p, w,
+                                            (g.parity + rep.parity) % 2, (wl, j)))
+                    self.ad[(g.name, wl, j)] = coords
             self.reps[w] = reps
             self.solvers[w] = solver
 
@@ -185,17 +216,35 @@ class LieModel:
         return not self.project(poly)
 
     def struct(self, wu, iu, wv, iv):
-        """Coordinates of [b, b'] for representatives (wu, iu), (wv, iv)."""
+        """Coordinates of [b, b'] for representatives (wu, iu), (wv, iv).
+
+        The returned dict is shared with later calls; do not mutate it.
+        """
+        return self._bracket(wu, iu, wv, iv)
+
+    def _bracket(self, wu, iu, wv, iv):
         key = (wu, iu, wv, iv)
         got = self._struct.get(key)
         if got is not None:
             return got
-        w = wu + wv
-        if w > self.max_weight:
+        u = self.reps[wu][iu]
+        if wu + wv > self.max_weight:
             out = {}
+        elif u.tail is None:
+            out = self.ad[(u.label, wv, iv)]
         else:
-            p = super_commutator(self.reps[wu][iu].poly, self.reps[wv][iv].poly)
-            out = self.project(p)
+            # u = [g, c]:  [[g,c],b] = [g,[c,b]] - (-1)^{|g||c|} [c,[g,b]]
+            g = u.label[0]
+            wc, ic = u.tail
+            wg = wu - wc
+            c_odd = self.reps[wc][ic].parity
+            g_odd = u.parity ^ c_odd
+            sign = -1 if (g_odd and c_odd) else 1
+            out = {}
+            for k, a in self._bracket(wc, ic, wv, iv).items():
+                _add_scaled(out, a, self.ad[(g, wc + wv, k)])
+            for k, a in self.ad[(g, wv, iv)].items():
+                _add_scaled(out, -sign * a, self._bracket(wc, ic, wv + wg, k))
         self._struct[key] = out
         return out
 
@@ -232,6 +281,16 @@ class LieModel:
         return labels, parities, weights, brackets
 
 
+def _add_scaled(out, a, coords):
+    """out += a * coords on quotient-coordinate dicts, dropping zeros."""
+    for k, c in coords.items():
+        v = out.get(k, 0) + a * c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+
+
 def _frac_row(poly, index):
     return {index[u]: c for u, c in poly.terms.items()}
 
@@ -239,11 +298,6 @@ def _frac_row(poly, index):
 def _poly_int_row(poly, index):
     iv, _ = intvec(_frac_row(poly, index))
     return iv
-
-
-def lie_ideal_closure(model, w):
-    """Ideal component at weight w: (dimension, reduced integer rows)."""
-    return model.ideal_dim(w), model.ideal_rows.get(w, [])
 
 
 def label_tree(label):
@@ -268,21 +322,49 @@ def basis_report(model):
 def load_or_build_model(alphabet, relations, cutoff, cache_directory=None,
                         presentation_hash=None):
     """LieModel, optionally backed by a pickle cache keyed by
-    (presentation hash, cutoff)."""
-    import pickle
-    from pathlib import Path
+    (presentation hash, cutoff).
 
-    if cache_directory and presentation_hash:
-        path = Path(cache_directory) / "models" / f"{presentation_hash}-l{cutoff}.pickle"
-        if path.is_file():
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        model = LieModel(alphabet, relations, cutoff)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            pickle.dump(model, fh)
+    A cached pickle that fails to load, holds no LieModel, or holds one of
+    another MODEL_SCHEMA or cutoff is rebuilt and replaced.  The pickle is
+    written to a temporary file and renamed, so readers never see a
+    partial one.
+    """
+    if not (cache_directory and presentation_hash):
+        return LieModel(alphabet, relations, cutoff)
+    import pickle  # only cached runs pay for the import
+
+    path = Path(cache_directory) / "models" / f"{presentation_hash}-l{cutoff}.pickle"
+    model = _load_model(path, cutoff)
+    if model is not None:
         return model
-    return LieModel(alphabet, relations, cutoff)
+    model = LieModel(alphabet, relations, cutoff)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            pickle.dump(model, fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return model
+
+
+def _load_model(path, cutoff):
+    """The usable LieModel pickled at `path`, else None."""
+    import pickle
+
+    try:
+        with open(path, "rb") as fh:
+            model = pickle.load(fh)
+    except (OSError, EOFError, pickle.UnpicklingError, AttributeError,
+            ImportError, LookupError, TypeError, ValueError):
+        # missing, unreadable, truncated or foreign bytes: rebuild
+        return None
+    if (isinstance(model, LieModel)
+            and getattr(model, "schema", None) == MODEL_SCHEMA
+            and model.cutoff == cutoff):
+        return model
+    return None
 
 
 def free_lie_dims(alphabet, max_w):
@@ -438,24 +520,14 @@ class SubalgebraGenerators:
         gw, gj = gpos
         out = {}
         for j, c in coords.items():
-            for k, d in self.model.struct(gw, gj, wl, j).items():
-                v = out.get(k, Fraction(0)) + c * d
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+            _add_scaled(out, c, self.model.struct(gw, gj, wl, j))
         return out
 
     def _pair_bracket_coords(self, wu, cu, wv, cv):
         out = {}
         for i, a in cu.items():
             for j, b in cv.items():
-                for k, d in self.model.struct(wu, i, wv, j).items():
-                    v = out.get(k, Fraction(0)) + a * b * d
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                _add_scaled(out, a * b, self.model.struct(wu, i, wv, j))
         return out
 
     def counts(self):

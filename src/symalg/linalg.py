@@ -117,9 +117,27 @@ class Echelon:
 
     def insert(self, vec, meta=None):
         """Reduce and insert if independent.  Returns the pivot or None."""
-        v, acc, s = self.reduce(vec, meta)
+        v, acc, _ = self.reduce(vec, meta)
         if not v:
             return None
+        return self._add(v, acc)
+
+    def insert_or_solve(self, vec, tag):
+        """Insert vec as the tagged vector `tag` if it is independent.
+
+        Returns (pivot, None) if vec was inserted, else (None, coefficients
+        of vec over the tagged vectors modulo untracked rows, as `solve`
+        gives them).  One reduction serves both outcomes.
+        """
+        if not self.track:
+            raise ValueError("echelon does not track meta")
+        v, acc, s = self.reduce(vec, {tag: 1})
+        if v:
+            return self._add(v, acc), None
+        # acc[tag] == s, and s*vec + sum_k acc[k] * X_k is untracked
+        return None, {k: Fraction(-x, s) for k, x in acc.items() if x and k != tag}
+
+    def _add(self, v, acc):
         v, acc, _ = self._strip(v, acc, None)
         p = min(v)
         if v[p] < 0:
@@ -145,15 +163,6 @@ class Echelon:
         if v:
             return None
         return {k: Fraction(-x, s) for k, x in acc.items() if x}
-
-
-def poly_vector(poly, index):
-    """Tensor polynomial -> integer row over word columns."""
-    frac = {}
-    for word, c in poly.terms.items():
-        frac[index[word]] = c
-    v, _ = intvec(frac)
-    return v
 
 
 # -- small dense helpers (Fraction matrices as lists of lists)

@@ -186,13 +186,28 @@ class SymPresentation:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(
-            doc["n"],
-            doc["s"],
-            doc["gamma"],
-            doc.get("metric", "orthonormal"),
-            doc.get("gamma_tilde"),
-        )
+        """Inverse of to_json; malformed documents raise PresentationError."""
+        if not isinstance(doc, dict):
+            raise PresentationError("presentation JSON must be an object")
+        missing = [k for k in ("n", "s", "gamma") if k not in doc]
+        if missing:
+            raise PresentationError(
+                "presentation JSON lacks " + ", ".join(repr(k) for k in missing)
+            )
+        if not all(type(doc[k]) is int for k in ("n", "s")):
+            raise PresentationError("presentation JSON: n and s must be integers")
+        try:
+            return cls(
+                doc["n"],
+                doc["s"],
+                doc["gamma"],
+                doc.get("metric", "orthonormal"),
+                doc.get("gamma_tilde"),
+            )
+        except PresentationError:
+            raise
+        except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PresentationError(f"malformed presentation JSON: {exc}") from exc
 
     def canonical_json(self):
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from symalg.cli import main
 from symalg.superlie import heis, save_algebra
 
@@ -173,3 +175,56 @@ def test_table_format(capsys, tmp_path):
     )
     assert code == 0
     assert "identity_holds" in out and "{" not in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("hilbert", "--preset", "3"), "--preset expects n,s"),
+    (("hilbert", "--preset", "a,b"), "--preset expects n,s"),
+    (("hilbert", "--preset", "0,0"), "need n + s > 0"),
+    (("hilbert",), "provide --preset n,s or --presentation"),
+    (("freegens", "--ideal", "k1s", "--preset", "3,1"), "requires an n = 1"),
+])
+def test_bad_input_exits_2(capsys, tmp_path, argv, message):
+    code = main(["--cache-dir", str(tmp_path / "cache"), *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("symalg: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"n": 3, "gamma": [[["1"]], [["0"]], [["0"]]]}', "lacks 's'"),
+    ('{"n": 1, "s": 1, "gamma": [[["x"]]]}', "malformed presentation JSON"),
+    ("not json", "is not JSON"),
+])
+def test_bad_presentation_file_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "p.json"
+    path.write_text(content)
+    code = main(["--cache-dir", str(tmp_path / "cache"), "hilbert",
+                 "--presentation", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("symalg: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_program_errors_are_not_verification_failures(monkeypatch, capsys, tmp_path):
+    # only the library's own errors select the susy fallback or the
+    # polarization error report; anything else is a bug and propagates
+    import symalg.cli
+
+    def bug(*args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(symalg.cli, "derive_gamma_tilde", bug)
+    monkeypatch.setattr(symalg.cli, "vergne_polarization", bug)
+    with pytest.raises(RuntimeError):
+        run_cli(capsys, tmp_path, "--no-cache", "verify", "susy", "--preset", "2,1")
+    g = heis(1, 1)
+    save_algebra(g, tmp_path / "heis.json")
+    (tmp_path / "f.json").write_text(json.dumps({"z": "1"}))
+    with pytest.raises(RuntimeError):
+        run_cli(capsys, tmp_path, "--no-cache", "dixmier", "polarization",
+                "--algebra", str(tmp_path / "heis.json"),
+                "--functional", str(tmp_path / "f.json"))

@@ -1,6 +1,7 @@
 """Lie quotient engine: free components, ideal closure, quotient bases,
 structure constants, free-generator analyses."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from symalg.engine import (
     free_lie_component,
     free_lie_dims,
     k1s_generators,
-    lie_ideal_closure,
     tym_generators,
     tym_hat_generators,
 )
@@ -21,7 +21,7 @@ from symalg.refdata import (
     EXPECTED_CUMULATIVE_31,
     reference_basis_trees,
 )
-from symalg.tensor import lie_expand
+from symalg.tensor import lie_expand, super_commutator
 
 
 def test_free_lie_component_dims(p31):
@@ -39,9 +39,9 @@ def test_free_lie_dims_oracle(p31):
 
 
 def test_ideal_closure_dims(model31):
-    assert lie_ideal_closure(model31, 5)[0] == 1
-    assert lie_ideal_closure(model31, 6)[0] == 3
-    assert lie_ideal_closure(model31, 7)[0] == 3
+    assert model31.ideal_dim(5) == 1
+    assert model31.ideal_dim(6) == 3
+    assert model31.ideal_dim(7) == 3
 
 
 def test_dimension_ledger(model31, p31):
@@ -210,6 +210,90 @@ def test_model_pickle_cache_roundtrip(tmp_path):
     m2 = load_or_build_model(p.alphabet, r0 + r1, 5, tmp_path, "deadbeef")
     assert m2.dims() == m1.dims()
     assert [r.name for r in m2.basis()] == [r.name for r in m1.basis()]
+
+
+def _schemaless_model_pickle(alphabet, relations):
+    model = LieModel(alphabet, relations, cutoff=5)
+    del model.schema  # as pickled before the schema existed
+    return pickle.dumps(model)
+
+
+@pytest.mark.parametrize("content", ["garbage", "schemaless", "foreign"])
+def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
+    from symalg.engine import MODEL_SCHEMA, load_or_build_model
+
+    p = preset(2, 1)
+    r0, r1 = build_relations(p)
+    rels = r0 + r1
+    path = tmp_path / "models" / "deadbeef-l5.pickle"
+    path.parent.mkdir()
+    path.write_bytes({
+        "garbage": lambda: b"\x80\x04not a pickle",
+        "schemaless": lambda: _schemaless_model_pickle(p.alphabet, rels),
+        "foreign": lambda: pickle.dumps({"dims": {}}),
+    }[content]())
+    model = load_or_build_model(p.alphabet, rels, 5, tmp_path, "deadbeef")
+    assert model.schema == MODEL_SCHEMA
+    assert model.dims() == LieModel(p.alphabet, rels, cutoff=5).dims()
+    # the unusable pickle was replaced atomically, with no temporary left
+    assert list(path.parent.iterdir()) == [path]
+    assert pickle.loads(path.read_bytes()).schema == MODEL_SCHEMA
+
+
+def _general_31():
+    from symalg.presentation import SymPresentation
+
+    return SymPresentation(3, 1, [[[1]], [[2]], [[-3]]])
+
+
+# presentation, cutoff: (3,1), (2,2), an n = 1 case `freegens --ideal k1s`
+# accepts, and general coefficients G = (1, 2, -3)
+STRUCT_CASES = {
+    "31": (lambda: preset(3, 1), 11),
+    "22": (lambda: preset(2, 2), 10),
+    "13": (lambda: preset(1, 3), 11),
+    "31-G(1,2,-3)": (_general_31, 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCT_CASES))
+def test_struct_matches_tensor_oracle(case):
+    # struct works in quotient coordinates only; the oracle expands both
+    # representatives in the tensor algebra and projects the commutator
+    make, cutoff = STRUCT_CASES[case]
+    p = make()
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    pairs = [
+        (wu, i, wv, j)
+        for wu in m.weights()
+        for wv in m.weights()
+        if wu + wv <= m.max_weight
+        for i in range(m.dim(wu))
+        for j in range(m.dim(wv))
+    ]
+    oracle = {}
+    for wu, i, wv, j in pairs:
+        bracket = super_commutator(m.reps[wu][i].poly, m.reps[wv][j].poly)
+        oracle[(wu, i, wv, j)] = m.project(bracket)
+        assert m.struct(wu, i, wv, j) == oracle[(wu, i, wv, j)], (wu, i, wv, j)
+    assert any(oracle.values())
+    # super-antisymmetry: [b, a] = -(-1)^{|a||b|} [a, b]
+    for wu, i, wv, j in pairs:
+        odd = m.reps[wu][i].parity and m.reps[wv][j].parity
+        sign = 1 if odd else -1
+        want = {k: sign * c for k, c in m.struct(wu, i, wv, j).items()}
+        assert m.struct(wv, j, wu, i) == want
+    # the exported table is the oracle's, over flat positions with i <= j
+    offs = {}
+    for w in m.weights():
+        offs[w] = sum(m.dim(v) for v in m.weights() if v < w)
+    table = {}
+    for (wu, i, wv, j), coords in oracle.items():
+        fi, fj = offs[wu] + i, offs[wv] + j
+        if fi <= fj and coords:
+            table[(fi, fj)] = {offs[wu + wv] + k: c for k, c in coords.items()}
+    assert m.export_struct()[3] == table
 
 
 def test_basis_report_shape(model31):
