@@ -14,7 +14,6 @@ from .cliffordweyl import CWAlgebra, CWElement, cw_multiply
 from .engine import (
     LieModel,
     SubalgebraGenerators,
-    free_lie_component,
     free_lie_dims,
     k1s_generators,
     tym_generators,

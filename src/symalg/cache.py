@@ -1,9 +1,10 @@
 """Byte-level result cache for CLI reports.
 
-Reports are pure functions of their run configuration, so they are cached
-by the hash of the canonical configuration JSON.  A cache hit returns the
-stored bytes; recomputation with --no-cache additionally diffs against any
-stored entry and flags a mismatch.
+Reports are pure functions of their run configuration and of the code
+that computes them, so they are cached by the hash of the canonical
+configuration JSON together with the package version and REPORT_SCHEMA.
+A cache hit returns the stored bytes; recomputation with --no-cache
+additionally diffs against any stored entry and flags a mismatch.
 """
 
 import hashlib
@@ -11,7 +12,13 @@ import json
 import os
 from pathlib import Path
 
+from . import __version__
+
 ENV_VAR = "SYMALG_CACHE_DIR"
+
+# Version of the report layout; bump it when a report's content changes
+# without a package version change, so older entries are not served.
+REPORT_SCHEMA = 1
 
 
 def cache_dir(override=None):
@@ -24,7 +31,8 @@ def cache_dir(override=None):
 
 
 def config_key(config):
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    doc = {"config": config, "schema": REPORT_SCHEMA, "version": __version__}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -36,6 +44,13 @@ def lookup(key, directory):
 
 
 def store(key, data, directory):
+    """Write an entry atomically: readers see the old bytes or the new."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    (d / f"{key}.json").write_bytes(data)
+    path = d / f"{key}.json"
+    tmp = d / f"{key}.json.{os.getpid()}.tmp"
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

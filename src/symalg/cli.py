@@ -51,9 +51,9 @@ from .presentation import (
 )
 from .resolution import verify_resolution
 from .superlie import (
+    FinDimSuperLieAlgebra,
     SuperLieError,
     functional_from_json,
-    load_algebra,
     vergne_polarization,
     weight_of,
 )
@@ -70,15 +70,19 @@ class UsageError(Exception):
     """Malformed command-line input; main() reports it and exits with 2."""
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:
+        raise UsageError(f"{path} is not JSON: {exc}")
+
+
 def _load_presentation(args):
     if getattr(args, "presentation", None):
-        try:
-            with open(args.presentation) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.presentation}: {exc.strerror}")
-        except ValueError as exc:
-            raise UsageError(f"{args.presentation} is not JSON: {exc}")
+        doc = _read_json(args.presentation)
         try:
             return SymPresentation.from_json(doc)
         except PresentationError as exc:
@@ -100,6 +104,14 @@ def _hash(p):
     import hashlib
 
     return hashlib.sha256(p.canonical_json().encode()).hexdigest()
+
+
+def _lie_model(args, p, cutoff):
+    """The presentation's LieModel; --no-cache neither reads nor writes
+    the model pickle cache."""
+    r0, r1 = build_relations(p)
+    cdir = None if args.no_cache else cachemod.cache_dir(args.cache_dir)
+    return load_or_build_model(p.alphabet, r0 + r1, cutoff, cdir, _hash(p))
 
 
 def cmd_hilbert(args):
@@ -133,10 +145,7 @@ def cmd_hilbert(args):
 def cmd_basis(args):
     p = _load_presentation(args)
     l = args.l
-    r0, r1 = build_relations(p)
-    model = load_or_build_model(
-        p.alphabet, r0 + r1, l, cachemod.cache_dir(args.cache_dir), _hash(p)
-    )
+    model = _lie_model(args, p, l)
     report = {
         "command": "basis",
         "presentation_sha256": _hash(p),
@@ -295,9 +304,17 @@ def cmd_dixmier(args):
     target = args.target
     report = {"command": "dixmier", "target": target, "ok": True}
     if target in ("weight", "polarization"):
-        g = load_algebra(args.algebra)
-        with open(args.functional) as fh:
-            f = functional_from_json(g, json.load(fh))
+        for opt in ("algebra", "functional"):
+            if getattr(args, opt) is None:
+                raise UsageError(f"dixmier {target} requires --{opt} file.json")
+        try:
+            g = FinDimSuperLieAlgebra.from_json(_read_json(args.algebra))
+        except SuperLieError as exc:
+            raise UsageError(f"{args.algebra}: {exc}")
+        try:
+            f = functional_from_json(g, _read_json(args.functional))
+        except SuperLieError as exc:
+            raise UsageError(f"{args.functional}: {exc}")
         w = weight_of(g, f)
         report["weight"] = {"weyl": w.weyl, "clifford": w.clifford}
         if target == "polarization":
@@ -322,10 +339,7 @@ def cmd_dixmier(args):
 
         _, _, d_prime = plan_assignment(p.n, p.s, args.r, args.t)
         l = args.l if args.l is not None else 2 * d_prime + 1
-        r0, r1 = build_relations(p)
-        model = load_or_build_model(
-            p.alphabet, r0 + r1, l, cachemod.cache_dir(args.cache_dir), _hash(p)
-        )
+        model = _lie_model(args, p, l)
         res = build_cw_surjection(p, args.r, args.t, l=l, model=model)
         report["presentation_sha256"] = _hash(p)
         report.update(res.report())
@@ -338,11 +352,9 @@ def cmd_dixmier(args):
 def cmd_freegens(args):
     p = _load_presentation(args)
     max_w = args.max
-    r0, r1 = build_relations(p)
-    model = load_or_build_model(
-        p.alphabet, r0 + r1, max(max_w - 1, 1),
-        cachemod.cache_dir(args.cache_dir), _hash(p),
-    )
+    if args.ideal == "k1s" and (p.n != 1 or p.s < 3):
+        raise UsageError("--ideal k1s requires an n = 1 presentation with s >= 3")
+    model = _lie_model(args, p, max(max_w - 1, 1))
     if args.ideal == "tym-hat":
         analysis = tym_hat_generators(model, p.n, max_weight=max_w)
         series = free_gen_series_tym_hat(p.n, p.s)
@@ -350,8 +362,6 @@ def cmd_freegens(args):
         analysis = tym_generators(model, max_weight=max_w)
         series = free_gen_series_tym(p.n, p.s, order=max_w)
     elif args.ideal == "k1s":
-        if p.n != 1:
-            raise UsageError("--ideal k1s requires an n = 1 presentation")
         analysis = k1s_generators(model, p.s, max_weight=max_w)
         series = free_gen_series_k1s(p.s)
     else:

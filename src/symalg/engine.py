@@ -1,28 +1,33 @@
 """Weight-truncated Lie quotient engine.
 
-The quotient of a free graded super Lie algebra by the ideal generated by a
-finite homogeneous relation set is computed one weight at a time by exact
-linear algebra on tensor-algebra coordinates:
+The quotient L of a free graded super Lie algebra by the ideal generated by
+a finite homogeneous relation set is built one weight at a time in
+quotient coordinates, by the nilpotent-quotient step for graded Lie
+algebras (W. A. de Graaf, Lie Algebras: Theory and Algorithms, 2000).
+L_w is spanned by the generators of weight w and the brackets [g, b_j] of
+a generator g with a representative b_j of L_{w-|g|}.  The step takes one
+column per such candidate (the generators, then one symbol g (x) b_j) and
+spans the kernel of the map onto L_w by rows that are already identities
+over L_{<w}:
 
-* the ideal component at weight w is spanned by the relations of weight w
-  together with brackets of generators against the ideal at lower weights
-  (generators generate, so this closure is the full ideal);
-* coset representatives are bracket monomials [g, b] over lower
-  representatives (plus the generators themselves), kept greedily whenever
-  they are independent modulo the ideal.
+* each relation of weight w, through the Dynkin-Specht-Wever map
+  theta(a1...an) = [a1, [a2, ..., an]], for which theta(P) = n P on
+  length-n Lie polynomials;
+* super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x];
+* super-Jacobi g (x) [b, c] - [[g, b], c] - (-1)^{|g||b|} [b, [g, c]].
 
-Reducing a candidate [g, b_j] through the weight's tracked echelon either
-accepts it as a representative or solves it over the earlier ones, so the
-build also records the columns of ad_g, the matrix of bracketing with the
-generator g, in quotient coordinates.  Structure constants never leave
-those coordinates: every representative is a generator or a bracket
-[g, c] with c a lower representative, and
+A bracket of total weight w is expanded into symbols by the recursion
 
     [[g, c], b] = [g, [c, b]] - (-1)^{|g||c|} [c, [g, b]]
 
-reduces every bracket to ad columns (the nilpotent-quotient approach of
-de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Arbitrary tensor
-polynomials are still projected through the tracked echelons.
+over the lower brackets.  Pivoting every row on its last candidate leaves
+the greedy representatives as the non-pivot columns (the first generators
+and bracket monomials independent modulo the ideal), and solving each
+candidate over them gives the columns of ad_g, the matrix of bracketing
+with the generator g.  Structure constants use the same recursion with
+those columns and never leave quotient coordinates.  Tensor polynomials
+enter only as relations and `project` input, through theta; the build
+never expands a tensor word.
 """
 
 import os
@@ -30,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .linalg import Echelon, intvec
-from .tensor import Poly, bracket_word_name, super_commutator
+from .tensor import bracket_word_name, super_commutator
 
 
 class EngineError(ValueError):
@@ -38,22 +43,22 @@ class EngineError(ValueError):
 
 
 # Version of the pickled LieModel layout; a cached model of another
-# version is rebuilt.  Version 2 added the ad columns and Rep.tail.
-MODEL_SCHEMA = 2
+# version is rebuilt.  Version 2 added the ad columns and Rep.tail;
+# version 3 dropped the tensor expansions and added gen_coords.
+MODEL_SCHEMA = 3
 
 
 class Rep:
-    """Coset representative: a bracket monomial with its tensor expansion.
+    """Coset representative: a bracket monomial.
 
     `tail` is the (weight, position) of the lower representative c when the
     label is (g, c), and None for a generator.
     """
 
-    __slots__ = ("label", "poly", "weight", "parity", "tail")
+    __slots__ = ("label", "weight", "parity", "tail")
 
-    def __init__(self, label, poly, weight, parity, tail=None):
+    def __init__(self, label, weight, parity, tail=None):
         self.label = label
-        self.poly = poly
         self.weight = weight
         self.parity = parity
         self.tail = tail
@@ -64,23 +69,6 @@ class Rep:
 
     def __repr__(self):
         return f"Rep({self.name}, weight={self.weight})"
-
-
-def _bracket_vec(gen, gen_parity, row, row_parity, lower_words, upper_index):
-    """Integer row of [g, row] from an integer row at a lower weight."""
-    sign = -1 if (gen_parity and row_parity) else 1
-    out = {}
-    for col, c in row.items():
-        u = lower_words[col]
-        k1 = upper_index[(gen,) + u]
-        out[k1] = out.get(k1, 0) + c
-        k2 = upper_index[u + (gen,)]
-        v = out.get(k2, 0) - sign * c
-        if v:
-            out[k2] = v
-        else:
-            out.pop(k2, None)
-    return {k: v for k, v in out.items() if v}
 
 
 class LieModel:
@@ -99,74 +87,156 @@ class LieModel:
         self.alphabet = alphabet
         self.cutoff = cutoff
         self.max_weight = cutoff + 1
-        self.rel_by_weight = {}
+        rel_by_weight = {}
         for r in relations:
             if r.is_zero():
                 continue
             w = r.weight()
             r.parity()  # must be homogeneous
-            self.rel_by_weight.setdefault(w, []).append(r)
+            rel_by_weight.setdefault(w, []).append(_lie_parts(r))
         self.reps = {}
+        # weight -> echelon of the kernel rows over the candidate columns
         self.solvers = {}
-        self.ideal_rows = {}
+        # generator name -> its quotient coordinates at its own weight
+        # ({} for a generator above the truncation)
+        self.gen_coords = {g.name: {} for g in alphabet.generators}
         # (generator name, weight, position) -> quotient coordinates of
         # [g, b] for the representative b at (weight, position)
         self.ad = {}
         self._struct = {}
-        self._build()
+        self._free_dims = free_lie_dims(alphabet, self.max_weight)
+        min_w = min(g.weight for g in alphabet.generators)
+        for w in range(min_w, self.max_weight + 1):
+            self._step(w, rel_by_weight.get(w, ()))
 
     # -- construction
 
-    def _build(self):
+    def _step(self, w, relations):
+        """Build L_w from L_{<w}: one nilpotent-quotient step."""
         A = self.alphabet
-        min_w = min(g.weight for g in A.generators)
-        for w in range(min_w, self.max_weight + 1):
-            index = A.word_index(w)
-            words = A.words_of_weight(w)
-            solver = Echelon(track=True)
-            # ideal rows first: relations at this weight, then generator
-            # brackets against the lower ideal components
-            for r in self.rel_by_weight.get(w, ()):
-                solver.insert(_poly_int_row(r, index))
-            for g in A.generators:
-                wl = w - g.weight
-                lower = self.ideal_rows.get(wl)
-                if not lower:
+        cols = [g.name for g in A.generators if g.weight == w]
+        cols += [(g.name, w - g.weight, j) for g in A.generators
+                 for j in range(self.dim(w - g.weight))]
+        # column k is keyed -k: Echelon pivots on the smallest key, so every
+        # row pivots on its last candidate
+        key = {c: -k for k, c in enumerate(cols)}
+        ech = Echelon()
+        top = {}
+
+        def insert(row):
+            iv, _ = intvec({key[c]: v for c, v in row.items()})
+            if iv:
+                ech.insert(iv)
+
+        # (a) relations: a1...an -> (1/n) a1 (x) theta(a2...an)
+        for parts in relations:
+            row = {}
+            memo = {}
+            for n, terms in parts.items():
+                for word, c in terms.items():
+                    a1 = A.names[word[0]]
+                    if n == 1:
+                        symbols = {a1: 1}
+                    else:
+                        wl = w - A.weights[word[0]]
+                        symbols = {(a1, wl, k): a
+                                   for k, a in self._theta(word[1:], memo).items()}
+                    _add_scaled(row, c / n, symbols)
+            insert(row)
+        for g in A.generators:
+            rest = w - g.weight
+            # (b) super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x]
+            for j in range(self.dim(rest)):
+                odd = g.parity and self.reps[rest][j].parity
+                row = {(g.name, rest, j): -1 if odd else 1}
+                for k, a in self.gen_coords[g.name].items():
+                    _add_scaled(row, a, self._top(rest, j, g.weight, k, top))
+                insert(row)
+            # (c) super-Jacobi g (x) [b,c] - [[g,b],c] - (-1)^{|g||b|} [b,[g,c]]
+            for wb in self.weights():
+                wc = rest - wb
+                if wc not in self.reps:
                     continue
-                lwords = A.words_of_weight(wl)
-                for row in lower:
-                    bv = _bracket_vec(
-                        g.index, g.parity, row, wl & 1, lwords, index
-                    )
-                    solver.insert(bv)
-            self.ideal_rows[w] = [dict(r) for r in solver.rows.values()]
-            # representatives: generators of this weight, then brackets of
-            # generators with lower representatives, greedily
-            reps = []
-            for g in A.generators:
-                if g.weight == w:
-                    p = A.gen(g.name)
-                    if solver.insert(_poly_int_row(p, index), {len(reps): 1}) is not None:
-                        reps.append(Rep(g.name, p, w, g.parity))
-            for g in A.generators:
-                wl = w - g.weight
-                for j, rep in enumerate(self.reps.get(wl, ())):
-                    p = super_commutator(A.gen(g.name), rep.poly)
-                    coords = {}
-                    if not p.is_zero():
-                        # bracket monomials have integer coefficients, so
-                        # the row is p itself and coords are those of p
-                        k = len(reps)
-                        pivot, coords = solver.insert_or_solve(
-                            _poly_int_row(p, index), k
-                        )
-                        if pivot is not None:
-                            coords = {k: Fraction(1)}
-                            reps.append(Rep((g.name, rep.label), p, w,
-                                            (g.parity + rep.parity) % 2, (wl, j)))
-                    self.ad[(g.name, wl, j)] = coords
-            self.reps[w] = reps
-            self.solvers[w] = solver
+                for ib, b in enumerate(self.reps[wb]):
+                    sign = -1 if (g.parity and b.parity) else 1
+                    for ic in range(self.dim(wc)):
+                        if not (b.tail is None or wb < wc or (wb == wc and ib <= ic)):
+                            continue
+                        row = {(g.name, rest, k): a
+                               for k, a in self._bracket(wb, ib, wc, ic).items()}
+                        for k, a in self.ad[(g.name, wb, ib)].items():
+                            _add_scaled(row, -a, self._top(wb + g.weight, k, wc, ic, top))
+                        for k, a in self.ad[(g.name, wc, ic)].items():
+                            _add_scaled(row, -sign * a,
+                                        self._top(wb, ib, wc + g.weight, k, top))
+                        insert(row)
+        # read off: the non-pivot columns are the representatives, and the
+        # reduced row of a pivot column solves it over them
+        ech.full_reduce()
+        reps = []
+        pos = {}
+        for k, c in enumerate(cols):
+            if -k in ech.rows:
+                continue
+            pos[-k] = len(reps)
+            if isinstance(c, str):
+                reps.append(Rep(c, w, w & 1))
+            else:
+                g, wl, j = c
+                reps.append(Rep((g, self.reps[wl][j].label), w, w & 1, (wl, j)))
+        for k, c in enumerate(cols):
+            row = ech.rows.get(-k)
+            if row is None:
+                v = {pos[-k]: Fraction(1)}
+            else:
+                v = {pos[kk]: Fraction(-x, row[-k]) for kk, x in row.items() if kk != -k}
+            if isinstance(c, str):
+                self.gen_coords[c] = v
+            else:
+                self.ad[c] = v
+        self.reps[w] = reps
+        self.solvers[w] = ech
+
+    def _theta(self, word, memo):
+        """Quotient coordinates of theta(word) = [a1, [a2, ..., an]]."""
+        got = memo.get(word)
+        if got is None:
+            A = self.alphabet
+            if len(word) == 1:
+                got = self.gen_coords[A.names[word[0]]]
+            else:
+                g = A.names[word[0]]
+                tail = word[1:]
+                wt = A.word_weight(tail)
+                got = {}
+                for k, a in self._theta(tail, memo).items():
+                    _add_scaled(got, a, self.ad[(g, wt, k)])
+            memo[word] = got
+        return got
+
+    def _top(self, wu, iu, wv, iv, memo):
+        """[b_u, b_v] at the weight being built, over the symbols g (x) b_j."""
+        key = (wu, iu, wv, iv)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        u = self.reps[wu][iu]
+        if u.tail is None:
+            out = {(u.label, wv, iv): 1}
+        else:
+            # u = [g, c]:  [[g,c],b] = g (x) [c,b] - (-1)^{|g||c|} [c,[g,b]]
+            g = u.label[0]
+            wc, ic = u.tail
+            wg = wu - wc
+            c_odd = self.reps[wc][ic].parity
+            g_odd = u.parity ^ c_odd
+            sign = -1 if (g_odd and c_odd) else 1
+            out = {(g, wc + wv, k): a
+                   for k, a in self._bracket(wc, ic, wv, iv).items()}
+            for k, a in self.ad[(g, wv, iv)].items():
+                _add_scaled(out, -sign * a, self._top(wc, ic, wv + wg, k, memo))
+        memo[key] = out
+        return out
 
     # -- queries
 
@@ -190,27 +260,32 @@ class LieModel:
         return out
 
     def ideal_dim(self, w):
-        return len(self.ideal_rows.get(w, ()))
+        """Dimension of the ideal's weight-w component in the free algebra."""
+        if w not in self.reps:
+            return 0
+        return self._free_dims[w - 1] - self.dim(w)
 
     def project(self, poly):
         """Quotient coordinates of a homogeneous Lie element.
 
         Returns {rep position -> Fraction} at the element's weight; the
-        empty dict means the element lies in the ideal.  Raises if the
-        element is not in the Lie span of the computed weight.
+        empty dict means the element lies in the ideal.  Each length-n
+        part P_n is evaluated as theta(P_n) / n; raises if some part is
+        not a Lie polynomial.
         """
         if poly.is_zero():
             return {}
         w = poly.weight()
         if w > self.max_weight:
             return {}
-        if w not in self.solvers:
+        if w not in self.reps:
             raise EngineError(f"weight {w} not computed")
-        iv, den = intvec(_frac_row(poly, self.alphabet.word_index(w)))
-        sol = self.solvers[w].solve(iv)
-        if sol is None:
-            raise EngineError(f"element of weight {w} is not in the Lie span")
-        return {j: c / den for j, c in sol.items() if c}
+        out = {}
+        memo = {}
+        for n, terms in _lie_parts(poly).items():
+            for word, c in terms.items():
+                _add_scaled(out, c / n, self._theta(word, memo))
+        return out
 
     def contains_ideal(self, poly):
         return not self.project(poly)
@@ -291,13 +366,36 @@ def _add_scaled(out, a, coords):
             out.pop(k, None)
 
 
-def _frac_row(poly, index):
-    return {index[u]: c for u, c in poly.terms.items()}
+def _lie_parts(poly):
+    """The parts of a tensor polynomial by word length, {n: {word: c}}.
 
+    Raises EngineError unless every part is a Lie polynomial, checked by
+    theta(P_n) = n P_n in the tensor algebra (Dynkin-Specht-Wever).
+    """
+    A = poly.alphabet
+    parts = {}
+    for u, c in poly.terms.items():
+        parts.setdefault(len(u), {})[u] = c
+    memo = {}
 
-def _poly_int_row(poly, index):
-    iv, _ = intvec(_frac_row(poly, index))
-    return iv
+    def theta(word):
+        got = memo.get(word)
+        if got is None:
+            got = A.gen(A.names[word[0]])
+            if len(word) > 1:
+                got = super_commutator(got, theta(word[1:]))
+            memo[word] = got
+        return got
+
+    for n, terms in parts.items():
+        acc = A.zero()
+        for word, c in terms.items():
+            acc = acc + theta(word).scale(c)
+        if acc.terms != {u: n * c for u, c in terms.items()}:
+            raise EngineError(
+                f"element of weight {poly.weight()} is not in the Lie span"
+            )
+    return parts
 
 
 def label_tree(label):
@@ -387,51 +485,6 @@ def free_lie_dims(alphabet, max_w):
     return dims_from_series(DensePolynomial(coeffs), max_w)
 
 
-def free_lie_component(alphabet, w):
-    """Echelon basis of the weight-w component of the free super Lie
-    algebra inside the tensor algebra, with its bracket-monomial labels.
-
-    Returns (echelon, labels).  The dimension is checked against the
-    counting oracle.
-    """
-    index = alphabet.word_index(w)
-    ech = Echelon()
-    labels = []
-    basis_polys = {}
-
-    def component(v):
-        if v not in basis_polys:
-            basis_polys[v] = []
-            idx = alphabet.word_index(v)
-            e = Echelon()
-            for g in alphabet.generators:
-                if g.weight == v:
-                    p = alphabet.gen(g.name)
-                    if e.insert(_poly_int_row(p, idx)) is not None:
-                        basis_polys[v].append((g.name, p))
-            for g in alphabet.generators:
-                vl = v - g.weight
-                if vl <= 0:
-                    continue
-                for lbl, q in component(vl):
-                    p = super_commutator(alphabet.gen(g.name), q)
-                    if p.is_zero():
-                        continue
-                    if e.insert(_poly_int_row(p, idx)) is not None:
-                        basis_polys[v].append(((g.name, lbl), p))
-        return basis_polys[v]
-
-    for lbl, p in component(w):
-        if ech.insert(_poly_int_row(p, index)) is not None:
-            labels.append(lbl)
-    expected = free_lie_dims(alphabet, w)[w - 1]
-    if ech.rank != expected:
-        raise EngineError(
-            f"free Lie dimension mismatch at weight {w}: {ech.rank} != {expected}"
-        )
-    return ech, labels
-
-
 class SubalgebraGenerators:
     """Free-generator analysis of a graded Lie ideal inside a LieModel.
 
@@ -451,10 +504,6 @@ class SubalgebraGenerators:
         self.gen_counts = {}
         self.gen_reps = {}
         self._build()
-
-    def _coord_echelon_insert(self, ech, coords, tag=None):
-        iv, den = intvec(coords)
-        return ech.insert(iv, {tag: den} if tag is not None else None)
 
     def _build(self):
         model = self.model
@@ -495,7 +544,7 @@ class SubalgebraGenerators:
                     vs = self.k_basis[wv]
                     jstart = i if wu == wv else 0
                     for cv in vs[jstart:]:
-                        bc = self._pair_bracket_coords(wu, cu, wv, cv)
+                        bc = _pair_bracket(model, wu, cu, wv, cv)
                         if bc:
                             iv, _ = intvec(bc)
                             bech.insert(iv)
@@ -523,15 +572,17 @@ class SubalgebraGenerators:
             _add_scaled(out, c, self.model.struct(gw, gj, wl, j))
         return out
 
-    def _pair_bracket_coords(self, wu, cu, wv, cv):
-        out = {}
-        for i, a in cu.items():
-            for j, b in cv.items():
-                _add_scaled(out, a * b, self.model.struct(wu, i, wv, j))
-        return out
-
     def counts(self):
         return dict(sorted(self.gen_counts.items()))
+
+
+def _pair_bracket(model, wu, cu, wv, cv):
+    """Quotient coordinates of [u, v] for coordinate vectors u, v."""
+    out = {}
+    for i, a in cu.items():
+        for j, b in cv.items():
+            _add_scaled(out, a * b, model.struct(wu, i, wv, j))
+    return out
 
 
 def tym_hat_generators(model, n, max_weight=None):
@@ -549,14 +600,12 @@ def tym_generators(model, max_weight=None):
 def k1s_generators(model, s, max_weight=None):
     """Generator analysis of the ideal generated by z3..zs and [z1,z2],
     together with everything of weight >= 9, inside the n = 1 quotient."""
-    A = model.alphabet
     z_positions = []
     for j, rep in enumerate(model.reps.get(3, ())):
         if rep.label in {f"z{a}" for a in range(3, s + 1)}:
             z_positions.append(j)
     seeds = {3: [{j: Fraction(1)} for j in z_positions]}
-    z1z2 = super_commutator(A.gen("z1"), A.gen("z2"))
-    coords = model.project(z1z2)
+    coords = _pair_bracket(model, 3, model.gen_coords["z1"], 3, model.gen_coords["z2"])
     if coords:
         seeds[6] = [coords]
     return SubalgebraGenerators(model, seeds=seeds, full_from=9, max_weight=max_weight)

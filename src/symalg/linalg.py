@@ -122,21 +122,6 @@ class Echelon:
             return None
         return self._add(v, acc)
 
-    def insert_or_solve(self, vec, tag):
-        """Insert vec as the tagged vector `tag` if it is independent.
-
-        Returns (pivot, None) if vec was inserted, else (None, coefficients
-        of vec over the tagged vectors modulo untracked rows, as `solve`
-        gives them).  One reduction serves both outcomes.
-        """
-        if not self.track:
-            raise ValueError("echelon does not track meta")
-        v, acc, s = self.reduce(vec, {tag: 1})
-        if v:
-            return self._add(v, acc), None
-        # acc[tag] == s, and s*vec + sum_k acc[k] * X_k is untracked
-        return None, {k: Fraction(-x, s) for k, x in acc.items() if x and k != tag}
-
     def _add(self, v, acc):
         v, acc, _ = self._strip(v, acc, None)
         p = min(v)
@@ -147,6 +132,23 @@ class Echelon:
         if self.track:
             self.metas[p] = acc
         return p
+
+    def full_reduce(self):
+        """Clear every row at the other rows' pivots (reduced echelon form).
+
+        Rows are cleared from the largest pivot down, so each row is reduced
+        by rows that no longer hold other pivots.  Afterwards the row of a
+        pivot column expresses it over the non-pivot columns alone.
+        """
+        if self.track:
+            raise ValueError("full reduction does not update meta")
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            r = rows[p]
+            for q in [k for k in r if k != p and k in rows]:
+                r = _axpy(rows[q][q], r, r[q], rows[q])
+            r, _, _ = self._strip(r, None, None)
+            rows[p] = r if r[p] > 0 else {k: -x for k, x in r.items()}
 
     def contains(self, vec):
         v, _, _ = self.reduce(vec)

@@ -206,16 +206,23 @@ class FinDimSuperLieAlgebra:
 
     @classmethod
     def from_json(cls, doc):
-        basis = doc["basis"]
-        names = [b["name"] for b in basis]
-        parities = [int(b["parity"]) for b in basis]
-        weights = [b["weight"] for b in basis] if all("weight" in b for b in basis) else None
-        brackets = {}
-        for entry in doc["brackets"]:
-            brackets[(int(entry["i"]), int(entry["j"]))] = {
-                int(k): rat(v) for k, v in entry["coeffs"].items()
-            }
-        return cls(names, parities, brackets, weights)
+        """Inverse of to_json; malformed documents raise SuperLieError."""
+        try:
+            basis = doc["basis"]
+            names = [b["name"] for b in basis]
+            parities = [int(b["parity"]) for b in basis]
+            weights = [b["weight"] for b in basis] if all("weight" in b for b in basis) else None
+            brackets = {}
+            for entry in doc["brackets"]:
+                brackets[(int(entry["i"]), int(entry["j"]))] = {
+                    int(k): rat(v) for k, v in entry["coeffs"].items()
+                }
+            return cls(names, parities, brackets, weights)
+        except SuperLieError:
+            raise
+        except (AttributeError, LookupError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise SuperLieError(f"malformed algebra JSON: {exc}") from exc
 
     @classmethod
     def from_model(cls, model):
@@ -290,7 +297,15 @@ def even_functional(g, values):
 
 
 def functional_from_json(g, doc):
-    return even_functional(g, {k: rat(v) for k, v in doc.items()})
+    """Even functional from {name: rational}; malformed documents raise
+    SuperLieError."""
+    try:
+        return even_functional(g, {k: rat(v) for k, v in doc.items()})
+    except SuperLieError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise SuperLieError(f"malformed functional JSON: {exc}") from exc
 
 
 def apply_functional(f, vec):
@@ -564,8 +579,3 @@ def heis(r, t):
 def save_algebra(g, path):
     with open(path, "w") as fh:
         json.dump(g.to_json(), fh, indent=1, sort_keys=True)
-
-
-def load_algebra(path):
-    with open(path) as fh:
-        return FinDimSuperLieAlgebra.from_json(json.load(fh))

@@ -1,0 +1,123 @@
+"""Tensor-coordinate Lie quotient: the test oracle for `symalg.engine`.
+
+This is the engine's former construction, kept so that the
+quotient-coordinate build can be checked against an independent route.
+Every element is expanded into tensor words; at weight w the ideal
+component is spanned by the relations of weight w and by brackets of
+generators with the lower ideal components, and coset representatives
+are the generators of weight w, then the brackets [g, b_j] over lower
+representatives, kept greedily when independent modulo the ideal.  The
+reduction of a candidate records its quotient coordinates, so the oracle
+has the same `ad` columns as the engine.  Row counts grow with the
+number of tensor words, so keep cutoffs small (about 11).
+"""
+
+from fractions import Fraction
+
+from symalg.engine import EngineError
+from symalg.linalg import Echelon, intvec
+from symalg.tensor import super_commutator
+
+
+class OracleRep:
+    __slots__ = ("label", "poly", "parity")
+
+    def __init__(self, label, poly, parity):
+        self.label = label
+        self.poly = poly
+        self.parity = parity
+
+
+class TensorLieModel:
+    """Lie quotient truncated at weights <= cutoff + 1, in tensor words."""
+
+    def __init__(self, alphabet, relations, cutoff):
+        self.alphabet = alphabet
+        self.max_weight = cutoff + 1
+        self.rel_by_weight = {}
+        for r in relations:
+            if not r.is_zero():
+                self.rel_by_weight.setdefault(r.weight(), []).append(r)
+        self.reps = {}
+        self.solvers = {}
+        self.ideal_rows = {}
+        # (generator name, weight, position) -> quotient coordinates of [g, b]
+        self.ad = {}
+        self._build()
+
+    def _build(self):
+        A = self.alphabet
+        min_w = min(g.weight for g in A.generators)
+        for w in range(min_w, self.max_weight + 1):
+            index = A.word_index(w)
+            solver = Echelon(track=True)
+            for r in self.rel_by_weight.get(w, ()):
+                solver.insert(_int_row(r, index))
+            for g in A.generators:
+                wl = w - g.weight
+                lwords = A.words_of_weight(wl)
+                for row in self.ideal_rows.get(wl, ()):
+                    solver.insert(_bracket_row(g, row, wl & 1, lwords, index))
+            self.ideal_rows[w] = [dict(r) for r in solver.rows.values()]
+            reps = []
+            for g in A.generators:
+                if g.weight == w:
+                    p = A.gen(g.name)
+                    if solver.insert(_int_row(p, index), {len(reps): 1}) is not None:
+                        reps.append(OracleRep(g.name, p, g.parity))
+            for g in A.generators:
+                wl = w - g.weight
+                for j, rep in enumerate(self.reps.get(wl, ())):
+                    p = super_commutator(A.gen(g.name), rep.poly)
+                    coords = {}
+                    if not p.is_zero():
+                        row = _int_row(p, index)
+                        coords = solver.solve(row)
+                        if coords is None:
+                            coords = {len(reps): Fraction(1)}
+                            solver.insert(row, {len(reps): 1})
+                            reps.append(OracleRep((g.name, rep.label), p,
+                                                  (g.parity + rep.parity) % 2))
+                    self.ad[(g.name, wl, j)] = coords
+            self.reps[w] = reps
+            self.solvers[w] = solver
+
+    def dims(self):
+        return {w: len(r) for w, r in sorted(self.reps.items())}
+
+    def labels(self):
+        return {w: [r.label for r in reps] for w, reps in sorted(self.reps.items())}
+
+    def ideal_dim(self, w):
+        return len(self.ideal_rows.get(w, ()))
+
+    def project(self, poly):
+        """Quotient coordinates of a homogeneous Lie element ({} in the ideal)."""
+        if poly.is_zero():
+            return {}
+        w = poly.weight()
+        if w > self.max_weight:
+            return {}
+        index = self.alphabet.word_index(w)
+        iv, den = intvec({index[u]: c for u, c in poly.terms.items()})
+        sol = self.solvers[w].solve(iv)
+        if sol is None:
+            raise EngineError(f"element of weight {w} is not in the Lie span")
+        return {j: c / den for j, c in sol.items() if c}
+
+
+def _bracket_row(g, row, row_parity, lower_words, upper_index):
+    """Integer row of [g, row] from an integer row at a lower weight."""
+    sign = -1 if (g.parity and row_parity) else 1
+    out = {}
+    for col, c in row.items():
+        u = lower_words[col]
+        for k, v in ((upper_index[(g.index,) + u], c),
+                     (upper_index[u + (g.index,)], -sign * c)):
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _int_row(poly, index):
+    iv, _ = intvec({index[u]: c for u, c in poly.terms.items()})
+    return iv

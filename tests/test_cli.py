@@ -183,6 +183,7 @@ def test_table_format(capsys, tmp_path):
     (("hilbert", "--preset", "0,0"), "need n + s > 0"),
     (("hilbert",), "provide --preset n,s or --presentation"),
     (("freegens", "--ideal", "k1s", "--preset", "3,1"), "requires an n = 1"),
+    (("freegens", "--ideal", "k1s", "--preset", "1,2"), "with s >= 3"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     code = main(["--cache-dir", str(tmp_path / "cache"), *argv])
@@ -228,3 +229,120 @@ def test_program_errors_are_not_verification_failures(monkeypatch, capsys, tmp_p
         run_cli(capsys, tmp_path, "--no-cache", "dixmier", "polarization",
                 "--algebra", str(tmp_path / "heis.json"),
                 "--functional", str(tmp_path / "f.json"))
+
+
+def _heis_files(tmp_path):
+    save_algebra(heis(1, 1), tmp_path / "heis.json")
+    (tmp_path / "f.json").write_text(json.dumps({"z": "1"}))
+    return str(tmp_path / "heis.json"), str(tmp_path / "f.json")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no-algebra", "requires --algebra"),
+    ("no-functional", "requires --functional"),
+    ("missing-algebra", "cannot read"),
+    ("missing-functional", "cannot read"),
+    ("algebra-not-json", "is not JSON"),
+    ("functional-not-json", "is not JSON"),
+    ("algebra-basis-3", "malformed algebra JSON"),
+    ("algebra-no-brackets", "malformed algebra JSON"),
+    ("functional-list", "malformed functional JSON"),
+    ("functional-bad-rational", "malformed functional JSON"),
+    ("functional-unknown-name", "malformed functional JSON"),
+])
+@pytest.mark.parametrize("target", ["weight", "polarization"])
+def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
+    algebra, functional = _heis_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    missing = str(tmp_path / "missing.json")
+    contents = {
+        "algebra-not-json": "{", "functional-not-json": "not json",
+        "algebra-basis-3": '{"basis": 3}',
+        "algebra-no-brackets": '{"basis": [{"name": "x", "parity": 0}]}',
+        "functional-list": "[1]", "functional-bad-rational": '{"z": "x"}',
+        "functional-unknown-name": '{"nope": "1"}',
+    }
+    if case in contents:
+        bad.write_text(contents[case])
+    if case.startswith("algebra"):
+        algebra = str(bad)
+    elif case.startswith("functional"):
+        functional = str(bad)
+    opts = {
+        "no-algebra": ["--functional", functional],
+        "no-functional": ["--algebra", algebra],
+        "missing-algebra": ["--algebra", missing, "--functional", functional],
+        "missing-functional": ["--algebra", algebra, "--functional", missing],
+    }.get(case, ["--algebra", algebra, "--functional", functional])
+    code = main(["--cache-dir", str(tmp_path / "cache"), "dixmier", target, *opts])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("symalg: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_no_cache_bypasses_model_cache(capsys, tmp_path):
+    # --no-cache neither reads a model pickle (a planted wrong model would
+    # change the report) nor writes one
+    import pickle
+
+    from symalg import LieModel, build_relations, preset
+    from symalg.cli import _hash
+
+    args = ("basis", "--preset", "3,1", "--l", "5")
+    code, want = run_cli(capsys, tmp_path / "clean", "--no-cache", *args)
+    assert code == 0
+    assert not (tmp_path / "clean" / "cache" / "models").exists()
+    other = preset(2, 1)
+    r0, r1 = build_relations(other)
+    planted = pickle.dumps(LieModel(other.alphabet, r0 + r1, 5))
+    models = tmp_path / "cache" / "models"
+    models.mkdir(parents=True)
+    path = models / f"{_hash(preset(3, 1))}-l5.pickle"
+    path.write_bytes(planted)
+    code, out = run_cli(capsys, tmp_path, "--no-cache", *args)
+    assert (code, out) == (0, want)
+    assert list(models.iterdir()) == [path] and path.read_bytes() == planted
+    # without --no-cache the planted pickle is read
+    for entry in (tmp_path / "cache").glob("*.json"):
+        entry.unlink()
+    code, out = run_cli(capsys, tmp_path, *args)
+    assert json.loads(out)["dims"] != json.loads(want)["dims"]
+
+
+@pytest.mark.parametrize("attr, value", [("REPORT_SCHEMA", -1), ("__version__", "0.0.0")])
+def test_report_cache_key_includes_code_version(monkeypatch, capsys, tmp_path, attr, value):
+    # a stored report is served only to the code version and report schema
+    # that wrote it; the echoed config does not change
+    import symalg.cache
+
+    args = ("hilbert", "--preset", "2,0", "--degree", "4")
+    code, out = run_cli(capsys, tmp_path, *args)
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_bytes(b'{"ok": true, "stale": 1}\n')
+    monkeypatch.setattr(symalg.cache, attr, value)
+    code2, out2 = run_cli(capsys, tmp_path, *args)
+    assert (code2, out2) == (code, out)
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+    assert json.loads(out2)["config"] == {
+        "command": "hilbert", "preset": "2,0", "presentation": None,
+        "degree": 4, "check_engine": False, "engine_depth": 12, "seed": 0,
+    }
+
+
+def test_report_cache_store_is_atomic(monkeypatch, tmp_path):
+    import symalg.cache as cache
+
+    cache.store("k", b"first\n", tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.os, "replace", fail)
+    with pytest.raises(OSError):
+        cache.store("k", b"second\n", tmp_path)
+    # the old entry is intact and no temporary file is left
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    assert cache.lookup("k", tmp_path) == b"first\n"

@@ -1,54 +1,73 @@
 """Lie quotient engine: free components, ideal closure, quotient bases,
-structure constants, free-generator analyses."""
+structure constants, free-generator analyses.
+
+The tensor-coordinate construction in `tensor_oracle` is the independent
+route the quotient-coordinate build is checked against."""
 
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
+from tensor_oracle import TensorLieModel
 
 from symalg.engine import (
     EngineError,
     LieModel,
-    free_lie_component,
     free_lie_dims,
     k1s_generators,
     tym_generators,
     tym_hat_generators,
 )
-from symalg.presentation import build_relations, preset
+from symalg.presentation import build_relations, preset, semidirect_relation
 from symalg.refdata import (
     DEPENDENCY_IDENTITIES_31,
     EXPECTED_CUMULATIVE_31,
     reference_basis_trees,
 )
-from symalg.tensor import lie_expand, super_commutator
+from symalg.tensor import Alphabet, lie_expand, super_commutator
+
+
+@pytest.fixture(scope="module")
+def oracle31(p31):
+    """Tensor-coordinate quotient of the (3,1) presentation, weights <= 14."""
+    r0, r1 = build_relations(p31)
+    return TensorLieModel(p31.alphabet, r0 + r1, cutoff=13)
 
 
 def test_free_lie_component_dims(p31):
-    A = p31.alphabet
-    assert free_lie_component(A, 2)[0].rank == 3
-    assert free_lie_component(A, 4)[0].rank == 3
-    assert free_lie_component(A, 6)[0].rank == 9
+    # without relations the engine builds the free super Lie algebra
+    dims = LieModel(p31.alphabet, [], cutoff=5).dims()
+    assert (dims[2], dims[4], dims[6]) == (3, 3, 9)
 
 
 def test_free_lie_dims_oracle(p31):
-    # the rank check inside free_lie_component *is* the oracle comparison
-    dims = free_lie_dims(p31.alphabet, 10)
-    for w in range(2, 11):
-        assert free_lie_component(p31.alphabet, w)[0].rank == dims[w - 1]
+    # the counting oracle sizes the free algebra from the tensor algebra's
+    # Hilbert series
+    for A, cutoff in [
+        (p31.alphabet, 9),
+        (Alphabet([("a", 1, 1), ("b", 1, 1)]), 7),
+        (Alphabet([("a", 1, 1), ("b", 0, 2), ("c", 1, 3)]), 7),
+    ]:
+        dims = LieModel(A, [], cutoff).dims()
+        free = free_lie_dims(A, cutoff + 1)
+        assert [dims.get(w, 0) for w in range(1, cutoff + 2)] == free
 
 
-def test_ideal_closure_dims(model31):
-    assert model31.ideal_dim(5) == 1
-    assert model31.ideal_dim(6) == 3
-    assert model31.ideal_dim(7) == 3
+def test_ideal_closure_dims(model31, oracle31):
+    assert oracle31.ideal_dim(5) == 1
+    assert oracle31.ideal_dim(6) == 3
+    assert oracle31.ideal_dim(7) == 3
+    for w in range(1, 15):
+        assert model31.ideal_dim(w) == oracle31.ideal_dim(w), w
 
 
-def test_dimension_ledger(model31, p31):
-    # dim(free) = dim(ideal) + dim(quotient) at every weight <= 12
+def test_dimension_ledger(model31, oracle31, p31):
+    # dim(free) = dim(ideal) + dim(quotient) at every weight <= 12, with
+    # the ideal closed in tensor coordinates
     free = free_lie_dims(p31.alphabet, 12)
     for w in range(2, 13):
-        assert free[w - 1] == model31.ideal_dim(w) + model31.dim(w)
+        assert free[w - 1] == oracle31.ideal_dim(w) + model31.dim(w)
 
 
 def test_quotient_dims_and_cumulative(model31):
@@ -155,6 +174,14 @@ def test_k13_generator_series():
     assert {w: c for w, c in got.items() if c} == {3: 1, 6: 3, 9: 2, 12: 2}
 
 
+def test_k13_below_the_seed_weight():
+    # z1, z2 lie above a cutoff-1 truncation, so the [z1, z2] seed is zero
+    p = preset(1, 3)
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=1)
+    assert k1s_generators(m, 3, max_weight=2).counts() == {2: 0}
+
+
 def test_dims_independent_of_gamma():
     # the dimension table depends only on (n, s), not on the coupling:
     # random rational nondegenerate tensors give the same counts
@@ -212,13 +239,16 @@ def test_model_pickle_cache_roundtrip(tmp_path):
     assert [r.name for r in m2.basis()] == [r.name for r in m1.basis()]
 
 
-def _schemaless_model_pickle(alphabet, relations):
+def _old_model_pickle(alphabet, relations, schema):
     model = LieModel(alphabet, relations, cutoff=5)
-    del model.schema  # as pickled before the schema existed
+    if schema is None:
+        del model.schema  # as pickled before the schema existed
+    else:
+        model.schema = schema
     return pickle.dumps(model)
 
 
-@pytest.mark.parametrize("content", ["garbage", "schemaless", "foreign"])
+@pytest.mark.parametrize("content", ["garbage", "schemaless", "schema2", "foreign"])
 def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     from symalg.engine import MODEL_SCHEMA, load_or_build_model
 
@@ -229,7 +259,8 @@ def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     path.parent.mkdir()
     path.write_bytes({
         "garbage": lambda: b"\x80\x04not a pickle",
-        "schemaless": lambda: _schemaless_model_pickle(p.alphabet, rels),
+        "schemaless": lambda: _old_model_pickle(p.alphabet, rels, None),
+        "schema2": lambda: _old_model_pickle(p.alphabet, rels, 2),
         "foreign": lambda: pickle.dumps({"dims": {}}),
     }[content]())
     model = load_or_build_model(p.alphabet, rels, 5, tmp_path, "deadbeef")
@@ -246,6 +277,72 @@ def _general_31():
     return SymPresentation(3, 1, [[[1]], [[2]], [[-3]]])
 
 
+def _relations(make):
+    r0, r1 = build_relations(make())
+    return make().alphabet, r0 + r1
+
+
+def _semidirect():
+    U, rho = semidirect_relation(3, 1)
+    return U, [rho]
+
+
+def _dependent_generators():
+    # relations that make generators dependent: b = a, c = [a, e], d = 0
+    A = Alphabet([("a", 0, 2), ("b", 0, 2), ("e", 0, 2), ("c", 0, 4), ("d", 1, 3)])
+    rels = [A.gen("b") - A.gen("a"),
+            A.gen("c") - lie_expand(("a", "e"), A),
+            A.gen("d")]
+    return A, rels
+
+
+# alphabet and relations, cutoff: (3,1), (2,2), n = 1 cases
+# `freegens --ideal k1s` accepts, (3,1) with general coefficients
+# G = (1, 2, -3), the semidirect model U with its one relation, and
+# relations that make generators dependent
+ORACLE_CASES = {
+    "31": (lambda: _relations(lambda: preset(3, 1)), 13),
+    "22": (lambda: _relations(lambda: preset(2, 2)), 10),
+    "13": (lambda: _relations(lambda: preset(1, 3)), 11),
+    "14": (lambda: _relations(lambda: preset(1, 4)), 9),
+    "31-G(1,2,-3)": (lambda: _relations(_general_31), 11),
+    "semidirect-31": (_semidirect, 9),
+    "dependent-generators": (_dependent_generators, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_build_matches_tensor_oracle(case):
+    # the same greedy representatives, every ad column, the generators'
+    # coordinates and the ideal dimensions as the tensor-coordinate build
+    make, cutoff = ORACLE_CASES[case]
+    A, rels = make()
+    m = LieModel(A, rels, cutoff)
+    o = TensorLieModel(A, rels, cutoff)
+    assert {w: [r.label for r in reps] for w, reps in m.reps.items()} == o.labels()
+    assert m.ad == o.ad
+    for g in A.generators:
+        if g.weight <= m.max_weight:
+            assert m.gen_coords[g.name] == o.project(A.gen(g.name)), g.name
+    for w in m.weights():
+        assert m.ideal_dim(w) == o.ideal_dim(w), w
+
+
+def test_dependent_generators_are_solved():
+    # a generator a relation makes dependent is solved over the earlier
+    # representatives rather than rejected; a generator that is kept
+    # replaces the later bracket monomials it equals
+    A, rels = _dependent_generators()
+    m = LieModel(A, rels, cutoff=5)
+    assert [r.name for r in m.reps[2]] == ["a", "e"]
+    assert m.gen_coords["b"] == {0: 1}
+    assert m.dim(3) == 0 and m.gen_coords["d"] == {}
+    assert [r.name for r in m.reps[4]] == ["c"]
+    assert m.project(lie_expand(("a", "e"), A)) == {0: 1}
+    assert m.project(lie_expand(("b", "e"), A)) == {0: 1}
+    assert m.project(lie_expand(("e", "d"), A)) == {}
+
+
 # presentation, cutoff: (3,1), (2,2), an n = 1 case `freegens --ideal k1s`
 # accepts, and general coefficients G = (1, 2, -3)
 STRUCT_CASES = {
@@ -259,11 +356,15 @@ STRUCT_CASES = {
 @pytest.mark.parametrize("case", sorted(STRUCT_CASES))
 def test_struct_matches_tensor_oracle(case):
     # struct works in quotient coordinates only; the oracle expands both
-    # representatives in the tensor algebra and projects the commutator
+    # representatives' labels in the tensor algebra and projects the
+    # commutator in tensor coordinates
     make, cutoff = STRUCT_CASES[case]
     p = make()
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    o = TensorLieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    polys = {(w, i): lie_expand(rep.label, p.alphabet)
+             for w in m.weights() for i, rep in enumerate(m.reps[w])}
     pairs = [
         (wu, i, wv, j)
         for wu in m.weights()
@@ -274,8 +375,8 @@ def test_struct_matches_tensor_oracle(case):
     ]
     oracle = {}
     for wu, i, wv, j in pairs:
-        bracket = super_commutator(m.reps[wu][i].poly, m.reps[wv][j].poly)
-        oracle[(wu, i, wv, j)] = m.project(bracket)
+        bracket = super_commutator(polys[(wu, i)], polys[(wv, j)])
+        oracle[(wu, i, wv, j)] = o.project(bracket)
         assert m.struct(wu, i, wv, j) == oracle[(wu, i, wv, j)], (wu, i, wv, j)
     assert any(oracle.values())
     # super-antisymmetry: [b, a] = -(-1)^{|a||b|} [a, b]
@@ -294,6 +395,63 @@ def test_struct_matches_tensor_oracle(case):
         if fi <= fj and coords:
             table[(fi, fj)] = {offs[wu + wv] + k: c for k, c in coords.items()}
     assert m.export_struct()[3] == table
+
+
+def _random_tree(rng, A, w):
+    """A random bracket tree of weight w over A, or None if there is none."""
+    names = [g.name for g in A.generators if g.weight == w]
+    splits = [(u, w - u) for u in range(1, w)]
+    rng.shuffle(splits)
+    if names and (not splits or rng.random() < 0.3):
+        return rng.choice(names)
+    for u, v in splits:
+        left = _random_tree(rng, A, u)
+        right = left and _random_tree(rng, A, v)
+        if right:
+            return (left, right)
+    return rng.choice(names) if names else None
+
+
+def test_project_matches_oracle_on_random_lie_combinations(model31, oracle31, p31):
+    # random combinations of bracket trees, mixing word lengths within a
+    # weight (x-trees and z-trees), project as in tensor coordinates
+    A = p31.alphabet
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(40):
+        w = rng.randint(2, 12)
+        acc = A.zero()
+        for _ in range(3):
+            tree = _random_tree(rng, A, w)
+            if tree:
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                acc = acc + lie_expand(tree, A).scale(c)
+        got = model31.project(acc)
+        assert got == oracle31.project(acc)
+        nonzero += bool(got)
+    assert nonzero >= 20
+
+
+@pytest.mark.parametrize("word, lie_part", [
+    (("x1", "x2"), None),
+    (("x1", "x1"), None),
+    (("z1", "x1", "x1"), None),
+    # a Lie part of another length does not hide the non-Lie one
+    (("x1", "x2", "x3"), ("z1", "z1")),
+])
+def test_project_rejects_non_lie_words(model31, p31, word, lie_part):
+    A = p31.alphabet
+    poly = A.poly({tuple(A.index(n) for n in word): Fraction(1)})
+    if lie_part:
+        poly = poly + lie_expand(lie_part, A)
+    with pytest.raises(EngineError, match="not in the Lie span"):
+        model31.project(poly)
+
+
+def test_non_lie_relation_rejected(p31):
+    A = p31.alphabet
+    with pytest.raises(EngineError):
+        LieModel(A, [A.gen("x1") * A.gen("x2")], cutoff=3)
 
 
 def test_basis_report_shape(model31):

@@ -1,0 +1,43 @@
+"""Golden reports: byte-exact CLI output recorded under tests/golden/.
+
+Each file holds the report of one command, run with --no-cache in a fresh
+cache directory.  Refactors of the engines must reproduce them byte for
+byte; a deliberate change of a report replaces its file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from symalg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "basis-31-l13": ["basis", "--preset", "3,1", "--l", "13"],
+    "basis-31-l7-reference": ["basis", "--preset", "3,1", "--l", "7",
+                              "--check-reference-basis"],
+    "freegens-tymhat-31-max12": ["freegens", "--ideal", "tym-hat",
+                                 "--preset", "3,1", "--max", "12"],
+    "freegens-tymhat-22-max10": ["freegens", "--ideal", "tym-hat",
+                                 "--preset", "2,2", "--max", "10"],
+    "freegens-k1s-13-max13": ["freegens", "--ideal", "k1s",
+                              "--preset", "1,3", "--max", "13"],
+    "surject-31-r1-t1-l13": ["dixmier", "surject", "--preset", "3,1",
+                             "--r", "1", "--t", "1", "--l", "13"],
+    "hilbert-31-d12-engine": ["hilbert", "--preset", "3,1", "--degree", "12",
+                              "--check-engine"],
+    "semidirect-31": ["verify", "semidirect", "--preset", "3,1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_report(capsys, tmp_path, name):
+    code = main(["--cache-dir", str(tmp_path), "--no-cache", *COMMANDS[name]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_golden_files_have_commands():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)

@@ -63,28 +63,28 @@ def test_dims_from_series_one_odd_generator():
 
 def test_dims_from_series_free_two_even_generators():
     # free Lie algebra on two even weight-2 generators: necklace counts
-    # in even degrees.  Oracle: span of bracket monomials low down.
-    from symalg.engine import free_lie_component
+    # in even degrees.  Oracle: the Lie engine without relations.
+    from symalg.engine import LieModel
     from symalg.tensor import Alphabet
 
     dims = dims_from_series([1, 0, -2], 12)
     assert [dims[2 * k - 1] for k in range(1, 7)] == [2, 1, 2, 3, 6, 9]
     assert all(dims[2 * k] == 0 for k in range(6))
     A = Alphabet([("a", 0, 2), ("b", 0, 2)])
-    brute = [free_lie_component(A, 2 * k)[0].rank for k in range(1, 5)]
-    assert brute == [2, 1, 2, 3]
+    free = LieModel(A, [], cutoff=11).dims()
+    assert [free[w] for w in range(2, 13)] == dims[1:]
 
 
 def test_dims_from_series_free_two_odd_generators():
     # the same series with weight-1 (odd) generators counts the free super
-    # Lie algebra instead; brute force confirms the symmetric squares
-    from symalg.engine import free_lie_component
+    # Lie algebra instead; the Lie engine confirms the symmetric squares
+    from symalg.engine import LieModel
     from symalg.tensor import Alphabet
 
     dims = dims_from_series([1, -2], 6)
     A = Alphabet([("a", 1, 1), ("b", 1, 1)])
-    brute = [free_lie_component(A, w)[0].rank for w in range(1, 7)]
-    assert dims == brute
+    free = LieModel(A, [], cutoff=5).dims()
+    assert dims == [free[w] for w in range(1, 7)]
     assert dims[:2] == [2, 3]
 
 
