@@ -67,9 +67,9 @@ from .superlie import (
 from .surjection import build_cw_surjection, plan_assignment, weyl_surjection_note
 from .tensor import (
     Alphabet,
+    Derivation,
     Poly,
     cyclic_derivative,
-    extend_derivation,
     lie_expand,
     super_commutator,
     sym_alphabet,

@@ -13,6 +13,8 @@ weight w and every word reduces recursively through this data.
 
 from fractions import Fraction
 
+from .linalg import rref
+
 
 class AssocModel:
     def __init__(self, alphabet, relations, max_weight):
@@ -68,7 +70,7 @@ class AssocModel:
                                 row.pop(k, None)
                     if row:
                         rows.append(row)
-        pivots = _rref(rows)
+        pivots = rref(rows)
         normal = [u for i, u in enumerate(cands) if i not in pivots]
         self.normal[w] = normal
         self._normal_index[w] = {u: i for i, u in enumerate(normal)}
@@ -161,42 +163,3 @@ class AssocModel:
             out.append({tgt[u]: c for u, c in nf.items()})
         return out
 
-
-def _rref(rows):
-    """Full reduced row echelon of dict rows (int columns, Fraction values).
-
-    Returns {pivot column -> normalized row}; rows are mutated.
-    """
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            hits = [k for k in row if k in pivots]
-            if not hits:
-                break
-            k = min(hits)
-            r = pivots[k]
-            f = row[k]
-            for k2, v in r.items():
-                val = row.get(k2, 0) - f * v
-                if val:
-                    row[k2] = val
-                else:
-                    row.pop(k2, None)
-        if not row:
-            continue
-        p = min(row)
-        inv = Fraction(1) / row[p]
-        row = {k: v * inv for k, v in row.items()}
-        # keep rows fully reduced against each other
-        for p2, r2 in pivots.items():
-            if p in r2:
-                f = r2[p]
-                for k, v in row.items():
-                    val = r2.get(k, 0) - f * v
-                    if val:
-                        r2[k] = val
-                    else:
-                        r2.pop(k, None)
-        pivots[p] = row
-    return pivots

@@ -30,7 +30,9 @@ from .engine import (
     tym_generators,
     tym_hat_generators,
 )
+from .linalg import inverse, rank
 from .presentation import (
+    GammaTilde,
     PresentationError,
     SymPresentation,
     build_relations,
@@ -41,6 +43,7 @@ from .presentation import (
     free_gen_series_tym,
     free_gen_series_tym_hat,
     hilbert_series_YM,
+    omega_check,
     preset,
     quartic_form,
     rat_str,
@@ -58,7 +61,7 @@ from .superlie import (
     weight_of,
 )
 from .surjection import build_cw_surjection
-from .tensor import cyclic_derivative, lie_expand, super_commutator
+from .tensor import Derivation, cyclic_derivative, lie_expand
 from .refdata import (
     DEPENDENCY_IDENTITIES_31,
     EXPECTED_CUMULATIVE_31,
@@ -158,20 +161,14 @@ def cmd_basis(args):
     if args.check_reference_basis:
         ok = p.n == 3 and p.s == 1 and p.is_orthonormal() and l <= 7
         if ok:
-            from .linalg import Echelon, intvec
-
-            ech = Echelon()
-            count = 0
+            vectors = []
             for tree in reference_basis_trees(l):
                 poly = lie_expand(tree, p.alphabet)
-                coords = model.project(poly)
-                if not coords:
-                    continue
-                iv, _ = intvec(coords)
                 # distinct weights use disjoint coordinate blocks
-                shifted = {poly.weight() * 10**6 + k: v for k, v in iv.items()}
-                if ech.insert(shifted) is not None:
-                    count += 1
+                vectors.append(
+                    {poly.weight() * 10**6 + k: v for k, v in model.project(poly).items()}
+                )
+            count = rank(vectors)
             ok = count == model.total_dim() == EXPECTED_CUMULATIVE_31[l]
             report["reference_count"] = count
             if l >= 7:
@@ -198,16 +195,10 @@ def cmd_verify(args):
         "presentation_sha256": _hash(p),
         "ok": True,
     }
-    r0, r1 = build_relations(p)
     if target == "omega":
-        acc = p.alphabet.zero()
-        for i in range(p.n):
-            acc = acc + super_commutator(p.alphabet.gen(f"x{i+1}"), r0[i])
-        for a in range(p.s):
-            acc = acc + super_commutator(p.alphabet.gen(f"z{a+1}"), r1[a])
-        report["identity_holds"] = acc.is_zero()
-        report["ok"] = acc.is_zero()
+        report["identity_holds"] = report["ok"] = omega_check(p)
     elif target == "resolution":
+        r0, r1 = build_relations(p)
         model = AssocModel(p.alphabet, r0 + r1, max_weight=args.max_weight)
         out = verify_resolution(model, p, args.max_weight)
         details = {}
@@ -232,6 +223,7 @@ def cmd_verify(args):
             gt = _companion_fallback(p)
         ders = susy_derivations(p, gt)
         W = superpotential(p)
+        r0, r1 = build_relations(p)
         model = AssocModel(p.alphabet, r0 + r1, max_weight=9)
         names = [f"x{i+1}" for i in range(p.n)] + [f"z{a+1}" for a in range(p.s)]
         all_in = True
@@ -268,9 +260,7 @@ def cmd_verify(args):
             )
             # d maps the defining relation into the relation ideal
             U, rho = semidirect_relation(p.n, p.s)
-            from .tensor import extend_derivation
-
-            D = extend_derivation(U, d_action, 0)
+            D = Derivation(U, d_action, 0)
             dmodel = LieModel(U, [rho], cutoff=9)
             report["relation_preserved"] = dmodel.contains_ideal(D(rho))
             report["round_trip"] = round_ok
@@ -291,11 +281,9 @@ def _tree_name(tree):
 def _companion_fallback(p):
     """Blockwise inverse companion tensor for susy probing when the
     equivariance system is inconsistent."""
-    from .presentation import GammaTilde, _mat_inverse
-
     mats = []
     for i in range(p.n):
-        inv = _mat_inverse(p.gamma[i])
+        inv = inverse(p.gamma[i])
         mats.append(inv if inv is not None else [[0] * p.s for _ in range(p.s)])
     return GammaTilde(p.n, p.s, mats)
 
@@ -407,13 +395,6 @@ def main(argv=None):
     ap.add_argument("--cache-dir", default=None)
     ap.add_argument("--no-cache", action="store_true")
     ap.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; the engine evaluates serially and output never "
-        "depends on this value",
-    )
-    ap.add_argument(
         "--seed",
         type=int,
         default=0,
@@ -464,7 +445,7 @@ def main(argv=None):
     config = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "format", "cache_dir", "no_cache", "threads")
+        if k not in ("func", "format", "cache_dir", "no_cache")
     }
     key = cachemod.config_key(config)
     cdir = cachemod.cache_dir(args.cache_dir)

@@ -34,7 +34,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .linalg import Echelon, intvec
+from .linalg import Echelon, extend, intvec
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -516,8 +516,7 @@ class SubalgebraGenerators:
             kvecs = []
 
             def add(coords, kech=kech, kvecs=kvecs):
-                iv, _ = intvec(coords)
-                if iv and kech.insert(iv) is not None:
+                if extend(kech, coords):
                     kvecs.append(coords)
 
             if self.full_from is not None and w >= self.full_from:
@@ -544,15 +543,11 @@ class SubalgebraGenerators:
                     vs = self.k_basis[wv]
                     jstart = i if wu == wv else 0
                     for cv in vs[jstart:]:
-                        bc = _pair_bracket(model, wu, cu, wv, cv)
-                        if bc:
-                            iv, _ = intvec(bc)
-                            bech.insert(iv)
+                        extend(bech, _pair_bracket(model, wu, cu, wv, cv))
             count = 0
             reps = []
             for coords in kvecs:
-                iv, _ = intvec(coords)
-                if bech.insert(iv) is not None:
+                if extend(bech, coords):
                     count += 1
                     reps.append(coords)
             self.gen_counts[w] = count

@@ -16,7 +16,7 @@ weight when the algebra is weight-graded).
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import Echelon, intvec
+from .linalg import rank
 
 
 def wedge_basis(g, k, weight_max=None):
@@ -172,11 +172,6 @@ def ce_homology(g, degree_max, weight_max=None):
 
 def _matrix_rank(g, wedges, target_basis):
     index = {wedge: i for i, wedge in enumerate(target_basis)}
-    ech = Echelon()
-    for wedge in wedges:
-        col = ce_differential(g, wedge)
-        if not col:
-            continue
-        iv, _ = intvec({index[t]: c for t, c in col.items()})
-        ech.insert(iv)
-    return ech.rank
+    return rank(
+        {index[t]: c for t, c in ce_differential(g, wedge).items()} for wedge in wedges
+    )

@@ -1,17 +1,25 @@
 """Exact sparse Gaussian elimination over the rationals.
 
+This is the package's only elimination code: every rank, kernel, inverse,
+linear solve, span test and normal-form table is computed here.
+
 Rows are dicts column -> integer (a common denominator is cleared before
 insertion; scale never matters for spans and ranks).  The core object is an
 incremental echelon: vectors are reduced against the rows already present
 and inserted if independent.  Pivots sit on the smallest column of each
 row, so with columns listed in ascending monomial order the non-pivot
 columns of a completed echelon are the canonical coset representatives.
+`full_reduce` brings the rows to reduced echelon form, which is unique.
 
 An echelon can optionally carry per-row bookkeeping ("meta"): a row then
 knows an exact expression of itself as (untracked rows) + sum_k meta[k] *
 X_k over caller-chosen tags.  Reducing a vector to zero through such an
 echelon recovers its coefficients over the tagged vectors, which is how
 quotient coordinates and free-generator decompositions are solved for.
+
+Rational vectors (dicts, or dense rows given as sequences) enter through
+`extend`/`echelon`; `rank`, `rref`, `kernel` and `inverse` are built on
+them.
 """
 
 from fractions import Fraction
@@ -167,74 +175,58 @@ class Echelon:
         return {k: Fraction(-x, s) for k, x in acc.items() if x}
 
 
-# -- small dense helpers (Fraction matrices as lists of lists)
+# -- rational vectors and matrices (dicts col -> value, or dense rows)
 
 
-def dense_rank(mat):
-    if not mat:
-        return 0
-    m = [list(map(Fraction, row)) for row in mat]
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        inv = 1 / pr[col]
-        for j in range(col, ncols):
-            pr[j] *= inv
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                row = m[i]
-                for j in range(col, ncols):
-                    row[j] -= f * pr[j]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def extend(ech, vec):
+    """Insert a rational vector (dict, or dense row) into ech; True if it
+    was independent."""
+    if not isinstance(vec, dict):
+        vec = dict(enumerate(vec))
+    return ech.insert(intvec(vec)[0]) is not None
 
 
-def dense_kernel(mat, ncols):
-    """Basis of {x : M x = 0} for M given as list of rows."""
-    m = [list(map(Fraction, row)) for row in mat]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        inv = 1 / pr[col]
-        for j in range(col, ncols):
-            pr[j] *= inv
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                row = m[i]
-                for j in range(col, ncols):
-                    row[j] -= f * pr[j]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -m[r][fc]
-        basis.append(x)
-    return basis
+def echelon(vectors):
+    """The echelon of the span of rational vectors."""
+    ech = Echelon()
+    for v in vectors:
+        extend(ech, v)
+    return ech
+
+
+def rank(vectors):
+    """Dimension of the span of rational vectors."""
+    return echelon(vectors).rank
+
+
+def rref(vectors):
+    """Reduced row echelon form: pivot column -> row with pivot entry 1 and
+    zeros at the other pivots, values Fraction.  Pivots sit on the smallest
+    column, so the result depends only on the row space."""
+    ech = echelon(vectors)
+    ech.full_reduce()
+    return {
+        p: {k: Fraction(x, r[p]) for k, x in r.items()} for p, r in ech.rows.items()
+    }
+
+
+def kernel(rows, ncols):
+    """Basis of {x : M x = 0} for M given by its rows, one dict per non-pivot
+    column f (x[f] = 1, zero at the other non-pivot columns), f ascending."""
+    red = rref(rows)
+    out = []
+    for f in range(ncols):
+        if f not in red:
+            x = {f: Fraction(1)}
+            x.update((p, -r[f]) for p, r in red.items() if f in r)
+            out.append(dict(sorted(x.items())))
+    return out
+
+
+def inverse(m):
+    """Inverse of a square matrix (list of rows), or None if it is singular."""
+    n = len(m)
+    red = rref({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(m))
+    if any(i not in red for i in range(n)):
+        return None
+    return [[red[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]

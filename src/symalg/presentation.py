@@ -23,12 +23,13 @@ cannot vanish over Q).
 import json
 from fractions import Fraction
 
-from .series import DensePolynomial, PowerSeries, dims_from_series, log_power_sums
+from .linalg import inverse, rank, rref
+from .series import DensePolynomial, PowerSeries, dims_from_series
 from .tensor import (
     EVEN,
     ODD,
     Alphabet,
-    extend_derivation,
+    Derivation,
     lie_expand,
     super_commutator,
     sym_alphabet,
@@ -93,24 +94,6 @@ class GammaTilde:
         return self.mats[i]
 
 
-def _mat_inverse(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
 class SymPresentation:
     """(n, s, Gamma, metric, optional Gamma-tilde)."""
 
@@ -134,7 +117,7 @@ class SymPresentation:
                 for j in range(i):
                     if mat[i][j] != mat[j][i]:
                         raise PresentationError("metric is not symmetric")
-            inv = _mat_inverse(mat)
+            inv = inverse(mat)
             if inv is None:
                 raise PresentationError("singular metric")
             self.metric = mat
@@ -281,10 +264,10 @@ def build_relations(p):
 def check_nondegenerate(p):
     """Whether some lambda makes lambda o Gamma nondegenerate.
 
-    Decided by evaluating det(sum_i li G^i) on the integer grid
-    {0..s*n}^n (the determinant has degree <= s in each variable, so a
-    nonzero polynomial cannot vanish on the whole grid).  Returns
-    (flag, witness-or-None).
+    Decided by testing det(sum_i li G^i) != 0, i.e. full rank, on the
+    integer grid {0..s*n}^n (the determinant has degree <= s in each
+    variable, so a nonzero polynomial cannot vanish on the whole grid).
+    Returns (flag, witness-or-None).
     """
     if p.n == 0:
         return False, None
@@ -292,7 +275,7 @@ def check_nondegenerate(p):
         return True, [Fraction(1)] + [Fraction(0)] * (p.n - 1)
     bound = p.s * p.n + 1
 
-    def det_at(lam):
+    def full_rank_at(lam):
         m = [
             [
                 sum(lam[i] * p.gamma[i][a][b] for i in range(p.n))
@@ -300,20 +283,20 @@ def check_nondegenerate(p):
             ]
             for a in range(p.s)
         ]
-        return _det(m)
+        return rank(m) == p.s
 
     if p.gamma.is_zero():
         return False, None
     # try the coordinate directions first: the canonical witness is e1
     for i in range(p.n):
         lam = [Fraction(int(j == i)) for j in range(p.n)]
-        if det_at(lam):
+        if full_rank_at(lam):
             return True, lam
     grid = [Fraction(v) for v in range(bound)]
 
     def find(prefix):
         if len(prefix) == p.n:
-            return list(prefix) if det_at(prefix) else None
+            return list(prefix) if full_rank_at(prefix) else None
         for v in grid:
             got = find(prefix + [v])
             if got:
@@ -322,26 +305,6 @@ def check_nondegenerate(p):
 
     witness = find([])
     return (True, witness) if witness else (False, None)
-
-
-def _det(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
 
 
 def check_equivariance_identity(p, gamma_tilde=None):
@@ -387,56 +350,30 @@ def derive_gamma_tilde(p):
     def col(i, b, c):
         return cols[(i, min(b, c), max(b, c))]
 
+    # augmented rows: the right-hand side sits in column ncols
     rows = []
-    rhs = []
     for i in range(n):
         for j in range(n):
             for a in range(s):
                 for c in range(s):
-                    row = [Fraction(0)] * ncols
+                    row = {ncols: 2 * p.metric_upper(i, j) * int(a == c)}
                     for b in range(s):
-                        if p.gamma[i][a][b]:
-                            row[col(j, b, c)] += p.gamma[i][a][b]
-                        if p.gamma[j][a][b]:
-                            row[col(i, b, c)] += p.gamma[j][a][b]
+                        for key, coef in ((col(j, b, c), p.gamma[i][a][b]),
+                                          (col(i, b, c), p.gamma[j][a][b])):
+                            row[key] = row.get(key, 0) + coef
                     rows.append(row)
-                    rhs.append(2 * p.metric_upper(i, j) * int(a == c))
-    sol = _solve_dense(rows, rhs, ncols)
-    if sol is None:
+    red = rref(rows)
+    if ncols in red:
         raise PresentationError("equivariance system is inconsistent")
+    # free unknowns are set to zero
     mats = [
-        [[sol[col(i, b, c)] for c in range(s)] for b in range(s)] for i in range(n)
+        [[red.get(col(i, b, c), {}).get(ncols, 0) for c in range(s)] for b in range(s)]
+        for i in range(n)
     ]
     gt = GammaTilde(n, s, mats)
     if not check_equivariance_identity(p, gt):
         raise PresentationError("equivariance solution failed verification")
     return gt
-
-
-def _solve_dense(rows, rhs, ncols):
-    aug = [row + [Fraction(r)] for row, r in zip(rows, rhs)]
-    rank = 0
-    pivots = []
-    for colx in range(ncols):
-        piv = next((i for i in range(rank, len(aug)) if aug[i][colx]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][colx]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][colx]:
-                f = aug[i][colx]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append(colx)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, colx in enumerate(pivots):
-        sol[colx] = aug[r][ncols]
-    return sol
 
 
 def superpotential(p):
@@ -539,7 +476,7 @@ def susy_derivations(p, gamma_tilde=None):
                                 Fraction(coef) / 2
                             )
             images[f"z{b+1}"] = img
-        out.append(extend_derivation(A, images, ODD))
+        out.append(Derivation(A, images, ODD))
     return out
 
 
@@ -560,10 +497,6 @@ def dims_ym(p_or_n, s=None, max_j=20):
     n = p_or_n.n if isinstance(p_or_n, SymPresentation) else p_or_n
     s = p_or_n.s if isinstance(p_or_n, SymPresentation) else s
     return dims_from_series(ym_denominator(n, s), max_j)
-
-
-def log_coeffs_ym(n, s, max_d):
-    return log_power_sums(ym_denominator(n, s), max_d)
 
 
 def _is_square(q):

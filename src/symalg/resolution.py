@@ -23,7 +23,7 @@ recovers the defining identity of the Hilbert series.
 
 from fractions import Fraction
 
-from .linalg import Echelon, intvec
+from .linalg import rank
 
 
 class ResolutionReport:
@@ -40,15 +40,6 @@ class ResolutionReport:
 
     def __repr__(self):
         return f"ResolutionReport(weight={self.weight}, ok={self.ok})"
-
-
-def _rank(columns):
-    ech = Echelon()
-    for col in columns:
-        if col:
-            iv, _ = intvec(col)
-            ech.insert(iv)
-    return ech.rank
 
 
 def _compose(cols_inner, outer_cols_by_key):
@@ -237,9 +228,9 @@ class SidedResolution:
             flat_b2[offs2[block] + pos] = col
         comp23 = _compose(list(b3.values()), flat_b2)
         rep.record("b2b3_zero", all(not c for c in comp23))
-        r1 = _rank(b1.values())
-        r2 = _rank(b2.values())
-        r3 = _rank(b3.values())
+        r1 = rank(b1.values())
+        r2 = rank(b2.values())
+        r3 = rank(b3.values())
         rep.record("b3_injective", r3 == d3)
         rep.record("exact_at_p2", r2 + r3 == d2)
         rep.record("exact_at_p1", r1 + r2 == d1)

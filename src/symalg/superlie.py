@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import dense_kernel, dense_rank
+from .linalg import Echelon, echelon, extend, inverse, kernel, rank
 from .presentation import rat, rat_str
 
 
@@ -133,11 +133,11 @@ class FinDimSuperLieAlgebra:
         current_rank = self.dim
         while True:
             nxt = []
-            seen = _Span(self.dim)
+            seen = Echelon()
             for u in full:
                 for v in current:
                     b = self.bracket_vec(u, v)
-                    if b and seen.add(b):
+                    if extend(seen, b):
                         nxt.append(b)
             series.append(nxt)
             if not nxt:
@@ -160,7 +160,7 @@ class FinDimSuperLieAlgebra:
         the even/odd split).
         """
         m = [[Fraction(x) for x in row] for row in mat]
-        minv = _inverse(m)
+        minv = inverse(m)
         if minv is None:
             raise SuperLieError("singular basis change")
         for i in range(self.dim):
@@ -231,53 +231,6 @@ class FinDimSuperLieAlgebra:
         return cls(labels, parities, brackets, weights)
 
 
-class _Span:
-    def __init__(self, dim):
-        self.rows = {}
-        self.dim = dim
-
-    def add(self, vec):
-        v = dict(vec)
-        while v:
-            p = min(v)
-            r = self.rows.get(p)
-            if r is None:
-                self.rows[p] = {k: c / v[p] for k, c in v.items()}
-                return True
-            f = v[p]
-            for k, c in r.items():
-                val = v.get(k, Fraction(0)) - f * c
-                if val:
-                    v[k] = val
-                else:
-                    v.pop(k, None)
-        return False
-
-    @staticmethod
-    def spans(vectors, dim, target):
-        s = _Span(dim)
-        for v in vectors:
-            s.add(v)
-        return not s.add(target)
-
-
-def _inverse(m):
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 # -- even functionals and the Kirillov form
 
 
@@ -330,22 +283,22 @@ class KirillovForm:
         ]
 
     def even_rank(self):
-        return dense_rank(self.even_block)
+        return rank(self.even_block)
 
     def odd_rank(self):
-        return dense_rank(self.odd_block)
+        return rank(self.odd_block)
 
     def radical(self):
         """Basis of g^f = {x : f([x, g]) = 0}, split (even list, odd list)."""
         g = self.g
         ev, od = self.even_indices, self.odd_indices
         even_rad = [
-            {i: v for i, v in zip(ev, vec) if v}
-            for vec in dense_kernel(_transpose(self.even_block), len(ev))
+            {ev[i]: v for i, v in vec.items()}
+            for vec in kernel(_transpose(self.even_block), len(ev))
         ]
         odd_rad = [
-            {i: v for i, v in zip(od, vec) if v}
-            for vec in dense_kernel(_transpose(self.odd_block), len(od))
+            {od[i]: v for i, v in vec.items()}
+            for vec in kernel(_transpose(self.odd_block), len(od))
         ]
         return even_rad, odd_rad
 
@@ -387,9 +340,7 @@ def stabilizer_subspace(g, ideal_vectors, f):
         for i in range(g.dim):
             row.append(apply_functional(f, g.bracket_vec({i: Fraction(1)}, v)))
         rows.append(row)
-    return [
-        {i: c for i, c in enumerate(vec) if c} for vec in dense_kernel(rows, g.dim)
-    ]
+    return kernel(rows, g.dim)
 
 
 class FieldExtensionRequired(SuperLieError):
@@ -405,13 +356,10 @@ def default_flag(g):
         raise SuperLieError("algebra is not nilpotent")
     layers = []
     chain = []
+    probe = Echelon()  # the span of chain
     # walk from the deepest nonzero term upwards
     terms = [t for t in series if t]
     for term in reversed(terms):
-        vecs = []
-        probe = _Span(g.dim)
-        for v in chain:
-            probe.add(v)
         # homogeneous components of the layer, even then odd per basis order
         cand = []
         for v in term:
@@ -420,16 +368,13 @@ def default_flag(g):
                 if part:
                     cand.append(part)
         for v in sorted(cand, key=lambda d: sorted(d)):
-            if probe.add(dict(v)):
+            if extend(probe, v):
                 chain.append(v)
                 layers.append(list(chain))
     # complete to all of g
-    probe = _Span(g.dim)
-    for v in chain:
-        probe.add(v)
     for i in range(g.dim):
         v = {i: Fraction(1)}
-        if probe.add(dict(v)):
+        if extend(probe, v):
             chain.append(v)
             layers.append(list(chain))
     return layers
@@ -448,11 +393,11 @@ def vergne_polarization(g, f, flag=None):
     """
     if flag is None:
         flag = default_flag(g)
-    span = _Span(g.dim)
+    span = Echelon()
     basis = []
     for layer in flag:
         for v in _restricted_radical(g, f, layer):
-            if span.add(dict(v)):
+            if extend(span, v):
                 basis.append(v)
     w = weight_of(g, f)
     m0 = len(g.even_indices())
@@ -461,16 +406,16 @@ def vergne_polarization(g, f, flag=None):
     # closed-field bound: radical + a maximal isotropic of the rank-r part
     bound_odd = m1 - w.clifford + w.clifford // 2
     got_even = got_odd = 0
-    par_span_e, par_span_o = _Span(g.dim), _Span(g.dim)
+    par_span_e, par_span_o = Echelon(), Echelon()
     for v in basis:
         pars = {g.parities[i] for i in v}
         if len(pars) != 1:
             raise SuperLieError("polarization basis not parity-homogeneous")
         if pars.pop() == 0:
-            if par_span_e.add(dict(v)):
+            if extend(par_span_e, v):
                 got_even += 1
         else:
-            if par_span_o.add(dict(v)):
+            if extend(par_span_o, v):
                 got_odd += 1
     if not subordinate_check(g, f, basis):
         raise SuperLieError("polarization is not subordinate")
@@ -498,16 +443,15 @@ def _restricted_radical(g, f, layer_vectors):
             row.append(apply_functional(f, g.bracket_vec(u, v)))
         rows.append(row)
     out = []
-    for coeffs in dense_kernel(rows, k):
+    for coeffs in kernel(rows, k):
         vec = {}
-        for c, base in zip(coeffs, layer_vectors):
-            if c:
-                for i, x in base.items():
-                    val = vec.get(i, Fraction(0)) + c * x
-                    if val:
-                        vec[i] = val
-                    else:
-                        vec.pop(i, None)
+        for j, c in coeffs.items():
+            for i, x in layer_vectors[j].items():
+                val = vec.get(i, Fraction(0)) + c * x
+                if val:
+                    vec[i] = val
+                else:
+                    vec.pop(i, None)
         # an even functional's form pairs even with even and odd with odd,
         # so both parity components of a radical vector are radical
         for par in (0, 1):
@@ -518,12 +462,8 @@ def _restricted_radical(g, f, layer_vectors):
 
 
 def _is_subalgebra(g, basis):
-    for u in basis:
-        for v in basis:
-            b = g.bracket_vec(u, v)
-            if b and not _Span.spans(basis, g.dim, b):
-                return False
-    return True
+    span = echelon(basis)
+    return not any(extend(span, g.bracket_vec(u, v)) for u in basis for v in basis)
 
 
 # -- Heisenberg super Lie algebras

@@ -23,7 +23,7 @@ the two distinguished directions meet the stabilizer trivially.
 from fractions import Fraction
 
 from .engine import LieModel
-from .linalg import Echelon, dense_rank, intvec
+from .linalg import Echelon, intvec, rank
 from .presentation import (
     build_relations,
     free_gen_series_tym_hat,
@@ -301,12 +301,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     res.flags["flzero"] = flzero
 
     # -- surjectivity: the images span the Heisenberg algebra
-    ech = Echelon()
-    for (_, _), v in theta.items():
-        if v:
-            iv, _ = intvec(v)
-            ech.insert(iv)
-    res.flags["surjective"] = ech.rank == target.dim
+    res.flags["surjective"] = rank(theta.values()) == target.dim
 
     # -- the functional and its Kirillov form
     def fbar_of_theta(v):
@@ -351,16 +346,16 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         for key2 in even_support:
             row.append(pair(tk, theta[key2]))
         m.append(row)
-    even_rank = dense_rank(m)
+    even_rank = rank(m)
     if even_rank % 2:
         raise SurjectionError("even Kirillov block has odd rank")
     odd_support = [key for key in support if key[0] % 2 == 1]
     modd = [[pair(theta[k1], theta[k2]) for k2 in odd_support] for k1 in odd_support]
-    odd_rank = dense_rank(modd)
+    odd_rank = rank(modd)
     res.weight = IdealWeight(weyl=even_rank // 2, clifford=odd_rank)
 
     # -- stabilizer: no combination of the two directions pairs to zero
-    strank = dense_rank(
+    strank = rank(
         [
             [xrow["x1"].get(k, Fraction(0)) for k in even_support],
             [xrow["x2"].get(k, Fraction(0)) for k in even_support],

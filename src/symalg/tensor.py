@@ -324,7 +324,8 @@ def cyclic_derivative(p, gen_name):
 class Derivation:
     """Homogeneous derivation of the tensor algebra, given on generators.
 
-    Satisfies d(uv) = d(u) v + (-1)**(|d||u|) u d(v).
+    Satisfies d(uv) = d(u) v + (-1)**(|d||u|) u d(v).  The images must
+    shift parity by `parity` and weight by a single common amount.
     """
 
     __slots__ = ("alphabet", "parity", "weight_step", "images")
@@ -367,15 +368,6 @@ class Derivation:
                     out = out + head * img * tail
                 left_par = (left_par + par[letter]) & 1
         return out
-
-
-def extend_derivation(alphabet, images, target_parity):
-    """Build the derivation with the given generator images.
-
-    Images must shift parity by target_parity and weight by a single
-    common amount.
-    """
-    return Derivation(alphabet, images, target_parity)
 
 
 def random_poly(alphabet, weight, rng, terms=3, scale=4):

@@ -1,0 +1,126 @@
+"""The exact linear-algebra kernel: properties of rank, rref, kernel and
+inverse on small rational matrices, and the presentation checks built on
+them."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symalg.linalg import inverse, kernel, rank, rref
+from symalg.presentation import (
+    PresentationError,
+    SymPresentation,
+    check_nondegenerate,
+    derive_gamma_tilde,
+)
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 2)]),
+).map(Fraction)
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return rows, ncols
+
+
+def apply(rows, x):
+    return [sum(c * x.get(j, 0) for j, c in enumerate(row)) for row in rows]
+
+
+def matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+@SEEDED
+@given(matrices())
+def test_kernel_vectors_are_annihilated(mat):
+    rows, ncols = mat
+    for x in kernel(rows, ncols):
+        assert all(v == 0 for v in apply(rows, x))
+
+
+@SEEDED
+@given(matrices())
+def test_rank_nullity(mat):
+    rows, ncols = mat
+    assert rank(rows) + len(kernel(rows, ncols)) == ncols
+
+
+@SEEDED
+@given(matrices())
+def test_row_rank_equals_column_rank(mat):
+    rows, _ = mat
+    assert rank(rows) == rank(list(zip(*rows)))
+
+
+@SEEDED
+@given(matrices())
+def test_rref_shape_and_row_space(mat):
+    rows, _ = mat
+    red = rref(rows)
+    assert len(red) == rank(rows)
+    for p, r in red.items():
+        assert r[p] == 1 and min(r) == p
+        assert all(q == p or q not in r for q in red)
+    # every row is the combination of the reduced rows read off its pivots
+    for row in rows:
+        acc = {}
+        for p, r in red.items():
+            for k, c in r.items():
+                acc[k] = acc.get(k, 0) + row[p] * c
+        assert [acc.get(j, 0) for j in range(len(row))] == row
+
+
+@SEEDED
+@given(matrices(square=True))
+def test_inverse(mat):
+    rows, n = mat
+    inv = inverse(rows)
+    if rank(rows) < n:
+        assert inv is None
+    else:
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert matmul(inv, rows) == identity
+
+
+def test_singular_metric_rejected():
+    gamma = [[["1"]], [["0"]]]
+    with pytest.raises(PresentationError, match="singular metric"):
+        SymPresentation(2, 1, gamma, metric=[["1", "2"], ["2", "4"]])
+
+
+def test_metric_inverse():
+    p = SymPresentation(2, 1, [[["1"]], [["0"]]], metric=[["2", "1"], ["1", "1"]])
+    assert [[p.metric_upper(i, j) for j in range(2)] for i in range(2)] == [
+        [1, -1], [-1, 2]]
+
+
+def test_inconsistent_equivariance_system():
+    # G^1 = G^2 = (1): the (1,1) and (2,2) equations force Gt^1 = Gt^2 = 1,
+    # and then the (1,2) equation reads 2 = 0
+    p = SymPresentation(2, 1, [[["1"]], [["1"]]])
+    with pytest.raises(PresentationError, match="inconsistent"):
+        derive_gamma_tilde(p)
+
+
+def test_degenerate_gamma():
+    # lambda o Gamma = (l1 + l2) E_11 never has full rank
+    e11 = [["1", "0"], ["0", "0"]]
+    assert check_nondegenerate(SymPresentation(2, 2, [e11, e11])) == (False, None)
+
+
+def test_grid_witness_off_the_coordinate_directions():
+    e11 = [["1", "0"], ["0", "0"]]
+    e22 = [["0", "0"], ["0", "1"]]
+    assert check_nondegenerate(SymPresentation(2, 2, [e11, e22])) == (True, [1, 1])

@@ -27,7 +27,7 @@ from symalg.presentation import (
     ym_denominator,
 )
 from symalg.series import enveloping_series
-from symalg.tensor import cyclic_derivative, extend_derivation, lie_expand, super_commutator
+from symalg.tensor import Derivation, cyclic_derivative, lie_expand, super_commutator
 
 
 def random_gamma(n, s, rng, lo=-3, hi=3):
@@ -251,7 +251,7 @@ def test_semidirect_maps(p31):
     from symalg.engine import LieModel
 
     U, rho = semidirect_relation(3, 1)
-    D = extend_derivation(U, d_action, 0)
+    D = Derivation(U, d_action, 0)
     model = LieModel(U, [rho], cutoff=9)
     assert model.contains_ideal(D(rho))
 
