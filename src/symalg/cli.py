@@ -60,7 +60,7 @@ from .superlie import (
     vergne_polarization,
     weight_of,
 )
-from .surjection import build_cw_surjection
+from .surjection import SurjectionError, build_cw_surjection, check_input
 from .tensor import Derivation, cyclic_derivative, lie_expand
 from .refdata import (
     DEPENDENCY_IDENTITIES_31,
@@ -323,10 +323,10 @@ def cmd_dixmier(args):
                 report["ok"] = False
     elif target == "surject":
         p = _load_presentation(args)
-        from .surjection import plan_assignment
-
-        _, _, d_prime = plan_assignment(p.n, p.s, args.r, args.t)
-        l = args.l if args.l is not None else 2 * d_prime + 1
+        try:
+            l = check_input(p, args.r, args.t, args.l)[3]
+        except SurjectionError as exc:
+            raise UsageError(str(exc))
         model = _lie_model(args, p, l)
         res = build_cw_surjection(p, args.r, args.t, l=l, model=model)
         report["presentation_sha256"] = _hash(p)

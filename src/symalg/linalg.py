@@ -19,7 +19,14 @@ quotient coordinates and free-generator decompositions are solved for.
 
 Rational vectors (dicts, or dense rows given as sequences) enter through
 `extend`/`echelon`; `rank`, `rref`, `kernel` and `inverse` are built on
-them.
+them.  `echelon` inserts a batch sparsest first, by a stable sort on the
+nonzero count.  The cost of elimination is fill: a dense early row is
+added into every later row that meets its pivot, while sparse rows keep
+the echelon sparse (for the resolution ranks, the rows of a multiplication
+map end as unit vectors).  The order is safe because the rank and the row
+space do not depend on it, and the reduced echelon form is unique; `rref`
+returns pivots and row keys in ascending order, so nothing a caller sees
+depends on the order either.
 """
 
 from fractions import Fraction
@@ -178,19 +185,25 @@ class Echelon:
 # -- rational vectors and matrices (dicts col -> value, or dense rows)
 
 
+def _introw(vec):
+    """The integer row of a rational vector (dict, or dense row)."""
+    if not isinstance(vec, dict):
+        vec = dict(enumerate(vec))
+    return intvec(vec)[0]
+
+
 def extend(ech, vec):
     """Insert a rational vector (dict, or dense row) into ech; True if it
     was independent."""
-    if not isinstance(vec, dict):
-        vec = dict(enumerate(vec))
-    return ech.insert(intvec(vec)[0]) is not None
+    return ech.insert(_introw(vec)) is not None
 
 
 def echelon(vectors):
-    """The echelon of the span of rational vectors."""
+    """The echelon of the span of rational vectors, inserted sparsest first
+    (a stable sort, so ties keep input order)."""
     ech = Echelon()
-    for v in vectors:
-        extend(ech, v)
+    for row in sorted(map(_introw, vectors), key=len):
+        ech.insert(row)
     return ech
 
 
@@ -201,12 +214,15 @@ def rank(vectors):
 
 def rref(vectors):
     """Reduced row echelon form: pivot column -> row with pivot entry 1 and
-    zeros at the other pivots, values Fraction.  Pivots sit on the smallest
-    column, so the result depends only on the row space."""
+    zeros at the other pivots, values Fraction, with pivots and the keys of
+    each row ascending.  Pivots sit on the smallest column, so the result,
+    key order included, depends only on the row space."""
     ech = echelon(vectors)
     ech.full_reduce()
+    rows = ech.rows
     return {
-        p: {k: Fraction(x, r[p]) for k, x in r.items()} for p, r in ech.rows.items()
+        p: {k: Fraction(x, rows[p][p]) for k, x in sorted(rows[p].items())}
+        for p in sorted(rows)
     }
 
 

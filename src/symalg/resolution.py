@@ -5,25 +5,26 @@ the left resolution
 
     0 -> Y[-8] --b3--> Y (x) R --b2--> Y (x) V --b1--> Y --> k -> 0
 
-has differentials (y in the Y factor)
+has differentials (y in the Y factor, r0_i and r1_a the relations of
+`build_relations`, metric included)
 
-    b3(y)          = sum_i y xi (x) r0_i + sum_a y za (x) r1_a
-    b2(y (x) r0_i) = sum_j (y xj xj (x) xi - 2 y xj xi (x) xj
-                           + y xi xj (x) xj) - sum_ab G^i_ab y za (x) zb
-    b2(y (x) r1_a) = sum_ib G^i_ab (y xi (x) zb - y zb (x) xi)
-    b1(y (x) v)    = y v
+    b3(y)       = sum_i y xi (x) r0_i + sum_a y za (x) r1_a
+    b2(y (x) r) = sum_uv c_uv y u (x) v   for r = sum_uv c_uv u v, v a letter
+    b1(y (x) v) = y v
 
-and a mirror resolution of right modules with the Y factor on the right,
-mapped through left multiplications (with a relative sign between the even
-and odd rows of the top differential).  Verification at a weight consists
-of the complex property, injectivity of the top map, and rank-exactness at
-every spot; the per-weight Euler characteristic of the verified modules
-recovers the defining identity of the Hilbert series.
+and a mirror resolution of right modules with the Y factor on the right
+(b2 splits off the first letter), mapped through left multiplications
+(with a relative sign between the even and odd rows of the top
+differential).  Verification at a weight consists of the complex property,
+injectivity of the top map, and rank-exactness at every spot; the
+per-weight Euler characteristic of the verified modules recovers the
+defining identity of the Hilbert series.
 """
 
 from fractions import Fraction
 
 from .linalg import rank
+from .presentation import build_relations
 
 
 class ResolutionReport:
@@ -71,6 +72,7 @@ class SidedResolution:
         self.p = presentation
         self.side = side
         self.A = model.alphabet
+        self.r0, self.r1 = build_relations(presentation)
 
     def _mult(self, y, word):
         """nf(y * word) or nf(word * y) depending on side, as coord dict."""
@@ -134,60 +136,34 @@ class SidedResolution:
         return cols
 
     def b2_columns(self, w):
-        """Columns keyed by (block, y-position), valued over flat P1 coords."""
-        n, s = self.p.n, self.p.s
+        """Columns keyed by (block, y-position), valued over flat P1 coords.
+
+        Each relation word is split into a letter (last on the left side,
+        first on the right) and the rest, which multiplies y."""
         offs = self._p1_offsets(w)
-        gamma = self.p.gamma
+        blocks = {}
+        for kind, count in (("x", self.p.n), ("z", self.p.s)):
+            for i in range(count):
+                blocks[self._gen_word(kind, i)[0]] = offs[(kind, i)]
         cols = {}
-
-        def add(acc, block, coords, scale=1):
-            base = offs[block]
-            for k, c in coords.items():
-                key = base + k
-                v = acc.get(key, Fraction(0)) + c * scale
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-
-        for i in range(n):
-            xi = self._gen_word("x", i)
-            for pos, y in enumerate(self.model.normal.get(w - 6, ())):
-                acc = {}
-                for j in range(n):
-                    xj = self._gen_word("x", j)
-                    add(acc, ("x", i), self._mult(y, xj + xj))
-                    if self.side == "left":
-                        add(acc, ("x", j), self._mult(y, xj + xi), -2)
-                        add(acc, ("x", j), self._mult(y, xi + xj))
-                    else:
-                        add(acc, ("x", j), self._mult(y, xi + xj), -2)
-                        add(acc, ("x", j), self._mult(y, xj + xi))
-                for a in range(s):
-                    za = self._gen_word("z", a)
-                    for b in range(s):
-                        c = gamma[i][a][b]
-                        if c:
-                            add(acc, ("z", b), self._mult(y, za), -c)
-                cols[(("r0", i), pos)] = acc
-        for a in range(s):
-            for pos, y in enumerate(self.model.normal.get(w - 5, ())):
-                acc = {}
-                for i in range(n):
-                    xi = self._gen_word("x", i)
-                    for b in range(s):
-                        c = gamma[i][a][b]
-                        if c:
-                            zb = self._gen_word("z", b)
-                            if self.side == "left":
-                                # y xi (x) zb - y zb (x) xi
-                                add(acc, ("z", b), self._mult(y, xi), c)
-                                add(acc, ("x", i), self._mult(y, zb), -c)
+        for kind, rels, wt in (("r0", self.r0, 6), ("r1", self.r1, 5)):
+            for i, rel in enumerate(rels):
+                for pos, y in enumerate(self.model.normal.get(w - wt, ())):
+                    acc = {}
+                    for word, c in rel.terms.items():
+                        if self.side == "left":
+                            letter, rest = word[-1], word[:-1]
+                        else:
+                            letter, rest = word[0], word[1:]
+                        base = blocks[letter]
+                        for k, d in self._mult(y, rest).items():
+                            key = base + k
+                            v = acc.get(key, 0) + c * d
+                            if v:
+                                acc[key] = v
                             else:
-                                # xi (x) zb y - zb (x) xi y
-                                add(acc, ("x", i), self._mult(y, zb), c)
-                                add(acc, ("z", b), self._mult(y, xi), -c)
-                cols[(("r1", a), pos)] = acc
+                                acc.pop(key, None)
+                    cols[((kind, i), pos)] = acc
         return cols
 
     def b3_columns(self, w):

@@ -120,6 +120,27 @@ class CWSurjectionResult:
         }
 
 
+def check_input(p, r, t, l=None):
+    """Check the normalization, the target and the cutoff before any build.
+
+    Returns plan_assignment's (pinned, slots, d_prime) and the cutoff
+    (default 2 d' + 1); raises SurjectionError on bad input.
+    """
+    s = p.s
+    if s and any(
+        p.gamma[0][a][b] != (1 if a == b else 0)
+        for a in range(s)
+        for b in range(s)
+    ):
+        raise SurjectionError("normalize first: the pipeline assumes G^1 = id")
+    pinned, slots, d_prime = plan_assignment(p.n, s, r, t)
+    if l is None:
+        l = 2 * d_prime + 1
+    if l < 2 * d_prime - 1:
+        raise SurjectionError(f"cutoff {l} below the minimum {2 * d_prime - 1}")
+    return pinned, slots, d_prime, l
+
+
 def build_cw_surjection(p, r, t, l=None, model=None):
     """Run the pipeline for the presentation p and target indices (r, t).
 
@@ -128,18 +149,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     images of weight > 2 d' to vanish, so any l >= 2 d' - 1 works and the
     verification flags certify the choice.
     """
-    n, s = p.n, p.s
-    if s and any(
-        p.gamma[0][a][b] != (1 if a == b else 0)
-        for a in range(s)
-        for b in range(s)
-    ):
-        raise SurjectionError("normalize first: the pipeline assumes G^1 = id")
-    pinned, slots, d_prime = plan_assignment(n, s, r, t)
-    if l is None:
-        l = 2 * d_prime + 1
-    if l < 2 * d_prime - 1:
-        raise SurjectionError(f"cutoff {l} below the minimum {2 * d_prime - 1}")
+    pinned, slots, d_prime, l = check_input(p, r, t, l)
     if model is None:
         r0, r1 = build_relations(p)
         model = LieModel(p.alphabet, r0 + r1, cutoff=l)

@@ -282,6 +282,33 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("opts, message", [
+    (("--preset", "4,1", "--r", "1", "--t", "1", "--l", "9"),
+     "cutoff 9 below the minimum 13"),
+    (("--preset", "2,1"), "requires n >= 3"),
+    (("--preset", "3,1", "--r", "0", "--t", "0"), "target out of range"),
+    (("--presentation", "G1"), "assumes G^1 = id"),
+])
+def test_dixmier_surject_bad_input_exits_2_before_build(
+        monkeypatch, capsys, tmp_path, opts, message):
+    import symalg.cli
+
+    def no_build(*args):
+        raise AssertionError("the Lie model was built")
+
+    monkeypatch.setattr(symalg.cli, "_lie_model", no_build)
+    path = tmp_path / "g1.json"
+    path.write_text('{"n": 3, "s": 1, "gamma": [[["2"]], [["1"]], [["1"]]]}')
+    opts = [str(path) if o == "G1" else o for o in opts]
+    code = main(["--cache-dir", str(tmp_path / "cache"), "--no-cache",
+                 "dixmier", "surject", *opts])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("symalg: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
 def test_no_cache_bypasses_model_cache(capsys, tmp_path):
     # --no-cache neither reads a model pickle (a planted wrong model would
     # change the report) nor writes one

@@ -2,6 +2,7 @@
 inverse on small rational matrices, and the presentation checks built on
 them."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,47 @@ def test_inverse(mat):
     else:
         identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         assert matmul(inv, rows) == identity
+
+
+@st.composite
+def permuted(draw, square=False):
+    """A matrix and a row order: reversed, or shuffled by a seeded
+    permutation.  Returns (rows, ncols, perm), perm[k] the k-th row."""
+    rows, ncols = draw(matrices(square))
+    perm = list(range(len(rows)))[::-1]
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    return rows, ncols, perm
+
+
+def key_order(red):
+    return [(p, list(r)) for p, r in red.items()]
+
+
+@SEEDED
+@given(permuted())
+def test_rank_rref_kernel_ignore_row_order(mat):
+    rows, ncols, perm = mat
+    moved = [rows[k] for k in perm]
+    assert rank(moved) == rank(rows)
+    red, red_moved = rref(rows), rref(moved)
+    assert red_moved == red and key_order(red_moved) == key_order(red)
+    assert list(red) == sorted(red)
+    ker, ker_moved = kernel(rows, ncols), kernel(moved, ncols)
+    assert ker_moved == ker and [list(x) for x in ker_moved] == [list(x) for x in ker]
+
+
+@SEEDED
+@given(permuted(square=True))
+def test_inverse_ignores_row_order(mat):
+    # inverse(P M) = inverse(M) P^-1: column k of it is column perm[k]
+    rows, n, perm = mat
+    inv, inv_moved = inverse(rows), inverse([rows[k] for k in perm])
+    if inv is None:
+        assert inv_moved is None
+    else:
+        assert inv_moved == [[row[perm[k]] for k in range(n)] for row in inv]
 
 
 def test_singular_metric_rejected():
