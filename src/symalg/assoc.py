@@ -135,31 +135,3 @@ class AssocModel:
 
     def dims(self):
         return {w: len(n) for w, n in sorted(self.normal.items())}
-
-    def coords(self, poly, w):
-        """Coordinates over the weight-w normal words."""
-        nf = self.normal_form(poly)
-        idx = self._normal_index[w]
-        return {idx[u]: c for u, c in nf.terms.items()}
-
-    def right_mult(self, w, word):
-        """Matrix of y -> nf(y * word): list over normal[w] of coord dicts
-        at weight w + wt(word)."""
-        wt = self.alphabet.word_weight(word)
-        tgt = self._normal_index[w + wt]
-        out = []
-        for y in self.normal[w]:
-            nf = self.normal_word(y + word)
-            out.append({tgt[u]: c for u, c in nf.items()})
-        return out
-
-    def left_mult(self, w, word):
-        """Matrix of y -> nf(word * y)."""
-        wt = self.alphabet.word_weight(word)
-        tgt = self._normal_index[w + wt]
-        out = []
-        for y in self.normal[w]:
-            nf = self.normal_word(word + y)
-            out.append({tgt[u]: c for u, c in nf.items()})
-        return out
-

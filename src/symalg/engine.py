@@ -44,8 +44,9 @@ class EngineError(ValueError):
 
 # Version of the pickled LieModel layout; a cached model of another
 # version is rebuilt.  Version 2 added the ad columns and Rep.tail;
-# version 3 dropped the tensor expansions and added gen_coords.
-MODEL_SCHEMA = 3
+# version 3 dropped the tensor expansions and added gen_coords; version 4
+# pickles the single-mode Echelon (slots: rows only).
+MODEL_SCHEMA = 4
 
 
 class Rep:

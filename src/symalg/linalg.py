@@ -11,12 +11,6 @@ row, so with columns listed in ascending monomial order the non-pivot
 columns of a completed echelon are the canonical coset representatives.
 `full_reduce` brings the rows to reduced echelon form, which is unique.
 
-An echelon can optionally carry per-row bookkeeping ("meta"): a row then
-knows an exact expression of itself as (untracked rows) + sum_k meta[k] *
-X_k over caller-chosen tags.  Reducing a vector to zero through such an
-echelon recovers its coefficients over the tagged vectors, which is how
-quotient coordinates and free-generator decompositions are solved for.
-
 Rational vectors (dicts, or dense rows given as sequences) enter through
 `extend`/`echelon`; `rank`, `rref`, `kernel` and `inverse` are built on
 them.  `echelon` inserts a batch sparsest first, by a stable sort on the
@@ -72,46 +66,34 @@ def _axpy(a, v, b, r):
 class Echelon:
     """Incremental sparse row echelon over Q with integer rows."""
 
-    __slots__ = ("rows", "metas", "track")
+    __slots__ = ("rows",)
 
-    def __init__(self, track=False):
+    def __init__(self):
         self.rows = {}
-        self.metas = {} if track else None
-        self.track = track
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def pivots(self):
-        return sorted(self.rows)
-
-    def _strip(self, v, meta, s):
+    def _strip(self, v, s=None):
         g = vec_gcd(v.values())
-        if meta:
-            g = gcd(g, vec_gcd(meta.values()))
         if s is not None:
             g = gcd(g, s)
         if g > 1:
             v = {k: x // g for k, x in v.items()}
-            if meta:
-                meta = {k: x // g for k, x in meta.items()}
             if s is not None:
                 s //= g
-        return v, meta, s
+        return v, s
 
-    def reduce(self, vec, meta=None):
+    def reduce(self, vec):
         """Reduce vec against the echelon.
 
-        Returns (residual, meta_acc, scale) with the exact identity
-        scale * vec = residual + (combination of rows whose accumulated
-        meta is meta_acc).  residual == {} means vec lies in the row span.
+        Returns (residual, scale) with scale * vec - residual in the row
+        span.  residual == {} means vec lies in the row span.
         """
         v = dict(vec)
-        acc = dict(meta) if meta else {}
         s = 1
         rows = self.rows
-        metas = self.metas
         step = 0
         while v:
             p = min(v)
@@ -119,33 +101,21 @@ class Echelon:
             if r is None:
                 break
             a = r[p]
-            b = v[p]
-            v = _axpy(a, v, b, r)
-            if metas is not None:
-                m = metas[p]
-                acc = _axpy(a, acc, b, m) if (acc or m) else {}
+            v = _axpy(a, v, v[p], r)
             s *= a
             step += 1
             if a != 1 and step % 8 == 0:
-                v, acc, s = self._strip(v, acc, s)
-        return v, acc, s
+                v, s = self._strip(v, s)
+        return v, s
 
-    def insert(self, vec, meta=None):
+    def insert(self, vec):
         """Reduce and insert if independent.  Returns the pivot or None."""
-        v, acc, _ = self.reduce(vec, meta)
+        v, _ = self.reduce(vec)
         if not v:
             return None
-        return self._add(v, acc)
-
-    def _add(self, v, acc):
-        v, acc, _ = self._strip(v, acc, None)
+        v, _ = self._strip(v)
         p = min(v)
-        if v[p] < 0:
-            v = {k: -x for k, x in v.items()}
-            acc = {k: -x for k, x in acc.items()}
-        self.rows[p] = v
-        if self.track:
-            self.metas[p] = acc
+        self.rows[p] = v if v[p] > 0 else {k: -x for k, x in v.items()}
         return p
 
     def full_reduce(self):
@@ -155,31 +125,13 @@ class Echelon:
         by rows that no longer hold other pivots.  Afterwards the row of a
         pivot column expresses it over the non-pivot columns alone.
         """
-        if self.track:
-            raise ValueError("full reduction does not update meta")
         rows = self.rows
         for p in sorted(rows, reverse=True):
             r = rows[p]
             for q in [k for k in r if k != p and k in rows]:
                 r = _axpy(rows[q][q], r, r[q], rows[q])
-            r, _, _ = self._strip(r, None, None)
+            r, _ = self._strip(r)
             rows[p] = r if r[p] > 0 else {k: -x for k, x in r.items()}
-
-    def contains(self, vec):
-        v, _, _ = self.reduce(vec)
-        return not v
-
-    def solve(self, vec):
-        """Coefficients of vec over the tagged vectors, modulo untracked rows.
-
-        Returns dict tag -> Fraction, or None if vec is not in the span.
-        """
-        if not self.track:
-            raise ValueError("echelon does not track meta")
-        v, acc, s = self.reduce(vec)
-        if v:
-            return None
-        return {k: Fraction(-x, s) for k, x in acc.items() if x}
 
 
 # -- rational vectors and matrices (dicts col -> value, or dense rows)

@@ -208,14 +208,6 @@ def preset(n, s):
     return SymPresentation(n, s, gamma)
 
 
-def x_names(p):
-    return [f"x{i}" for i in range(1, p.n + 1)]
-
-
-def z_names(p):
-    return [f"z{a}" for a in range(1, p.s + 1)]
-
-
 def build_relations(p):
     """The defining relations, fully expanded in the tensor algebra.
 

@@ -14,16 +14,30 @@ r + 2, Clifford index t.
 The target assignment follows the existence proof: the two weight-4
 classes [x1,x3], [x2,x3] are sent to p1, q1 when r >= 1; the remaining
 even targets take even generator slots of weight >= 6 and the odd targets
-take odd slots above them (from weight 5 when r = 0).  Every structural
-property the argument needs is then verified exactly: the map respects all
-computed brackets, images beyond the cutoff vanish, the images span, and
+take odd slots above them (from weight 5 when r = 0).
+
+The map theta is solved one weight at a time by a single augmented solve.
+At weight w every bracket [b_u, b_v] of lower ideal basis elements gives a
+row [coordinates | image], the image being [theta(b_u), theta(b_v)] on
+heis coordinates keyed above the quotient columns.  The generators of
+weight w are the pinned classes and then the unit vectors that complete
+the span of the bracket rows, in the greedy order; a generator row is
+[e_j | its target], or [e_j | 0] when it gets none.  In the reduced echelon
+form of all these rows, theta(b_j) is the image part of the row with pivot
+j.  A pivot on an image column means the rows force a nonzero image of
+zero: no morphism extends the assignment, and SurjectionError names the
+weight.
+
+Every structural property the argument needs is then verified exactly:
+the map respects all computed brackets (re-checked pair by pair against
+the solved theta), images beyond the cutoff vanish, the images span, and
 the two distinguished directions meet the stabilizer trivially.
 """
 
 from fractions import Fraction
 
 from .engine import LieModel
-from .linalg import Echelon, intvec, rank
+from .linalg import echelon, extend, rank, rref
 from .presentation import (
     build_relations,
     free_gen_series_tym_hat,
@@ -147,7 +161,9 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     Returns a CWSurjectionResult whose weight should be (r + 2, t).  The
     default cutoff is the safe 2 d' + 1; the construction only needs
     images of weight > 2 d' to vanish, so any l >= 2 d' - 1 works and the
-    verification flags certify the choice.
+    verification flags certify the choice.  theta is solved by one
+    augmented rref per weight (see the module docstring); raises
+    SurjectionError if the rows of some weight are inconsistent.
     """
     pinned, slots, d_prime, l = check_input(p, r, t, l)
     if model is None:
@@ -187,9 +203,9 @@ def build_cw_surjection(p, r, t, l=None, model=None):
             raise SurjectionError(f"pinned class {tree} vanishes in the quotient")
         pinned_vecs.setdefault(4, []).append((name, coords))
 
-    # -- per-weight solvers over representative coordinates
+    # -- theta weight by weight: one augmented solve per weight
     theta = {}  # (w, j) -> heis coordinate dict
-    all_pairs = []  # (wu, iu, wv, iv, coords)
+    all_pairs = []  # (w, coords of [b_u, b_v], [theta(b_u), theta(b_v)])
     phi_desc = {}
     zc = target.index("z")
 
@@ -206,99 +222,69 @@ def build_cw_surjection(p, r, t, l=None, model=None):
 
     weights = [w for w in sorted(model.reps) if w <= max_w]
     for w in weights:
-        solver = Echelon(track=True)
-        tagged = {}
+        ncols = model.dim(w)
 
-        def insert(coords, tag, solver=solver, tagged=tagged):
-            iv, den = intvec(coords)
-            got = solver.insert(iv, {len(tagged): den})
-            if got is not None:
-                tagged[len(tagged)] = tag
-                return True
-            # meta slot was consumed only on success; keep numbering dense
-            return False
+        def augmented(coords, image):
+            # [coords | image], heis coordinate k keyed ncols + k
+            row = dict(coords)
+            row.update((ncols + k, c) for k, c in image.items())
+            return row
 
         # bracket rows: pairs of lower-weight ideal basis elements
+        pairs = []
         for wu in weights:
             if wu > w - 2:
                 break
             wv = w - wu
-            if wv < wu or wv > max_w:
+            if wv < wu:
                 continue
-            pu = hat_positions(wu)
-            pv = hat_positions(wv)
-            for iu in pu:
-                for iv_ in pv:
-                    if wu == wv and iv_ < iu:
+            for iu in hat_positions(wu):
+                for iv in hat_positions(wv):
+                    if wu == wv and iv < iu:
                         continue
-                    coords = model.struct(wu, iu, wv, iv_)
-                    all_pairs.append((wu, iu, wv, iv_, coords))
-                    if coords:
-                        insert(coords, ("pair", wu, iu, wv, iv_))
-        # pinned generator images
+                    coords = model.struct(wu, iu, wv, iv)
+                    image = target.bracket_vec(theta[(wu, iu)], theta[(wv, iv)])
+                    pairs.append((w, coords, image))
+        all_pairs += pairs
+        rows = [augmented(c, im) for _, c, im in pairs if c or im]
+        # generators: the pinned classes, then the unit vectors completing
+        # the span, the first of them taking this weight's slot targets
+        span = echelon(c for _, c, _ in pairs)
         for name, coords in pinned_vecs.get(w, ()):
-            if not insert(coords, ("gen", name)):
+            if not extend(span, coords):
                 raise SurjectionError(f"pinned target {name} is dependent")
+            rows.append(augmented(coords, {target.index(name): 1}))
             phi_desc[name] = f"weight-{w} class (pinned)"
-        # slot targets then the unassigned remainder
         needs = list(slot_needs.get(w, ()))
         for j in hat_positions(w):
-            tag = None
-            if needs:
-                name = needs[0]
-                if insert({j: Fraction(1)}, ("gen", name)):
+            if extend(span, {j: 1}):
+                image = {}
+                if needs:
+                    name = needs.pop(0)
+                    image = {target.index(name): 1}
                     phi_desc[name] = f"weight-{w} slot {model.reps[w][j].name}"
-                    needs.pop(0)
-                    continue
-            insert({j: Fraction(1)}, ("gen", None))
+                rows.append(augmented({j: 1}, image))
         if needs:
             raise SurjectionError(
                 f"generator shortage at weight {w}: unassigned {needs} (increase l)"
             )
-        # solve every representative through the tagged rows
+        # the row with pivot j reads [e_j | theta(b_j)]; a pivot on an image
+        # column is a nonzero image forced on zero
+        red = rref(rows)
+        if max(red, default=-1) >= ncols:
+            raise SurjectionError(
+                f"assignment is not a morphism at weight {w}: "
+                "the bracket rows force a nonzero image of zero"
+            )
         for j in hat_positions(w):
-            iv, den = intvec({j: Fraction(1)})
-            sol = solver.solve(iv)
-            if sol is None:
-                raise SurjectionError("representative failed to decompose")
-            acc = {}
-            for tagidx, c in sol.items():
-                coeff = c / den
-                tag = tagged[tagidx]
-                if tag[0] == "gen":
-                    name = tag[1]
-                    if name is not None:
-                        k = target.index(name)
-                        val = acc.get(k, Fraction(0)) + coeff
-                        if val:
-                            acc[k] = val
-                        else:
-                            acc.pop(k, None)
-                else:
-                    _, wu, iu, wv, iv_ = tag
-                    br = target.bracket_vec(
-                        theta[(wu, iu)], theta[(wv, iv_)]
-                    )
-                    for k, v in br.items():
-                        val = acc.get(k, Fraction(0)) + coeff * v
-                        if val:
-                            acc[k] = val
-                        else:
-                            acc.pop(k, None)
-            theta[(w, j)] = acc
+            theta[(w, j)] = {k - ncols: c for k, c in red[j].items() if k >= ncols}
 
     res.phi = phi_desc
 
     # -- verification: morphism property on every computed bracket
-    hom_ok = True
-    for wu, iu, wv, iv_, coords in all_pairs:
-        w = wu + wv
-        lhs = theta_of_coords(w, coords) if w <= max_w and coords else {}
-        rhs = target.bracket_vec(theta[(wu, iu)], theta[(wv, iv_)])
-        if lhs != rhs:
-            hom_ok = False
-            break
-    res.flags["bracket_compatible"] = hom_ok
+    res.flags["bracket_compatible"] = all(
+        theta_of_coords(w, coords) == image for w, coords, image in all_pairs
+    )
 
     # -- images beyond the cutoff must vanish
     support = [(w, j) for (w, j), v in theta.items() if v]

@@ -173,21 +173,6 @@ class Poly:
             raise ValueError("polynomial of mixed parity")
         return ps.pop()
 
-    def is_homogeneous(self):
-        try:
-            self.weight()
-            self.parity()
-        except ValueError:
-            return False
-        return True
-
-    def weight_parts(self):
-        parts = {}
-        for u, c in self.terms.items():
-            w = self.alphabet.word_weight(u)
-            parts.setdefault(w, {})[u] = c
-        return {w: Poly(self.alphabet, t) for w, t in sorted(parts.items())}
-
     # -- arithmetic
 
     def __add__(self, other):

@@ -6,9 +6,10 @@ Every element is expanded into tensor words; at weight w the ideal
 component is spanned by the relations of weight w and by brackets of
 generators with the lower ideal components, and coset representatives
 are the generators of weight w, then the brackets [g, b_j] over lower
-representatives, kept greedily when independent modulo the ideal.  The
-reduction of a candidate records its quotient coordinates, so the oracle
-has the same `ad` columns as the engine.  Row counts grow with the
+representatives, kept greedily when independent modulo the ideal.  Each
+representative's row carries a tag column above the word columns, so the
+reduction of a candidate reads off its quotient coordinates and the
+oracle has the same `ad` columns as the engine.  Row counts grow with the
 number of tensor words, so keep cutoffs small (about 11).
 """
 
@@ -50,7 +51,7 @@ class TensorLieModel:
         min_w = min(g.weight for g in A.generators)
         for w in range(min_w, self.max_weight + 1):
             index = A.word_index(w)
-            solver = Echelon(track=True)
+            solver = Echelon()
             for r in self.rel_by_weight.get(w, ()):
                 solver.insert(_int_row(r, index))
             for g in A.generators:
@@ -59,11 +60,16 @@ class TensorLieModel:
                 for row in self.ideal_rows.get(wl, ()):
                     solver.insert(_bracket_row(g, row, wl & 1, lwords, index))
             self.ideal_rows[w] = [dict(r) for r in solver.rows.values()]
+            # representative k enters as its word row plus a tag column
+            # keyed len(index) + k, above the word columns
+            nwords = len(index)
             reps = []
             for g in A.generators:
                 if g.weight == w:
                     p = A.gen(g.name)
-                    if solver.insert(_int_row(p, index), {len(reps): 1}) is not None:
+                    row = _int_row(p, index)
+                    if _solve(solver, row, nwords) is None:
+                        solver.insert({**row, nwords + len(reps): 1})
                         reps.append(OracleRep(g.name, p, g.parity))
             for g in A.generators:
                 wl = w - g.weight
@@ -72,10 +78,10 @@ class TensorLieModel:
                     coords = {}
                     if not p.is_zero():
                         row = _int_row(p, index)
-                        coords = solver.solve(row)
+                        coords = _solve(solver, row, nwords)
                         if coords is None:
                             coords = {len(reps): Fraction(1)}
-                            solver.insert(row, {len(reps): 1})
+                            solver.insert({**row, nwords + len(reps): 1})
                             reps.append(OracleRep((g.name, rep.label), p,
                                                   (g.parity + rep.parity) % 2))
                     self.ad[(g.name, wl, j)] = coords
@@ -100,10 +106,24 @@ class TensorLieModel:
             return {}
         index = self.alphabet.word_index(w)
         iv, den = intvec({index[u]: c for u, c in poly.terms.items()})
-        sol = self.solvers[w].solve(iv)
+        sol = _solve(self.solvers[w], iv, len(index))
         if sol is None:
             raise EngineError(f"element of weight {w} is not in the Lie span")
         return {j: c / den for j, c in sol.items() if c}
+
+
+def _solve(solver, row, nwords):
+    """Coordinates of a word row over the tagged representatives, modulo
+    the ideal rows; None if the row is independent of them.
+
+    reduce gives scale * [row | 0] - residual in the span of the ideal rows
+    and the tagged rows [rep_k | e_k], so a residual on tag columns alone
+    reads off row = sum_k (-residual[tag k] / scale) rep_k.
+    """
+    v, s = solver.reduce(row)
+    if v and min(v) < nwords:
+        return None
+    return {k - nwords: Fraction(-x, s) for k, x in v.items()}
 
 
 def _bracket_row(g, row, row_parity, lower_words, upper_index):

@@ -248,7 +248,8 @@ def _old_model_pickle(alphabet, relations, schema):
     return pickle.dumps(model)
 
 
-@pytest.mark.parametrize("content", ["garbage", "schemaless", "schema2", "foreign"])
+@pytest.mark.parametrize("content", ["garbage", "schemaless", "schema2", "schema3",
+                                     "foreign"])
 def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     from symalg.engine import MODEL_SCHEMA, load_or_build_model
 
@@ -261,6 +262,7 @@ def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
         "garbage": lambda: b"\x80\x04not a pickle",
         "schemaless": lambda: _old_model_pickle(p.alphabet, rels, None),
         "schema2": lambda: _old_model_pickle(p.alphabet, rels, 2),
+        "schema3": lambda: _old_model_pickle(p.alphabet, rels, 3),
         "foreign": lambda: pickle.dumps({"dims": {}}),
     }[content]())
     model = load_or_build_model(p.alphabet, rels, 5, tmp_path, "deadbeef")

@@ -25,6 +25,10 @@ COMMANDS = {
                               "--preset", "1,3", "--max", "13"],
     "surject-31-r1-t1-l13": ["dixmier", "surject", "--preset", "3,1",
                              "--r", "1", "--t", "1", "--l", "13"],
+    "surject-31-r0-t2-l13": ["dixmier", "surject", "--preset", "3,1",
+                             "--r", "0", "--t", "2", "--l", "13"],
+    "surject-32-r1-t2-l13": ["dixmier", "surject", "--preset", "3,2",
+                             "--r", "1", "--t", "2", "--l", "13"],
     "hilbert-31-d12-engine": ["hilbert", "--preset", "3,1", "--degree", "12",
                               "--check-engine"],
     "semidirect-31": ["verify", "semidirect", "--preset", "3,1"],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symalg.linalg import inverse, kernel, rank, rref
+from symalg.linalg import echelon, inverse, kernel, rank, rref
 from symalg.presentation import (
     PresentationError,
     SymPresentation,
@@ -134,6 +134,35 @@ def test_inverse_ignores_row_order(mat):
         assert inv_moved is None
     else:
         assert inv_moved == [[row[perm[k]] for k in range(n)] for row in inv]
+
+
+@st.composite
+def rows_and_vector(draw):
+    """Integer rows and an integer vector over at most six columns: the
+    vector is drawn at random or as a combination of the rows."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=0, max_size=6))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+    else:
+        vec = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    return rows, vec
+
+
+@SEEDED
+@given(rows_and_vector())
+def test_reduce_residual_and_scale(mat):
+    # scale * vec - residual lies in the row span, and the residual is empty
+    # exactly when vec does
+    rows, vec = mat
+    v, s = echelon(rows).reduce({j: x for j, x in enumerate(vec) if x})
+    assert s != 0
+    diff = [s * x - v.get(j, 0) for j, x in enumerate(vec)]
+    assert rank(rows + [diff]) == rank(rows)
+    assert (v == {}) == (rank(rows + [vec]) == rank(rows))
 
 
 def test_singular_metric_rejected():

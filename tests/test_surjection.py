@@ -58,6 +58,34 @@ def test_surjection_31_02(model31, p31):
     assert res.ok, res.flags
 
 
+class _TamperedModel:
+    """A Lie model whose bracket of one pair of representatives reads 0."""
+
+    def __init__(self, model, pair):
+        self._model = model
+        self._pair = pair
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def struct(self, *pair):
+        return {} if pair == self._pair else self._model.struct(*pair)
+
+
+def test_inconsistent_bracket_rows_raise(model31, p31):
+    # [x1,x3] -> p1 and [x2,x3] -> q1 force their bracket onto [p1,q1] = -z;
+    # declaring that bracket zero gives the row [0 | -z], whose pivot sits
+    # on an image column
+    from symalg.tensor import super_commutator
+
+    A = p31.alphabet
+    (i,), (k,) = (model31.project(super_commutator(A.gen(x), A.gen("x3")))
+                  for x in ("x1", "x2"))
+    model = _TamperedModel(model31, (4, min(i, k), 4, max(i, k)))
+    with pytest.raises(SurjectionError, match="not a morphism at weight 8"):
+        build_cw_surjection(p31, 1, 1, l=13, model=model)
+
+
 def test_plan_larger_r_spills_to_higher_slots():
     # (r,t) = (2,1): z and q2 fill the two weight-6 slots, p2 moves to
     # weight 8, so the odd target lands at weight 9
