@@ -28,13 +28,27 @@ with the generator g.  Structure constants use the same recursion with
 those columns and never leave quotient coordinates.  Tensor polynomials
 enter only as relations and `project` input, through theta; the build
 never expands a tensor word.
+
+Every quotient-coordinate vector inside the model (the ad columns,
+`gen_coords`, the memos of theta, of the symbol expansions and of the
+brackets) is held as integers over one positive denominator, a pair
+(den, {position: int}) with gcd(den, entries) = 1, in the fraction-free
+style of Bareiss (Math. Comp. 22, 1968).  The read-off takes the pivot
+entry of a fully reduced kernel row as the denominator, and combinations
+rescale to the lcm of the denominators they meet, so the build does
+integer arithmetic only; the kernel rows enter the echelon as they are,
+since only their direction matters.  Values become rational at the edges
+alone: `project`, `struct` and `export_struct` return dicts whose
+integral values are ints and whose other values are Fractions (see
+`rational`).
 """
 
 import os
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
-from .linalg import Echelon, extend, intvec
+from .linalg import Echelon, extend
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -45,8 +59,12 @@ class EngineError(ValueError):
 # Version of the pickled LieModel layout; a cached model of another
 # version is rebuilt.  Version 2 added the ad columns and Rep.tail;
 # version 3 dropped the tensor expansions and added gen_coords; version 4
-# pickles the single-mode Echelon (slots: rows only).
-MODEL_SCHEMA = 4
+# pickles the single-mode Echelon (slots: rows only); version 5 holds the
+# coordinate vectors as (den, {position: int}).
+MODEL_SCHEMA = 5
+
+# The zero coordinate vector (den, {}); shared, never mutated.
+_ZERO = (1, {})
 
 
 class Rep:
@@ -99,12 +117,15 @@ class LieModel:
         # weight -> echelon of the kernel rows over the candidate columns
         self.solvers = {}
         # generator name -> its quotient coordinates at its own weight
-        # ({} for a generator above the truncation)
-        self.gen_coords = {g.name: {} for g in alphabet.generators}
+        # (zero for a generator above the truncation)
+        self.gen_coords = {g.name: _ZERO for g in alphabet.generators}
         # (generator name, weight, position) -> quotient coordinates of
         # [g, b] for the representative b at (weight, position)
         self.ad = {}
+        # brackets as integer vectors, and the rational view of the
+        # non-integral ones
         self._struct = {}
+        self._struct_q = {}
         self._free_dims = free_lie_dims(alphabet, self.max_weight)
         min_w = min(g.weight for g in alphabet.generators)
         for w in range(min_w, self.max_weight + 1):
@@ -124,35 +145,37 @@ class LieModel:
         ech = Echelon()
         top = {}
 
-        def insert(row):
-            iv, _ = intvec({key[c]: v for c, v in row.items()})
-            if iv:
-                ech.insert(iv)
+        def insert(acc):
+            # a kernel row's scale does not matter: insert its numerators
+            if acc[1]:
+                ech.insert({key[c]: v for c, v in acc[1].items()})
 
         # (a) relations: a1...an -> (1/n) a1 (x) theta(a2...an)
         for parts in relations:
-            row = {}
+            acc = [1, {}]
             memo = {}
             for n, terms in parts.items():
                 for word, c in terms.items():
                     a1 = A.names[word[0]]
                     if n == 1:
-                        symbols = {a1: 1}
+                        symbols = (1, {a1: 1})
                     else:
                         wl = w - A.weights[word[0]]
-                        symbols = {(a1, wl, k): a
-                                   for k, a in self._theta(word[1:], memo).items()}
-                    _add_scaled(row, c / n, symbols)
-            insert(row)
+                        d, v = self._theta(word[1:], memo)
+                        symbols = (d, {(a1, wl, k): a for k, a in v.items()})
+                    q = c / n
+                    _add_scaled(acc, q.numerator, symbols, q.denominator)
+            insert(acc)
         for g in A.generators:
             rest = w - g.weight
+            gd, gv = self.gen_coords[g.name]
             # (b) super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x]
             for j in range(self.dim(rest)):
                 odd = g.parity and self.reps[rest][j].parity
-                row = {(g.name, rest, j): -1 if odd else 1}
-                for k, a in self.gen_coords[g.name].items():
-                    _add_scaled(row, a, self._top(rest, j, g.weight, k, top))
-                insert(row)
+                acc = [1, {(g.name, rest, j): -1 if odd else 1}]
+                for k, a in gv.items():
+                    _add_scaled(acc, a, self._top(rest, j, g.weight, k, top), gd)
+                insert(acc)
             # (c) super-Jacobi g (x) [b,c] - [[g,b],c] - (-1)^{|g||b|} [b,[g,c]]
             for wb in self.weights():
                 wc = rest - wb
@@ -160,19 +183,23 @@ class LieModel:
                     continue
                 for ib, b in enumerate(self.reps[wb]):
                     sign = -1 if (g.parity and b.parity) else 1
+                    bd, bv = self.ad[(g.name, wb, ib)]
                     for ic in range(self.dim(wc)):
                         if not (b.tail is None or wb < wc or (wb == wc and ib <= ic)):
                             continue
-                        row = {(g.name, rest, k): a
-                               for k, a in self._bracket(wb, ib, wc, ic).items()}
-                        for k, a in self.ad[(g.name, wb, ib)].items():
-                            _add_scaled(row, -a, self._top(wb + g.weight, k, wc, ic, top))
-                        for k, a in self.ad[(g.name, wc, ic)].items():
-                            _add_scaled(row, -sign * a,
-                                        self._top(wb, ib, wc + g.weight, k, top))
-                        insert(row)
+                        d, v = self._bracket(wb, ib, wc, ic)
+                        acc = [d, {(g.name, rest, k): a for k, a in v.items()}]
+                        for k, a in bv.items():
+                            _add_scaled(acc, -a, self._top(wb + g.weight, k, wc, ic, top), bd)
+                        cd, cv = self.ad[(g.name, wc, ic)]
+                        for k, a in cv.items():
+                            _add_scaled(acc, -sign * a,
+                                        self._top(wb, ib, wc + g.weight, k, top), cd)
+                        insert(acc)
         # read off: the non-pivot columns are the representatives, and the
-        # reduced row of a pivot column solves it over them
+        # reduced row of a pivot column solves it over them, its pivot entry
+        # being the denominator (full_reduce leaves it positive and the row
+        # primitive)
         ech.full_reduce()
         reps = []
         pos = {}
@@ -188,9 +215,9 @@ class LieModel:
         for k, c in enumerate(cols):
             row = ech.rows.get(-k)
             if row is None:
-                v = {pos[-k]: Fraction(1)}
+                v = (1, {pos[-k]: 1})
             else:
-                v = {pos[kk]: Fraction(-x, row[-k]) for kk, x in row.items() if kk != -k}
+                v = (row[-k], {pos[kk]: -x for kk, x in row.items() if kk != -k})
             if isinstance(c, str):
                 self.gen_coords[c] = v
             else:
@@ -209,9 +236,11 @@ class LieModel:
                 g = A.names[word[0]]
                 tail = word[1:]
                 wt = A.word_weight(tail)
-                got = {}
-                for k, a in self._theta(tail, memo).items():
-                    _add_scaled(got, a, self.ad[(g, wt, k)])
+                d, v = self._theta(tail, memo)
+                acc = [1, {}]
+                for k, a in v.items():
+                    _add_scaled(acc, a, self.ad[(g, wt, k)])
+                got = _vector(acc, d)
             memo[word] = got
         return got
 
@@ -223,7 +252,7 @@ class LieModel:
             return got
         u = self.reps[wu][iu]
         if u.tail is None:
-            out = {(u.label, wv, iv): 1}
+            out = (1, {(u.label, wv, iv): 1})
         else:
             # u = [g, c]:  [[g,c],b] = g (x) [c,b] - (-1)^{|g||c|} [c,[g,b]]
             g = u.label[0]
@@ -232,10 +261,12 @@ class LieModel:
             c_odd = self.reps[wc][ic].parity
             g_odd = u.parity ^ c_odd
             sign = -1 if (g_odd and c_odd) else 1
-            out = {(g, wc + wv, k): a
-                   for k, a in self._bracket(wc, ic, wv, iv).items()}
-            for k, a in self.ad[(g, wv, iv)].items():
-                _add_scaled(out, -sign * a, self._top(wc, ic, wv + wg, k, memo))
+            d, v = self._bracket(wc, ic, wv, iv)
+            acc = [d, {(g, wc + wv, k): a for k, a in v.items()}]
+            d, v = self.ad[(g, wv, iv)]
+            for k, a in v.items():
+                _add_scaled(acc, -sign * a, self._top(wc, ic, wv + wg, k, memo), d)
+            out = _vector(acc)
         memo[key] = out
         return out
 
@@ -269,10 +300,10 @@ class LieModel:
     def project(self, poly):
         """Quotient coordinates of a homogeneous Lie element.
 
-        Returns {rep position -> Fraction} at the element's weight; the
-        empty dict means the element lies in the ideal.  Each length-n
-        part P_n is evaluated as theta(P_n) / n; raises if some part is
-        not a Lie polynomial.
+        Returns {rep position -> value} at the element's weight, each value
+        an int if integral and a Fraction otherwise; the empty dict means
+        the element lies in the ideal.  Each length-n part P_n is evaluated
+        as theta(P_n) / n; raises if some part is not a Lie polynomial.
         """
         if poly.is_zero():
             return {}
@@ -281,31 +312,41 @@ class LieModel:
             return {}
         if w not in self.reps:
             raise EngineError(f"weight {w} not computed")
-        out = {}
+        acc = [1, {}]
         memo = {}
         for n, terms in _lie_parts(poly).items():
             for word, c in terms.items():
-                _add_scaled(out, c / n, self._theta(word, memo))
-        return out
+                q = c / n
+                _add_scaled(acc, q.numerator, self._theta(word, memo), q.denominator)
+        return rational(_vector(acc))
 
     def contains_ideal(self, poly):
         return not self.project(poly)
 
     def struct(self, wu, iu, wv, iv):
-        """Coordinates of [b, b'] for representatives (wu, iu), (wv, iv).
+        """Coordinates of [b, b'] for representatives (wu, iu), (wv, iv),
+        integral values as ints and the others as Fractions.
 
         The returned dict is shared with later calls; do not mutate it.
         """
-        return self._bracket(wu, iu, wv, iv)
+        d, v = self._bracket(wu, iu, wv, iv)
+        if d == 1:
+            return v
+        key = (wu, iu, wv, iv)
+        got = self._struct_q.get(key)
+        if got is None:
+            got = self._struct_q[key] = rational((d, v))
+        return got
 
     def _bracket(self, wu, iu, wv, iv):
+        """[b, b'] as an integer vector (den, {position: int})."""
         key = (wu, iu, wv, iv)
         got = self._struct.get(key)
         if got is not None:
             return got
         u = self.reps[wu][iu]
         if wu + wv > self.max_weight:
-            out = {}
+            out = _ZERO
         elif u.tail is None:
             out = self.ad[(u.label, wv, iv)]
         else:
@@ -316,11 +357,14 @@ class LieModel:
             c_odd = self.reps[wc][ic].parity
             g_odd = u.parity ^ c_odd
             sign = -1 if (g_odd and c_odd) else 1
-            out = {}
-            for k, a in self._bracket(wc, ic, wv, iv).items():
-                _add_scaled(out, a, self.ad[(g, wc + wv, k)])
-            for k, a in self.ad[(g, wv, iv)].items():
-                _add_scaled(out, -sign * a, self._bracket(wc, ic, wv + wg, k))
+            acc = [1, {}]
+            d, v = self._bracket(wc, ic, wv, iv)
+            for k, a in v.items():
+                _add_scaled(acc, a, self.ad[(g, wc + wv, k)], d)
+            d, v = self.ad[(g, wv, iv)]
+            for k, a in v.items():
+                _add_scaled(acc, -sign * a, self._bracket(wc, ic, wv + wg, k), d)
+            out = _vector(acc)
         self._struct[key] = out
         return out
 
@@ -328,7 +372,8 @@ class LieModel:
         """Structure constants of the truncated quotient.
 
         Returns (labels, parities, weights, brackets) with brackets a dict
-        (i, j) -> {k: Fraction} over flat basis positions, i <= j.
+        (i, j) -> {k: value} over flat basis positions, i <= j, each value
+        an int if integral and a Fraction otherwise.
         """
         flat = []
         offs = {}
@@ -357,8 +402,61 @@ class LieModel:
         return labels, parities, weights, brackets
 
 
-def _add_scaled(out, a, coords):
-    """out += a * coords on quotient-coordinate dicts, dropping zeros."""
+def _add_scaled(acc, a, vec, d=1):
+    """acc += (a / d) * vec for ints a and d > 0, dropping zeros.
+
+    acc is an accumulator [den, {position: int}] and vec a vector
+    (den, {position: int}); acc's numerators are rescaled when its
+    denominator grows to the lcm of the denominators it meets.
+    """
+    vd, v = vec
+    vd *= d
+    den, out = acc
+    if vd != den:
+        if den % vd:
+            m = vd // gcd(den, vd)
+            for k in out:
+                out[k] *= m
+            den *= m
+            acc[0] = den
+        a *= den // vd
+    for k, c in v.items():
+        x = out.get(k, 0) + a * c
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
+
+
+def _vector(acc, d=1):
+    """The vector (den, {position: int}) of an accumulator divided by d,
+    with gcd(den, entries) = 1."""
+    den, out = acc
+    den *= d
+    if den != 1:
+        g = den
+        for x in out.values():
+            g = gcd(g, x)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            out = {k: x // g for k, x in out.items()}
+    return den, out
+
+
+def rational(vec):
+    """The rational dict of a vector (den, {position: int}): integral values
+    as ints, the others as Fractions.  A vector over den 1 is returned as
+    its own dict."""
+    d, v = vec
+    if d == 1:
+        return v
+    return {k: x // d if x % d == 0 else Fraction(x, d) for k, x in v.items()}
+
+
+def _add_rational(out, a, coords):
+    """out += a * coords on rational coordinate dicts, dropping zeros."""
     for k, c in coords.items():
         v = out.get(k, 0) + a * c
         if v:
@@ -522,7 +620,7 @@ class SubalgebraGenerators:
 
             if self.full_from is not None and w >= self.full_from:
                 for j in range(dimw):
-                    add({j: Fraction(1)})
+                    add({j: 1})
             else:
                 for coords in self.seeds.get(w, ()):
                     add(coords)
@@ -565,7 +663,7 @@ class SubalgebraGenerators:
         gw, gj = gpos
         out = {}
         for j, c in coords.items():
-            _add_scaled(out, c, self.model.struct(gw, gj, wl, j))
+            _add_rational(out, c, self.model.struct(gw, gj, wl, j))
         return out
 
     def counts(self):
@@ -577,14 +675,14 @@ def _pair_bracket(model, wu, cu, wv, cv):
     out = {}
     for i, a in cu.items():
         for j, b in cv.items():
-            _add_scaled(out, a * b, model.struct(wu, i, wv, j))
+            _add_rational(out, a * b, model.struct(wu, i, wv, j))
     return out
 
 
 def tym_hat_generators(model, n, max_weight=None):
     """Generator analysis of the ideal spanned by x3..xn and everything of
     weight >= 3 (the free complement of the first two even directions)."""
-    seeds = {2: [{j: Fraction(1)} for j in range(2, n)]}
+    seeds = {2: [{j: 1} for j in range(2, n)]}
     return SubalgebraGenerators(model, seeds=seeds, full_from=3, max_weight=max_weight)
 
 
@@ -600,8 +698,9 @@ def k1s_generators(model, s, max_weight=None):
     for j, rep in enumerate(model.reps.get(3, ())):
         if rep.label in {f"z{a}" for a in range(3, s + 1)}:
             z_positions.append(j)
-    seeds = {3: [{j: Fraction(1)} for j in z_positions]}
-    coords = _pair_bracket(model, 3, model.gen_coords["z1"], 3, model.gen_coords["z2"])
+    seeds = {3: [{j: 1} for j in z_positions]}
+    coords = _pair_bracket(model, 3, rational(model.gen_coords["z1"]),
+                           3, rational(model.gen_coords["z2"]))
     if coords:
         seeds[6] = [coords]
     return SubalgebraGenerators(model, seeds=seeds, full_from=9, max_weight=max_weight)

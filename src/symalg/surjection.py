@@ -16,17 +16,18 @@ classes [x1,x3], [x2,x3] are sent to p1, q1 when r >= 1; the remaining
 even targets take even generator slots of weight >= 6 and the odd targets
 take odd slots above them (from weight 5 when r = 0).
 
-The map theta is solved one weight at a time by a single augmented solve.
+The map theta is solved one weight at a time by a single elimination.
 At weight w every bracket [b_u, b_v] of lower ideal basis elements gives a
 row [coordinates | image], the image being [theta(b_u), theta(b_v)] on
-heis coordinates keyed above the quotient columns.  The generators of
-weight w are the pinned classes and then the unit vectors that complete
-the span of the bracket rows, in the greedy order; a generator row is
-[e_j | its target], or [e_j | 0] when it gets none.  In the reduced echelon
-form of all these rows, theta(b_j) is the image part of the row with pivot
-j.  A pivot on an image column means the rows force a nonzero image of
-zero: no morphism extends the assignment, and SurjectionError names the
-weight.
+heis coordinates keyed above the quotient columns; these rows enter one
+echelon, sparsest first.  A pivot on an image column means the rows force
+a nonzero image of zero: no morphism extends the assignment, and
+SurjectionError names the weight.  The generators of weight w are then
+the pinned classes and the unit vectors e_j that the same echelon does not
+yet span (the residual of e_j has a coordinate entry), in the greedy
+order; a generator row [e_j | its target], or [e_j | 0] when it gets none,
+is inserted as it is chosen.  In the reduced echelon form, theta(b_j) is
+the image part of the row with pivot j divided by its pivot entry.
 
 Every structural property the argument needs is then verified exactly:
 the map respects all computed brackets (re-checked pair by pair against
@@ -34,10 +35,8 @@ the solved theta), images beyond the cutoff vanish, the images span, and
 the two distinguished directions meet the stabilizer trivially.
 """
 
-from fractions import Fraction
-
-from .engine import LieModel
-from .linalg import echelon, extend, rank, rref
+from .engine import LieModel, rational
+from .linalg import Echelon, intvec, rank
 from .presentation import (
     build_relations,
     free_gen_series_tym_hat,
@@ -162,7 +161,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     default cutoff is the safe 2 d' + 1; the construction only needs
     images of weight > 2 d' to vanish, so any l >= 2 d' - 1 works and the
     verification flags certify the choice.  theta is solved by one
-    augmented rref per weight (see the module docstring); raises
+    augmented echelon per weight (see the module docstring); raises
     SurjectionError if the rows of some weight are inconsistent.
     """
     pinned, slots, d_prime, l = check_input(p, r, t, l)
@@ -203,7 +202,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
             raise SurjectionError(f"pinned class {tree} vanishes in the quotient")
         pinned_vecs.setdefault(4, []).append((name, coords))
 
-    # -- theta weight by weight: one augmented solve per weight
+    # -- theta weight by weight: one augmented echelon per weight
     theta = {}  # (w, j) -> heis coordinate dict
     all_pairs = []  # (w, coords of [b_u, b_v], [theta(b_u), theta(b_v)])
     phi_desc = {}
@@ -213,7 +212,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         out = {}
         for j, c in coords.items():
             for k, v in theta[(w, j)].items():
-                val = out.get(k, Fraction(0)) + c * v
+                val = out.get(k, 0) + c * v
                 if val:
                     out[k] = val
                 else:
@@ -225,10 +224,10 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         ncols = model.dim(w)
 
         def augmented(coords, image):
-            # [coords | image], heis coordinate k keyed ncols + k
+            # the integer row [coords | image], heis coordinate k keyed ncols + k
             row = dict(coords)
             row.update((ncols + k, c) for k, c in image.items())
-            return row
+            return intvec(row)[0]
 
         # bracket rows: pairs of lower-weight ideal basis elements
         pairs = []
@@ -246,38 +245,44 @@ def build_cw_surjection(p, r, t, l=None, model=None):
                     image = target.bracket_vec(theta[(wu, iu)], theta[(wv, iv)])
                     pairs.append((w, coords, image))
         all_pairs += pairs
-        rows = [augmented(c, im) for _, c, im in pairs if c or im]
+        ech = Echelon()
+        for row in sorted((augmented(c, im) for _, c, im in pairs if c or im),
+                          key=len):
+            ech.insert(row)
+        # a pivot on an image column is a nonzero image forced on zero
+        if max(ech.rows, default=-1) >= ncols:
+            raise SurjectionError(
+                f"assignment is not a morphism at weight {w}: "
+                "the bracket rows force a nonzero image of zero"
+            )
         # generators: the pinned classes, then the unit vectors completing
         # the span, the first of them taking this weight's slot targets
-        span = echelon(c for _, c, _ in pairs)
         for name, coords in pinned_vecs.get(w, ()):
-            if not extend(span, coords):
+            pivot = ech.insert(augmented(coords, {target.index(name): 1}))
+            if pivot is None or pivot >= ncols:
                 raise SurjectionError(f"pinned target {name} is dependent")
-            rows.append(augmented(coords, {target.index(name): 1}))
             phi_desc[name] = f"weight-{w} class (pinned)"
         needs = list(slot_needs.get(w, ()))
         for j in hat_positions(w):
-            if extend(span, {j: 1}):
+            residual, _ = ech.reduce({j: 1})
+            if residual and min(residual) < ncols:
                 image = {}
                 if needs:
                     name = needs.pop(0)
                     image = {target.index(name): 1}
                     phi_desc[name] = f"weight-{w} slot {model.reps[w][j].name}"
-                rows.append(augmented({j: 1}, image))
+                ech.insert(augmented({j: 1}, image))
         if needs:
             raise SurjectionError(
                 f"generator shortage at weight {w}: unassigned {needs} (increase l)"
             )
-        # the row with pivot j reads [e_j | theta(b_j)]; a pivot on an image
-        # column is a nonzero image forced on zero
-        red = rref(rows)
-        if max(red, default=-1) >= ncols:
-            raise SurjectionError(
-                f"assignment is not a morphism at weight {w}: "
-                "the bracket rows force a nonzero image of zero"
-            )
+        # in the reduced echelon form the row with pivot j is
+        # row[j] [e_j | theta(b_j)]
+        ech.full_reduce()
         for j in hat_positions(w):
-            theta[(w, j)] = {k - ncols: c for k, c in red[j].items() if k >= ncols}
+            row = ech.rows[j]
+            theta[(w, j)] = rational((row[j], {k - ncols: x for k, x in row.items()
+                                               if k >= ncols}))
 
     res.phi = phi_desc
 
@@ -301,7 +306,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
 
     # -- the functional and its Kirillov form
     def fbar_of_theta(v):
-        return v.get(zc, Fraction(0))
+        return v.get(zc, 0)
 
     # rows for the two distinguished directions
     xrow = {}
@@ -332,12 +337,12 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     x12 = fbar_of_theta(
         theta_of_coords(4, model.struct(2, pos2["x1"], 2, pos2["x2"]))
     )
-    row1 = [Fraction(0), x12] + [xrow["x1"].get(k, Fraction(0)) for k in even_support]
-    row2 = [-x12, Fraction(0)] + [xrow["x2"].get(k, Fraction(0)) for k in even_support]
+    row1 = [0, x12] + [xrow["x1"].get(k, 0) for k in even_support]
+    row2 = [-x12, 0] + [xrow["x2"].get(k, 0) for k in even_support]
     m.append(row1)
     m.append(row2)
     for key in even_support:
-        row = [-xrow["x1"].get(key, Fraction(0)), -xrow["x2"].get(key, Fraction(0))]
+        row = [-xrow["x1"].get(key, 0), -xrow["x2"].get(key, 0)]
         tk = theta[key]
         for key2 in even_support:
             row.append(pair(tk, theta[key2]))
@@ -353,8 +358,8 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     # -- stabilizer: no combination of the two directions pairs to zero
     strank = rank(
         [
-            [xrow["x1"].get(k, Fraction(0)) for k in even_support],
-            [xrow["x2"].get(k, Fraction(0)) for k in even_support],
+            [xrow["x1"].get(k, 0) for k in even_support],
+            [xrow["x2"].get(k, 0) for k in even_support],
         ]
     )
     res.flags["stabilizer_trivial"] = strank == 2

@@ -16,6 +16,7 @@ from symalg.engine import (
     LieModel,
     free_lie_dims,
     k1s_generators,
+    rational,
     tym_generators,
     tym_hat_generators,
 )
@@ -249,7 +250,7 @@ def _old_model_pickle(alphabet, relations, schema):
 
 
 @pytest.mark.parametrize("content", ["garbage", "schemaless", "schema2", "schema3",
-                                     "foreign"])
+                                     "schema4", "foreign"])
 def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     from symalg.engine import MODEL_SCHEMA, load_or_build_model
 
@@ -263,6 +264,7 @@ def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
         "schemaless": lambda: _old_model_pickle(p.alphabet, rels, None),
         "schema2": lambda: _old_model_pickle(p.alphabet, rels, 2),
         "schema3": lambda: _old_model_pickle(p.alphabet, rels, 3),
+        "schema4": lambda: _old_model_pickle(p.alphabet, rels, 4),
         "foreign": lambda: pickle.dumps({"dims": {}}),
     }[content]())
     model = load_or_build_model(p.alphabet, rels, 5, tmp_path, "deadbeef")
@@ -322,10 +324,12 @@ def test_build_matches_tensor_oracle(case):
     m = LieModel(A, rels, cutoff)
     o = TensorLieModel(A, rels, cutoff)
     assert {w: [r.label for r in reps] for w, reps in m.reps.items()} == o.labels()
-    assert m.ad == o.ad
+    # the engine holds integer vectors (den, {position: int}); compare their
+    # rational view
+    assert {c: rational(v) for c, v in m.ad.items()} == o.ad
     for g in A.generators:
         if g.weight <= m.max_weight:
-            assert m.gen_coords[g.name] == o.project(A.gen(g.name)), g.name
+            assert rational(m.gen_coords[g.name]) == o.project(A.gen(g.name)), g.name
     for w in m.weights():
         assert m.ideal_dim(w) == o.ideal_dim(w), w
 
@@ -337,8 +341,8 @@ def test_dependent_generators_are_solved():
     A, rels = _dependent_generators()
     m = LieModel(A, rels, cutoff=5)
     assert [r.name for r in m.reps[2]] == ["a", "e"]
-    assert m.gen_coords["b"] == {0: 1}
-    assert m.dim(3) == 0 and m.gen_coords["d"] == {}
+    assert rational(m.gen_coords["b"]) == {0: 1}
+    assert m.dim(3) == 0 and rational(m.gen_coords["d"]) == {}
     assert [r.name for r in m.reps[4]] == ["c"]
     assert m.project(lie_expand(("a", "e"), A)) == {0: 1}
     assert m.project(lie_expand(("b", "e"), A)) == {0: 1}
@@ -376,10 +380,16 @@ def test_struct_matches_tensor_oracle(case):
         for j in range(m.dim(wv))
     ]
     oracle = {}
+    values = []
     for wu, i, wv, j in pairs:
         bracket = super_commutator(polys[(wu, i)], polys[(wv, j)])
         oracle[(wu, i, wv, j)] = o.project(bracket)
         assert m.struct(wu, i, wv, j) == oracle[(wu, i, wv, j)], (wu, i, wv, j)
+        values += m.struct(wu, i, wv, j).values()
+        if wu + wv <= 8:  # project expands its input: keep the weights low
+            got = m.project(bracket)
+            assert got == oracle[(wu, i, wv, j)], (wu, i, wv, j)
+            values += got.values()
     assert any(oracle.values())
     # super-antisymmetry: [b, a] = -(-1)^{|a||b|} [a, b]
     for wu, i, wv, j in pairs:
@@ -396,7 +406,13 @@ def test_struct_matches_tensor_oracle(case):
         fi, fj = offs[wu] + i, offs[wv] + j
         if fi <= fj and coords:
             table[(fi, fj)] = {offs[wu + wv] + k: c for k, c in coords.items()}
-    assert m.export_struct()[3] == table
+    brackets = m.export_struct()[3]
+    assert brackets == table
+    # integral values leave the engine as ints, the others as Fractions
+    values += [c for coords in brackets.values() for c in coords.values()]
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in values)
+    if case == "31-G(1,2,-3)":
+        assert any(type(c) is Fraction for c in values)
 
 
 def _random_tree(rng, A, w):

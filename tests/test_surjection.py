@@ -59,17 +59,19 @@ def test_surjection_31_02(model31, p31):
 
 
 class _TamperedModel:
-    """A Lie model whose bracket of one pair of representatives reads 0."""
+    """A Lie model whose bracket of one pair of representatives reads
+    `value` (0 by default)."""
 
-    def __init__(self, model, pair):
+    def __init__(self, model, pair, value=None):
         self._model = model
         self._pair = pair
+        self._value = value or {}
 
     def __getattr__(self, name):
         return getattr(self._model, name)
 
     def struct(self, *pair):
-        return {} if pair == self._pair else self._model.struct(*pair)
+        return self._value if pair == self._pair else self._model.struct(*pair)
 
 
 def test_inconsistent_bracket_rows_raise(model31, p31):
@@ -84,6 +86,38 @@ def test_inconsistent_bracket_rows_raise(model31, p31):
     model = _TamperedModel(model31, (4, min(i, k), 4, max(i, k)))
     with pytest.raises(SurjectionError, match="not a morphism at weight 8"):
         build_cw_surjection(p31, 1, 1, l=13, model=model)
+
+
+def test_pinned_class_in_the_bracket_span_raises(model31, p31):
+    # weight 4 has one bracket pair, [x3,x3] = 0; reading it as the class of
+    # [x1,x3] puts the pinned class of p1 in the span of the bracket rows
+    from symalg.tensor import super_commutator
+
+    A = p31.alphabet
+    p1 = model31.project(super_commutator(A.gen("x1"), A.gen("x3")))
+    x3 = [rep.name for rep in model31.reps[2]].index("x3")
+    model = _TamperedModel(model31, (2, x3, 2, x3), p1)
+    with pytest.raises(SurjectionError, match="pinned target p1 is dependent"):
+        build_cw_surjection(p31, 1, 1, l=13, model=model)
+
+
+def test_generator_shortage_raises():
+    # (4,1), (r,t) = (1,1): the odd target c takes the one free generator of
+    # weight 7, [x2,[x2,z1]].  [z1,[x3,x4]] lies in the span of the other
+    # weight-7 brackets [x3,[x4,z1]] and [x4,[x3,z1]]; reading it as that
+    # generator leaves weight 7 without one
+    from symalg import LieModel, build_relations, preset
+
+    p = preset(4, 1)
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=13)
+    pos = {w: [rep.name for rep in m.reps[w]] for w in (3, 4, 7)}
+    pair = (3, pos[3].index("z1"), 4, pos[4].index("[x3,x4]"))
+    model = _TamperedModel(m, pair, {pos[7].index("[x2,[x2,z1]]"): 1})
+    with pytest.raises(SurjectionError,
+                       match=r"generator shortage at weight 7: unassigned \['c'\]"):
+        build_cw_surjection(p, 1, 1, l=13, model=model)
+    assert build_cw_surjection(p, 1, 1, l=13, model=m).ok
 
 
 def test_plan_larger_r_spills_to_higher_slots():
@@ -127,6 +161,19 @@ def test_normalize_then_surject():
     res = build_cw_surjection(q, 0, 2, l=13)
     assert (res.weight.weyl, res.weight.clifford) == (2, 2)
     assert res.ok
+
+
+def test_surjection_general_coefficients():
+    # G = (1, 2, -3): theta takes non-integral values, so it is read off
+    # reduced rows whose pivot entry is not 1
+    from symalg.presentation import SymPresentation
+
+    p = SymPresentation(3, 1, [[[1]], [[2]], [[-3]]])
+    res = build_cw_surjection(p, 1, 1, l=13)
+    assert (res.weight.weyl, res.weight.clifford) == (3, 1)
+    assert res.ok, res.flags
+    support = res.functional["support"]
+    assert support["w14#129"] == "-117/16" and support["w14#139"] == "1/16"
 
 
 def test_surjection_default_cutoff(p31):
