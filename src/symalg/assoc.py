@@ -13,7 +13,7 @@ weight w and every word reduces recursively through this data.
 
 from fractions import Fraction
 
-from .linalg import rref
+from .linalg import addmul, rref
 
 
 class AssocModel:
@@ -99,17 +99,7 @@ class AssocModel:
         for n, d in rest.items():
             u = (g,) + n
             red = candred.get(u)
-            if red is None:
-                out[u] = out.get(u, 0) + d
-                if not out[u]:
-                    del out[u]
-            else:
-                for v, c in red.items():
-                    val = out.get(v, 0) + d * c
-                    if val:
-                        out[v] = val
-                    else:
-                        del out[v]
+            addmul(out, d, {u: 1} if red is None else red)
         self._nf_cache[word] = out
         return out
 
@@ -117,12 +107,7 @@ class AssocModel:
         """The canonical representative of a polynomial's coset."""
         out = {}
         for word, c in poly.terms.items():
-            for n, d in self.normal_word(word).items():
-                v = out.get(n, 0) + c * d
-                if v:
-                    out[n] = v
-                else:
-                    del out[n]
+            addmul(out, c, self.normal_word(word))
         from .tensor import Poly
 
         return Poly(self.alphabet, out)

@@ -15,6 +15,8 @@ with all the remaining pairs commuting or anticommuting by parity.
 from fractions import Fraction
 from math import comb, factorial
 
+from .linalg import addmul
+
 
 class CWAlgebra:
     """The (r, t) Clifford-Weyl algebra: Weyl index r, Clifford index t."""
@@ -194,12 +196,7 @@ class CWElement:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            val = out.get(k, Fraction(0)) + v
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+        addmul(out, 1, other.terms)
         return CWElement(self.algebra, out)
 
     def __sub__(self, other):

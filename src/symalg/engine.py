@@ -40,7 +40,9 @@ integer arithmetic only; the kernel rows enter the echelon as they are,
 since only their direction matters.  Values become rational at the edges
 alone: `project`, `struct` and `export_struct` return dicts whose
 integral values are ints and whose other values are Fractions (see
-`rational`).
+`rational`).  The free-generator analysis (`SubalgebraGenerators`) stays
+integral: it reads the ad columns and `_bracket` and spans their
+numerators.
 """
 
 import os
@@ -48,7 +50,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .linalg import Echelon, extend
+from .linalg import Echelon
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -455,16 +457,6 @@ def rational(vec):
     return {k: x // d if x % d == 0 else Fraction(x, d) for k, x in v.items()}
 
 
-def _add_rational(out, a, coords):
-    """out += a * coords on rational coordinate dicts, dropping zeros."""
-    for k, c in coords.items():
-        v = out.get(k, 0) + a * c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-
-
 def _lie_parts(poly):
     """The parts of a tensor polynomial by word length, {n: {word: c}}.
 
@@ -587,96 +579,77 @@ def free_lie_dims(alphabet, max_w):
 class SubalgebraGenerators:
     """Free-generator analysis of a graded Lie ideal inside a LieModel.
 
-    The ideal K is described by seed subspaces per weight (quotient
-    coordinates) plus an optional weight from which K is everything.  Per
-    weight this computes dim K_w, dim [K,K]_w and a complement basis, i.e.
-    the graded generator space of K (free by the structure theorems, which
-    the dimension series confirms degree by degree).
+    The ideal K is described by seed subspaces per weight (integer rows
+    over quotient positions) plus an optional weight from which K is
+    everything.  Per weight this spans K_w by the seeds and the brackets
+    [g, K_{w-|g|}] read off the ad columns, and [K,K]_w by the brackets of
+    lower basis elements; the rows of K_w independent of [K,K]_w count the
+    graded generator space of K (free by the structure theorems, which the
+    dimension series confirms degree by degree).  Only spans matter, so
+    each vector enters as the numerators of an engine vector, its
+    denominator dropped, and each span is one Echelon filled a batch at a
+    time, sparsest first.
     """
 
     def __init__(self, model, seeds=None, full_from=None, max_weight=None):
         self.model = model
-        self.max_weight = max_weight or model.max_weight
+        self.max_weight = model.max_weight if max_weight is None else max_weight
         self.seeds = seeds or {}
         self.full_from = full_from
+        # weight -> basis of K_w, the rows of its echelon
         self.k_basis = {}
         self.gen_counts = {}
-        self.gen_reps = {}
         self._build()
 
     def _build(self):
         model = self.model
-        A = model.alphabet
         for w in sorted(model.reps):
             if w > self.max_weight:
                 break
-            dimw = model.dim(w)
-            kech = Echelon()
-            kvecs = []
-
-            def add(coords, kech=kech, kvecs=kvecs):
-                if extend(kech, coords):
-                    kvecs.append(coords)
-
             if self.full_from is not None and w >= self.full_from:
-                for j in range(dimw):
-                    add({j: 1})
+                rows = [{j: 1} for j in range(model.dim(w))]
             else:
-                for coords in self.seeds.get(w, ()):
-                    add(coords)
-                for g in A.generators:
+                rows = list(self.seeds.get(w, ()))
+                for g in model.alphabet.generators:
                     wl = w - g.weight
-                    gi = self._gen_rep_position(g, model)
-                    if gi is None:
-                        continue
-                    for coords in self.k_basis.get(wl, ()):
-                        add(self._bracket_coords(gi, wl, coords))
-            self.k_basis[w] = kvecs
-            # bracket span [K, K]_w and the generator complement
-            bech = Echelon()
-            for wu in sorted(self.k_basis):
+                    for u in self.k_basis.get(wl, ()):
+                        acc = [1, {}]
+                        for j, c in u.items():
+                            _add_scaled(acc, c, model.ad[(g.name, wl, j)])
+                        rows.append(acc[1])
+            basis = self.k_basis[w] = list(_span(rows).rows.values())
+            # the bracket span [K, K]_w, then the generator complement
+            pairs = []
+            for wu, us in self.k_basis.items():
                 wv = w - wu
-                if wv < wu or wv not in self.k_basis:
+                if wv < wu:
                     continue
-                for i, cu in enumerate(self.k_basis[wu]):
-                    vs = self.k_basis[wv]
-                    jstart = i if wu == wv else 0
-                    for cv in vs[jstart:]:
-                        extend(bech, _pair_bracket(model, wu, cu, wv, cv))
-            count = 0
-            reps = []
-            for coords in kvecs:
-                if extend(bech, coords):
-                    count += 1
-                    reps.append(coords)
-            self.gen_counts[w] = count
-            self.gen_reps[w] = reps
-
-    def _gen_rep_position(self, g, model):
-        # position of the generator among the weight-w representatives
-        for j, rep in enumerate(model.reps.get(g.weight, ())):
-            if rep.label == g.name:
-                return (g.weight, j)
-        return None
-
-    def _bracket_coords(self, gpos, wl, coords):
-        gw, gj = gpos
-        out = {}
-        for j, c in coords.items():
-            _add_rational(out, c, self.model.struct(gw, gj, wl, j))
-        return out
+                vs = self.k_basis.get(wv, ())
+                for i, u in enumerate(us):
+                    for v in vs[i if wu == wv else 0:]:
+                        pairs.append(_pair(model, wu, u, wv, v))
+            bech = _span(pairs)
+            self.gen_counts[w] = sum(bech.insert(u) is not None for u in basis)
 
     def counts(self):
         return dict(sorted(self.gen_counts.items()))
 
 
-def _pair_bracket(model, wu, cu, wv, cv):
-    """Quotient coordinates of [u, v] for coordinate vectors u, v."""
-    out = {}
-    for i, a in cu.items():
-        for j, b in cv.items():
-            _add_rational(out, a * b, model.struct(wu, i, wv, j))
-    return out
+def _span(rows):
+    """The echelon of integer rows, inserted sparsest first."""
+    ech = Echelon()
+    for row in sorted(rows, key=len):
+        ech.insert(row)
+    return ech
+
+
+def _pair(model, wu, u, wv, v):
+    """Numerators of [u, v] for integer rows u at weight wu and v at wv."""
+    acc = [1, {}]
+    for i, a in u.items():
+        for j, b in v.items():
+            _add_scaled(acc, a * b, model._bracket(wu, i, wv, j))
+    return acc[1]
 
 
 def tym_hat_generators(model, n, max_weight=None):
@@ -694,13 +667,10 @@ def tym_generators(model, max_weight=None):
 def k1s_generators(model, s, max_weight=None):
     """Generator analysis of the ideal generated by z3..zs and [z1,z2],
     together with everything of weight >= 9, inside the n = 1 quotient."""
-    z_positions = []
-    for j, rep in enumerate(model.reps.get(3, ())):
-        if rep.label in {f"z{a}" for a in range(3, s + 1)}:
-            z_positions.append(j)
-    seeds = {3: [{j: 1} for j in z_positions]}
-    coords = _pair_bracket(model, 3, rational(model.gen_coords["z1"]),
-                           3, rational(model.gen_coords["z2"]))
+    names = {f"z{a}" for a in range(3, s + 1)}
+    seeds = {3: [{j: 1} for j, rep in enumerate(model.reps.get(3, ()))
+                 if rep.label in names]}
+    coords = _pair(model, 3, model.gen_coords["z1"][1], 3, model.gen_coords["z2"][1])
     if coords:
         seeds[6] = [coords]
     return SubalgebraGenerators(model, seeds=seeds, full_from=9, max_weight=max_weight)

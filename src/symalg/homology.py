@@ -16,7 +16,7 @@ weight when the algebra is weight-graded).
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import rank
+from .linalg import addmul, rank
 
 
 def wedge_basis(g, k, weight_max=None):
@@ -116,12 +116,7 @@ def ce_check_d_squared(g, degree_max, weight_max=None):
         for wedge in wedge_basis(g, k, weight_max):
             acc = {}
             for mid, c in ce_differential(g, wedge).items():
-                for tgt, d in ce_differential(g, mid).items():
-                    val = acc.get(tgt, Fraction(0)) + c * d
-                    if val:
-                        acc[tgt] = val
-                    else:
-                        acc.pop(tgt, None)
+                addmul(acc, c, ce_differential(g, mid))
             if acc:
                 return False
     return True

@@ -21,6 +21,11 @@ map end as unit vectors).  The order is safe because the rank and the row
 space do not depend on it, and the reduced echelon form is unique; `rref`
 returns pivots and row keys in ascending order, so nothing a caller sees
 depends on the order either.
+
+`addmul` is the in-place sparse accumulate `out += a * vec` on rational
+dicts (int and Fraction values alike); it stores no zero value.  The
+elimination kernel keeps its own loop, `_axpy`, and the Lie engine's
+integer vectors over one denominator keep theirs, `engine._add_scaled`.
 """
 
 from fractions import Fraction
@@ -47,6 +52,17 @@ def intvec(fracvec):
         if v:
             out[k] = v
     return out, den
+
+
+def addmul(out, a, vec):
+    """out += a * vec in place, for dicts key -> number; an entry that
+    cancels is removed, so out never holds a zero value."""
+    for k, c in vec.items():
+        x = out.get(k, 0) + a * c
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
 
 
 def _axpy(a, v, b, r):

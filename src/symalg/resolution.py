@@ -21,9 +21,7 @@ per-weight Euler characteristic of the verified modules recovers the
 defining identity of the Hilbert series.
 """
 
-from fractions import Fraction
-
-from .linalg import rank
+from .linalg import addmul, rank
 from .presentation import build_relations
 
 
@@ -49,12 +47,7 @@ def _compose(cols_inner, outer_cols_by_key):
     for col in cols_inner:
         acc = {}
         for key, c in col.items():
-            for k2, d in outer_cols_by_key[key].items():
-                v = acc.get(k2, Fraction(0)) + c * d
-                if v:
-                    acc[k2] = v
-                else:
-                    acc.pop(k2, None)
+            addmul(acc, c, outer_cols_by_key[key])
         out.append(acc)
     return out
 

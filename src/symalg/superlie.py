@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Echelon, echelon, extend, inverse, kernel, rank
+from .linalg import Echelon, addmul, echelon, extend, inverse, kernel, rank
 from .presentation import rat, rat_str
 
 
@@ -69,14 +69,8 @@ class FinDimSuperLieAlgebra:
             if not a:
                 continue
             for j, b in v.items():
-                if not b:
-                    continue
-                for k, c in self.bracket(i, j).items():
-                    val = out.get(k, Fraction(0)) + a * b * c
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
+                if b:
+                    addmul(out, a * b, self.bracket(i, j))
         return out
 
     def even_indices(self):
@@ -104,14 +98,8 @@ class FinDimSuperLieAlgebra:
                     lhs = self.bracket_vec({i: Fraction(1)}, self.bracket(j, k))
                     rhs = self.bracket_vec(self.bracket(i, j), {k: Fraction(1)})
                     sign = -1 if (self.parities[i] and self.parities[j]) else 1
-                    for idx, c in self.bracket_vec(
-                        {j: Fraction(1)}, self.bracket(i, k)
-                    ).items():
-                        v = rhs.get(idx, Fraction(0)) + sign * c
-                        if v:
-                            rhs[idx] = v
-                        else:
-                            rhs.pop(idx, None)
+                    addmul(rhs, sign,
+                           self.bracket_vec({j: Fraction(1)}, self.bracket(i, k)))
                     if lhs != rhs:
                         raise SuperLieError(
                             f"Jacobi fails at ({self.names[i]},{self.names[j]},{self.names[k]})"
@@ -175,13 +163,7 @@ class FinDimSuperLieAlgebra:
                 b = self.bracket_vec(u, v)
                 coords = {}
                 for k, c in b.items():
-                    for t in range(self.dim):
-                        if minv[k][t]:
-                            val = coords.get(t, Fraction(0)) + c * minv[k][t]
-                            if val:
-                                coords[t] = val
-                            else:
-                                coords.pop(t, None)
+                    addmul(coords, c, dict(enumerate(minv[k])))
                 if coords:
                     brackets[(i, j)] = coords
         return FinDimSuperLieAlgebra(
@@ -446,12 +428,7 @@ def _restricted_radical(g, f, layer_vectors):
     for coeffs in kernel(rows, k):
         vec = {}
         for j, c in coeffs.items():
-            for i, x in layer_vectors[j].items():
-                val = vec.get(i, Fraction(0)) + c * x
-                if val:
-                    vec[i] = val
-                else:
-                    vec.pop(i, None)
+            addmul(vec, c, layer_vectors[j])
         # an even functional's form pairs even with even and odd with odd,
         # so both parity components of a radical vector are radical
         for par in (0, 1):

@@ -36,7 +36,7 @@ the two distinguished directions meet the stabilizer trivially.
 """
 
 from .engine import LieModel, rational
-from .linalg import Echelon, intvec, rank
+from .linalg import Echelon, addmul, intvec, rank
 from .presentation import (
     build_relations,
     free_gen_series_tym_hat,
@@ -211,12 +211,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     def theta_of_coords(w, coords):
         out = {}
         for j, c in coords.items():
-            for k, v in theta[(w, j)].items():
-                val = out.get(k, 0) + c * v
-                if val:
-                    out[k] = val
-                else:
-                    out.pop(k, None)
+            addmul(out, c, theta[(w, j)])
         return out
 
     weights = [w for w in sorted(model.reps) if w <= max_w]

@@ -16,6 +16,8 @@ parities p, q costs (-1)**(p*q).
 
 from fractions import Fraction
 
+from .linalg import addmul
+
 EVEN = 0
 ODD = 1
 
@@ -177,22 +179,12 @@ class Poly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for u, c in other.terms.items():
-            v = out.get(u, 0) + c
-            if v:
-                out[u] = v
-            else:
-                out.pop(u, None)
+        addmul(out, 1, other.terms)
         return Poly(self.alphabet, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
-        for u, c in other.terms.items():
-            v = out.get(u, 0) - c
-            if v:
-                out[u] = v
-            else:
-                out.pop(u, None)
+        addmul(out, -1, other.terms)
         return Poly(self.alphabet, out)
 
     def __neg__(self):

@@ -20,7 +20,15 @@ from symalg.engine import (
     tym_generators,
     tym_hat_generators,
 )
-from symalg.presentation import build_relations, preset, semidirect_relation
+from symalg.presentation import (
+    SymPresentation,
+    build_relations,
+    free_gen_series_k1s,
+    free_gen_series_tym,
+    free_gen_series_tym_hat,
+    preset,
+    semidirect_relation,
+)
 from symalg.refdata import (
     DEPENDENCY_IDENTITIES_31,
     EXPECTED_CUMULATIVE_31,
@@ -171,8 +179,9 @@ def test_k13_generator_series():
     p = preset(1, 3)
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=11)
-    got = k1s_generators(m, 3, max_weight=12).counts()
-    assert {w: c for w, c in got.items() if c} == {3: 1, 6: 3, 9: 2, 12: 2}
+    series = free_gen_series_k1s(3)
+    assert k1s_generators(m, 3, max_weight=12).counts() == {
+        w: series(w) for w in range(2, 13)}
 
 
 def test_k13_below_the_seed_weight():
@@ -413,6 +422,34 @@ def test_struct_matches_tensor_oracle(case):
     assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in values)
     if case == "31-G(1,2,-3)":
         assert any(type(c) is Fraction for c in values)
+
+
+def test_free_generators_general_coefficients():
+    # G = (1, 2, -3) gives brackets over denominators > 1, whose numerators
+    # the analysis spans; the counts still follow the closed-form series
+    p = _general_31()
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=11)
+    hat = tym_hat_generators(m, 3, max_weight=12).counts()
+    assert any(d > 1 for d, _ in m._struct.values())
+    series = free_gen_series_tym_hat(3, 1)
+    assert hat == {w: series(w) for w in range(2, 13)}
+    series = free_gen_series_tym(3, 1, order=12)
+    assert tym_generators(m, max_weight=12).counts() == {
+        w: series(w) for w in range(2, 13)}
+    # n = 1 with a non-diagonal G^1: the [K, K] rows combine brackets over
+    # different denominators
+    p = SymPresentation(1, 3, [[[1, 1, 0], [1, 2, 1], [0, 1, -3]]])
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=11)
+    series = free_gen_series_k1s(3)
+    assert k1s_generators(m, 3, max_weight=12).counts() == {
+        w: series(w) for w in range(2, 13)}
+
+
+def test_free_generators_max_weight_zero(model31):
+    # max_weight 0 asks for no weight at all, not for the model's range
+    assert tym_hat_generators(model31, 3, max_weight=0).counts() == {}
 
 
 def _random_tree(rng, A, w):

@@ -1,6 +1,6 @@
 """The exact linear-algebra kernel: properties of rank, rref, kernel and
-inverse on small rational matrices, and the presentation checks built on
-them."""
+inverse on small rational matrices, the sparse accumulate `addmul`, and the
+presentation checks built on them."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symalg.linalg import echelon, inverse, kernel, rank, rref
+from symalg.linalg import addmul, echelon, inverse, kernel, rank, rref
 from symalg.presentation import (
     PresentationError,
     SymPresentation,
@@ -163,6 +163,23 @@ def test_reduce_residual_and_scale(mat):
     diff = [s * x - v.get(j, 0) for j, x in enumerate(vec)]
     assert rank(rows + [diff]) == rank(rows)
     assert (v == {}) == (rank(rows + [vec]) == rank(rows))
+
+
+# sparse rational dicts over keys 0..5, ints and Fractions mixed; small
+# ints make cancellation frequent
+VALUES = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3), Fraction(3, 2)]))
+SPARSE = st.dictionaries(st.integers(0, 5), VALUES, max_size=6)
+
+
+@SEEDED
+@given(SPARSE.map(lambda d: {k: v for k, v in d.items() if v}), VALUES, SPARSE)
+def test_addmul_is_the_dense_sum_without_zeros(out, a, vec):
+    # out holds no zero to begin with; vec may hold zeros
+    want = [out.get(k, 0) + a * vec.get(k, 0) for k in range(6)]
+    addmul(out, a, vec)
+    assert [out.get(k, 0) for k in range(6)] == want
+    assert all(out.values())
 
 
 def test_singular_metric_rejected():
