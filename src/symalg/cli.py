@@ -52,7 +52,7 @@ from .presentation import (
     superpotential,
     susy_derivations,
 )
-from .resolution import verify_resolution
+from .resolution import check_resolvable, verify_resolution
 from .superlie import (
     FinDimSuperLieAlgebra,
     SuperLieError,
@@ -120,6 +120,8 @@ def _lie_model(args, p, cutoff):
 def cmd_hilbert(args):
     p = _load_presentation(args)
     degree = args.degree
+    if args.engine_depth < 1:
+        raise UsageError(f"--engine-depth must be >= 1; got {args.engine_depth}")
     report = {
         "command": "hilbert",
         "presentation_sha256": _hash(p),
@@ -198,6 +200,10 @@ def cmd_verify(args):
     if target == "omega":
         report["identity_holds"] = report["ok"] = omega_check(p)
     elif target == "resolution":
+        try:
+            check_resolvable(p)
+        except ValueError as exc:
+            raise UsageError(f"verify resolution: {exc}")
         r0, r1 = build_relations(p)
         model = AssocModel(p.alphabet, r0 + r1, max_weight=args.max_weight)
         out = verify_resolution(model, p, args.max_weight)
@@ -340,8 +346,12 @@ def cmd_dixmier(args):
 def cmd_freegens(args):
     p = _load_presentation(args)
     max_w = args.max
+    if max_w < 1:
+        raise UsageError(f"--max must be >= 1; got {max_w}")
     if args.ideal == "k1s" and (p.n != 1 or p.s < 3):
         raise UsageError("--ideal k1s requires an n = 1 presentation with s >= 3")
+    if args.ideal != "k1s" and p.n < 2:
+        raise UsageError(f"--ideal {args.ideal} requires a presentation with n >= 2")
     model = _lie_model(args, p, max(max_w - 1, 1))
     if args.ideal == "tym-hat":
         analysis = tym_hat_generators(model, p.n, max_weight=max_w)

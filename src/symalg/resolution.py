@@ -52,15 +52,21 @@ def _compose(cols_inner, outer_cols_by_key):
     return out
 
 
+def check_resolvable(presentation):
+    """Raise ValueError for (1,0) and (1,1), which have no length-three
+    resolution."""
+    if (presentation.n, presentation.s) in ((1, 0), (1, 1)):
+        raise ValueError(
+            "no length-three resolution for (1,0) or (1,1): the trivial "
+            "module has homology in every degree there"
+        )
+
+
 class SidedResolution:
     """Differentials of one side (left or right) against an AssocModel."""
 
     def __init__(self, model, presentation, side="left"):
-        if (presentation.n, presentation.s) in ((1, 0), (1, 1)):
-            raise ValueError(
-                "no length-three resolution for (1,0) or (1,1): the trivial "
-                "module has homology in every degree there"
-            )
+        check_resolvable(presentation)
         self.model = model
         self.p = presentation
         self.side = side

@@ -58,9 +58,9 @@ def plan_assignment(n, s, r, t):
     """
     if n < 3 or s < 1:
         raise SurjectionError("pipeline requires n >= 3 and s >= 1")
-    if not (r >= 1 or t >= 2):
+    if r < 0 or t < 0 or not (r >= 1 or t >= 2):
         raise SurjectionError(
-            "target out of range: need r >= 1, or r = 0 and t >= 2"
+            "target out of range: need r, t >= 0, and r >= 1 or t >= 2"
         )
     series = free_gen_series_tym_hat(n, s)
     tprime = t // 2
@@ -70,39 +70,28 @@ def plan_assignment(n, s, r, t):
     if t % 2:
         odd_names.append("c")
     slots = []
+
+    def fill(names, w):
+        # each name takes the next free generator slot of weight w, w + 2, ...
+        used = 0
+        for name in names:
+            while used >= series(w):
+                w, used = w + 2, 0
+            slots.append((w, name))
+            used += 1
+
     if r >= 1:
         pinned = {"p1": ("x1", "x3"), "q1": ("x2", "x3")}
         even_names = ["z"]
         for i in range(2, r + 1):
             even_names += [f"q{i}", f"p{i}"]
-        w, used = 6, 0
-        for name in even_names:
-            while used >= series(w):
-                w, used = w + 2, 0
-            slots.append((w, name))
-            used += 1
+        fill(even_names, 6)
         j = max([4] + [w for w, _ in slots])
-        w = j + 1 if (j + 1) % 2 else j + 2
-        used = 0
-        for name in odd_names:
-            while used >= series(w):
-                w, used = w + 2, 0
-            slots.append((w, name))
-            used += 1
+        fill(odd_names, j + 1 if (j + 1) % 2 else j + 2)
     else:
         pinned = {}
-        w, used = 5, 0
-        for name in odd_names:
-            while used >= series(w):
-                w, used = w + 2, 0
-            slots.append((w, name))
-            used += 1
-        w, used = 6, 0
-        for name in ["z"]:
-            while used >= series(w):
-                w, used = w + 2, 0
-            slots.append((w, name))
-            used += 1
+        fill(odd_names, 5)
+        fill(["z"], 6)
     d_prime = max(
         [wt for wt, _ in slots] + [4 if pinned else 0]
     )

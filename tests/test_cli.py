@@ -184,6 +184,13 @@ def test_table_format(capsys, tmp_path):
     (("hilbert",), "provide --preset n,s or --presentation"),
     (("freegens", "--ideal", "k1s", "--preset", "3,1"), "requires an n = 1"),
     (("freegens", "--ideal", "k1s", "--preset", "1,2"), "with s >= 3"),
+    (("freegens", "--preset", "1,3"), "--ideal tym-hat requires"),
+    (("freegens", "--ideal", "tym", "--preset", "1,3"), "with n >= 2"),
+    (("freegens", "--preset", "3,1", "--max", "0"), "--max must be >= 1"),
+    (("verify", "resolution", "--preset", "1,1"), "no length-three resolution"),
+    (("verify", "resolution", "--preset", "1,0"), "no length-three resolution"),
+    (("hilbert", "--preset", "3,1", "--check-engine", "--engine-depth", "-1"),
+     "--engine-depth must be >= 1"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     code = main(["--cache-dir", str(tmp_path / "cache"), *argv])
@@ -287,6 +294,8 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
      "cutoff 9 below the minimum 13"),
     (("--preset", "2,1"), "requires n >= 3"),
     (("--preset", "3,1", "--r", "0", "--t", "0"), "target out of range"),
+    (("--preset", "3,1", "--r", "-1", "--t", "3"), "target out of range"),
+    (("--preset", "3,1", "--r", "1", "--t", "-1"), "target out of range"),
     (("--presentation", "G1"), "assumes G^1 = id"),
 ])
 def test_dixmier_surject_bad_input_exits_2_before_build(
