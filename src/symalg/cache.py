@@ -18,7 +18,8 @@ ENV_VAR = "SYMALG_CACHE_DIR"
 
 # Version of the report layout; bump it when a report's content changes
 # without a package version change, so older entries are not served.
-REPORT_SCHEMA = 1
+# Version 2 dropped `seed` from the echoed config.
+REPORT_SCHEMA = 2
 
 
 def cache_dir(override=None):

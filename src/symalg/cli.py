@@ -61,7 +61,7 @@ from .superlie import (
     weight_of,
 )
 from .surjection import SurjectionError, build_cw_surjection, check_input
-from .tensor import Derivation, cyclic_derivative, lie_expand
+from .tensor import Derivation, bracket_word_name, cyclic_derivative, lie_expand
 from .refdata import (
     DEPENDENCY_IDENTITIES_31,
     EXPECTED_CUMULATIVE_31,
@@ -251,13 +251,13 @@ def cmd_verify(args):
             if not qzero and not all_in
             else "MISMATCH"
         )
-    elif target == "semidirect":
+    else:  # semidirect
         ok, witness = check_nondegenerate(p)
         report["nondegenerate"] = ok
         if ok:
             psi, psi_inv, d_action = semidirect_maps(p)
-            report["psi"] = {k: _tree_name(v) for k, v in psi.items()}
-            report["psi_inv"] = {k: _tree_name(v) for k, v in psi_inv.items()}
+            report["psi"] = {k: bracket_word_name(v) for k, v in psi.items()}
+            report["psi_inv"] = {k: bracket_word_name(v) for k, v in psi_inv.items()}
             # round trip on generators
             round_ok = all(
                 psi_inv[psi[name]] == name
@@ -273,15 +273,7 @@ def cmd_verify(args):
             report["ok"] = round_ok and report["relation_preserved"]
         else:
             report["ok"] = False
-    else:
-        raise SystemExit(f"unknown verify target {target}")
     return report
-
-
-def _tree_name(tree):
-    from .tensor import bracket_word_name
-
-    return bracket_word_name(tree) if not isinstance(tree, str) else tree
 
 
 def _companion_fallback(p):
@@ -327,7 +319,7 @@ def cmd_dixmier(args):
             except SuperLieError as exc:
                 report["error"] = str(exc)
                 report["ok"] = False
-    elif target == "surject":
+    else:  # surject
         p = _load_presentation(args)
         try:
             l = check_input(p, args.r, args.t, args.l)[3]
@@ -338,8 +330,6 @@ def cmd_dixmier(args):
         report["presentation_sha256"] = _hash(p)
         report.update(res.report())
         report["ok"] = res.ok
-    else:
-        raise SystemExit(f"unknown dixmier target {target}")
     return report
 
 
@@ -359,11 +349,9 @@ def cmd_freegens(args):
     elif args.ideal == "tym":
         analysis = tym_generators(model, max_weight=max_w)
         series = free_gen_series_tym(p.n, p.s, order=max_w)
-    elif args.ideal == "k1s":
+    else:  # k1s
         analysis = k1s_generators(model, p.s, max_weight=max_w)
         series = free_gen_series_k1s(p.s)
-    else:
-        raise SystemExit(f"unknown ideal {args.ideal}")
     counts = analysis.counts()
     expected = {w: int(series(w)) for w in counts}
     report = {
@@ -404,12 +392,6 @@ def main(argv=None):
     ap.add_argument("--format", choices=("json", "table"), default="json")
     ap.add_argument("--cache-dir", default=None)
     ap.add_argument("--no-cache", action="store_true")
-    ap.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="reserved; no computation is randomized",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_presentation(sp):

@@ -363,7 +363,7 @@ def test_report_cache_key_includes_code_version(monkeypatch, capsys, tmp_path, a
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
     assert json.loads(out2)["config"] == {
         "command": "hilbert", "preset": "2,0", "presentation": None,
-        "degree": 4, "check_engine": False, "engine_depth": 12, "seed": 0,
+        "degree": 4, "check_engine": False, "engine_depth": 12,
     }
 
 
