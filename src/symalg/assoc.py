@@ -74,7 +74,8 @@ class AssocModel:
         normal = [u for i, u in enumerate(cands) if i not in pivots]
         self.normal[w] = normal
         self._normal_index[w] = {u: i for i, u in enumerate(normal)}
-        candred = {}
+        # a normal word reduces to itself
+        candred = {u: {u: 1} for u in normal}
         for i, row in pivots.items():
             # row: pivot candidate i = -(tail over non-pivot candidates)
             candred[cands[i]] = {
@@ -97,9 +98,7 @@ class AssocModel:
         out = {}
         candred = self._candred[w]
         for n, d in rest.items():
-            u = (g,) + n
-            red = candred.get(u)
-            addmul(out, d, {u: 1} if red is None else red)
+            addmul(out, d, candred[(g,) + n])
         self._nf_cache[word] = out
         return out
 

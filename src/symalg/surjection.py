@@ -86,8 +86,8 @@ def plan_assignment(n, s, r, t):
         for i in range(2, r + 1):
             even_names += [f"q{i}", f"p{i}"]
         fill(even_names, 6)
-        j = max([4] + [w for w, _ in slots])
-        fill(odd_names, j + 1 if (j + 1) % 2 else j + 2)
+        # the odd slots start just above the last (even) weight used
+        fill(odd_names, slots[-1][0] + 1)
     else:
         pinned = {}
         fill(odd_names, 5)

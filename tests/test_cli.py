@@ -294,9 +294,9 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
      "cutoff 9 below the minimum 13"),
     (("--preset", "2,1"), "requires n >= 3"),
     (("--preset", "3,1", "--r", "0", "--t", "0"), "target out of range"),
+    (("--presentation", "G1"), "assumes G^1 = id"),
     (("--preset", "3,1", "--r", "-1", "--t", "3"), "target out of range"),
     (("--preset", "3,1", "--r", "1", "--t", "-1"), "target out of range"),
-    (("--presentation", "G1"), "assumes G^1 = id"),
 ])
 def test_dixmier_surject_bad_input_exits_2_before_build(
         monkeypatch, capsys, tmp_path, opts, message):
