@@ -9,9 +9,14 @@ rows span the whole weight-w component of the ideal).  A full reduced row
 echelon over the candidate columns, taken in ascending monomial order,
 marks pivot words; the pivot-free candidates are the normal words of
 weight w and every word reduces recursively through this data.
-"""
 
-from fractions import Fraction
+Normal forms follow the scalar convention of `linalg.ratio`: an integral
+value is an int, and only a non-integral value carries a denominator.
+`rref` returns the reduction table that way, so when the relations are
+integral and the pivots it divides by are units (as for the presets and
+for `G^1 = 1` with small integer `G^2, G^3`), every normal form, and every
+resolution column built from them, is an int dict.
+"""
 
 from .linalg import addmul, rref
 
@@ -29,7 +34,7 @@ class AssocModel:
         self.normal = {0: [()]}
         self._normal_index = {0: {(): 0}}
         self._candred = {}
-        self._nf_cache = {(): {(): Fraction(1)}}
+        self._nf_cache = {(): {(): 1}}
         for w in range(1, max_weight + 1):
             self._build_weight(w)
 

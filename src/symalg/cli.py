@@ -117,9 +117,15 @@ def _lie_model(args, p, cutoff):
     return load_or_build_model(p.alphabet, r0 + r1, cutoff, cdir, _hash(p))
 
 
+def _nonnegative(flag, value):
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0; got {value}")
+    return value
+
+
 def cmd_hilbert(args):
     p = _load_presentation(args)
-    degree = args.degree
+    degree = _nonnegative("--degree", args.degree)
     if args.engine_depth < 1:
         raise UsageError(f"--engine-depth must be >= 1; got {args.engine_depth}")
     report = {
@@ -149,7 +155,7 @@ def cmd_hilbert(args):
 
 def cmd_basis(args):
     p = _load_presentation(args)
-    l = args.l
+    l = _nonnegative("--l", args.l)
     model = _lie_model(args, p, l)
     report = {
         "command": "basis",
@@ -204,6 +210,7 @@ def cmd_verify(args):
             check_resolvable(p)
         except ValueError as exc:
             raise UsageError(f"verify resolution: {exc}")
+        _nonnegative("--max-weight", args.max_weight)
         r0, r1 = build_relations(p)
         model = AssocModel(p.alphabet, r0 + r1, max_weight=args.max_weight)
         out = verify_resolution(model, p, args.max_weight)

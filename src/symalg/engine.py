@@ -40,9 +40,9 @@ integer arithmetic only; the kernel rows enter the echelon as they are,
 since only their direction matters.  Values become rational at the edges
 alone: `project`, `struct` and `export_struct` return dicts whose
 integral values are ints and whose other values are Fractions (see
-`rational`).  The free-generator analysis (`SubalgebraGenerators`) stays
-integral: it reads the ad columns and `_bracket` and spans their
-numerators.
+`rational`, which applies `linalg.ratio`).  The free-generator analysis
+(`SubalgebraGenerators`) stays integral: it reads the ad columns and
+`_bracket` and spans their numerators.
 """
 
 import os
@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .linalg import Echelon
+from .linalg import Echelon, ratio
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -165,7 +165,7 @@ class LieModel:
                         wl = w - A.weights[word[0]]
                         d, v = self._theta(word[1:], memo)
                         symbols = (d, {(a1, wl, k): a for k, a in v.items()})
-                    q = c / n
+                    q = Fraction(c, n)
                     _add_scaled(acc, q.numerator, symbols, q.denominator)
             insert(acc)
         for g in A.generators:
@@ -318,7 +318,7 @@ class LieModel:
         memo = {}
         for n, terms in _lie_parts(poly).items():
             for word, c in terms.items():
-                q = c / n
+                q = Fraction(c, n)
                 _add_scaled(acc, q.numerator, self._theta(word, memo), q.denominator)
         return rational(_vector(acc))
 
@@ -454,7 +454,7 @@ def rational(vec):
     d, v = vec
     if d == 1:
         return v
-    return {k: x // d if x % d == 0 else Fraction(x, d) for k, x in v.items()}
+    return {k: ratio(x, d) for k, x in v.items()}
 
 
 def _lie_parts(poly):

@@ -13,7 +13,12 @@ columns of a completed echelon are the canonical coset representatives.
 
 Rational vectors (dicts, or dense rows given as sequences) enter through
 `extend`/`echelon`; `rank`, `rref`, `kernel` and `inverse` are built on
-them.  `echelon` inserts a batch sparsest first, by a stable sort on the
+them.  Their values follow one scalar convention: an integral value is an
+`int` and any other value a `Fraction`.  `ratio(x, d)` is that rule for a
+quotient of ints, and `rref`, so `kernel` and `inverse` too, returns its
+values through it; integral results never enter `fractions.py`.
+
+`echelon` inserts a batch sparsest first, by a stable sort on the
 nonzero count.  The cost of elimination is fill: a dense early row is
 added into every later row that meets its pivot, while sparse rows keep
 the echelon sparse (for the resolution ranks, the rows of a multiplication
@@ -41,8 +46,14 @@ def vec_gcd(values):
     return g
 
 
+def ratio(x, d):
+    """x / d for ints x and d != 0: an int when d divides x, else a
+    Fraction."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
 def intvec(fracvec):
-    """Clear denominators: dict col->Fraction to (dict col->int, scale)."""
+    """Clear denominators: dict col->rational to (dict col->int, scale)."""
     den = 1
     for c in fracvec.values():
         den = den * c.denominator // gcd(den, c.denominator)
@@ -182,14 +193,15 @@ def rank(vectors):
 
 def rref(vectors):
     """Reduced row echelon form: pivot column -> row with pivot entry 1 and
-    zeros at the other pivots, values Fraction, with pivots and the keys of
-    each row ascending.  Pivots sit on the smallest column, so the result,
+    zeros at the other pivots, with pivots and the keys of each row
+    ascending.  Integral values are ints and the others Fractions (see
+    `ratio`).  Pivots sit on the smallest column, so the result,
     key order included, depends only on the row space."""
     ech = echelon(vectors)
     ech.full_reduce()
     rows = ech.rows
     return {
-        p: {k: Fraction(x, rows[p][p]) for k, x in sorted(rows[p].items())}
+        p: {k: ratio(x, rows[p][p]) for k, x in sorted(rows[p].items())}
         for p in sorted(rows)
     }
 
@@ -201,7 +213,7 @@ def kernel(rows, ncols):
     out = []
     for f in range(ncols):
         if f not in red:
-            x = {f: Fraction(1)}
+            x = {f: 1}
             x.update((p, -r[f]) for p, r in red.items() if f in r)
             out.append(dict(sorted(x.items())))
     return out
@@ -213,4 +225,4 @@ def inverse(m):
     red = rref({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(m))
     if any(i not in red for i in range(n)):
         return None
-    return [[red[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[red[i].get(n + j, 0) for j in range(n)] for i in range(n)]

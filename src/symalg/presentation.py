@@ -23,13 +23,14 @@ cannot vanish over Q).
 import json
 from fractions import Fraction
 
-from .linalg import inverse, rank, rref
+from .linalg import inverse, rank, ratio, rref
 from .series import DensePolynomial, PowerSeries, dims_from_series
 from .tensor import (
     EVEN,
     ODD,
     Alphabet,
     Derivation,
+    Poly,
     lie_expand,
     super_commutator,
     sym_alphabet,
@@ -211,7 +212,8 @@ def preset(n, s):
 def build_relations(p):
     """The defining relations, fully expanded in the tensor algebra.
 
-    Returns ([r0_1..r0_n], [r1_1..r1_s]).
+    Returns ([r0_1..r0_n], [r1_1..r1_s]), integral coefficients as ints and
+    the others as Fractions (the scalar convention of `linalg.ratio`).
     """
     A = p.alphabet
     n, s = p.n, p.s
@@ -250,7 +252,12 @@ def build_relations(p):
                 if c:
                     acc = acc + super_commutator(x[i], z[b]).scale(c)
         r1.append(acc)
-    return r0, r1
+    return [_integral(r) for r in r0], [_integral(r) for r in r1]
+
+
+def _integral(poly):
+    return Poly(poly.alphabet, {
+        u: ratio(c.numerator, c.denominator) for u, c in poly.terms.items()})
 
 
 def check_nondegenerate(p):
@@ -390,7 +397,7 @@ def superpotential(p):
         for j in range(n):
             ej = p.metric_upper(j, j)
             br = super_commutator(x[i], x[j])
-            W = W - (br * br).scale(ei * ej / 4)
+            W = W - (br * br).scale(Fraction(ei * ej, 4))
     for i in range(n):
         for a in range(s):
             for b in range(s):

@@ -191,6 +191,10 @@ def test_table_format(capsys, tmp_path):
     (("verify", "resolution", "--preset", "1,0"), "no length-three resolution"),
     (("hilbert", "--preset", "3,1", "--check-engine", "--engine-depth", "-1"),
      "--engine-depth must be >= 1"),
+    (("verify", "resolution", "--preset", "3,1", "--max-weight", "-1"),
+     "--max-weight must be >= 0"),
+    (("hilbert", "--preset", "3,1", "--degree", "-1"), "--degree must be >= 0"),
+    (("basis", "--preset", "3,1", "--l", "-1"), "--l must be >= 0"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     code = main(["--cache-dir", str(tmp_path / "cache"), *argv])

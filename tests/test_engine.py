@@ -131,6 +131,23 @@ def test_project_and_membership(model31, p31):
     assert list(coords.values()) == [Fraction(1)]
 
 
+def test_project_int_and_fraction_coefficients_agree(model31, p31):
+    # an int coefficient is the same scalar as its Fraction: the length-n
+    # part is divided by n exactly, never by float division
+    A = p31.alphabet
+    x1, x2, z1 = (A.index(n) for n in ("x1", "x2", "z1"))
+    cases = [
+        {(x1, x2): 1, (x2, x1): -1},
+        {(x2, z1): 3, (z1, x2): -3},
+        # [x1, [x1, x2]] plus [z1, z1]: parts of length 3 and 2 at weight 6
+        {(x1, x1, x2): 1, (x1, x2, x1): -2, (x2, x1, x1): 1, (z1, z1): 2},
+    ]
+    for terms in cases:
+        want = model31.project(A.poly({u: Fraction(c) for u, c in terms.items()}))
+        assert want
+        assert model31.project(A.poly(terms)) == want
+
+
 def test_struct_antisymmetry(model31):
     # [b, b'] = -(-1)^(|b||b'|) [b', b] as quotient coordinates
     for (wu, iu, wv, iv) in [(2, 0, 2, 1), (2, 0, 3, 0), (3, 0, 3, 0), (2, 2, 4, 1)]:

@@ -1,6 +1,6 @@
 """The exact linear-algebra kernel: properties of rank, rref, kernel and
-inverse on small rational matrices, the sparse accumulate `addmul`, and the
-presentation checks built on them."""
+inverse on small rational matrices (their scalar convention included), the
+sparse accumulate `addmul`, and the presentation checks built on them."""
 
 import random
 from fractions import Fraction
@@ -93,6 +93,21 @@ def test_inverse(mat):
     else:
         identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         assert matmul(inv, rows) == identity
+
+
+def conventional(v):
+    """An integral value is an int, any other value a Fraction."""
+    return type(v) is (int if v.denominator == 1 else Fraction)
+
+
+@SEEDED
+@given(matrices(square=True))
+def test_values_are_ints_exactly_when_integral(mat):
+    rows, ncols = mat
+    values = [v for r in rref(rows).values() for v in r.values()]
+    values += [v for x in kernel(rows, ncols) for v in x.values()]
+    values += [v for row in inverse(rows) or () for v in row]
+    assert values and all(conventional(v) for v in values)
 
 
 @st.composite
