@@ -32,6 +32,8 @@ COMMANDS = {
     "hilbert-31-d12-engine": ["hilbert", "--preset", "3,1", "--degree", "12",
                               "--check-engine"],
     "semidirect-31": ["verify", "semidirect", "--preset", "3,1"],
+    "verify-resolution-31-w12": ["verify", "resolution", "--preset", "3,1",
+                                 "--max-weight", "12"],
 }
 
 
