@@ -5,24 +5,29 @@ the left resolution
 
     0 -> Y[-8] --b3--> Y (x) R --b2--> Y (x) V --b1--> Y --> k -> 0
 
-has differentials (y in the Y factor, r0_i and r1_a the relations of
-`build_relations`, metric included)
+has differentials (y in the Y factor, v_k the generator letters x1..xn,
+z1..zs and r_k the relations r0 + r1 of `build_relations`, metric
+included; relation k has weight 8 - |v_k|)
 
-    b3(y)       = sum_i y xi (x) r0_i + sum_a y za (x) r1_a
+    b3(y)       = sum_k y v_k (x) r_k
     b2(y (x) r) = sum_uv c_uv y u (x) v   for r = sum_uv c_uv u v, v a letter
     b1(y (x) v) = y v
 
 and a mirror resolution of right modules with the Y factor on the right
 (b2 splits off the first letter), mapped through left multiplications
-(with a relative sign between the even and odd rows of the top
-differential).  Verification at a weight consists of the complex property,
-injectivity of the top map, and rank-exactness at every spot; the
-per-weight Euler characteristic of the verified modules recovers the
-defining identity of the Hilbert series.
+(with sign -1 on the odd rows of the top differential).  At weight w the
+modules are laid out as one block table per side: P1 is the blocks
+Y_{w-|v_k|}, P2 the blocks Y_{w-8+|v_k|}, each in letter order, and every
+column is a dict over the flat positions of its target.  Verification at a
+weight consists of the complex property, injectivity of the top map, and
+rank-exactness at every spot; the per-weight Euler characteristic of the
+verified modules recovers the defining identity of the Hilbert series.
 """
 
 from .linalg import addmul, rank
 from .presentation import build_relations
+
+TOP = 8  # weight of the top module Y[-8]: |v_k| + |r_k| for every k
 
 
 class ResolutionReport:
@@ -41,13 +46,14 @@ class ResolutionReport:
         return f"ResolutionReport(weight={self.weight}, ok={self.ok})"
 
 
-def _compose(cols_inner, outer_cols_by_key):
-    """Columns of outer o inner, where inner columns map to keyed targets."""
+def _compose(cols_inner, outer_cols):
+    """Columns of outer o inner, where inner columns are valued over the
+    keys of outer_cols."""
     out = []
     for col in cols_inner:
         acc = {}
         for key, c in col.items():
-            addmul(acc, c, outer_cols_by_key[key])
+            addmul(acc, c, outer_cols[key])
         out.append(acc)
     return out
 
@@ -63,124 +69,91 @@ def check_resolvable(presentation):
 
 
 class SidedResolution:
-    """Differentials of one side (left or right) against an AssocModel."""
+    """Differentials of one side (left or right) against an AssocModel.
+
+    Block k of P1 is Y_{w-|v_k|} (y (x) v_k), block k of P2 is
+    Y_{w-8+|v_k|} (y (x) r_k), and b3 pairs letter k with relation k.
+    `_blocks` lays a side's blocks end to end, so a column's key is its
+    flat source position and its values sit on flat target positions;
+    b2 composes with b1, and b3 with b2, key for key.
+    """
 
     def __init__(self, model, presentation, side="left"):
         check_resolvable(presentation)
         self.model = model
-        self.p = presentation
         self.side = side
-        self.A = model.alphabet
-        self.r0, self.r1 = build_relations(presentation)
+        self.weights = model.alphabet.weights
+        self.parities = model.alphabet.parities
+        r0, r1 = build_relations(presentation)
+        self.relations = r0 + r1
 
-    def _mult(self, y, word):
-        """nf(y * word) or nf(word * y) depending on side, as coord dict."""
-        if self.side == "left":
-            full = y + word
-        else:
-            full = word + y
-        w = self.A.word_weight(full)
+    def _mult(self, y, word, w, start=0):
+        """nf(y * word) (left) or nf(word * y) (right), of weight w, as a
+        dict over positions start + i of Y_w."""
+        full = y + word if self.side == "left" else word + y
         idx = self.model._normal_index[w]
-        return {idx[u]: c for u, c in self.model.normal_word(full).items()}
+        return {start + idx[u]: c for u, c in self.model.normal_word(full).items()}
+
+    def _blocks(self, weights):
+        """(weight, start) of blocks Y_weight laid end to end."""
+        out, start = [], 0
+        for wy in weights:
+            out.append((wy, start))
+            start += self.model.dim(wy)
+        return out
+
+    def _p1(self, w):
+        return self._blocks(w - v for v in self.weights)
+
+    def _p2(self, w):
+        return self._blocks(w - TOP + v for v in self.weights)
 
     def degrees(self, w):
         """Component dimensions (P0, P1, P2, P3) at weight w."""
-        n, s = self.p.n, self.p.s
         d = self.model.dim
-        p1 = n * d(w - 2) + s * d(w - 3)
-        p2 = n * d(w - 6) + s * d(w - 5)
-        return (d(w), p1, p2, d(w - 8))
-
-    def _p1_offsets(self, w):
-        n, s = self.p.n, self.p.s
-        offs = {}
-        pos = 0
-        for i in range(n):
-            offs[("x", i)] = pos
-            pos += self.model.dim(w - 2)
-        for a in range(s):
-            offs[("z", a)] = pos
-            pos += self.model.dim(w - 3)
-        return offs
-
-    def _p2_offsets(self, w):
-        n, s = self.p.n, self.p.s
-        offs = {}
-        pos = 0
-        for i in range(n):
-            offs[("r0", i)] = pos
-            pos += self.model.dim(w - 6)
-        for a in range(s):
-            offs[("r1", a)] = pos
-            pos += self.model.dim(w - 5)
-        return offs
-
-    def _gen_word(self, kind, idx):
-        if kind == "x":
-            return (self.A.index(f"x{idx+1}"),)
-        return (self.A.index(f"z{idx+1}"),)
+        p1 = sum(d(w - v) for v in self.weights)
+        p2 = sum(d(w - TOP + v) for v in self.weights)
+        return (d(w), p1, p2, d(w - TOP))
 
     def b1_columns(self, w):
-        """Columns keyed by (block, y-position), valued over Y_w coords."""
+        """Columns keyed by flat P1 position, valued over Y_w coords."""
         cols = {}
-        n, s = self.p.n, self.p.s
-        for i in range(n):
-            word = self._gen_word("x", i)
-            for pos, y in enumerate(self.model.normal.get(w - 2, ())):
-                cols[(("x", i), pos)] = self._mult(y, word)
-        for a in range(s):
-            word = self._gen_word("z", a)
-            for pos, y in enumerate(self.model.normal.get(w - 3, ())):
-                cols[(("z", a), pos)] = self._mult(y, word)
+        for k, (wy, start) in enumerate(self._p1(w)):
+            for pos, y in enumerate(self.model.normal.get(wy, ())):
+                cols[start + pos] = self._mult(y, (k,), w)
         return cols
 
     def b2_columns(self, w):
-        """Columns keyed by (block, y-position), valued over flat P1 coords.
+        """Columns keyed by flat P2 position, valued over flat P1 coords.
 
         Each relation word is split into a letter (last on the left side,
-        first on the right) and the rest, which multiplies y."""
-        offs = self._p1_offsets(w)
-        blocks = {}
-        for kind, count in (("x", self.p.n), ("z", self.p.s)):
-            for i in range(count):
-                blocks[self._gen_word(kind, i)[0]] = offs[(kind, i)]
+        first on the right) and the rest, which multiplies y into the
+        letter's P1 block."""
+        p1 = self._p1(w)
         cols = {}
-        for kind, rels, wt in (("r0", self.r0, 6), ("r1", self.r1, 5)):
-            for i, rel in enumerate(rels):
-                for pos, y in enumerate(self.model.normal.get(w - wt, ())):
-                    acc = {}
-                    for word, c in rel.terms.items():
-                        if self.side == "left":
-                            letter, rest = word[-1], word[:-1]
-                        else:
-                            letter, rest = word[0], word[1:]
-                        base = blocks[letter]
-                        for k, d in self._mult(y, rest).items():
-                            key = base + k
-                            v = acc.get(key, 0) + c * d
-                            if v:
-                                acc[key] = v
-                            else:
-                                acc.pop(key, None)
-                    cols[((kind, i), pos)] = acc
+        for rel, (wy, start) in zip(self.relations, self._p2(w)):
+            for pos, y in enumerate(self.model.normal.get(wy, ())):
+                acc = {}
+                for word, c in rel.terms.items():
+                    if self.side == "left":
+                        letter, rest = word[-1], word[:-1]
+                    else:
+                        letter, rest = word[0], word[1:]
+                    wl, base = p1[letter]
+                    addmul(acc, c, self._mult(y, rest, wl, base))
+                cols[start + pos] = acc
         return cols
 
     def b3_columns(self, w):
-        """Columns keyed by y-position, valued over flat P2 coords."""
-        n, s = self.p.n, self.p.s
-        offs = self._p2_offsets(w)
-        cols = {}
+        """Columns keyed by Y_{w-8} position, valued over flat P2 coords."""
+        p2 = self._p2(w)
         odd_sign = 1 if self.side == "left" else -1
-        for pos, y in enumerate(self.model.normal.get(w - 8, ())):
+        cols = {}
+        for pos, y in enumerate(self.model.normal.get(w - TOP, ())):
             acc = {}
-            for i in range(n):
-                base = offs[("r0", i)]
-                for k, c in self._mult(y, self._gen_word("x", i)).items():
-                    acc[base + k] = c
-            for a in range(s):
-                base = offs[("r1", a)]
-                for k, c in self._mult(y, self._gen_word("z", a)).items():
-                    acc[base + k] = c * odd_sign
+            for k, (wk, start) in enumerate(p2):
+                sign = odd_sign if self.parities[k] else 1
+                addmul(acc, sign, self._mult(y, (k,), wk, start))
             cols[pos] = acc
         return cols
 
@@ -190,19 +163,8 @@ class SidedResolution:
         b1 = self.b1_columns(w)
         b2 = self.b2_columns(w)
         b3 = self.b3_columns(w)
-        # complex property
-        offs1 = self._p1_offsets(w)
-        flat_b1 = {}
-        for (block, pos), col in b1.items():
-            flat_b1[offs1[block] + pos] = col
-        comp12 = _compose(list(b2.values()), flat_b1)
-        rep.record("b1b2_zero", all(not c for c in comp12))
-        offs2 = self._p2_offsets(w)
-        flat_b2 = {}
-        for (block, pos), col in b2.items():
-            flat_b2[offs2[block] + pos] = col
-        comp23 = _compose(list(b3.values()), flat_b2)
-        rep.record("b2b3_zero", all(not c for c in comp23))
+        rep.record("b1b2_zero", not any(_compose(b2.values(), b1)))
+        rep.record("b2b3_zero", not any(_compose(b3.values(), b2)))
         r1 = rank(b1.values())
         r2 = rank(b2.values())
         r3 = rank(b3.values())
@@ -210,16 +172,14 @@ class SidedResolution:
         rep.record("exact_at_p2", r2 + r3 == d2)
         rep.record("exact_at_p1", r1 + r2 == d1)
         rep.record("exact_at_p0", r1 == d0 - (1 if w == 0 else 0))
-        rep.record(
-            "euler", d0 - d1 + d2 - d3 == (1 if w == 0 else 0)
-        )
+        rep.record("euler", d0 - d1 + d2 - d3 == (1 if w == 0 else 0))
         return rep
 
 
-def verify_resolution(model, presentation, max_weight, sides=("left", "right")):
+def verify_resolution(model, presentation, max_weight):
     """Run all per-weight checks; returns {side: [ResolutionReport]}."""
     out = {}
-    for side in sides:
+    for side in ("left", "right"):
         res = SidedResolution(model, presentation, side)
-        out[side] = [res.verify_weight(w) for w in range(0, max_weight + 1)]
+        out[side] = [res.verify_weight(w) for w in range(max_weight + 1)]
     return out

@@ -138,3 +138,29 @@ def test_random_integer_presentations(p):
     ser = hilbert_series_YM(p, order=10)
     assert [model.dim(w) for w in range(11)] == [ser[w] for w in range(11)]
     _all_green(verify_resolution(model, p, 10))
+
+
+def _block_table_sizes(model, p):
+    # column keys are the flat source positions and every value sits on a
+    # flat target position, on both sides: len(b_k) = dim P_k and every
+    # key lies below dim P_{k-1}
+    for side in ("left", "right"):
+        res = SidedResolution(model, p, side)
+        for w in range(13):
+            dims = res.degrees(w)
+            for k, cols in enumerate(
+                    (res.b1_columns(w), res.b2_columns(w), res.b3_columns(w)), 1):
+                assert sorted(cols) == list(range(dims[k])), (side, w, k)
+                assert all(key < dims[k - 1] for col in cols.values()
+                           for key in col), (side, w, k)
+
+
+def test_block_tables_31_22(assoc31, p31, assoc22, p22):
+    _block_table_sizes(assoc31, p31)
+    _block_table_sizes(assoc22, p22)
+
+
+def test_block_tables_minkowski32(minkowski32):
+    r0, r1 = build_relations(minkowski32)
+    _block_table_sizes(AssocModel(minkowski32.alphabet, r0 + r1, max_weight=12),
+                       minkowski32)
