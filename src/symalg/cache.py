@@ -18,8 +18,9 @@ ENV_VAR = "SYMALG_CACHE_DIR"
 
 # Version of the report layout; bump it when a report's content changes
 # without a package version change, so older entries are not served.
-# Version 2 dropped `seed` from the echoed config.
-REPORT_SCHEMA = 2
+# Version 2 dropped `seed` from the echoed config; version 3 dropped the
+# flags a verify or dixmier target does not read.
+REPORT_SCHEMA = 3
 
 
 def cache_dir(override=None):

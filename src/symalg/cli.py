@@ -418,21 +418,29 @@ def main(argv=None):
     sp.add_argument("--check-reference-basis", action="store_true")
     sp.set_defaults(func=cmd_basis)
 
+    # verify and dixmier take one subparser per target, each with only the
+    # flags that target reads
     sp = sub.add_parser("verify")
-    sp.add_argument("target", choices=("resolution", "omega", "susy", "semidirect"))
+    sp.set_defaults(func=cmd_verify)
+    targets = sp.add_subparsers(dest="target", required=True)
+    sp = targets.add_parser("resolution")
     add_presentation(sp)
     sp.add_argument("--max-weight", type=int, default=10)
-    sp.set_defaults(func=cmd_verify)
+    for name in ("omega", "susy", "semidirect"):
+        add_presentation(targets.add_parser(name))
 
     sp = sub.add_parser("dixmier")
-    sp.add_argument("target", choices=("weight", "polarization", "surject"))
+    sp.set_defaults(func=cmd_dixmier)
+    targets = sp.add_subparsers(dest="target", required=True)
+    for name in ("weight", "polarization"):
+        sp = targets.add_parser(name)
+        sp.add_argument("--algebra", default=None)
+        sp.add_argument("--functional", default=None)
+    sp = targets.add_parser("surject")
     add_presentation(sp)
-    sp.add_argument("--algebra", default=None)
-    sp.add_argument("--functional", default=None)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--t", type=int, default=1)
     sp.add_argument("--l", type=int, default=None)
-    sp.set_defaults(func=cmd_dixmier)
 
     sp = sub.add_parser("freegens")
     add_presentation(sp)

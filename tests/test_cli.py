@@ -205,6 +205,26 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
+# every flag a target does not read; each was accepted and ignored when
+# verify and dixmier shared one flag set across their targets
+IGNORED_FLAGS = (
+    [(("verify", t), "--max-weight", "5") for t in ("omega", "susy", "semidirect")]
+    + [(("dixmier", t), flag, value) for t in ("weight", "polarization")
+       for flag, value in (("--preset", "3,1"), ("--presentation", "p.json"),
+                           ("--r", "1"), ("--t", "1"), ("--l", "13"))]
+    + [(("dixmier", "surject"), flag, "missing.json")
+       for flag in ("--algebra", "--functional")]
+)
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
+def test_flags_a_target_does_not_read_exit_2(capsys, tmp_path, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(tmp_path / "cache"), *command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"n": 3, "gamma": [[["1"]], [["0"]], [["0"]]]}', "lacks 's'"),
     ('{"n": 1, "s": 1, "gamma": [[["x"]]]}', "malformed presentation JSON"),
