@@ -49,6 +49,7 @@ from .presentation import (
     rat_str,
     semidirect_maps,
     semidirect_relation,
+    series_valid,
     superpotential,
     susy_derivations,
 )
@@ -136,7 +137,7 @@ def cmd_hilbert(args):
         "degree": degree,
         "ok": True,
     }
-    report["series_valid"] = (p.n, p.s) not in ((1, 0), (1, 1))
+    report["series_valid"] = series_valid(p.n, p.s)
     if degree > 0:
         ser = hilbert_series_YM(p.n, p.s, order=degree)
         report["enveloping_series"] = [str(int(ser[d])) for d in range(degree + 1)]

@@ -484,6 +484,13 @@ def ym_denominator(n, s):
     return DensePolynomial([1, 0, -n, -s, 0, s, n, 0, -1])
 
 
+def series_valid(n, s):
+    """Whether the trivial module has the length-three resolution, so that
+    the closed-form Hilbert series holds: not for n = 0, where the
+    relations vanish and the algebra is free, nor for (1,0) and (1,1)."""
+    return n >= 1 and (n, s) not in ((1, 0), (1, 1))
+
+
 def hilbert_series_YM(p_or_n, s=None, order=20):
     """Hilbert series of the enveloping algebra, as a truncated series."""
     n = p_or_n.n if isinstance(p_or_n, SymPresentation) else p_or_n

@@ -25,7 +25,7 @@ verified modules recovers the defining identity of the Hilbert series.
 """
 
 from .linalg import addmul, rank
-from .presentation import build_relations
+from .presentation import build_relations, series_valid
 
 TOP = 8  # weight of the top module Y[-8]: |v_k| + |r_k| for every k
 
@@ -59,12 +59,13 @@ def _compose(cols_inner, outer_cols):
 
 
 def check_resolvable(presentation):
-    """Raise ValueError for (1,0) and (1,1), which have no length-three
-    resolution."""
-    if (presentation.n, presentation.s) in ((1, 0), (1, 1)):
+    """Raise ValueError where `series_valid` fails: n = 0, (1,0) and (1,1)
+    have no length-three resolution."""
+    n, s = presentation.n, presentation.s
+    if not series_valid(n, s):
         raise ValueError(
-            "no length-three resolution for (1,0) or (1,1): the trivial "
-            "module has homology in every degree there"
+            f"no length-three resolution for ({n},{s}): it needs n >= 1 "
+            "and (n,s) other than (1,0) and (1,1)"
         )
 
 

@@ -29,6 +29,16 @@ def test_hilbert_degree_zero(capsys, tmp_path):
     assert "lie_dims" not in doc
 
 
+@pytest.mark.parametrize("preset", ["0,1", "0,2"])
+def test_hilbert_free_algebra_is_outside_the_series(capsys, tmp_path, preset):
+    # with n = 0 the relations vanish and the algebra is free, so the
+    # closed form gives no Lie dimensions
+    code, out = run_cli(capsys, tmp_path, "hilbert", "--preset", preset, "--degree", "6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["series_valid"] is False and "lie_dims" not in doc
+
+
 def test_hilbert_check_engine(capsys, tmp_path):
     code, out = run_cli(
         capsys, tmp_path, "hilbert", "--preset", "3,1", "--degree", "8",
@@ -195,6 +205,7 @@ def test_table_format(capsys, tmp_path):
      "--max-weight must be >= 0"),
     (("hilbert", "--preset", "3,1", "--degree", "-1"), "--degree must be >= 0"),
     (("basis", "--preset", "3,1", "--l", "-1"), "--l must be >= 0"),
+    (("verify", "resolution", "--preset", "0,1"), "no length-three resolution"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     code = main(["--cache-dir", str(tmp_path / "cache"), *argv])
