@@ -129,7 +129,8 @@ class LieModel:
         self._struct = {}
         self._struct_q = {}
         self._free_dims = free_lie_dims(alphabet, self.max_weight)
-        min_w = min(g.weight for g in alphabet.generators)
+        # an empty alphabet is the zero algebra: no weight is built
+        min_w = min(alphabet.weights, default=self.max_weight + 1)
         for w in range(min_w, self.max_weight + 1):
             self._step(w, rel_by_weight.get(w, ()))
 

@@ -91,6 +91,14 @@ def test_verify_semidirect(capsys, tmp_path):
     assert doc["relation_preserved"] is True
 
 
+def test_verify_semidirect_empty_relation_algebra(capsys, tmp_path):
+    # the semidirect model of (1,0) has no generators: the zero Lie algebra
+    code, out = run_cli(capsys, tmp_path, "verify", "semidirect", "--preset", "1,0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["relation_preserved"] is True
+
+
 def test_dixmier_weight_files(capsys, tmp_path):
     g = heis(1, 1)
     save_algebra(g, tmp_path / "heis.json")

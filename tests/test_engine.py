@@ -254,6 +254,13 @@ def test_engine_rejects_parity_weight_mismatch():
         LieModel(A, [], cutoff=3)
 
 
+def test_empty_alphabet_is_the_zero_algebra():
+    model = LieModel(Alphabet([]), [], cutoff=5)
+    assert model.weights() == [] and model.total_dim() == 0
+    assert all(model.dim(w) == 0 for w in range(7))
+    assert model.project(Alphabet([]).zero()) == {}
+
+
 def test_model_pickle_cache_roundtrip(tmp_path):
     from symalg.engine import load_or_build_model
 
