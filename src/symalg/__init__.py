@@ -10,7 +10,7 @@ truncations.  All arithmetic is exact rational.
 """
 
 from .assoc import AssocModel
-from .cliffordweyl import CWAlgebra, CWElement, cw_multiply
+from .cliffordweyl import CWAlgebra, CWElement
 from .engine import (
     LieModel,
     SubalgebraGenerators,
@@ -58,7 +58,6 @@ from .superlie import (
     KirillovForm,
     even_functional,
     heis,
-    kirillov_form,
     stabilizer_subspace,
     subordinate_check,
     vergne_polarization,

@@ -259,7 +259,3 @@ class CWElement:
         return " + ".join(
             f"{c}*{self.mono_name(m)}" for m, c in sorted(self.terms.items())
         ).replace("+ -", "- ")
-
-
-def cw_multiply(u, v):
-    return u * v

@@ -222,21 +222,17 @@ def build_relations(p):
     r0 = []
     for i in range(n):
         acc = A.zero()
-        if p.is_orthonormal():
-            for j in range(n):
-                acc = acc + super_commutator(x[j], super_commutator(x[j], x[i]))
-        else:
-            for j in range(n):
-                for l in range(n):
-                    gjl = p.metric_upper(j, l)
-                    if not gjl:
-                        continue
-                    for m in range(n):
-                        gim = p.metric_upper(i, m)
-                        if gim:
-                            acc = acc + super_commutator(
-                                x[j], super_commutator(x[l], x[m])
-                            ).scale(gjl * gim)
+        for j in range(n):
+            for l in range(n):
+                gjl = p.metric_upper(j, l)
+                if not gjl:
+                    continue
+                for m in range(n):
+                    gim = p.metric_upper(i, m)
+                    if gim:
+                        acc = acc + super_commutator(
+                            x[j], super_commutator(x[l], x[m])
+                        ).scale(gjl * gim)
         for a in range(s):
             for b in range(s):
                 c = p.gamma[i][a][b]

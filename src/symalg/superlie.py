@@ -251,17 +251,13 @@ class KirillovForm:
     """B_f(x, y) = f([x, y]): antisymmetric even block, symmetric odd block."""
 
     def __init__(self, g, f):
-        self.g = g
-        self.f = dict(f)
         ev = g.even_indices()
         od = g.odd_indices()
-        self.even_indices = ev
-        self.odd_indices = od
         self.even_block = [
-            [apply_functional(self.f, g.bracket(i, j)) for j in ev] for i in ev
+            [apply_functional(f, g.bracket(i, j)) for j in ev] for i in ev
         ]
         self.odd_block = [
-            [apply_functional(self.f, g.bracket(i, j)) for j in od] for i in od
+            [apply_functional(f, g.bracket(i, j)) for j in od] for i in od
         ]
 
     def even_rank(self):
@@ -269,31 +265,6 @@ class KirillovForm:
 
     def odd_rank(self):
         return rank(self.odd_block)
-
-    def radical(self):
-        """Basis of g^f = {x : f([x, g]) = 0}, split (even list, odd list)."""
-        g = self.g
-        ev, od = self.even_indices, self.odd_indices
-        even_rad = [
-            {ev[i]: v for i, v in vec.items()}
-            for vec in kernel(_transpose(self.even_block), len(ev))
-        ]
-        odd_rad = [
-            {od[i]: v for i, v in vec.items()}
-            for vec in kernel(_transpose(self.odd_block), len(od))
-        ]
-        return even_rad, odd_rad
-
-
-def _transpose(m):
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
-
-
-def kirillov_form(g, f):
-    return KirillovForm(g, f)
-
 
 def weight_of(g, f):
     """Weight of the primitive quotient attached to an even functional:

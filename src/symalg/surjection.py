@@ -42,7 +42,6 @@ from .presentation import (
     free_gen_series_tym_hat,
 )
 from .superlie import IdealWeight, heis
-from .tensor import super_commutator
 
 
 class SurjectionError(ValueError):
@@ -183,10 +182,8 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     for w, name in slots:
         slot_needs.setdefault(w, []).append(name)
     pinned_vecs = {}
-    A = model.alphabet
     for name, tree in pinned.items():
-        poly = super_commutator(A.gen(tree[0]), A.gen(tree[1]))
-        coords = model.project(poly)
+        coords = model.struct(2, pos2[tree[0]], 2, pos2[tree[1]])
         if not coords:
             raise SurjectionError(f"pinned class {tree} vanishes in the quotient")
         pinned_vecs.setdefault(4, []).append((name, coords))

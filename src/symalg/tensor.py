@@ -21,9 +21,6 @@ from .linalg import addmul
 EVEN = 0
 ODD = 1
 
-Rat = Fraction
-
-
 class Generator:
     __slots__ = ("index", "name", "parity", "weight")
 

@@ -10,10 +10,10 @@ from symalg.presentation import build_relations, preset
 from symalg.superlie import (
     FieldExtensionRequired,
     FinDimSuperLieAlgebra,
+    KirillovForm,
     SuperLieError,
     even_functional,
     heis,
-    kirillov_form,
     stabilizer_subspace,
     subordinate_check,
     vergne_polarization,
@@ -47,9 +47,9 @@ def test_validate_rejects_bad_jacobi():
 def test_kirillov_form_blocks():
     g = heis(1, 1)
     f = even_functional(g, {"z": 1})
-    form = kirillov_form(g, f)
+    form = KirillovForm(g, f)
     assert form.even_rank() == 2 and form.odd_rank() == 1
-    zero = kirillov_form(g, {})
+    zero = KirillovForm(g, {})
     assert zero.even_rank() == 0 and zero.odd_rank() == 0
 
 
@@ -57,7 +57,7 @@ def test_kirillov_form_ym12():
     g = FinDimSuperLieAlgebra.from_model(ymodel(1, 2, 5))
     # charge the direction of [z1,z1]
     f = even_functional(g, {"[z1,z1]": 1})
-    assert kirillov_form(g, f).odd_rank() == 2
+    assert KirillovForm(g, f).odd_rank() == 2
 
 
 def test_weight_of_heis_family():
