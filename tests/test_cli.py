@@ -224,8 +224,9 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
-# every flag a target does not read; each was accepted and ignored when
-# verify and dixmier shared one flag set across their targets
+# every flag that a verify or dixmier target does not read: argparse
+# rejects it, so an ignored value can neither pass silently nor enter the
+# cache key
 IGNORED_FLAGS = (
     [(("verify", t), "--max-weight", "5") for t in ("omega", "susy", "semidirect")]
     + [(("dixmier", t), flag, value) for t in ("weight", "polarization")
