@@ -19,8 +19,10 @@ ENV_VAR = "SYMALG_CACHE_DIR"
 # Version of the report layout; bump it when a report's content changes
 # without a package version change, so older entries are not served.
 # Version 2 dropped `seed` from the echoed config; version 3 dropped the
-# flags a verify or dixmier target does not read.
-REPORT_SCHEMA = 3
+# flags a verify or dixmier target does not read; version 4 gives the
+# hilbert report of n = 0 the free algebra's series and drops the series
+# for (1,0) and (1,1).
+REPORT_SCHEMA = 4
 
 
 def cache_dir(override=None):

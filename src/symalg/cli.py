@@ -61,7 +61,12 @@ from .superlie import (
     vergne_polarization,
     weight_of,
 )
-from .surjection import SurjectionError, build_cw_surjection, check_input
+from .surjection import (
+    SurjectionError,
+    build_cw_surjection,
+    check_input,
+    model_cutoff,
+)
 from .tensor import Derivation, bracket_word_name, cyclic_derivative, lie_expand
 from .refdata import (
     DEPENDENCY_IDENTITIES_31,
@@ -139,8 +144,9 @@ def cmd_hilbert(args):
     }
     report["series_valid"] = series_valid(p.n, p.s)
     if degree > 0:
-        ser = hilbert_series_YM(p.n, p.s, order=degree)
-        report["enveloping_series"] = [str(int(ser[d])) for d in range(degree + 1)]
+        if p.n == 0 or report["series_valid"]:
+            ser = hilbert_series_YM(p.n, p.s, order=degree)
+            report["enveloping_series"] = [str(int(ser[d])) for d in range(degree + 1)]
         if report["series_valid"]:
             report["lie_dims"] = dims_ym(p.n, p.s, max_j=degree)
         if args.check_engine and report["series_valid"]:
@@ -330,10 +336,10 @@ def cmd_dixmier(args):
     else:  # surject
         p = _load_presentation(args)
         try:
-            l = check_input(p, args.r, args.t, args.l)[3]
+            _, _, d_prime, l = check_input(p, args.r, args.t, args.l)
         except SurjectionError as exc:
             raise UsageError(str(exc))
-        model = _lie_model(args, p, l)
+        model = _lie_model(args, p, model_cutoff(d_prime))
         res = build_cw_surjection(p, args.r, args.t, l=l, model=model)
         report["presentation_sha256"] = _hash(p)
         report.update(res.report())

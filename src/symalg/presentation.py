@@ -488,9 +488,16 @@ def series_valid(n, s):
 
 
 def hilbert_series_YM(p_or_n, s=None, order=20):
-    """Hilbert series of the enveloping algebra, as a truncated series."""
+    """Hilbert series of the enveloping algebra, as a truncated series:
+    1 / ym_denominator where series_valid holds, and for n = 0, where the
+    algebra is free on s odd weight-3 generators, 1 / (1 - s t^3).  (1,0)
+    and (1,1) have no closed form here and raise ValueError."""
     n = p_or_n.n if isinstance(p_or_n, SymPresentation) else p_or_n
     s = p_or_n.s if isinstance(p_or_n, SymPresentation) else s
+    if n == 0:
+        return DensePolynomial([1, 0, 0, -s]).series(order).inverse()
+    if not series_valid(n, s):
+        raise ValueError(f"no closed-form Hilbert series for ({n},{s})")
     return ym_denominator(n, s).series(order).inverse()
 
 

@@ -16,10 +16,21 @@ classes [x1,x3], [x2,x3] are sent to p1, q1 when r >= 1; the remaining
 even targets take even generator slots of weight >= 6 and the odd targets
 take odd slots above them (from weight 5 when r = 0).
 
-The map theta is solved one weight at a time by a single elimination.
-At weight w every bracket [b_u, b_v] of lower ideal basis elements gives a
-row [coordinates | image], the image being [theta(b_u), theta(b_v)] on
-heis coordinates keyed above the quotient columns; these rows enter one
+The map theta is solved one weight at a time, and only at the weights it
+can reach.  Let T be the target weights (4 when the classes are pinned,
+and the slot weights) and R = T together with the sums of two elements of
+T.  heis is two-step nilpotent: [heis, heis] lies in k z and z is central.
+So for w outside T the ideal's weight-w part, spanned by generators sent
+to 0 and by brackets, maps into k z, and a bracket with a nonzero image
+needs both factors at weights in T.  By induction on w, theta vanishes at
+every weight outside R; there it is set to 0 without any elimination.
+Since max R = 2 d', the Lie model is never read above weight 2 d' and is
+built at cutoff 2 d' - 1 (model_cutoff), whatever cutoff l the report
+names.
+
+At a weight w in R every bracket [b_u, b_v] of lower ideal basis elements
+gives a row [coordinates | image], the image being [theta(b_u), theta(b_v)]
+on heis coordinates keyed above the quotient columns; these rows enter one
 echelon, sparsest first.  A pivot on an image column means the rows force
 a nonzero image of zero: no morphism extends the assignment, and
 SurjectionError names the weight.  The generators of weight w are then
@@ -30,9 +41,11 @@ is inserted as it is chosen.  In the reduced echelon form, theta(b_j) is
 the image part of the row with pivot j divided by its pivot entry.
 
 Every structural property the argument needs is then verified exactly:
-the map respects all computed brackets (re-checked pair by pair against
-the solved theta), images beyond the cutoff vanish, the images span, and
-the two distinguished directions meet the stabilizer trivially.
+the map respects all brackets up to weight l + 1 (re-checked pair by pair
+against the solved theta at the weights in R, and at the others as
+[theta(b_u), theta(b_v)] = 0 over the pairs of nonzero images), images
+beyond the cutoff vanish, the images span, and the two distinguished
+directions meet the stabilizer trivially.
 """
 
 from .engine import LieModel, rational
@@ -100,6 +113,9 @@ def plan_assignment(n, s, r, t):
 class CWSurjectionResult:
     def __init__(self):
         self.phi = {}
+        # (weight, basis position) -> heis coordinates of the image; not
+        # reported
+        self.theta = {}
         self.flags = {}
         self.weight = None
         self.l = None
@@ -121,11 +137,26 @@ class CWSurjectionResult:
         }
 
 
+def model_cutoff(d_prime):
+    """The smallest cutoff the pipeline accepts, 2 d' - 1.  It is also the
+    cutoff of the Lie model it reads: theta vanishes above weight 2 d'."""
+    return 2 * d_prime - 1
+
+
+def reach(pinned, slots):
+    """R: the target weights T (4 when classes are pinned, and the slot
+    weights) together with the sums of two of them.  theta vanishes at
+    every weight outside R (module docstring)."""
+    targets = {w for w, _ in slots} | ({4} if pinned else set())
+    return targets | {u + v for u in targets for v in targets}
+
+
 def check_input(p, r, t, l=None):
     """Check the normalization, the target and the cutoff before any build.
 
     Returns plan_assignment's (pinned, slots, d_prime) and the cutoff
-    (default 2 d' + 1); raises SurjectionError on bad input.
+    (default 2 d' + 1, at least model_cutoff(d_prime)); raises
+    SurjectionError on bad input.
     """
     s = p.s
     if s and any(
@@ -137,8 +168,8 @@ def check_input(p, r, t, l=None):
     pinned, slots, d_prime = plan_assignment(p.n, s, r, t)
     if l is None:
         l = 2 * d_prime + 1
-    if l < 2 * d_prime - 1:
-        raise SurjectionError(f"cutoff {l} below the minimum {2 * d_prime - 1}")
+    if l < model_cutoff(d_prime):
+        raise SurjectionError(f"cutoff {l} below the minimum {model_cutoff(d_prime)}")
     return pinned, slots, d_prime, l
 
 
@@ -148,21 +179,30 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     Returns a CWSurjectionResult whose weight should be (r + 2, t).  The
     default cutoff is the safe 2 d' + 1; the construction only needs
     images of weight > 2 d' to vanish, so any l >= 2 d' - 1 works and the
-    verification flags certify the choice.  theta is solved by one
-    augmented echelon per weight (see the module docstring); raises
-    SurjectionError if the rows of some weight are inconsistent.
+    verification flags certify the choice.  The cutoff l sets the weights
+    up to l + 1 that the flags check; the Lie model only has to reach
+    model_cutoff(d') = 2 d' - 1, since theta vanishes above weight 2 d'.
+    Without a model one is built at that cutoff; a supplied model below it
+    raises SurjectionError.  theta is solved by one augmented echelon per
+    weight of R and is 0 at every other weight (see the module
+    docstring); raises SurjectionError if the rows of some weight are
+    inconsistent.
     """
     pinned, slots, d_prime, l = check_input(p, r, t, l)
+    cutoff = model_cutoff(d_prime)
     if model is None:
         r0, r1 = build_relations(p)
-        model = LieModel(p.alphabet, r0 + r1, cutoff=l)
-    elif model.cutoff < l:
-        raise SurjectionError("supplied model has a smaller cutoff")
+        model = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    elif model.cutoff < cutoff:
+        raise SurjectionError(
+            f"supplied model has cutoff {model.cutoff}, below the minimum {cutoff}"
+        )
     target = heis(r, t)
     res = CWSurjectionResult()
     res.l = l
     res.d_prime = d_prime
     max_w = l + 1
+    reached = reach(pinned, slots)
 
     # positions of x1..xn among the weight-2 representatives
     pos2 = {rep.label: j for j, rep in enumerate(model.reps.get(2, ()))}
@@ -189,7 +229,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         pinned_vecs.setdefault(4, []).append((name, coords))
 
     # -- theta weight by weight: one augmented echelon per weight
-    theta = {}  # (w, j) -> heis coordinate dict
+    theta = res.theta
     all_pairs = []  # (w, coords of [b_u, b_v], [theta(b_u), theta(b_v)])
     phi_desc = {}
     zc = target.index("z")
@@ -202,6 +242,9 @@ def build_cw_surjection(p, r, t, l=None, model=None):
 
     weights = [w for w in sorted(model.reps) if w <= max_w]
     for w in weights:
+        if w not in reached:
+            theta.update(((w, j), {}) for j in hat_positions(w))
+            continue
         ncols = model.dim(w)
 
         def augmented(coords, image):
@@ -267,19 +310,26 @@ def build_cw_surjection(p, r, t, l=None, model=None):
 
     res.phi = phi_desc
 
-    # -- verification: morphism property on every computed bracket
-    res.flags["bracket_compatible"] = all(
+    # -- verification: morphism property on every bracket up to max_w, and
+    # images beyond the cutoff vanish.  The pair rows of the weights in R
+    # are re-checked against the solved theta; outside R theta is 0, so
+    # there the bracket of every two nonzero images must vanish
+    compatible = all(
         theta_of_coords(w, coords) == image for w, coords, image in all_pairs
     )
-
-    # -- images beyond the cutoff must vanish
     support = [(w, j) for (w, j), v in theta.items() if v]
     flzero = True
     for wu, iu in support:
         for wv, jv in support:
-            if wu + wv > max_w:
-                if target.bracket_vec(theta[(wu, iu)], theta[(wv, jv)]):
-                    flzero = False
+            w = wu + wv
+            if w in reached or not target.bracket_vec(theta[(wu, iu)],
+                                                      theta[(wv, jv)]):
+                continue
+            if w > max_w:
+                flzero = False
+            else:
+                compatible = False
+    res.flags["bracket_compatible"] = compatible
     res.flags["flzero"] = flzero
 
     # -- surjectivity: the images span the Heisenberg algebra
@@ -295,7 +345,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         jx = pos2[name]
         row = {}
         for w in weights:
-            if w + 2 > max_w:
+            if w + 2 not in reached:
                 continue
             for j in hat_positions(w):
                 coords = model.struct(2, jx, w, j)

@@ -32,11 +32,29 @@ def test_hilbert_degree_zero(capsys, tmp_path):
 @pytest.mark.parametrize("preset", ["0,1", "0,2"])
 def test_hilbert_free_algebra_is_outside_the_series(capsys, tmp_path, preset):
     # with n = 0 the relations vanish and the algebra is free, so the
-    # closed form gives no Lie dimensions
+    # closed form gives no Lie dimensions, and the enveloping series is
+    # 1 / (1 - s t^3), as the associative engine counts it
+    from symalg import AssocModel, build_relations
+    from symalg import preset as make_preset
+
     code, out = run_cli(capsys, tmp_path, "hilbert", "--preset", preset, "--degree", "6")
     assert code == 0
     doc = json.loads(out)
     assert doc["series_valid"] is False and "lie_dims" not in doc
+    p = make_preset(*(int(v) for v in preset.split(",")))
+    r0, r1 = build_relations(p)
+    assoc = AssocModel(p.alphabet, r0 + r1, max_weight=6)
+    assert doc["enveloping_series"] == [str(assoc.dim(w)) for w in range(7)]
+    assert doc["enveloping_series"] == ["1", "0", "0", str(p.s), "0", "0", str(p.s ** 2)]
+
+
+@pytest.mark.parametrize("preset", ["1,0", "1,1"])
+def test_hilbert_without_closed_form_omits_the_series(capsys, tmp_path, preset):
+    code, out = run_cli(capsys, tmp_path, "hilbert", "--preset", preset, "--degree", "6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["series_valid"] is False
+    assert "enveloping_series" not in doc and "lie_dims" not in doc
 
 
 def test_hilbert_check_engine(capsys, tmp_path):
@@ -389,6 +407,21 @@ def test_no_cache_bypasses_model_cache(capsys, tmp_path):
         entry.unlink()
     code, out = run_cli(capsys, tmp_path, *args)
     assert json.loads(out)["dims"] != json.loads(want)["dims"]
+
+
+def test_surject_model_cache_at_minimum_cutoff(capsys, tmp_path):
+    # (3,1), (r,t) = (1,1) reports l = 15 but reads its model only to
+    # 2 d' = 14, so the pickle is the cutoff-13 one; the cached rerun
+    # prints the same bytes
+    args = ("dixmier", "surject", "--preset", "3,1", "--r", "1", "--t", "1")
+    code, out = run_cli(capsys, tmp_path, *args)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["l"], doc["d_prime"]) == (15, 7)
+    models = tmp_path / "cache" / "models"
+    assert [f.name for f in models.iterdir()] == [
+        f"{doc['presentation_sha256']}-l13.pickle"]
+    assert run_cli(capsys, tmp_path, *args) == (code, out)
 
 
 @pytest.mark.parametrize("attr, value", [("REPORT_SCHEMA", -1), ("__version__", "0.0.0")])

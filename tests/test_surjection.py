@@ -2,12 +2,136 @@
 
 import pytest
 
+from symalg import LieModel, build_relations, preset
+from symalg.engine import rational
+from symalg.linalg import Echelon, intvec
+from symalg.superlie import FinDimSuperLieAlgebra, heis
 from symalg.surjection import (
     SurjectionError,
     build_cw_surjection,
+    check_input,
+    model_cutoff,
     plan_assignment,
     weyl_surjection_note,
 )
+
+
+@pytest.fixture(scope="module")
+def models():
+    """Lie models of the presets, built once per (n, s, cutoff)."""
+    built = {}
+
+    def get(n, s, cutoff):
+        if (n, s, cutoff) not in built:
+            p = preset(n, s)
+            r0, r1 = build_relations(p)
+            built[(n, s, cutoff)] = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+        return built[(n, s, cutoff)]
+
+    return get
+
+
+def full_theta(p, r, t, l, model):
+    """The reference: theta solved by elimination at every weight up to
+    l + 1, with no weight skipped.  Each weight's rows are the bracket pairs
+    [coords | image], sparsest first, then the pinned classes and the unit
+    vectors the echelon does not yet span, in order; theta(b_j) is read
+    off the reduced row with pivot j."""
+    pinned, slots, _, l = check_input(p, r, t, l)
+    target = heis(r, t)
+    pos2 = {rep.label: j for j, rep in enumerate(model.reps[2])}
+    needs = {}
+    for w, name in slots:
+        needs.setdefault(w, []).append(name)
+
+    def basis(w):
+        if w == 2:
+            return [j for lbl, j in pos2.items() if lbl not in ("x1", "x2")]
+        return range(model.dim(w))
+
+    theta = {}
+    weights = [w for w in sorted(model.reps) if w <= l + 1]
+    for w in weights:
+        ncols = model.dim(w)
+
+        def row(coords, image):
+            out = dict(coords)
+            out.update((ncols + k, c) for k, c in image.items())
+            return intvec(out)[0]
+
+        rows = [row(model.struct(wu, iu, w - wu, iv),
+                    target.bracket_vec(theta[(wu, iu)], theta[(w - wu, iv)]))
+                for wu in weights if 2 * wu <= w
+                for iu in basis(wu) for iv in basis(w - wu)
+                if wu < w - wu or iu <= iv]
+        ech = Echelon()
+        for vec in sorted((vec for vec in rows if vec), key=len):
+            ech.insert(vec)
+        assert max(ech.rows, default=-1) < ncols
+        if w == 4:
+            for name, (a, b) in pinned.items():
+                ech.insert(row(model.struct(2, pos2[a], 2, pos2[b]),
+                               {target.index(name): 1}))
+        names = list(needs.get(w, ()))
+        for j in basis(w):
+            residual, _ = ech.reduce({j: 1})
+            if residual and min(residual) < ncols:
+                image = {target.index(names.pop(0)): 1} if names else {}
+                ech.insert(row({j: 1}, image))
+        assert not names
+        ech.full_reduce()
+        for j in basis(w):
+            vec = ech.rows[j]
+            theta[(w, j)] = rational((vec[j], {k - ncols: x for k, x in vec.items()
+                                               if k >= ncols}))
+    return theta
+
+
+# (n, s), (r, t), l: l = 15 reaches two weights above 2 d' = 14 on (3,1)
+FULL_SOLVE_TARGETS = [
+    ((3, 1), (1, 1), 15), ((3, 1), (0, 2), 15), ((3, 1), (1, 0), 15),
+    ((3, 1), (2, 0), 15),
+    ((3, 2), (1, 2), 13), ((3, 2), (0, 3), 13), ((3, 2), (1, 1), 13),
+    ((4, 1), (1, 1), 13), ((4, 1), (0, 2), 13), ((4, 1), (2, 1), 13),
+]
+
+
+@pytest.mark.parametrize("ns, rt, l", FULL_SOLVE_TARGETS, ids=[
+    f"{n}{s}-r{r}t{t}-l{l}" for (n, s), (r, t), l in FULL_SOLVE_TARGETS])
+def test_theta_matches_full_solve(models, ns, rt, l):
+    # theta solved only on R, from a model at the minimum cutoff, equals
+    # the full solve on a model at cutoff l at every weight up to l + 1
+    p = preset(*ns)
+    d_prime = plan_assignment(*ns, *rt)[2]
+    res = build_cw_surjection(p, *rt, l=l, model=models(*ns, model_cutoff(d_prime)))
+    ref = full_theta(p, *rt, l, models(*ns, l))
+    assert set(res.theta) <= set(ref)
+    assert {key: res.theta.get(key, {}) for key in ref} == ref
+    assert res.ok, res.flags
+
+
+def test_supplied_model_needs_the_minimum_cutoff(model31, p31):
+    # the model only has to reach 2 d' - 1, not l: (1,1) has d' = 7, so a
+    # cutoff-13 model serves l = 15; (2,0) has d' = 8 and needs cutoff 15
+    assert build_cw_surjection(p31, 1, 1, l=15, model=model31).ok
+    with pytest.raises(SurjectionError,
+                       match="supplied model has cutoff 13, below the minimum 15"):
+        build_cw_surjection(p31, 2, 0, model=model31)
+
+
+def test_skipped_weights_recheck_catches_a_three_step_target(monkeypatch, models, p31):
+    # theta = 0 outside R rests on heis being two-step nilpotent.  With
+    # [z, c] = c the target is not: [c, theta(b_8)] is a nonzero multiple
+    # of c at weight 15, outside R, so bracket_compatible must fail there
+    def three_step(r, t):
+        g = heis(r, t)
+        z, c = g.index("z"), g.index("c")
+        return FinDimSuperLieAlgebra(g.names, g.parities,
+                                     {**g.table, (z, c): {c: 1}}, g.weights)
+
+    monkeypatch.setattr("symalg.surjection.heis", three_step)
+    res = build_cw_surjection(p31, 1, 1, l=15, model=models(3, 1, 15))
+    assert res.flags["bracket_compatible"] is False
 
 
 def test_plan_assignment_31():
@@ -176,12 +300,14 @@ def test_surjection_general_coefficients():
     assert support["w14#129"] == "-117/16" and support["w14#139"] == "1/16"
 
 
-def test_surjection_default_cutoff(p31):
-    # the safe default cutoff 2 d' + 1 gives the same weight
+def test_surjection_default_cutoff(models, p31):
+    # the safe default cutoff 2 d' + 1 gives the same weight, and the
+    # default model at cutoff 2 d' - 1 = 13 the same report as one at l = 15
     res = build_cw_surjection(p31, 1, 1)
     assert res.l == 15
     assert (res.weight.weyl, res.weight.clifford) == (3, 1)
     assert res.ok
+    assert res.report() == build_cw_surjection(p31, 1, 1, model=models(3, 1, 15)).report()
 
 
 def test_remark_coverage_22_smoke():
