@@ -63,7 +63,7 @@ from .superlie import (
     vergne_polarization,
     weight_of,
 )
-from .surjection import build_cw_surjection, plan_assignment, weyl_surjection_note
+from .surjection import build_cw_surjection, plan_assignment
 from .tensor import (
     Alphabet,
     Derivation,

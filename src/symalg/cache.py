@@ -21,8 +21,9 @@ ENV_VAR = "SYMALG_CACHE_DIR"
 # Version 2 dropped `seed` from the echoed config; version 3 dropped the
 # flags a verify or dixmier target does not read; version 4 gives the
 # hilbert report of n = 0 the free algebra's series and drops the series
-# for (1,0) and (1,1).
-REPORT_SCHEMA = 4
+# for (1,0) and (1,1); version 5 rejects the semidirect report of a
+# non-orthonormal metric, which version 4 stored as ok.
+REPORT_SCHEMA = 5
 
 
 def cache_dir(override=None):

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .linalg import Echelon, ratio
+from .linalg import Echelon, ratio, span
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -618,7 +618,7 @@ class SubalgebraGenerators:
                         for j, c in u.items():
                             _add_scaled(acc, c, model.ad[(g.name, wl, j)])
                         rows.append(acc[1])
-            basis = self.k_basis[w] = list(_span(rows).rows.values())
+            basis = self.k_basis[w] = list(span(rows).rows.values())
             # the bracket span [K, K]_w, then the generator complement
             pairs = []
             for wu, us in self.k_basis.items():
@@ -629,19 +629,11 @@ class SubalgebraGenerators:
                 for i, u in enumerate(us):
                     for v in vs[i if wu == wv else 0:]:
                         pairs.append(_pair(model, wu, u, wv, v))
-            bech = _span(pairs)
+            bech = span(pairs)
             self.gen_counts[w] = sum(bech.insert(u) is not None for u in basis)
 
     def counts(self):
         return dict(sorted(self.gen_counts.items()))
-
-
-def _span(rows):
-    """The echelon of integer rows, inserted sparsest first."""
-    ech = Echelon()
-    for row in sorted(rows, key=len):
-        ech.insert(row)
-    return ech
 
 
 def _pair(model, wu, u, wv, v):

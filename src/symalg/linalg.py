@@ -18,14 +18,15 @@ them.  Their values follow one scalar convention: an integral value is an
 quotient of ints, and `rref`, so `kernel` and `inverse` too, returns its
 values through it; integral results never enter `fractions.py`.
 
-`echelon` inserts a batch sparsest first, by a stable sort on the
-nonzero count.  The cost of elimination is fill: a dense early row is
-added into every later row that meets its pivot, while sparse rows keep
-the echelon sparse (for the resolution ranks, the rows of a multiplication
-map end as unit vectors).  The order is safe because the rank and the row
-space do not depend on it, and the reduced echelon form is unique; `rref`
-returns pivots and row keys in ascending order, so nothing a caller sees
-depends on the order either.
+`span` inserts a batch of integer rows sparsest first, by a stable sort
+on the nonzero count; `echelon`, the Lie engine's generator spans and the
+surjection's per-weight systems all go through it.  The cost of
+elimination is fill: a dense early row is added into every later row that
+meets its pivot, while sparse rows keep the echelon sparse (for the
+resolution ranks, the rows of a multiplication map end as unit vectors).
+The order is safe because the rank and the row space do not depend on it,
+and the reduced echelon form is unique; `rref` returns pivots and row keys
+in ascending order, so nothing a caller sees depends on the order either.
 
 `addmul` is the in-place sparse accumulate `out += a * vec` on rational
 dicts (int and Fraction values alike); it stores no zero value.  The
@@ -177,13 +178,18 @@ def extend(ech, vec):
     return ech.insert(_introw(vec)) is not None
 
 
-def echelon(vectors):
-    """The echelon of the span of rational vectors, inserted sparsest first
-    (a stable sort, so ties keep input order)."""
+def span(rows):
+    """The echelon of integer rows, inserted sparsest first (a stable sort,
+    so ties keep input order)."""
     ech = Echelon()
-    for row in sorted(map(_introw, vectors), key=len):
+    for row in sorted(rows, key=len):
         ech.insert(row)
     return ech
+
+
+def echelon(vectors):
+    """The echelon of the span of rational vectors, by `span`."""
+    return span(map(_introw, vectors))
 
 
 def rank(vectors):

@@ -200,6 +200,14 @@ class SymPresentation:
         return f"SymPresentation(n={self.n}, s={self.s})"
 
 
+def presentation_sha256(p):
+    """SHA-256 of the canonical JSON: the reports' `presentation_sha256`
+    and the key of the model pickle cache."""
+    import hashlib
+
+    return hashlib.sha256(p.canonical_json().encode()).hexdigest()
+
+
 def preset(n, s):
     """Canonical nondegenerate presentation: G^1 = identity, G^{i>1} = 0."""
     gamma = [
@@ -646,8 +654,12 @@ def semidirect_maps(p):
     Returns (psi, psi_inv, d_action) where psi maps x/z names to the model,
     psi_inv maps model symbols back to bracket trees over x/z, and d_action
     gives the derivation images of the distinguished even element.
-    Requires a nondegenerate presentation normalized so that G^1 = id.
+    Requires a nondegenerate presentation with the orthonormal metric,
+    normalized so that G^1 = id: the d-action is read off the orthonormal
+    relations.
     """
+    if not p.is_orthonormal():
+        raise PresentationError("semidirect maps require the orthonormal metric")
     ok, _ = check_nondegenerate(p)
     if not ok:
         raise PresentationError("presentation is degenerate")

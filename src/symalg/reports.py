@@ -1,0 +1,293 @@
+"""Report functions: one per command target of the `symalg` CLI.
+
+Each function takes a presentation (or a parsed algebra and functional)
+and plain values, and returns the report as a dict of JSON values, without
+the `config` that the CLI echoes.  Its "ok" says whether every requested
+verification passed.  Bad input raises the library's own errors,
+PresentationError, SurjectionError or SuperLieError (all ValueErrors).
+The functions that read a Lie model take `cache_dir`, the directory of the
+model pickle cache, or None to build the model without it.
+
+    >>> from symalg import preset, reports
+    >>> reports.hilbert(preset(3, 1), 6)["lie_dims"]
+    [0, 3, 1, 3, 2, 6]
+"""
+
+from . import resolution
+from .assoc import AssocModel
+from .engine import (LieModel, basis_report, k1s_generators, load_or_build_model,
+                     tym_generators, tym_hat_generators)
+from .linalg import inverse, rank
+from .presentation import (
+    GammaTilde, PresentationError, build_relations, check_nondegenerate,
+    derive_gamma_tilde, dims_ym, free_gen_series_k1s, free_gen_series_tym,
+    free_gen_series_tym_hat, hilbert_series_YM, omega_check, presentation_sha256,
+    quartic_form, rat_str, semidirect_maps, semidirect_relation, series_valid,
+    superpotential, susy_derivations,
+)
+from .refdata import (DEPENDENCY_IDENTITIES_31, EXPECTED_CUMULATIVE_31,
+                      reference_basis_trees)
+from .superlie import SuperLieError, vergne_polarization, weight_of
+from .surjection import build_cw_surjection, check_input, model_cutoff
+from .tensor import Derivation, bracket_word_name, cyclic_derivative, lie_expand
+
+
+def _lie_model(p, cutoff, cache_dir):
+    r0, r1 = build_relations(p)
+    return load_or_build_model(p.alphabet, r0 + r1, cutoff, cache_dir,
+                               presentation_sha256(p))
+
+
+def hilbert(p, degree, check_engine=False, engine_depth=12):
+    """Closed-form series to `degree`; with check_engine, the Lie engine's
+    dimensions to min(degree, engine_depth) against them."""
+    report = {
+        "command": "hilbert",
+        "presentation_sha256": presentation_sha256(p),
+        "n": p.n,
+        "s": p.s,
+        "degree": degree,
+        "ok": True,
+        "series_valid": series_valid(p.n, p.s),
+    }
+    if degree > 0:
+        if p.n == 0 or report["series_valid"]:
+            ser = hilbert_series_YM(p.n, p.s, order=degree)
+            report["enveloping_series"] = [str(int(ser[d])) for d in range(degree + 1)]
+        if report["series_valid"]:
+            report["lie_dims"] = dims_ym(p.n, p.s, max_j=degree)
+        if check_engine and report["series_valid"]:
+            depth = min(degree, engine_depth)
+            r0, r1 = build_relations(p)
+            model = LieModel(p.alphabet, r0 + r1, cutoff=depth - 1)
+            engine_dims = [model.dim(j) for j in range(1, depth + 1)]
+            report["engine_depth"] = depth
+            report["engine_dims"] = engine_dims
+            report["ok"] = engine_dims == report["lie_dims"][:depth]
+    return report
+
+
+def basis(p, l, check_reference_basis=False, cache_dir=None):
+    """The weight-graded basis of the Lie quotient to cutoff l; with
+    check_reference_basis, the (3,1) reference basis and identities."""
+    model = _lie_model(p, l, cache_dir)
+    report = {
+        "command": "basis",
+        "presentation_sha256": presentation_sha256(p),
+        "l": l,
+        "dims": {str(w): model.dim(w) for w in model.weights()},
+        "total_dim": model.total_dim(),
+        "components": basis_report(model),
+        "ok": True,
+    }
+    if check_reference_basis:
+        ok = p.n == 3 and p.s == 1 and p.is_orthonormal() and l <= 7
+        if ok:
+            vectors = []
+            for tree in reference_basis_trees(l):
+                poly = lie_expand(tree, p.alphabet)
+                # distinct weights use disjoint coordinate blocks
+                vectors.append(
+                    {poly.weight() * 10**6 + k: v for k, v in model.project(poly).items()}
+                )
+            count = rank(vectors)
+            ok = count == model.total_dim() == EXPECTED_CUMULATIVE_31[l]
+            report["reference_count"] = count
+            if l >= 7:
+                ident_ok = True
+                for lhs, rhs in DEPENDENCY_IDENTITIES_31:
+                    acc = lie_expand(lhs, p.alphabet)
+                    for coeff, tree in rhs:
+                        acc = acc - lie_expand(tree, p.alphabet).scale(coeff)
+                    if not model.contains_ideal(acc):
+                        ident_ok = False
+                report["dependency_identities_ok"] = ident_ok
+                ok = ok and ident_ok
+        report["reference_basis_ok"] = ok
+        report["ok"] = report["ok"] and ok
+    return report
+
+
+def _verify(target, p):
+    return {
+        "command": "verify",
+        "target": target,
+        "presentation_sha256": presentation_sha256(p),
+        "ok": True,
+    }
+
+
+def verify_omega(p):
+    """The omega identity of the presentation (`omega_check`)."""
+    report = _verify("omega", p)
+    report["identity_holds"] = report["ok"] = omega_check(p)
+    return report
+
+
+def verify_resolution(p, max_weight):
+    """Both length-three resolutions to max_weight; each side lists the
+    failed checks by weight, or "all-green"."""
+    resolution.check_resolvable(p)
+    report = _verify("resolution", p)
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=max_weight)
+    out = resolution.verify_resolution(model, p, max_weight)
+    details = {}
+    ok = True
+    for side, reps in out.items():
+        bad = {
+            str(r.weight): [k for k, v in r.checks.items() if not v]
+            for r in reps
+            if not r.ok
+        }
+        details[side] = bad if bad else "all-green"
+        ok = ok and not bad
+    report["sides"] = details
+    report["max_weight"] = max_weight
+    report["ok"] = ok
+    return report
+
+
+def verify_susy(p):
+    """The supersymmetry criterion: the derivations preserve the ideal iff
+    the quartic form vanishes."""
+    report = _verify("susy", p)
+    _, qzero = quartic_form(p)
+    report["quartic_zero"] = qzero
+    try:
+        gt = derive_gamma_tilde(p)
+    except PresentationError:
+        gt = _companion_fallback(p)
+    ders = susy_derivations(p, gt)
+    W = superpotential(p)
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=9)
+    names = [f"x{i+1}" for i in range(p.n)] + [f"z{a+1}" for a in range(p.s)]
+    all_in = True
+    for d in ders:
+        dW = d(W)
+        for name in names:
+            cd = cyclic_derivative(dW, name)
+            if not model.contains(cd):
+                all_in = False
+    report["derivatives_in_ideal"] = all_in
+    report["criterion"] = "ideal preserved iff quartic form vanishes"
+    report["ok"] = all_in == qzero
+    report["verdict"] = (
+        "quartic zero; ideal preserved"
+        if qzero and all_in
+        else "quartic nonzero; ideal not preserved"
+        if not qzero and not all_in
+        else "MISMATCH"
+    )
+    return report
+
+
+def _companion_fallback(p):
+    """Blockwise inverse companion tensor for susy probing when the
+    equivariance system is inconsistent."""
+    mats = []
+    for i in range(p.n):
+        inv = inverse(p.gamma[i])
+        mats.append(inv if inv is not None else [[0] * p.s for _ in range(p.s)])
+    return GammaTilde(p.n, p.s, mats)
+
+
+def verify_semidirect(p):
+    """The isomorphism with the semidirect model: the generator round trip
+    and the derivation preserving the defining relation."""
+    report = _verify("semidirect", p)
+    ok, _ = check_nondegenerate(p)
+    report["nondegenerate"] = ok
+    if ok:
+        psi, psi_inv, d_action = semidirect_maps(p)
+        report["psi"] = {k: bracket_word_name(v) for k, v in psi.items()}
+        report["psi_inv"] = {k: bracket_word_name(v) for k, v in psi_inv.items()}
+        # round trip on generators
+        round_ok = all(
+            psi_inv[psi[name]] == name
+            for name in psi
+            if isinstance(psi[name], str) and isinstance(psi_inv[psi[name]], str)
+        )
+        # d maps the defining relation into the relation ideal
+        U, rho = semidirect_relation(p.n, p.s)
+        D = Derivation(U, d_action, 0)
+        dmodel = LieModel(U, [rho], cutoff=9)
+        report["relation_preserved"] = dmodel.contains_ideal(D(rho))
+        report["round_trip"] = round_ok
+        report["ok"] = round_ok and report["relation_preserved"]
+    else:
+        report["ok"] = False
+    return report
+
+
+def dixmier_weight(g, f):
+    """The Kirillov-form weight of the functional f on the algebra g."""
+    w = weight_of(g, f)
+    return {
+        "command": "dixmier",
+        "target": "weight",
+        "ok": True,
+        "weight": {"weyl": w.weyl, "clifford": w.clifford},
+    }
+
+
+def dixmier_polarization(g, f):
+    """The weight and a Vergne polarization; where none exists the report
+    holds the reason as "error" and "ok" is false."""
+    report = dixmier_weight(g, f)
+    report["target"] = "polarization"
+    try:
+        pol = vergne_polarization(g, f)
+    except SuperLieError as exc:
+        report["error"] = str(exc)
+        report["ok"] = False
+        return report
+    report["polarization"] = [
+        {g.names[i]: rat_str(c) for i, c in sorted(v.items())} for v in pol
+    ]
+    report["dims"] = {
+        "even": sum(1 for v in pol if g.parities[next(iter(v))] == 0),
+        "odd": sum(1 for v in pol if g.parities[next(iter(v))] == 1),
+    }
+    return report
+
+
+def dixmier_surject(p, r, t, l=None, cache_dir=None):
+    """The Clifford-Weyl surjection onto target (r, t) at cutoff l (default
+    2 d' + 1), on a Lie model at model_cutoff(d')."""
+    _, _, d_prime, l = check_input(p, r, t, l)
+    model = _lie_model(p, model_cutoff(d_prime), cache_dir)
+    res = build_cw_surjection(p, r, t, l=l, model=model)
+    report = {"command": "dixmier", "target": "surject", "ok": True,
+              "presentation_sha256": presentation_sha256(p)}
+    report.update(res.report())
+    report["ok"] = res.ok
+    return report
+
+
+def freegens(p, ideal, max_weight, cache_dir=None):
+    """Free-generator counts of `ideal` to max_weight against the
+    closed-form series: "tym-hat" or "tym" for n >= 2, "k1s" for n = 1 and
+    s >= 3."""
+    model = _lie_model(p, max(max_weight - 1, 1), cache_dir)
+    if ideal == "tym-hat":
+        analysis = tym_hat_generators(model, p.n, max_weight=max_weight)
+        series = free_gen_series_tym_hat(p.n, p.s)
+    elif ideal == "tym":
+        analysis = tym_generators(model, max_weight=max_weight)
+        series = free_gen_series_tym(p.n, p.s, order=max_weight)
+    else:  # k1s
+        analysis = k1s_generators(model, p.s, max_weight=max_weight)
+        series = free_gen_series_k1s(p.s)
+    counts = analysis.counts()
+    expected = {w: int(series(w)) for w in counts}
+    return {
+        "command": "freegens",
+        "ideal": ideal,
+        "presentation_sha256": presentation_sha256(p),
+        "max_weight": max_weight,
+        "generator_dims": {str(w): c for w, c in counts.items()},
+        "series_dims": {str(w): c for w, c in expected.items()},
+        "ok": counts == expected,
+    }

@@ -25,7 +25,7 @@ verified modules recovers the defining identity of the Hilbert series.
 """
 
 from .linalg import addmul, rank
-from .presentation import build_relations, series_valid
+from .presentation import PresentationError, build_relations, series_valid
 
 TOP = 8  # weight of the top module Y[-8]: |v_k| + |r_k| for every k
 
@@ -59,11 +59,11 @@ def _compose(cols_inner, outer_cols):
 
 
 def check_resolvable(presentation):
-    """Raise ValueError where `series_valid` fails: n = 0, (1,0) and (1,1)
-    have no length-three resolution."""
+    """Raise PresentationError where `series_valid` fails: n = 0, (1,0)
+    and (1,1) have no length-three resolution."""
     n, s = presentation.n, presentation.s
     if not series_valid(n, s):
-        raise ValueError(
+        raise PresentationError(
             f"no length-three resolution for ({n},{s}): it needs n >= 1 "
             "and (n,s) other than (1,0) and (1,1)"
         )

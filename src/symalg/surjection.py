@@ -49,7 +49,7 @@ directions meet the stabilizer trivially.
 """
 
 from .engine import LieModel, rational
-from .linalg import Echelon, addmul, intvec, rank
+from .linalg import addmul, intvec, rank, span
 from .presentation import (
     build_relations,
     free_gen_series_tym_hat,
@@ -66,10 +66,13 @@ def plan_assignment(n, s, r, t):
 
     Returns (pinned, slots, d_prime): pinned maps heis names to weight-4
     bracket trees; slots is a list of (weight, heis name) filled in order
-    against the free generator slots of that weight.
+    against the free generator slots of that weight.  s = 0, the
+    Yang-Mills case, has no odd slots and so takes only t = 0.
     """
-    if n < 3 or s < 1:
-        raise SurjectionError("pipeline requires n >= 3 and s >= 1")
+    if n < 3:
+        raise SurjectionError("pipeline requires n >= 3")
+    if s < 1 and t:
+        raise SurjectionError("odd targets (t >= 1) require s >= 1")
     if r < 0 or t < 0 or not (r >= 1 or t >= 2):
         raise SurjectionError(
             "target out of range: need r, t >= 0, and r >= 1 or t >= 2"
@@ -269,10 +272,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
                     image = target.bracket_vec(theta[(wu, iu)], theta[(wv, iv)])
                     pairs.append((w, coords, image))
         all_pairs += pairs
-        ech = Echelon()
-        for row in sorted((augmented(c, im) for _, c, im in pairs if c or im),
-                          key=len):
-            ech.insert(row)
+        ech = span(augmented(c, im) for _, c, im in pairs if c or im)
         # a pivot on an image column is a nonzero image forced on zero
         if max(ech.rows, default=-1) >= ncols:
             raise SurjectionError(
@@ -404,33 +404,3 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         },
     }
     return res
-
-
-def weyl_surjection_note(p, r, l=None):
-    """The s = 0 reduction: killing the odd generators sends the relations
-    onto the plain quadratic-triple relations and the pipeline continues on
-    the even quotient with Clifford index 0."""
-    from .presentation import preset
-
-    r0, r1 = build_relations(p)
-    killed = []
-    for poly in r0 + r1:
-        ok = {}
-        for word, c in poly.terms.items():
-            if all(p.alphabet.parities[i] == 0 for i in word):
-                ok[word] = c
-        killed.append(ok)
-    note = {
-        "odd_relations_killed": all(
-            not killed[len(r0) + a] for a in range(p.s)
-        ),
-        "even_relations_survive": all(bool(killed[i]) for i in range(p.n)),
-    }
-    if p.n >= 3 and r >= 1:
-        even = preset(p.n, 1)
-        # the even pipeline itself runs on a super presentation with s >= 1;
-        # Clifford index 0 targets have no odd part
-        res = build_cw_surjection(even, r, 0, l=l)
-        note["weight"] = {"weyl": res.weight.weyl, "clifford": res.weight.clifford}
-        note["flags"] = dict(res.flags)
-    return note

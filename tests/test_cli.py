@@ -282,13 +282,13 @@ def test_bad_presentation_file_exits_2(capsys, tmp_path, content, message):
 def test_program_errors_are_not_verification_failures(monkeypatch, capsys, tmp_path):
     # only the library's own errors select the susy fallback or the
     # polarization error report; anything else is a bug and propagates
-    import symalg.cli
+    import symalg.reports
 
     def bug(*args):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(symalg.cli, "derive_gamma_tilde", bug)
-    monkeypatch.setattr(symalg.cli, "vergne_polarization", bug)
+    monkeypatch.setattr(symalg.reports, "derive_gamma_tilde", bug)
+    monkeypatch.setattr(symalg.reports, "vergne_polarization", bug)
     with pytest.raises(RuntimeError):
         run_cli(capsys, tmp_path, "--no-cache", "verify", "susy", "--preset", "2,1")
     g = heis(1, 1)
@@ -362,12 +362,12 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
 ])
 def test_dixmier_surject_bad_input_exits_2_before_build(
         monkeypatch, capsys, tmp_path, opts, message):
-    import symalg.cli
+    import symalg.reports
 
     def no_build(*args):
         raise AssertionError("the Lie model was built")
 
-    monkeypatch.setattr(symalg.cli, "_lie_model", no_build)
+    monkeypatch.setattr(symalg.reports, "_lie_model", no_build)
     path = tmp_path / "g1.json"
     path.write_text('{"n": 3, "s": 1, "gamma": [[["2"]], [["1"]], [["1"]]]}')
     opts = [str(path) if o == "G1" else o for o in opts]
@@ -380,13 +380,56 @@ def test_dixmier_surject_bad_input_exits_2_before_build(
     assert message in captured.err and captured.err.count("\n") == 1
 
 
+# presentations the library rejects for one target; each used to end in
+# a PresentationError traceback with exit 1, the "verification failed" code
+BAD_FOR_TARGET = {
+    "g1": {"n": 3, "s": 1, "gamma": [[["2"]], [["0"]], [["0"]]]},
+    "nondiagonal": {"n": 2, "s": 1, "gamma": [[["1"]], [["0"]]],
+                    "metric": [["2", "1"], ["1", "1"]]},
+    "diagonal": {"n": 3, "s": 1, "gamma": [[["1"]], [["0"]], [["0"]]],
+                 "metric": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]]},
+}
+
+
+@pytest.mark.parametrize("target, name, message", [
+    ("semidirect", "g1", "G^1 must be the identity"),
+    ("susy", "nondiagonal", "require a diagonal metric"),
+    ("semidirect", "nondiagonal", "require the orthonormal metric"),
+    ("semidirect", "diagonal", "require the orthonormal metric"),
+])
+def test_verify_bad_presentation_for_target_exits_2(capsys, tmp_path, target, name,
+                                                    message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(BAD_FOR_TARGET[name]))
+    code = main(["--cache-dir", str(tmp_path / "cache"), "verify", target,
+                 "--presentation", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("symalg: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_dixmier_surject_yang_mills(capsys, tmp_path):
+    # s = 0 runs the pipeline for t = 0 and rejects odd targets
+    code, out = run_cli(capsys, tmp_path, "dixmier", "surject", "--preset", "3,0",
+                        "--r", "1", "--t", "0")
+    assert code == 0
+    assert json.loads(out)["weight"] == {"weyl": 3, "clifford": 0}
+    code = main(["--cache-dir", str(tmp_path / "cache"), "dixmier", "surject",
+                 "--preset", "3,0", "--t", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "symalg: error: odd targets (t >= 1) require s >= 1\n"
+
+
 def test_no_cache_bypasses_model_cache(capsys, tmp_path):
     # --no-cache neither reads a model pickle (a planted wrong model would
     # change the report) nor writes one
     import pickle
 
     from symalg import LieModel, build_relations, preset
-    from symalg.cli import _hash
+    from symalg.presentation import presentation_sha256
 
     args = ("basis", "--preset", "3,1", "--l", "5")
     code, want = run_cli(capsys, tmp_path / "clean", "--no-cache", *args)
@@ -397,7 +440,7 @@ def test_no_cache_bypasses_model_cache(capsys, tmp_path):
     planted = pickle.dumps(LieModel(other.alphabet, r0 + r1, 5))
     models = tmp_path / "cache" / "models"
     models.mkdir(parents=True)
-    path = models / f"{_hash(preset(3, 1))}-l5.pickle"
+    path = models / f"{presentation_sha256(preset(3, 1))}-l5.pickle"
     path.write_bytes(planted)
     code, out = run_cli(capsys, tmp_path, "--no-cache", *args)
     assert (code, out) == (0, want)

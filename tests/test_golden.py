@@ -5,10 +5,12 @@ cache directory.  Refactors of the engines must reproduce them byte for
 byte; a deliberate change of a report replaces its file.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from symalg import preset, reports
 from symalg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,3 +49,22 @@ def test_golden_report(capsys, tmp_path, name):
 
 def test_golden_files_have_commands():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+
+
+# the library's report functions give the same reports as the CLI: with the
+# echoed config added, the golden bytes
+LIBRARY = {
+    "hilbert-31-d12-engine": lambda: reports.hilbert(preset(3, 1), 12, True),
+    "freegens-tymhat-22-max10": lambda: reports.freegens(preset(2, 2), "tym-hat", 10),
+    "semidirect-31": lambda: reports.verify_semidirect(preset(3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_report_function_reproduces_golden(name):
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    report = LIBRARY[name]()
+    assert "config" not in report
+    report["config"] = json.loads(golden)["config"]
+    data = json.dumps(report, sort_keys=True, indent=1, default=str) + "\n"
+    assert data.encode() == golden

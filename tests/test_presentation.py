@@ -262,6 +262,18 @@ def test_semidirect_requires_normalized():
         semidirect_maps(p)
 
 
+@pytest.mark.parametrize("metric", [
+    [[2, 1], [1, 1]],
+    # diagonal, but the d-action would still drop the signs g^{jj}
+    [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+])
+def test_semidirect_requires_orthonormal_metric(metric):
+    n = len(metric)
+    p = SymPresentation(n, 1, [[[1]]] + [[[0]]] * (n - 1), metric)
+    with pytest.raises(PresentationError, match="orthonormal metric"):
+        semidirect_maps(p)
+
+
 def test_generator_series():
     hat31 = free_gen_series_tym_hat(3, 1)
     assert [hat31(d) for d in range(2, 11)] == [1, 1, 3, 1, 2, 1, 2, 1, 2]

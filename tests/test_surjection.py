@@ -12,7 +12,6 @@ from symalg.surjection import (
     check_input,
     model_cutoff,
     plan_assignment,
-    weyl_surjection_note,
 )
 
 
@@ -152,6 +151,8 @@ def test_plan_rejects_out_of_range():
         plan_assignment(2, 1, 1, 1)
     with pytest.raises(SurjectionError):
         plan_assignment(3, 0, 1, 1)
+    with pytest.raises(SurjectionError, match="require s >= 1"):
+        plan_assignment(3, 0, 0, 2)
 
 
 def test_cutoff_floor():
@@ -330,10 +331,14 @@ def test_remark_coverage_22_smoke():
     assert w.weyl >= 4 and w.clifford >= 3
 
 
-def test_weyl_surjection_note(p31):
-    note = weyl_surjection_note(p31, 1, l=11)
-    assert note["odd_relations_killed"]
-    assert note["even_relations_survive"]
-    assert note["weight"]["clifford"] == 0
-    assert note["weight"]["weyl"] == 3
-    assert all(note["flags"].values())
+@pytest.mark.parametrize("n, r, weyl", [(3, 1, 3), (3, 2, 4), (4, 1, 3)])
+def test_yang_mills_surjection(n, r, weyl):
+    # s = 0, the Yang-Mills algebras: no odd slots, so t = 0 only; the
+    # pipeline reaches A_{r+2} with every flag, and on (3,0) the map is the
+    # one of the (3,1) run at t = 0, which uses only even slots
+    res = build_cw_surjection(preset(n, 0), r, 0)
+    assert (res.weight.weyl, res.weight.clifford) == (weyl, 0)
+    assert res.ok and set(res.flags) == {
+        "bracket_compatible", "flzero", "surjective", "stabilizer_trivial"}
+    if (n, r) == (3, 1):
+        assert res.phi == build_cw_surjection(preset(3, 1), 1, 0).phi
