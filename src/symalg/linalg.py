@@ -22,8 +22,9 @@ values through it; integral results never enter `fractions.py`.
 on the nonzero count; `echelon`, the Lie engine's generator spans and the
 surjection's per-weight systems all go through it.  The cost of
 elimination is fill: a dense early row is added into every later row that
-meets its pivot, while sparse rows keep the echelon sparse (for the
-resolution ranks, the rows of a multiplication map end as unit vectors).
+meets its pivot, while sparse rows keep the echelon sparse.  (The
+resolution's `b1` needs no echelon: its single-entry columns cover every
+row, and `resolution.rank_onto` certifies its rank from them.)
 The order is safe because the rank and the row space do not depend on it,
 and the reduced echelon form is unique; `rref` returns pivots and row keys
 in ascending order, so nothing a caller sees depends on the order either.

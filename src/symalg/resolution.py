@@ -22,6 +22,14 @@ column is a dict over the flat positions of its target.  Verification at a
 weight consists of the complex property, injectivity of the top map, and
 rank-exactness at every spot; the per-weight Euler characteristic of the
 verified modules recovers the defining identity of the Hilbert series.
+
+The ranks of b2 and b3 are computed exactly.  The rank of b1 is certified
+without elimination where it can be (`rank_onto`): normal words are
+closed under prefixes and suffixes (Bergman's diamond lemma), so every
+normal word u of weight w > 0 is nf(y v) for the normal word y = u minus
+its last (left) or first (right) letter, and the single-entry columns of
+b1 cover Y_w.  Where they do not, as at w = 0 with P1 empty, the exact
+rank decides.
 """
 
 from .linalg import addmul, rank
@@ -56,6 +64,15 @@ def _compose(cols_inner, outer_cols):
             addmul(acc, c, outer_cols[key])
         out.append(acc)
     return out
+
+
+def rank_onto(cols, d0):
+    """Rank of columns valued over d0 rows.  Where the columns with a
+    single nonzero entry hit every row, they hold a nonsingular diagonal
+    d0 x d0 submatrix and the rank is d0 with no elimination; otherwise
+    the exact `rank`."""
+    hit = {key for col in cols if len(col) == 1 for key, c in col.items() if c}
+    return d0 if len(hit) == d0 else rank(cols)
 
 
 def check_resolvable(presentation):
@@ -159,6 +176,9 @@ class SidedResolution:
         return cols
 
     def verify_weight(self, w):
+        """The checks at weight w.  r1 is d0 by the single-entry-column
+        certificate of `rank_onto` where it closes, else the exact rank;
+        r2 and r3 are exact ranks."""
         rep = ResolutionReport(w)
         d0, d1, d2, d3 = self.degrees(w)
         b1 = self.b1_columns(w)
@@ -166,7 +186,7 @@ class SidedResolution:
         b3 = self.b3_columns(w)
         rep.record("b1b2_zero", not any(_compose(b2.values(), b1)))
         rep.record("b2b3_zero", not any(_compose(b3.values(), b2)))
-        r1 = rank(b1.values())
+        r1 = rank_onto(b1.values(), d0)
         r2 = rank(b2.values())
         r3 = rank(b3.values())
         rep.record("b3_injective", r3 == d3)

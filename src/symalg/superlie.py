@@ -11,7 +11,6 @@ the even part and a symmetric block on the odd part.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Echelon, addmul, echelon, extend, inverse, kernel, rank
@@ -22,13 +21,35 @@ class SuperLieError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class IdealWeight:
     """Named record: the two indices are too easy to transpose as a bare
-    pair, so they never travel unnamed."""
+    pair, so they never travel unnamed.  Immutable, equal and hashed by
+    value.  It is a plain slotted class because a dataclass would make
+    every `import symalg` load `dataclasses` and with it `inspect` and
+    `ast`."""
 
-    weyl: int
-    clifford: int
+    __slots__ = ("weyl", "clifford")
+
+    def __init__(self, weyl, clifford):
+        object.__setattr__(self, "weyl", weyl)
+        object.__setattr__(self, "clifford", clifford)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weyl, self.clifford) == (other.weyl, other.clifford)
+
+    def __hash__(self):
+        return hash((self.weyl, self.clifford))
+
+    def __repr__(self):
+        return f"IdealWeight(weyl={self.weyl!r}, clifford={self.clifford!r})"
 
 
 class FinDimSuperLieAlgebra:

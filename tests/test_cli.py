@@ -1,6 +1,10 @@
 """CLI surface: subcommands, JSON determinism, cache behaviour, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -502,3 +506,18 @@ def test_report_cache_store_is_atomic(monkeypatch, tmp_path):
     # the old entry is intact and no temporary file is left
     assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
     assert cache.lookup("k", tmp_path) == b"first\n"
+
+
+def test_import_loads_no_introspection_modules():
+    # `import symalg.cli` in a fresh interpreter loads none of the modules a
+    # dataclass would pull in; they cost start-up time and memory per run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import symalg.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "symalg.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "tokenize"}

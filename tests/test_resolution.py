@@ -4,13 +4,14 @@ and the scalar convention of their columns."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symalg import AssocModel, SymPresentation, build_relations
-from symalg.linalg import echelon
+from symalg import AssocModel, SymPresentation, build_relations, resolution
+from symalg.linalg import echelon, rank
 from symalg.presentation import check_nondegenerate, hilbert_series_YM
-from symalg.resolution import SidedResolution, verify_resolution
+from symalg.resolution import SidedResolution, rank_onto, verify_resolution
 
 
 def _all_green(out):
@@ -60,8 +61,6 @@ def test_top_map_injectivity_ranks(assoc31, p31):
 
 
 def test_excluded_parameters_rejected():
-    import pytest
-
     from symalg import preset
 
     p = preset(1, 1)
@@ -164,3 +163,76 @@ def test_block_tables_minkowski32(minkowski32):
     r0, r1 = build_relations(minkowski32)
     _block_table_sizes(AssocModel(minkowski32.alphabet, r0 + r1, max_weight=12),
                        minkowski32)
+
+
+# -- the rank of b1: the single-entry-column certificate and its fallback
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the calls `rank_onto` makes to the exact rank."""
+    calls = []
+
+    def spy(cols):
+        calls.append(1)
+        return rank(cols)
+
+    monkeypatch.setattr(resolution, "rank", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, max_weight", [
+    ("p31", 12),
+    ("p22", 10),
+    ("minkowski32", 10),
+    (presentation31([2, -3, 1]), 12),  # non-unit G^1
+    (presentation31(["1", "1/2", "-3/2"]), 12),  # Fraction values
+], ids=["31", "22", "minkowski32", "G=2,-3,1", "G=1,1/2,-3/2"])
+def test_certificate_agrees_with_exact_rank(p, max_weight, request, fallbacks):
+    # r1 from rank_onto equals the exact rank, and since every normal word
+    # of weight w > 0 is nf(y v) for a normal y, the certificate closes at
+    # every such weight: only w = 0, with P1 empty, falls back
+    if isinstance(p, str):
+        p = request.getfixturevalue(p)
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=max_weight)
+    for side in ("left", "right"):
+        res = SidedResolution(model, p, side)
+        for w in range(max_weight + 1):
+            cols = res.b1_columns(w).values()
+            d0 = res.degrees(w)[0]
+            fallbacks.clear()
+            assert rank_onto(cols, d0) == rank(cols) == d0 - (w == 0), (side, w)
+            assert len(fallbacks) == (w == 0), (side, w)
+
+
+def test_certificate_needs_single_entry_columns(fallbacks):
+    # a column with two entries certifies nothing: here the exact rank is 2
+    assert rank_onto([{0: 1}, {0: 1, 1: 1}], 2) == 2
+    assert len(fallbacks) == 1
+    # ... and here 1, though together the columns touch both rows
+    assert rank_onto([{0: 1, 1: 1}, {0: -2, 1: -2}], 2) == 1
+    assert len(fallbacks) == 2
+
+
+def test_certificate_needs_every_row(fallbacks):
+    # single-entry columns on row 0 only leave the rank to elimination
+    assert rank_onto([{0: 3}, {0: 1}], 2) == 1
+    assert len(fallbacks) == 1
+
+
+def test_certificate_takes_any_nonzero_coefficient(fallbacks):
+    assert rank_onto([{1: -2}, {0: 1, 1: 1}, {0: Fraction(1, 3)}], 2) == 2
+    assert not fallbacks
+
+
+def test_certificate_at_weight_zero(assoc31, p31, fallbacks):
+    # P1 is empty and d0 = 1, so the certificate fails by itself and the
+    # exact rank gives 0
+    for side in ("left", "right"):
+        res = SidedResolution(assoc31, p31, side)
+        assert res.b1_columns(0) == {}
+        fallbacks.clear()
+        assert rank_onto(res.b1_columns(0).values(), res.degrees(0)[0]) == 0
+        assert len(fallbacks) == 1
+        assert res.verify_weight(0).ok

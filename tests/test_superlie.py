@@ -10,6 +10,7 @@ from symalg.presentation import build_relations, preset
 from symalg.superlie import (
     FieldExtensionRequired,
     FinDimSuperLieAlgebra,
+    IdealWeight,
     KirillovForm,
     SuperLieError,
     even_functional,
@@ -68,6 +69,21 @@ def test_weight_of_heis_family():
     g = heis(2, 2)
     w0 = weight_of(g, {})
     assert (w0.weyl, w0.clifford) == (0, 0)
+
+
+def test_ideal_weight_record():
+    # a value: equal and hashed by its fields, immutable, and printed with
+    # its field names
+    w = IdealWeight(weyl=1, clifford=0)
+    assert w == IdealWeight(1, 0) and w != IdealWeight(0, 1)
+    assert w != (1, 0)
+    assert {w: "a"}[IdealWeight(1, 0)] == "a"
+    assert repr(w) == "IdealWeight(weyl=1, clifford=0)"
+    for mutate in (lambda: setattr(w, "weyl", 2), lambda: setattr(w, "extra", 0),
+                   lambda: delattr(w, "clifford")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert (w.weyl, w.clifford) == (1, 0)
 
 
 def test_weight_scale_invariance():
