@@ -16,33 +16,35 @@ over L_{<w}:
 * super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x];
 * super-Jacobi g (x) [b, c] - [[g, b], c] - (-1)^{|g||b|} [b, [g, c]].
 
-A bracket of total weight w is expanded into symbols by the recursion
+Brackets are evaluated by one recursion, `_bracket`,
 
-    [[g, c], b] = [g, [c, b]] - (-1)^{|g||c|} [c, [g, b]]
+    [[g, c], b] = [g, [c, b]] - (-1)^{|g||c|} [c, [g, b]],
 
-over the lower brackets.  Pivoting every row on its last candidate leaves
-the greedy representatives as the non-pivot columns (the first generators
-and bracket monomials independent modulo the ideal), and solving each
+down to brackets [g, b_k] with a generator; `_theta` takes the same last
+step [a1, theta(a2...an)].  At a built weight [g, b_k] is the column of
+ad_g, and at the weight w being built it is the symbol g (x) b_k, so the
+step's rows and the queries on a built model share one code path.
+Pivoting every row on its last candidate leaves the greedy
+representatives as the non-pivot columns (the first generators and
+bracket monomials independent modulo the ideal), and solving each
 candidate over them gives the columns of ad_g, the matrix of bracketing
-with the generator g.  Structure constants use the same recursion with
-those columns and never leave quotient coordinates.  Tensor polynomials
-enter only as relations and `project` input, through theta; the build
-never expands a tensor word.
+with the generator g.  Tensor polynomials enter only as relations and
+`project` input, through theta; the build never expands a tensor word.
 
 Every quotient-coordinate vector inside the model (the ad columns,
-`gen_coords`, the memos of theta, of the symbol expansions and of the
-brackets) is held as integers over one positive denominator, a pair
-(den, {position: int}) with gcd(den, entries) = 1, in the fraction-free
-style of Bareiss (Math. Comp. 22, 1968).  The read-off takes the pivot
-entry of a fully reduced kernel row as the denominator, and combinations
-rescale to the lcm of the denominators they meet, so the build does
-integer arithmetic only; the kernel rows enter the echelon as they are,
-since only their direction matters.  Values become rational at the edges
-alone: `project`, `struct` and `export_struct` return dicts whose
-integral values are ints and whose other values are Fractions (see
-`rational`, which applies `linalg.ratio`).  The free-generator analysis
-(`SubalgebraGenerators`) stays integral: it reads the ad columns and
-`_bracket` and spans their numerators.
+`gen_coords`, the memos of theta and of the brackets) is held as integers
+over one positive denominator, a pair (den, {position: int}) with
+gcd(den, entries) = 1, in the fraction-free style of Bareiss (Math. Comp.
+22, 1968).  The read-off takes the pivot entry of a fully reduced kernel
+row as the denominator, and combinations rescale to the lcm of the
+denominators they meet, so the build does integer arithmetic only; the
+kernel rows enter the echelon as they are, since only their direction
+matters.  Values become rational at the edges alone: `project`, `struct`
+and `export_struct` return dicts whose integral values are ints and whose
+other values are Fractions (see `rational`, which applies
+`linalg.ratio`).  The free-generator analysis (`SubalgebraGenerators`)
+stays integral: it reads the ad columns and `_bracket` and spans their
+numerators.
 """
 
 import os
@@ -146,29 +148,17 @@ class LieModel:
         # row pivots on its last candidate
         key = {c: -k for k, c in enumerate(cols)}
         ech = Echelon()
-        top = {}
+        # memo of the brackets of weight w, over the candidate columns
+        self._open = {}
 
         def insert(acc):
             # a kernel row's scale does not matter: insert its numerators
             if acc[1]:
                 ech.insert({key[c]: v for c, v in acc[1].items()})
 
-        # (a) relations: a1...an -> (1/n) a1 (x) theta(a2...an)
+        # (a) relations, through theta
         for parts in relations:
-            acc = [1, {}]
-            memo = {}
-            for n, terms in parts.items():
-                for word, c in terms.items():
-                    a1 = A.names[word[0]]
-                    if n == 1:
-                        symbols = (1, {a1: 1})
-                    else:
-                        wl = w - A.weights[word[0]]
-                        d, v = self._theta(word[1:], memo)
-                        symbols = (d, {(a1, wl, k): a for k, a in v.items()})
-                    q = Fraction(c, n)
-                    _add_scaled(acc, q.numerator, symbols, q.denominator)
-            insert(acc)
+            insert(self._evaluate(parts))
         for g in A.generators:
             rest = w - g.weight
             gd, gv = self.gen_coords[g.name]
@@ -177,7 +167,7 @@ class LieModel:
                 odd = g.parity and self.reps[rest][j].parity
                 acc = [1, {(g.name, rest, j): -1 if odd else 1}]
                 for k, a in gv.items():
-                    _add_scaled(acc, a, self._top(rest, j, g.weight, k, top), gd)
+                    _add_scaled(acc, a, self._bracket(rest, j, g.weight, k), gd)
                 insert(acc)
             # (c) super-Jacobi g (x) [b,c] - [[g,b],c] - (-1)^{|g||b|} [b,[g,c]]
             for wb in self.weights():
@@ -190,15 +180,15 @@ class LieModel:
                     for ic in range(self.dim(wc)):
                         if not (b.tail is None or wb < wc or (wb == wc and ib <= ic)):
                             continue
-                        d, v = self._bracket(wb, ib, wc, ic)
-                        acc = [d, {(g.name, rest, k): a for k, a in v.items()}]
+                        acc = self._ad(g.name, rest, self._bracket(wb, ib, wc, ic), False)
                         for k, a in bv.items():
-                            _add_scaled(acc, -a, self._top(wb + g.weight, k, wc, ic, top), bd)
+                            _add_scaled(acc, -a, self._bracket(wb + g.weight, k, wc, ic), bd)
                         cd, cv = self.ad[(g.name, wc, ic)]
                         for k, a in cv.items():
                             _add_scaled(acc, -sign * a,
-                                        self._top(wb, ib, wc + g.weight, k, top), cd)
+                                        self._bracket(wb, ib, wc + g.weight, k), cd)
                         insert(acc)
+        del self._open
         # read off: the non-pivot columns are the representatives, and the
         # reduced row of a pivot column solves it over them, its pivot entry
         # being the denominator (full_reduce leaves it positive and the row
@@ -228,50 +218,45 @@ class LieModel:
         self.reps[w] = reps
         self.solvers[w] = ech
 
+    def _ad(self, g, wl, vec, built):
+        """[g, x] for x = vec at weight wl, as an accumulator [den, {...}]:
+        over the ad columns of g if wl + |g| is built, else over the
+        symbols g (x) b_k of the step building it."""
+        d, v = vec
+        if not built:
+            return [d, {(g, wl, k): a for k, a in v.items()}]
+        acc = [1, {}]
+        for k, a in v.items():
+            _add_scaled(acc, a, self.ad[(g, wl, k)], d)
+        return acc
+
     def _theta(self, word, memo):
-        """Quotient coordinates of theta(word) = [a1, [a2, ..., an]]."""
+        """Coordinates of theta(word) = [a1, [a2, ..., an]], over the
+        candidate columns if its weight is being built."""
         got = memo.get(word)
         if got is None:
             A = self.alphabet
-            if len(word) == 1:
-                got = self.gen_coords[A.names[word[0]]]
+            g = A.names[word[0]]
+            tail = word[1:]
+            wt = A.word_weight(tail)
+            built = wt + A.weights[word[0]] in self.reps
+            if tail:
+                got = _vector(self._ad(g, wt, self._theta(tail, memo), built))
             else:
-                g = A.names[word[0]]
-                tail = word[1:]
-                wt = A.word_weight(tail)
-                d, v = self._theta(tail, memo)
-                acc = [1, {}]
-                for k, a in v.items():
-                    _add_scaled(acc, a, self.ad[(g, wt, k)])
-                got = _vector(acc, d)
+                got = self.gen_coords[g] if built else (1, {g: 1})
             memo[word] = got
         return got
 
-    def _top(self, wu, iu, wv, iv, memo):
-        """[b_u, b_v] at the weight being built, over the symbols g (x) b_j."""
-        key = (wu, iu, wv, iv)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        u = self.reps[wu][iu]
-        if u.tail is None:
-            out = (1, {(u.label, wv, iv): 1})
-        else:
-            # u = [g, c]:  [[g,c],b] = g (x) [c,b] - (-1)^{|g||c|} [c,[g,b]]
-            g = u.label[0]
-            wc, ic = u.tail
-            wg = wu - wc
-            c_odd = self.reps[wc][ic].parity
-            g_odd = u.parity ^ c_odd
-            sign = -1 if (g_odd and c_odd) else 1
-            d, v = self._bracket(wc, ic, wv, iv)
-            acc = [d, {(g, wc + wv, k): a for k, a in v.items()}]
-            d, v = self.ad[(g, wv, iv)]
-            for k, a in v.items():
-                _add_scaled(acc, -sign * a, self._top(wc, ic, wv + wg, k, memo), d)
-            out = _vector(acc)
-        memo[key] = out
-        return out
+    def _evaluate(self, parts):
+        """The accumulator of the sum of theta(P_n) / n over the parts
+        {n: {word: c}} of a Lie element (Dynkin-Specht-Wever)."""
+        acc = [1, {}]
+        memo = {}
+        for n, terms in parts.items():
+            for word, c in terms.items():
+                q = Fraction(c, n)
+                _add_scaled(acc, q.numerator, self._theta(word, memo), q.denominator)
+        return acc
 
     # -- queries
 
@@ -315,13 +300,7 @@ class LieModel:
             return {}
         if w not in self.reps:
             raise EngineError(f"weight {w} not computed")
-        acc = [1, {}]
-        memo = {}
-        for n, terms in _lie_parts(poly).items():
-            for word, c in terms.items():
-                q = Fraction(c, n)
-                _add_scaled(acc, q.numerator, self._theta(word, memo), q.denominator)
-        return rational(_vector(acc))
+        return rational(_vector(self._evaluate(_lie_parts(poly))))
 
     def contains_ideal(self, poly):
         return not self.project(poly)
@@ -342,16 +321,21 @@ class LieModel:
         return got
 
     def _bracket(self, wu, iu, wv, iv):
-        """[b, b'] as an integer vector (den, {position: int})."""
+        """[b, b'] as an integer vector (den, {position: int}); while its
+        weight is being built, over the candidate columns and memoized in
+        the step's `_open`, so `_struct` holds built weights only."""
+        w = wu + wv
+        built = w in self.reps or w > self.max_weight
+        memo = self._struct if built else self._open
         key = (wu, iu, wv, iv)
-        got = self._struct.get(key)
+        got = memo.get(key)
         if got is not None:
             return got
         u = self.reps[wu][iu]
-        if wu + wv > self.max_weight:
+        if w > self.max_weight:
             out = _ZERO
         elif u.tail is None:
-            out = self.ad[(u.label, wv, iv)]
+            out = self.ad[(u.label, wv, iv)] if built else (1, {(u.label, wv, iv): 1})
         else:
             # u = [g, c]:  [[g,c],b] = [g,[c,b]] - (-1)^{|g||c|} [c,[g,b]]
             g = u.label[0]
@@ -360,15 +344,12 @@ class LieModel:
             c_odd = self.reps[wc][ic].parity
             g_odd = u.parity ^ c_odd
             sign = -1 if (g_odd and c_odd) else 1
-            acc = [1, {}]
-            d, v = self._bracket(wc, ic, wv, iv)
-            for k, a in v.items():
-                _add_scaled(acc, a, self.ad[(g, wc + wv, k)], d)
+            acc = self._ad(g, wc + wv, self._bracket(wc, ic, wv, iv), built)
             d, v = self.ad[(g, wv, iv)]
             for k, a in v.items():
                 _add_scaled(acc, -sign * a, self._bracket(wc, ic, wv + wg, k), d)
             out = _vector(acc)
-        self._struct[key] = out
+        memo[key] = out
         return out
 
     def export_struct(self):

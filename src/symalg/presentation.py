@@ -22,6 +22,7 @@ cannot vanish over Q).
 
 import json
 from fractions import Fraction
+from math import isqrt
 
 from .linalg import inverse, rank, ratio, rref
 from .series import DensePolynomial, PowerSeries, dims_from_series
@@ -38,10 +39,6 @@ from .tensor import (
 
 
 def rat(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -520,17 +517,11 @@ def _is_square(q):
     q = Fraction(q)
     if q < 0:
         return None
-    rn = _isqrt(q.numerator)
-    rd = _isqrt(q.denominator)
+    rn = isqrt(q.numerator)
+    rd = isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def _isqrt(n):
-    import math
-
-    return math.isqrt(n)
 
 
 def normalize(p):

@@ -293,7 +293,7 @@ def weight_of(g, f):
     form = KirillovForm(g, f)
     er = form.even_rank()
     if er % 2:
-        raise SuperLieError("even block of an antisymmetric form has even rank")
+        raise SuperLieError("even block of an antisymmetric form has odd rank")
     return IdealWeight(weyl=er // 2, clifford=form.odd_rank())
 
 

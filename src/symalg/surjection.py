@@ -362,8 +362,6 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         {key for key in support if key[0] % 2 == 0}
         | {key for row in xrow.values() for key in row}
     )
-    cols = {key: i for i, key in enumerate(even_support)}
-    nx = len(even_support)
     m = []
     x12 = fbar_of_theta(
         theta_of_coords(4, model.struct(2, pos2["x1"], 2, pos2["x2"]))

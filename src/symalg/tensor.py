@@ -278,7 +278,6 @@ def cyclic_derivative(p, gen_name):
     out = alph.zero()
     acc = out.terms
     for u, c in p.terms.items():
-        r = len(u)
         pre = 0  # parity of v1..v_{i-1}
         tot = sum(par[i] for i in u) & 1
         for i, letter in enumerate(u):

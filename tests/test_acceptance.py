@@ -42,6 +42,7 @@ from symalg.refdata import (
     reference_basis_trees,
 )
 from symalg.resolution import SidedResolution, verify_resolution
+from symalg.superlie import SuperLieError
 from symalg.tensor import (
     Alphabet,
     ODD,
@@ -241,7 +242,7 @@ def _scramble(g, rng):
                     mat[i][j] = Fraction(rng.randint(-2, 2))
         try:
             return g.change_basis(mat)
-        except Exception:
+        except SuperLieError:  # a singular draw
             continue
 
 

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from tensor_oracle import TensorLieModel
 
 from symalg.engine import (
@@ -23,6 +25,8 @@ from symalg.engine import (
 from symalg.presentation import (
     SymPresentation,
     build_relations,
+    check_nondegenerate,
+    dims_ym,
     free_gen_series_k1s,
     free_gen_series_tym,
     free_gen_series_tym_hat,
@@ -209,27 +213,44 @@ def test_k13_below_the_seed_weight():
     assert k1s_generators(m, 3, max_weight=2).counts() == {2: 0}
 
 
-def test_dims_independent_of_gamma():
-    # the dimension table depends only on (n, s), not on the coupling:
-    # random rational nondegenerate tensors give the same counts
-    import random
+INTEGERS = st.integers(-3, 3)
+RATIONALS = st.one_of(
+    INTEGERS,
+    st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(-5, 4)]),
+)
 
-    from symalg.presentation import SymPresentation, check_nondegenerate, dims_ym
 
-    rng = random.Random(99)
-    want = dims_ym(3, 2, max_j=9)
-    for _ in range(3):
-        while True:
-            g = [[[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2)]
-                  for _ in range(2)] for _ in range(3)]
-            for mat in g:
-                mat[0][1] = mat[1][0]
-            p = SymPresentation(3, 2, g)
-            if check_nondegenerate(p)[0]:
-                break
-        r0, r1 = build_relations(p)
-        m = LieModel(p.alphabet, r0 + r1, cutoff=8)
-        assert [m.dim(j) for j in range(1, 10)] == want
+@st.composite
+def random_gamma(draw, n, s):
+    """A nondegenerate (n, s) presentation with small random symmetric
+    Gamma, integral or rational."""
+    entries = draw(st.sampled_from([INTEGERS, RATIONALS]))
+    gamma = []
+    for _ in range(n):
+        mat = [[0] * s for _ in range(s)]
+        for a in range(s):
+            for b in range(a, s):
+                mat[a][b] = mat[b][a] = draw(entries)
+        gamma.append(mat)
+    p = SymPresentation(n, s, gamma)
+    assume(check_nondegenerate(p)[0])
+    return p
+
+
+@pytest.mark.parametrize("n,s", [(3, 1), (2, 2), (3, 2), (4, 1), (2, 3)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data(), cutoff=st.sampled_from([8, 9]))
+def test_dims_on_random_gamma(n, s, data, cutoff):
+    # the dimensions depend only on (n, s): the closed form at every
+    # weight, and the tensor-coordinate build's bases and ad columns at
+    # the low weights it reaches quickly
+    p = data.draw(random_gamma(n, s))
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    assert [m.dim(w) for w in range(1, cutoff + 2)] == dims_ym(p, max_j=cutoff + 1)
+    o = TensorLieModel(p.alphabet, r0 + r1, cutoff=5)
+    assert {w: [r.label for r in m.reps[w]] for w in o.reps} == o.labels()
+    assert {c: rational(m.ad[c]) for c in o.ad} == o.ad
 
 
 def test_ym20_engine_matches_formula():
@@ -446,6 +467,25 @@ def test_struct_matches_tensor_oracle(case):
     assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in values)
     if case == "31-G(1,2,-3)":
         assert any(type(c) is Fraction for c in values)
+
+
+@pytest.mark.parametrize("case", ["31", "31-G(1,1/2,-3/2)", "semidirect-31"])
+def test_struct_holds_quotient_positions_only(case):
+    # while weight w is built, its brackets are over the candidate columns
+    # (generator names and symbols g (x) b_k); none of them may reach
+    # `_struct`, which is pickled and backs `struct`
+    A, rels = {
+        "31": lambda: _relations(lambda: preset(3, 1)),
+        "31-G(1,1/2,-3/2)": lambda: _relations(
+            lambda: SymPresentation(3, 1, [[[1]], [[Fraction(1, 2)]], [[Fraction(-3, 2)]]])),
+        "semidirect-31": _semidirect,
+    }[case]()
+    m = LieModel(A, rels, cutoff=9)
+    assert m._struct and not hasattr(m, "_open")
+    m.export_struct()
+    for (wu, _, wv, _), (d, v) in m._struct.items():
+        assert type(d) is int and d > 0
+        assert all(type(k) is int and 0 <= k < m.dim(wu + wv) for k in v)
 
 
 def test_free_generators_general_coefficients():
