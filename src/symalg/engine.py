@@ -272,13 +272,6 @@ class LieModel:
     def total_dim(self):
         return sum(len(r) for r in self.reps.values())
 
-    def basis(self):
-        """All representatives, ordered by weight then position."""
-        out = []
-        for w in self.weights():
-            out.extend(self.reps[w])
-        return out
-
     def ideal_dim(self, w):
         """Dimension of the ideal's weight-w component in the free algebra."""
         if w not in self.reps:

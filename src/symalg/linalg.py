@@ -31,8 +31,12 @@ in ascending order, so nothing a caller sees depends on the order either.
 
 `addmul` is the in-place sparse accumulate `out += a * vec` on rational
 dicts (int and Fraction values alike); it stores no zero value.  The
-elimination kernel keeps its own loop, `_axpy`, and the Lie engine's
-integer vectors over one denominator keep theirs, `engine._add_scaled`.
+elimination kernel eliminates in place through it: a pivot step
+`v <- a*v - b*r` scales the working row only when the pivot entry `a` is
+not 1 and then adds `-b*r`, so with a unit pivot it touches only the
+pivot row's entries instead of copying the working row.  The Lie
+engine's integer vectors over one denominator keep their own
+accumulate, `engine._add_scaled`.
 """
 
 from fractions import Fraction
@@ -78,22 +82,26 @@ def addmul(out, a, vec):
             out.pop(k, None)
 
 
-def _axpy(a, v, b, r):
-    """Return a*v - b*r for int dicts."""
-    out = {}
-    for k, x in v.items():
-        out[k] = a * x
-    for k, y in r.items():
-        val = out.get(k, 0) - b * y
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
+def _eliminate(v, r, p):
+    """v <- a*v - b*r in place, with a = r[p] and b = v[p], clearing column
+    p of v; returns a.  Values and key order are those of a fresh dict
+    built from a*v and then -b*r."""
+    a = r[p]
+    b = v[p]
+    if a != 1:
+        for k, x in v.items():
+            v[k] = a * x
+    addmul(v, -b, r)
+    return a
 
 
 class Echelon:
-    """Incremental sparse row echelon over Q with integer rows."""
+    """Incremental sparse row echelon over Q with integer rows.
+
+    The rows are owned by the echelon: `insert` stores its own reduced
+    copy of the vector, never the caller's dict, and `full_reduce`
+    rewrites the rows in place.
+    """
 
     __slots__ = ("rows",)
 
@@ -129,8 +137,7 @@ class Echelon:
             r = rows.get(p)
             if r is None:
                 break
-            a = r[p]
-            v = _axpy(a, v, v[p], r)
+            a = _eliminate(v, r, p)
             s *= a
             step += 1
             if a != 1 and step % 8 == 0:
@@ -158,7 +165,7 @@ class Echelon:
         for p in sorted(rows, reverse=True):
             r = rows[p]
             for q in [k for k in r if k != p and k in rows]:
-                r = _axpy(rows[q][q], r, r[q], rows[q])
+                _eliminate(r, rows[q], q)
             r, _ = self._strip(r)
             rows[p] = r if r[p] > 0 else {k: -x for k, x in r.items()}
 

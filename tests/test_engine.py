@@ -98,7 +98,8 @@ def test_l1_basis():
     p = preset(3, 1)
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=1)
-    assert [rep.name for rep in m.basis()] == ["x1", "x2", "x3"]
+    assert {w: [rep.name for rep in reps] for w, reps in m.reps.items()} == {
+        2: ["x1", "x2", "x3"]}
 
 
 def test_reference_basis_reduces_independently(model31, p31):
@@ -291,7 +292,8 @@ def test_model_pickle_cache_roundtrip(tmp_path):
     assert (tmp_path / "models" / "deadbeef-l5.pickle").is_file()
     m2 = load_or_build_model(p.alphabet, r0 + r1, 5, tmp_path, "deadbeef")
     assert m2.dims() == m1.dims()
-    assert [r.name for r in m2.basis()] == [r.name for r in m1.basis()]
+    for w in m1.weights():
+        assert [r.name for r in m2.reps[w]] == [r.name for r in m1.reps[w]]
 
 
 def _old_model_pickle(alphabet, relations, schema):

@@ -1,15 +1,19 @@
 """The exact linear-algebra kernel: properties of rank, rref, kernel and
 inverse on small rational matrices (their scalar convention included), the
-sparse accumulate `addmul`, and the presentation checks built on them."""
+sparse accumulate `addmul`, the in-place elimination step against a copying
+reference kernel, and the presentation checks built on them."""
 
+import pickle
 import random
+from unittest import mock
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symalg.linalg import addmul, echelon, inverse, kernel, rank, rref
+from symalg import engine, linalg
+from symalg.linalg import Echelon, _eliminate, addmul, echelon, inverse, kernel, rank, rref, span
 from symalg.presentation import (
     PresentationError,
     SymPresentation,
@@ -195,6 +199,138 @@ def test_addmul_is_the_dense_sum_without_zeros(out, a, vec):
     addmul(out, a, vec)
     assert [out.get(k, 0) for k in range(6)] == want
     assert all(out.values())
+
+
+# -- the in-place elimination step against a copying reference kernel
+
+
+def _axpy(a, v, b, r):
+    """a*v - b*r as a fresh dict: the kernel step before it was made in
+    place, kept here as the reference."""
+    out = {}
+    for k, x in v.items():
+        out[k] = a * x
+    for k, y in r.items():
+        val = out.get(k, 0) - b * y
+        if val:
+            out[k] = val
+        else:
+            out.pop(k, None)
+    return out
+
+
+class CopyingEchelon(Echelon):
+    """`Echelon` with the reference step: every pivot step builds a new
+    dict."""
+
+    __slots__ = ()
+
+    def reduce(self, vec):
+        v = dict(vec)
+        s = 1
+        rows = self.rows
+        step = 0
+        while v:
+            p = min(v)
+            r = rows.get(p)
+            if r is None:
+                break
+            a = r[p]
+            v = _axpy(a, v, v[p], r)
+            s *= a
+            step += 1
+            if a != 1 and step % 8 == 0:
+                v, s = self._strip(v, s)
+        return v, s
+
+    def full_reduce(self):
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            r = rows[p]
+            for q in [k for k in r if k != p and k in rows]:
+                r = _axpy(rows[q][q], r, r[q], rows[q])
+            r, _ = self._strip(r)
+            rows[p] = r if r[p] > 0 else {k: -x for k, x in r.items()}
+
+
+def _clearing(v, r, p):
+    """The kernel step, checked to clear its pivot column: `reduce` would
+    repeat a step that leaves it forever."""
+    a = _eliminate(v, r, p)
+    assert p not in v, f"the step left column {p}"
+    return a
+
+
+def _items(rows):
+    """An echelon's rows with their pivot order and every row's key order."""
+    return [(p, list(r.items())) for p, r in rows.items()]
+
+
+# sparse integer rows over keys 0..7, drawn in any key order; entries up to
+# 4 in size give pivots other than 1
+NONZERO = st.integers(-4, 4).filter(bool)
+INTROW = st.dictionaries(st.integers(0, 7), NONZERO, max_size=6)
+
+
+@SEEDED
+@given(INTROW, INTROW, st.integers(0, 7), NONZERO, NONZERO)
+def test_eliminate_is_the_copying_step(v, r, p, a, b):
+    # the same values in the same key order as a*v - b*r, with a = r[p] and
+    # b = v[p] read before v is scaled
+    v = {**v, p: b}
+    r = {**r, p: a}
+    want = _axpy(a, v, b, r)
+    r_before = list(r.items())
+    assert _eliminate(v, r, p) == a
+    assert list(v.items()) == list(want.items())
+    assert p not in v and list(r.items()) == r_before
+
+
+@SEEDED
+@given(st.lists(INTROW, max_size=10), st.lists(INTROW, max_size=4))
+def test_echelon_rows_match_the_copying_kernel(rows, probes):
+    # rows after span and after full_reduce, the residuals and scales of
+    # reduce, and what insert returns all equal the reference's, key order
+    # included; no call changes its argument dicts, and no echelon row is
+    # one of them
+    with mock.patch.object(linalg, "_eliminate", _clearing):
+        before = [list(row.items()) for row in rows]
+        ech = span(rows)
+        ref = CopyingEchelon()
+        for row in sorted(rows, key=len):
+            ref.insert(row)
+        assert _items(ech.rows) == _items(ref.rows)
+        for vec in probes:
+            vec_before = list(vec.items())
+            v, s = ech.reduce(vec)
+            want_v, want_s = ref.reduce(vec)
+            assert (list(v.items()), s) == (list(want_v.items()), want_s)
+            assert ech.insert(vec) == ref.insert(vec)
+            assert list(vec.items()) == vec_before
+            assert _items(ech.rows) == _items(ref.rows)
+        assert not any(r is row for r in ech.rows.values() for row in rows + probes)
+        ech.full_reduce()
+        ref.full_reduce()
+        assert _items(ech.rows) == _items(ref.rows)
+        assert [list(row.items()) for row in rows] == before
+
+
+@pytest.mark.parametrize("case", ["31", "31-G(1,2,-3)"])
+def test_lie_model_pickles_as_with_the_copying_kernel(case, monkeypatch):
+    # a Lie build runs every step of its nilpotent-quotient echelons and
+    # their full_reduce through the kernel; the reference kernel gives the
+    # same pickle bytes
+    from symalg.presentation import SymPresentation, build_relations, preset
+
+    p = preset(3, 1) if case == "31" else SymPresentation(3, 1, [[[1]], [[2]], [[-3]]])
+    r0, r1 = build_relations(p)
+    monkeypatch.setattr(linalg, "_eliminate", _clearing)
+    model = pickle.dumps(engine.LieModel(p.alphabet, r0 + r1, cutoff=11))
+    # the model pickles its echelons, so the class itself takes the
+    # reference methods
+    monkeypatch.setattr(Echelon, "reduce", CopyingEchelon.reduce)
+    monkeypatch.setattr(Echelon, "full_reduce", CopyingEchelon.full_reduce)
+    assert pickle.dumps(engine.LieModel(p.alphabet, r0 + r1, cutoff=11)) == model
 
 
 def test_singular_metric_rejected():

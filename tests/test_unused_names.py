@@ -1,6 +1,6 @@
 """Dead names in the package source, found with the stdlib `ast` module.
 
-Two checks over every module of `src/symalg`:
+Three checks over the modules of `src/symalg`:
 
 * a function-local name bound by a plain assignment (`x = ...`,
   `x: T = ...`, `x += ...`), a `with ... as x` or an `except ... as x` and
@@ -8,10 +8,15 @@ Two checks over every module of `src/symalg`:
   tuple unpacking and loop targets are exempt, as are names starting
   with `_`;
 * an imported name never read in its module.  The package `__init__`
-  re-exports its module-level imports, so those are exempt.
+  re-exports its module-level imports, so those are exempt;
+* a private helper no module of the package reads: a module-level
+  function, or a method other than a dunder, whose name starts with `_`
+  and appears nowhere in the package as a name, an attribute or an
+  imported name, except inside the helper itself.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +91,50 @@ def unused_imports(tree, reexports=False):
     return sorted(set(out))
 
 
+def _reads(node):
+    """Every name read in the subtree of `node` as a name, an attribute or
+    an imported name, with its count."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            out[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def _private_helpers(tree):
+    """(kind, name, def node) of the module-level `_` functions and the
+    non-dunder `_` methods of a module."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs) and node.name.startswith("_"):
+            yield "function", node.name, node
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, defs) and node.name.startswith("_")
+                        and not node.name.endswith("__")):
+                    yield "method", f"{cls.name}.{node.name}", node
+
+
+def unread_helpers(trees):
+    """The private helpers of the modules `trees` (name -> tree) that no
+    module reads outside the helper's own body."""
+    read = Counter()
+    for tree in trees.values():
+        read.update(_reads(tree))
+    out = []
+    for module, tree in sorted(trees.items()):
+        for kind, name, node in _private_helpers(tree):
+            short = node.name
+            if read[short] == _reads(node)[short]:
+                out.append(f"{module}: line {node.lineno}: {kind} {name!r} is never read")
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals_or_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -115,4 +164,31 @@ def test_the_checks_see_dead_names():
     assert unused_imports(tree) == [
         "line 1: import 'os' is never read",
         "line 2: import 'isqrt' is never read",
+    ]
+
+
+def test_no_unread_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert sum(1 for t in trees.values() for _ in _private_helpers(t)) > 0
+    found = unread_helpers(trees)
+    assert not found, "; ".join(found)
+
+
+def test_the_helper_check_sees_dead_helpers():
+    a = ast.parse(
+        "from .b import _imported\n"
+        "def _used(): return _imported()\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "def _dead(): pass\n"
+        "class C:\n"
+        "    def __len__(self): return 0\n"
+        "    def _m(self): return self._m()\n"
+        "    def _n(self): return _used()\n"
+        "    def public(self): return self._n()\n"
+    )
+    b = ast.parse("def _imported(): pass\n")
+    assert unread_helpers({"a.py": a, "b.py": b}) == [
+        "a.py: line 3: function '_recursive' is never read",
+        "a.py: line 4: function '_dead' is never read",
+        "a.py: line 7: method 'C._m' is never read",
     ]
