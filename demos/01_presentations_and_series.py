@@ -28,8 +28,10 @@ for a, r in enumerate(r1, start=1):
 ok, witness = check_nondegenerate(p)
 print(f"\nnondegenerate: {ok}, witness = {witness}")
 
-# The enveloping algebra has Hilbert series 1/(1 - 3t^2 - t^3 + t^5 + 3t^6 - t^8);
-# Moebius inversion recovers the graded Lie algebra dimensions.
+# The enveloping algebra has Hilbert series 1/(1 - 3t^2 - t^3 + t^5 + 3t^6 - t^8).
+# By PBW it is a product of one factor per degree, (1 - t^i)^(-nu_i) for even i
+# and (1 + t^i)^(nu_i) for odd i; peeling the factors off in increasing degree
+# recovers the graded Lie algebra dimensions nu_i.
 ser = hilbert_series_YM(3, 1, order=12)
 print("\nenveloping dimensions by weight:", [int(ser[w]) for w in range(13)])
 print("Lie algebra dimensions by weight:", dims_ym(3, 1, max_j=20))

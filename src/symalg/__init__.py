@@ -47,17 +47,14 @@ from .series import (
     PowerSeries,
     dims_from_series,
     enveloping_series,
-    log_power_sums,
-    mobius,
-    newton_power_sums,
 )
 from .superlie import (
     FieldExtensionRequired,
     FinDimSuperLieAlgebra,
     IdealWeight,
-    KirillovForm,
     even_functional,
     heis,
+    kirillov_weight,
     stabilizer_subspace,
     subordinate_check,
     vergne_polarization,

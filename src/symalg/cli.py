@@ -6,7 +6,9 @@ truncation), verify (resolution, omega, susy, semidirect), dixmier
 (free-generator series).  `symalg.reports` computes each report; this
 module parses and range-checks the flags, loads the input files, caches
 the report bytes by the configuration hash and renders them.  Cache hits
-are byte-identical to recomputation (--no-cache recomputes and diffs).
+are byte-identical to recomputation (--no-cache recomputes and diffs); an
+entry that is not a JSON object echoing the configuration is recomputed
+and replaced.
 
 Exit codes:
 0  every requested verification passed
@@ -126,6 +128,21 @@ def _render_table(doc, indent=0):
     return lines
 
 
+def _cached_report(data, config):
+    """The report a cache entry holds; None for a missing entry, and for
+    one that is not a JSON object echoing `config`, which is then
+    recomputed and replaced like a miss."""
+    if data is None:
+        return None
+    try:
+        report = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    if isinstance(report, dict) and report.get("config") == config:
+        return report
+    return None
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="symalg",
@@ -189,9 +206,9 @@ def main(argv=None):
     key = cachemod.config_key(config)
     cdir = cachemod.cache_dir(args.cache_dir)
     cached = cachemod.lookup(key, cdir)
-    if cached is not None and not args.no_cache:
+    report = None if args.no_cache else _cached_report(cached, config)
+    if report is not None:
         data = cached
-        report = json.loads(data)
     else:
         try:
             report = args.func(args)
@@ -200,7 +217,7 @@ def main(argv=None):
             return 2
         report["config"] = config
         data = (json.dumps(report, sort_keys=True, indent=1, default=str) + "\n").encode()
-        if cached is not None and data != cached:
+        if args.no_cache and cached is not None and data != cached:
             sys.stderr.write("cache mismatch: recomputation differs from cache\n")
             sys.stdout.write(data.decode())
             return 3

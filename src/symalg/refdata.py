@@ -46,7 +46,7 @@ REFERENCE_BASIS_31 = {
     ],
 }
 
-EXPECTED_CUMULATIVE_31 = {1: 3, 2: 4, 3: 7, 4: 9, 5: 15, 6: 21, 7: 33}
+EXPECTED_CUMULATIVE_31 = {0: 0, 1: 3, 2: 4, 3: 7, 4: 9, 5: 15, 6: 21, 7: 33}
 
 
 def _quad(i, j, k, m):

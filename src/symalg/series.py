@@ -1,17 +1,21 @@
-"""Truncated power series, dense polynomials and dimension formulas.
+"""Truncated power series, dense polynomials, and the PBW factorization
+that ties the Lie dimensions to the enveloping algebra's Hilbert series.
 
-The dimension bookkeeping for graded Lie algebras runs through three maps:
+By the PBW theorem, a graded super Lie algebra with dimension nu_i in
+degree i (parity = degree mod 2) has an enveloping algebra with Hilbert
+series
 
-* ``log_power_sums``: extract the coefficients a_d with
-  -log p(t) = sum_d (a_d/d) t^d for a polynomial p with p(0) = 1
-  (equivalently the power sums of the inverse roots of p),
-* ``mobius``: the classical Moebius function,
-* ``dims_from_series``: recover graded component dimensions nu_j from the
-  a_d of the enveloping algebra's inverse Hilbert series via
-  nu_j = ((-1)^j / j) * sum_{d|j} (-1)^d a_d mu(j/d).
+    h(t) = prod_i (1 - (-1)^i t^i)^(-(-1)^i nu_i),
 
-All coefficients are exact rationals; results that must be integers are
-checked to be so.
+a symmetric algebra (1 - t^i)^(-nu_i) on each even degree and an exterior
+algebra (1 + t^i)^(nu_i) on each odd one.  `enveloping_series` multiplies
+the factors out; `dims_from_series` reads the factorization backwards from
+h = 1/p: nu_i is the coefficient of t^i once the factors of the lower
+degrees are divided off.  Both use `_times_factor`, the one place the sign
+and parity convention of a factor is written.
+
+All coefficients are exact: ints where integral, Fractions otherwise;
+dimensions are checked to be non-negative integers.
 """
 
 from fractions import Fraction
@@ -108,140 +112,66 @@ class PowerSeries:
             inv[d] = -acc / self.coeffs[0]
         return PowerSeries(inv, n)
 
-    def log(self):
-        """log of a series with constant term 1, via (log f)' = f'/f."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        # d * out[d] = d*f[d] - sum_{k=1}^{d-1} k*out[k]*f[d-k]
-        for d in range(1, n + 1):
-            acc = d * self.coeffs[d]
-            for k in range(1, d):
-                if out[k] and self.coeffs[d - k]:
-                    acc -= k * out[k] * self.coeffs[d - k]
-            out[d] = acc / d
-        return PowerSeries(out, n)
-
-    def exp(self):
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        # d * out[d] = sum_{k=1}^{d} k*self[k]*out[d-k]
-        for d in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, d + 1):
-                if self.coeffs[k] and out[d - k]:
-                    acc += k * self.coeffs[k] * out[d - k]
-            out[d] = acc / d
-        return PowerSeries(out, n)
-
-
-def mobius(n):
-    if n < 1 or n != int(n):
-        raise ValueError("mobius is defined for positive integers")
-    n = int(n)
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
-
-
-def divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def log_power_sums(p, max_d):
-    """Coefficients a_1..a_max_d with -log p(t) = sum a_d t^d / d.
-
-    If p = prod (1 - t/lambda_i), then a_d = sum lambda_i**(-d).
-    """
-    if not isinstance(p, DensePolynomial):
-        p = DensePolynomial(p)
-    if p[0] != 1:
-        raise ValueError("constant term must be 1")
-    neg_log = p.series(max_d).log()
-    return [-d * neg_log[d] for d in range(1, max_d + 1)]
-
-
-def newton_power_sums(p, max_d):
-    """Power sums of inverse roots via Newton's identities (cross-check).
-
-    Writing p(t) = 1 + c_1 t + ... + c_m t^m = prod (1 - mu_i t), the power
-    sums P_d = sum mu_i^d obey
-    P_d = -d c_d - sum_{k=1}^{d-1} c_k P_{d-k}.
-    """
-    if not isinstance(p, DensePolynomial):
-        p = DensePolynomial(p)
-    if p[0] != 1:
-        raise ValueError("constant term must be 1")
-    P = []
-    for d in range(1, max_d + 1):
-        acc = -d * p[d]
-        for k in range(1, d):
-            acc -= p[k] * P[d - k - 1]
-        P.append(acc)
-    return P
-
-
-def dims_from_series(p, max_j):
-    """Graded Lie component dimensions from the inverse Hilbert series.
-
-    p must be the polynomial with 1/p the Hilbert series of the enveloping
-    algebra.  Raises if any resulting dimension is non-integral or negative.
-    """
-    a = log_power_sums(p, max_j)
-    dims = []
-    for j in range(1, max_j + 1):
-        acc = Fraction(0)
-        for d in divisors(j):
-            m = mobius(j // d)
-            if m:
-                acc += (-1) ** d * a[d - 1] * m
-        nu = Fraction((-1) ** j) * acc / j
-        if nu.denominator != 1 or nu < 0:
-            raise ValueError(f"inconsistent Hilbert data at degree {j}: nu={nu}")
-        dims.append(int(nu))
-    return dims
-
 
 def _binomial(n, k):
+    """n choose k for any integer n, negative included: each step's
+    quotient is again a binomial coefficient, so floor division is exact."""
     out = 1
     for j in range(k):
         out = out * (n - j) // (j + 1)
     return out
 
 
+def _times_factor(h, i, nu):
+    """Multiply the coefficient list h in place by the PBW factor of nu
+    generators in degree i: (1 - t^i)^(-nu) for even i, (1 + t^i)^nu for
+    odd i.  The factor for -nu is its inverse."""
+    order = len(h) - 1
+    if i % 2:
+        cs = [_binomial(nu, k) for k in range(order // i + 1)]
+    else:
+        cs = [_binomial(nu + k - 1, k) for k in range(order // i + 1)]
+    # descending degrees read only coefficients not yet overwritten
+    for d in range(order, i - 1, -1):
+        acc = h[d]
+        for k in range(1, d // i + 1):
+            b = h[d - i * k]
+            if b and cs[k]:
+                acc += cs[k] * b
+        h[d] = acc
+
+
 def enveloping_series(dims, order):
     """Hilbert series of the free graded-supercommutative algebra on a
-    graded space with dimension nu_i in degree i (odd degrees = odd parity):
-    prod_i (1 - (-1)^i t^i)^(-(-1)^i nu_i).
+    graded space with dimension nu_i in degree i (odd degrees = odd
+    parity): the PBW product of the factors (module docstring)."""
+    h = [1] + [0] * order
+    for i, nu in enumerate(dims[:order], start=1):
+        if nu:
+            _times_factor(h, i, nu)
+    return PowerSeries(h, order)
+
+
+def dims_from_series(p, max_j):
+    """Graded Lie component dimensions nu_1..nu_max_j from the inverse
+    Hilbert series p of the enveloping algebra, by peeling the PBW factors
+    off h = 1/p in increasing degree.
+
+    Raises ValueError if p(0) != 1 or some nu_i is negative or not an
+    integer (then no graded super Lie algebra has 1/p as its series).
     """
-    out = PowerSeries([1], order)
-    for i, nu in enumerate(dims, start=1):
-        if i > order or nu == 0:
-            continue
-        cs = [Fraction(0)] * (order + 1)
-        for k in range(order // i + 1):
-            # even degree: (1-t^i)^(-nu); odd degree: (1+t^i)^nu
-            cs[i * k] = _binomial(nu + k - 1, k) if i % 2 == 0 else _binomial(nu, k)
-        out = out * PowerSeries(cs, order)
-    return out
+    if not isinstance(p, DensePolynomial):
+        p = DensePolynomial(p)
+    if p[0] != 1:
+        raise ValueError("constant term must be 1")
+    h = [int(c) if c.denominator == 1 else c for c in p.series(max_j).inverse().coeffs]
+    dims = []
+    for i in range(1, max_j + 1):
+        nu = h[i]
+        if nu.denominator != 1 or nu < 0:
+            raise ValueError(f"inconsistent Hilbert data at degree {i}: nu={nu}")
+        nu = int(nu)
+        dims.append(nu)
+        if nu:
+            _times_factor(h, i, -nu)
+    return dims

@@ -268,33 +268,24 @@ def apply_functional(f, vec):
     return sum((f[k] * c for k, c in vec.items() if k in f), Fraction(0))
 
 
-class KirillovForm:
-    """B_f(x, y) = f([x, y]): antisymmetric even block, symmetric odd block."""
-
-    def __init__(self, g, f):
-        ev = g.even_indices()
-        od = g.odd_indices()
-        self.even_block = [
-            [apply_functional(f, g.bracket(i, j)) for j in ev] for i in ev
-        ]
-        self.odd_block = [
-            [apply_functional(f, g.bracket(i, j)) for j in od] for i in od
-        ]
-
-    def even_rank(self):
-        return rank(self.even_block)
-
-    def odd_rank(self):
-        return rank(self.odd_block)
-
-def weight_of(g, f):
-    """Weight of the primitive quotient attached to an even functional:
-    weyl = (even rank of B_f)/2, clifford = odd rank of B_f."""
-    form = KirillovForm(g, f)
-    er = form.even_rank()
+def kirillov_weight(even_block, odd_block):
+    """Weight of the primitive quotient from the two blocks of a Kirillov
+    form B_f(x, y) = f([x, y]): weyl = (rank of the antisymmetric even
+    block)/2, clifford = rank of the symmetric odd block."""
+    er = rank(even_block)
     if er % 2:
         raise SuperLieError("even block of an antisymmetric form has odd rank")
-    return IdealWeight(weyl=er // 2, clifford=form.odd_rank())
+    return IdealWeight(weyl=er // 2, clifford=rank(odd_block))
+
+
+def weight_of(g, f):
+    """Weight of the primitive quotient attached to an even functional f
+    on g (kirillov_weight of the blocks of B_f on g_0 and g_1)."""
+
+    def block(indices):
+        return [[apply_functional(f, g.bracket(i, j)) for j in indices] for i in indices]
+
+    return kirillov_weight(block(g.even_indices()), block(g.odd_indices()))
 
 
 def subordinate_check(g, f, subspace):
@@ -379,18 +370,10 @@ def vergne_polarization(g, f, flag=None):
     target_even = m0 - w.weyl
     # closed-field bound: radical + a maximal isotropic of the rank-r part
     bound_odd = m1 - w.clifford + w.clifford // 2
-    got_even = got_odd = 0
-    par_span_e, par_span_o = Echelon(), Echelon()
-    for v in basis:
-        pars = {g.parities[i] for i in v}
-        if len(pars) != 1:
-            raise SuperLieError("polarization basis not parity-homogeneous")
-        if pars.pop() == 0:
-            if extend(par_span_e, v):
-                got_even += 1
-        else:
-            if extend(par_span_o, v):
-                got_odd += 1
+    # the radicals are split by parity and the basis is independent, so
+    # the dimensions of the two parts are counts
+    got_odd = sum(g.parities[next(iter(v))] for v in basis)
+    got_even = len(basis) - got_odd
     if not subordinate_check(g, f, basis):
         raise SuperLieError("polarization is not subordinate")
     if not _is_subalgebra(g, basis):

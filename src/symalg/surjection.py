@@ -54,7 +54,7 @@ from .presentation import (
     build_relations,
     free_gen_series_tym_hat,
 )
-from .superlie import IdealWeight, heis
+from .superlie import heis, kirillov_weight
 
 
 class SurjectionError(ValueError):
@@ -376,13 +376,9 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         for key2 in even_support:
             row.append(pair(tk, theta[key2]))
         m.append(row)
-    even_rank = rank(m)
-    if even_rank % 2:
-        raise SurjectionError("even Kirillov block has odd rank")
     odd_support = [key for key in support if key[0] % 2 == 1]
     modd = [[pair(theta[k1], theta[k2]) for k2 in odd_support] for k1 in odd_support]
-    odd_rank = rank(modd)
-    res.weight = IdealWeight(weyl=even_rank // 2, clifford=odd_rank)
+    res.weight = kirillov_weight(m, modd)
 
     # -- stabilizer: no combination of the two directions pairs to zero
     strank = rank(

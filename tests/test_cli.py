@@ -87,6 +87,17 @@ def test_basis_l1_and_l7(capsys, tmp_path):
     assert doc["dependency_identities_ok"] is True
 
 
+def test_basis_l0_reference_check(capsys, tmp_path):
+    # at l = 0 the model and the reference basis are both empty
+    code, out = run_cli(
+        capsys, tmp_path, "basis", "--preset", "3,1", "--l", "0",
+        "--check-reference-basis",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reference_count"] == 0 and doc["ok"] is True
+
+
 def test_verify_omega_and_susy(capsys, tmp_path):
     code, _ = run_cli(capsys, tmp_path, "verify", "omega", "--preset", "3,1")
     assert code == 0
@@ -192,6 +203,23 @@ def test_cache_mismatch_detected(capsys, tmp_path):
     files.write_bytes(b'{"ok": true, "tampered": 1}\n')
     code2, _ = run_cli(capsys, tmp_path, "--no-cache", *args)
     assert code2 == 3
+
+
+@pytest.mark.parametrize("content", [b"garbage", b"[]", b"{}"])
+def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, content):
+    # an entry that is not a JSON object echoing the configuration is a
+    # miss: recomputed and replaced; --no-cache still reports a mismatch
+    args = ("hilbert", "--preset", "3,1", "--degree", "6")
+    code, good = run_cli(capsys, tmp_path, *args)
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_bytes(content)
+    assert run_cli(capsys, tmp_path, *args) == (0, good)
+    assert entry.read_bytes() == good.encode()
+    entry.write_bytes(content)
+    code, out = run_cli(capsys, tmp_path, "--no-cache", *args)
+    assert (code, out) == (3, good)
+    assert entry.read_bytes() == content
 
 
 def test_presentation_file_input(capsys, tmp_path):

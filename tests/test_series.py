@@ -1,44 +1,24 @@
-"""Series layer: Moebius function, power-sum extraction, dimension recovery."""
+"""Series layer: the PBW factorization read both ways, and the free
+Lie algebra dimensions it gives against the Lie engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symalg.engine import LieModel, free_lie_dims
 from symalg.series import (
     DensePolynomial,
     PowerSeries,
     dims_from_series,
     enveloping_series,
-    log_power_sums,
-    mobius,
-    newton_power_sums,
 )
 from symalg.presentation import ym_denominator
+from symalg.tensor import Alphabet
 
 
-def test_mobius_values():
-    assert mobius(1) == 1
-    assert mobius(6) == 1
-    assert mobius(12) == 0
-    assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-
-
-def test_log_power_sums_single_root():
-    assert log_power_sums([1, -1], 6) == [1] * 6
-
-
-def test_log_power_sums_geometric():
-    assert log_power_sums([1, -2], 8) == [2**d for d in range(1, 9)]
-
-
-def test_log_power_sums_crosscheck_newton():
-    p = ym_denominator(3, 1)
-    assert log_power_sums(p, 20) == newton_power_sums(p, 20)
-    q = DensePolynomial([1, 2, -5, 0, 3])
-    assert log_power_sums(q, 12) == newton_power_sums(q, 12)
-
-
-def test_log_rejects_bad_constant():
-    with pytest.raises(ValueError):
-        log_power_sums([2, 1], 3)
+def test_dims_from_series_rejects_bad_constant():
+    with pytest.raises(ValueError, match="constant term must be 1"):
+        dims_from_series([2, 1], 3)
 
 
 KNOWN_DIMS_31 = [0, 3, 1, 3, 2, 6, 6, 12, 15, 33, 42, 77, 114, 213, 314, 555,
@@ -64,9 +44,6 @@ def test_dims_from_series_one_odd_generator():
 def test_dims_from_series_free_two_even_generators():
     # free Lie algebra on two even weight-2 generators: necklace counts
     # in even degrees.  Oracle: the Lie engine without relations.
-    from symalg.engine import LieModel
-    from symalg.tensor import Alphabet
-
     dims = dims_from_series([1, 0, -2], 12)
     assert [dims[2 * k - 1] for k in range(1, 7)] == [2, 1, 2, 3, 6, 9]
     assert all(dims[2 * k] == 0 for k in range(6))
@@ -78,9 +55,6 @@ def test_dims_from_series_free_two_even_generators():
 def test_dims_from_series_free_two_odd_generators():
     # the same series with weight-1 (odd) generators counts the free super
     # Lie algebra instead; the Lie engine confirms the symmetric squares
-    from symalg.engine import LieModel
-    from symalg.tensor import Alphabet
-
     dims = dims_from_series([1, -2], 6)
     A = Alphabet([("a", 1, 1), ("b", 1, 1)])
     free = LieModel(A, [], cutoff=5).dims()
@@ -89,15 +63,36 @@ def test_dims_from_series_free_two_odd_generators():
 
 
 def test_dims_from_series_rejects_inconsistent():
-    with pytest.raises(ValueError):
-        dims_from_series([1, 1], 4)  # 1/(1+t) has negative coefficients
+    # 1/(1+t) = 1 - t + ...: a negative dimension in degree 1
+    with pytest.raises(ValueError, match="degree 1: nu=-1"):
+        dims_from_series([1, 1], 4)
+    # 1/(1 - t/2) = 1 + t/2 + ...: a fractional one
+    with pytest.raises(ValueError, match="degree 1: nu=1/2"):
+        dims_from_series([1, "-1/2"], 4)
+    # 1/(1 - t + t^2) = (1 + t)/(1 + t^3): nu_1 = 1 peels off and leaves
+    # 1/(1 + t^3), so nu_3 = -1
+    with pytest.raises(ValueError, match="degree 3: nu=-1"):
+        dims_from_series([1, -1, 1], 4)
+
+
+@st.composite
+def alphabets(draw):
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    return Alphabet([(f"g{i}", w % 2, w) for i, w in enumerate(weights)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(alphabets())
+def test_free_lie_dims_match_the_engine(alphabet):
+    # the factor convention (odd degree = odd parity, exterior powers)
+    # checked against brackets counted by the Lie engine without relations
+    dims = LieModel(alphabet, [], cutoff=6).dims()
+    assert free_lie_dims(alphabet, 7) == [dims.get(w, 0) for w in range(1, 8)]
 
 
 def test_power_series_ring_ops():
     p = PowerSeries([1, 2, 3, 4, 0, 1], 10)
     assert (p * p.inverse()).coeffs == [1] + [0] * 10
-    lg = p.log()
-    assert lg.exp() == p
 
 
 def test_enveloping_series_product_formula():

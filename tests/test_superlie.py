@@ -11,10 +11,10 @@ from symalg.superlie import (
     FieldExtensionRequired,
     FinDimSuperLieAlgebra,
     IdealWeight,
-    KirillovForm,
     SuperLieError,
     even_functional,
     heis,
+    kirillov_weight,
     stabilizer_subspace,
     subordinate_check,
     vergne_polarization,
@@ -46,19 +46,23 @@ def test_validate_rejects_bad_jacobi():
 
 
 def test_kirillov_form_blocks():
+    # B_f on heis(1, 1) with f = z*: the even block pairs q1 with p1, the
+    # odd block is [c, c] = z
+    assert kirillov_weight([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[1]]) == IdealWeight(1, 1)
+    assert kirillov_weight([], []) == IdealWeight(0, 0)
     g = heis(1, 1)
-    f = even_functional(g, {"z": 1})
-    form = KirillovForm(g, f)
-    assert form.even_rank() == 2 and form.odd_rank() == 1
-    zero = KirillovForm(g, {})
-    assert zero.even_rank() == 0 and zero.odd_rank() == 0
+    assert weight_of(g, even_functional(g, {"z": 1})) == IdealWeight(1, 1)
+    assert weight_of(g, {}) == IdealWeight(0, 0)
+    # an even block of odd rank is not antisymmetric
+    with pytest.raises(SuperLieError, match="odd rank"):
+        kirillov_weight([[1]], [])
 
 
 def test_kirillov_form_ym12():
     g = FinDimSuperLieAlgebra.from_model(ymodel(1, 2, 5))
     # charge the direction of [z1,z1]
     f = even_functional(g, {"[z1,z1]": 1})
-    assert KirillovForm(g, f).odd_rank() == 2
+    assert weight_of(g, f).clifford == 2
 
 
 def test_weight_of_heis_family():

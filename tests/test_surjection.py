@@ -2,9 +2,10 @@
 
 import pytest
 
-from symalg import LieModel, build_relations, preset
+from symalg import LieModel, SymPresentation, build_relations, preset
 from symalg.engine import rational
 from symalg.linalg import Echelon, intvec
+from symalg.presentation import normalize
 from symalg.superlie import FinDimSuperLieAlgebra, heis
 from symalg.surjection import (
     SurjectionError,
@@ -278,8 +279,6 @@ def test_surjection_32_multiple_odd_slots():
 
 def test_normalize_then_surject():
     # a rescaled coupling normalizes to the canonical form and runs
-    from symalg.presentation import SymPresentation, normalize
-
     p = SymPresentation(3, 1, [[[4]], [[0]], [[0]]])
     q, record = normalize(p)
     assert record["odd_change"] == [["1/2"]]
@@ -288,11 +287,36 @@ def test_normalize_then_surject():
     assert res.ok
 
 
+def _with_first_matrix(n, s, m1):
+    gamma = [m1] + [[[0] * s for _ in range(s)] for _ in range(n - 1)]
+    return SymPresentation(n, s, gamma)
+
+
+@pytest.mark.parametrize("p, r, t, weight", [
+    (_with_first_matrix(3, 1, [[4]]), 1, 1, (3, 1)),
+    (SymPresentation(3, 1, [[[9]], [[2]], [[-3]]]), 1, 1, (3, 1)),
+    (_with_first_matrix(3, 2, [[1, 1], [1, 2]]), 1, 2, (3, 2)),
+], ids=["31-rescaled", "31-general", "32-gram-schmidt"])
+def test_normalize_keeps_what_the_pipeline_computes(models, p, r, t, weight):
+    # normalize changes only the odd basis: the Lie dimensions stay those
+    # of p and of the preset, and the normalized copy reaches the weight
+    # (r + 2, t) that p itself is refused for
+    def dims(pres):
+        r0, r1 = build_relations(pres)
+        return LieModel(pres.alphabet, r0 + r1, cutoff=11).dims()
+
+    q, _ = normalize(p)
+    assert dims(p) == dims(q) == models(p.n, p.s, 11).dims()
+    res = build_cw_surjection(q, r, t)
+    assert (res.weight.weyl, res.weight.clifford) == weight
+    assert res.ok and all(res.flags.values()), res.flags
+    with pytest.raises(SurjectionError, match="normalize first"):
+        build_cw_surjection(p, r, t)
+
+
 def test_surjection_general_coefficients():
     # G = (1, 2, -3): theta takes non-integral values, so it is read off
     # reduced rows whose pivot entry is not 1
-    from symalg.presentation import SymPresentation
-
     p = SymPresentation(3, 1, [[[1]], [[2]], [[-3]]])
     res = build_cw_surjection(p, 1, 1, l=13)
     assert (res.weight.weyl, res.weight.clifford) == (3, 1)
