@@ -42,12 +42,7 @@ from .presentation import (
     ym_denominator,
 )
 from .resolution import SidedResolution, verify_resolution
-from .series import (
-    DensePolynomial,
-    PowerSeries,
-    dims_from_series,
-    enveloping_series,
-)
+from .series import dims_from_series, enveloping_series
 from .superlie import (
     FieldExtensionRequired,
     FinDimSuperLieAlgebra,

@@ -8,7 +8,10 @@ and lower normal words y (left factors are already normalized, so these
 rows span the whole weight-w component of the ideal).  A full reduced row
 echelon over the candidate columns, taken in ascending monomial order,
 marks pivot words; the pivot-free candidates are the normal words of
-weight w and every word reduces recursively through this data.
+weight w.  The reduced rows seed the one normal-form table: each candidate
+word maps to its row (a normal word to itself), and any other word g * u
+reduces recursively through the rows of g * n over the normal form of u,
+and is then stored in the same table.
 
 Normal forms follow the scalar convention of `linalg.ratio`: an integral
 value is an int, and only a non-integral value carries a denominator.
@@ -33,7 +36,6 @@ class AssocModel:
             self.rel_by_weight.setdefault(w, []).append(r)
         self.normal = {0: [()]}
         self._normal_index = {0: {(): 0}}
-        self._candred = {}
         self._nf_cache = {(): {(): 1}}
         for w in range(1, max_weight + 1):
             self._build_weight(w)
@@ -79,14 +81,13 @@ class AssocModel:
         normal = [u for i, u in enumerate(cands) if i not in pivots]
         self.normal[w] = normal
         self._normal_index[w] = {u: i for i, u in enumerate(normal)}
-        # a normal word reduces to itself
-        candred = {u: {u: 1} for u in normal}
+        # the candidates seed the normal-form table: a normal word reduces
+        # to itself, pivot candidate i to -(tail over non-pivot candidates)
+        nf = self._nf_cache
+        for u in normal:
+            nf[u] = {u: 1}
         for i, row in pivots.items():
-            # row: pivot candidate i = -(tail over non-pivot candidates)
-            candred[cands[i]] = {
-                cands[j]: -c for j, c in row.items() if j != i
-            }
-        self._candred[w] = candred
+            nf[cands[i]] = {cands[j]: -c for j, c in row.items() if j != i}
 
     # -- normal forms
 
@@ -101,9 +102,9 @@ class AssocModel:
         g = word[0]
         rest = self.normal_word(word[1:])
         out = {}
-        candred = self._candred[w]
+        nf = self._nf_cache
         for n, d in rest.items():
-            addmul(out, d, candred[(g,) + n])
+            addmul(out, d, nf[(g,) + n])
         self._nf_cache[word] = out
         return out
 

@@ -48,14 +48,19 @@ def lookup(key, directory):
     return None
 
 
-def store(key, data, directory):
-    """Write an entry atomically: readers see the old bytes or the new."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"{key}.json"
-    tmp = d / f"{key}.json.{os.getpid()}.tmp"
+def write_atomic(path, write):
+    """Create `path` through `write(fh)` on a temporary file beside it,
+    renamed over it: readers see the old bytes or the new, never a part."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def store(key, data, directory):
+    """Write an entry atomically."""
+    write_atomic(Path(directory) / f"{key}.json", lambda fh: fh.write(data))

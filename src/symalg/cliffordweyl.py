@@ -39,9 +39,6 @@ class CWAlgebra:
             (0,) * self.tprime, (0,) * self.tprime, 0, (0,) * self.r, (0,) * self.r
         )
 
-    def element(self, terms=None):
-        return CWElement(self, dict(terms or {}))
-
     def unit(self):
         return CWElement(self, {self.unit_mono(): Fraction(1)})
 

@@ -47,7 +47,6 @@ stays integral: it reads the ad columns and `_bracket` and spans their
 numerators.
 """
 
-import os
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -490,8 +489,7 @@ def load_or_build_model(alphabet, relations, cutoff, cache_directory=None,
 
     A cached pickle that fails to load, holds no LieModel, or holds one of
     another MODEL_SCHEMA or cutoff is rebuilt and replaced.  The pickle is
-    written to a temporary file and renamed, so readers never see a
-    partial one.
+    written by `cache.write_atomic`, so readers never see a partial one.
     """
     if not (cache_directory and presentation_hash):
         return LieModel(alphabet, relations, cutoff)
@@ -502,14 +500,11 @@ def load_or_build_model(alphabet, relations, cutoff, cache_directory=None,
     if model is not None:
         return model
     model = LieModel(alphabet, relations, cutoff)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            pickle.dump(model, fh)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    # imported here: `cache` reads the package's __version__, which is
+    # defined after this module is imported
+    from . import cache
+
+    cache.write_atomic(path, lambda fh: pickle.dump(model, fh))
     return model
 
 
@@ -538,9 +533,9 @@ def free_lie_dims(alphabet, max_w):
     The inversion formula reads parity off the degree, so it applies only
     to alphabets whose generators have parity == weight mod 2.
     """
-    from .series import DensePolynomial, dims_from_series
+    from .series import dims_from_series
 
-    coeffs = [Fraction(1)] + [Fraction(0)] * max_w
+    coeffs = [1] + [0] * max_w
     for g in alphabet.generators:
         if g.parity != g.weight % 2:
             raise EngineError(
@@ -548,7 +543,7 @@ def free_lie_dims(alphabet, max_w):
             )
         if g.weight <= max_w:
             coeffs[g.weight] -= 1
-    return dims_from_series(DensePolynomial(coeffs), max_w)
+    return dims_from_series(coeffs, max_w)
 
 
 class SubalgebraGenerators:

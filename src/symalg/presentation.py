@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .linalg import inverse, rank, ratio, rref
-from .series import DensePolynomial, PowerSeries, dims_from_series
+from .series import dims_from_series, reciprocal, times_factor
 from .tensor import (
     EVEN,
     ODD,
@@ -79,17 +79,8 @@ class GammaTensor:
         return isinstance(other, GammaTensor) and self.mats == other.mats
 
 
-class GammaTilde:
+class GammaTilde(GammaTensor):
     """Companion tensor Gt^{i,a,b}, symmetric in (a, b)."""
-
-    def __init__(self, n, s, matrices):
-        inner = GammaTensor(n, s, matrices)
-        self.n = n
-        self.s = s
-        self.mats = inner.mats
-
-    def __getitem__(self, i):
-        return self.mats[i]
 
 
 class SymPresentation:
@@ -481,8 +472,8 @@ def susy_derivations(p, gamma_tilde=None):
 
 
 def ym_denominator(n, s):
-    """1 - n t^2 - s t^3 + s t^5 + n t^6 - t^8."""
-    return DensePolynomial([1, 0, -n, -s, 0, s, n, 0, -1])
+    """1 - n t^2 - s t^3 + s t^5 + n t^6 - t^8, as a coefficient list."""
+    return [1, 0, -n, -s, 0, s, n, 0, -1]
 
 
 def series_valid(n, s):
@@ -492,24 +483,20 @@ def series_valid(n, s):
     return n >= 1 and (n, s) not in ((1, 0), (1, 1))
 
 
-def hilbert_series_YM(p_or_n, s=None, order=20):
-    """Hilbert series of the enveloping algebra, as a truncated series:
-    1 / ym_denominator where series_valid holds, and for n = 0, where the
+def hilbert_series_YM(n, s, order=20):
+    """Hilbert series of the enveloping algebra to t^order: 1 /
+    ym_denominator where series_valid holds, and for n = 0, where the
     algebra is free on s odd weight-3 generators, 1 / (1 - s t^3).  (1,0)
     and (1,1) have no closed form here and raise ValueError."""
-    n = p_or_n.n if isinstance(p_or_n, SymPresentation) else p_or_n
-    s = p_or_n.s if isinstance(p_or_n, SymPresentation) else s
     if n == 0:
-        return DensePolynomial([1, 0, 0, -s]).series(order).inverse()
+        return reciprocal([1, 0, 0, -s], order)
     if not series_valid(n, s):
         raise ValueError(f"no closed-form Hilbert series for ({n},{s})")
-    return ym_denominator(n, s).series(order).inverse()
+    return reciprocal(ym_denominator(n, s), order)
 
 
-def dims_ym(p_or_n, s=None, max_j=20):
+def dims_ym(n, s, max_j=20):
     """Graded component dimensions of the quotient Lie algebra."""
-    n = p_or_n.n if isinstance(p_or_n, SymPresentation) else p_or_n
-    s = p_or_n.s if isinstance(p_or_n, SymPresentation) else s
     return dims_from_series(ym_denominator(n, s), max_j)
 
 
@@ -600,7 +587,7 @@ def normalize(p):
         new_gamma.append(mat)
     record["odd_change"] = [[rat_str(x) for x in row] for row in S]
     out = SymPresentation(n, s, new_gamma, p.metric if not p.is_orthonormal() else "orthonormal")
-    if not _is_identity(out.gamma[0]):
+    if not is_identity(out.gamma[0]):
         raise PresentationError("normalization failed verification")
     return out, record
 
@@ -654,7 +641,7 @@ def semidirect_maps(p):
     ok, _ = check_nondegenerate(p)
     if not ok:
         raise PresentationError("presentation is degenerate")
-    if p.s and not _is_identity(p.gamma[0]):
+    if p.s and not is_identity(p.gamma[0]):
         raise PresentationError("normalize first: G^1 must be the identity")
     n, s = p.n, p.s
     psi = {"x1": "d"}
@@ -695,7 +682,7 @@ def semidirect_maps(p):
     return psi, psi_inv, d_action
 
 
-def _is_identity(m):
+def is_identity(m):
     return all(
         m[a][b] == (1 if a == b else 0) for a in range(len(m)) for b in range(len(m))
     )
@@ -726,18 +713,18 @@ def free_gen_series_tym_hat(n, s):
 
 
 def free_gen_series_tym(n, s, order=40):
-    """((1-t^2)^n - 1 + n t^2 + s t^3 - s t^5 - n t^6 + t^8) / (1-t^2)^n."""
+    """Coefficient extractor, to t^order, for the generator space of the
+    tym ideal: 1 - ym_denominator / (1-t^2)^n."""
     if n < 2:
         raise PresentationError("requires n >= 2")
-    one_minus = PowerSeries([1, 0, -1], order)
-    pw = PowerSeries([1], order)
-    for _ in range(n):
-        pw = pw * one_minus
-    num = pw - PowerSeries([1, 0, -n, -s, 0, s, n, 0, -1], order)
-    ser = num * pw.inverse()
+    h = [-c for c in ym_denominator(n, s)[: order + 1]]
+    h += [0] * (order + 1 - len(h))
+    times_factor(h, 2, n)
+    h[0] += 1
 
     def coeff(d):
-        return ser[d]
+        # 0 below degree 0, as the other extractors; h[-1] is t^order
+        return h[d] if d >= 0 else 0
 
     return coeff
 

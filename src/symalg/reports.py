@@ -53,7 +53,7 @@ def hilbert(p, degree, check_engine=False, engine_depth=12):
     if degree > 0:
         if p.n == 0 or report["series_valid"]:
             ser = hilbert_series_YM(p.n, p.s, order=degree)
-            report["enveloping_series"] = [str(int(ser[d])) for d in range(degree + 1)]
+            report["enveloping_series"] = [str(c) for c in ser]
         if report["series_valid"]:
             report["lie_dims"] = dims_ym(p.n, p.s, max_j=degree)
         if check_engine and report["series_valid"]:
@@ -281,7 +281,7 @@ def freegens(p, ideal, max_weight, cache_dir=None):
         analysis = k1s_generators(model, p.s, max_weight=max_weight)
         series = free_gen_series_k1s(p.s)
     counts = analysis.counts()
-    expected = {w: int(series(w)) for w in counts}
+    expected = {w: series(w) for w in counts}
     return {
         "command": "freegens",
         "ideal": ideal,

@@ -1,5 +1,9 @@
-"""Truncated power series, dense polynomials, and the PBW factorization
-that ties the Lie dimensions to the enveloping algebra's Hilbert series.
+"""Truncated series as coefficient lists, and the PBW factorization that
+ties the Lie dimensions to the enveloping algebra's Hilbert series.
+
+A truncated series is a plain list of coefficients, constant term first;
+its length fixes the order.  Integer input gives integer coefficients:
+`reciprocal` divides by nothing, and `_binomial` is exact.
 
 By the PBW theorem, a graded super Lie algebra with dimension nu_i in
 degree i (parity = degree mod 2) has an enveloping algebra with Hilbert
@@ -11,106 +15,22 @@ a symmetric algebra (1 - t^i)^(-nu_i) on each even degree and an exterior
 algebra (1 + t^i)^(nu_i) on each odd one.  `enveloping_series` multiplies
 the factors out; `dims_from_series` reads the factorization backwards from
 h = 1/p: nu_i is the coefficient of t^i once the factors of the lower
-degrees are divided off.  Both use `_times_factor`, the one place the sign
+degrees are divided off.  Both use `times_factor`, the one place the sign
 and parity convention of a factor is written.
 
-All coefficients are exact: ints where integral, Fractions otherwise;
-dimensions are checked to be non-negative integers.
+Dimensions are checked to be non-negative integers.
 """
 
-from fractions import Fraction
 
-
-class DensePolynomial:
-    """Coefficient list, constant term first, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    def __getitem__(self, d):
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, DensePolynomial) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"DensePolynomial({self.coeffs})"
-
-    def series(self, order):
-        return PowerSeries([self[d] for d in range(order + 1)], order)
-
-
-class PowerSeries:
-    """Power series truncated at a fixed order (inclusive)."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order):
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = cs
-        self.order = order
-
-    def __getitem__(self, d):
-        if d < 0:
-            return Fraction(0)
-        if d > self.order:
-            raise IndexError(f"coefficient {d} beyond truncation order {self.order}")
-        return self.coeffs[d]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"PowerSeries({self.coeffs}, order={self.order})"
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries([self[d] + other[d] for d in range(n + 1)], n)
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries([self[d] - other[d] for d in range(n + 1)], n)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries([c * other for c in self.coeffs], self.order)
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, n)
-
-    def inverse(self):
-        if self.coeffs[0] == 0:
-            raise ValueError("inverse requires a nonzero constant term")
-        n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / self.coeffs[0]
-        for d in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, d + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * inv[d - k]
-            inv[d] = -acc / self.coeffs[0]
-        return PowerSeries(inv, n)
+def reciprocal(p, order):
+    """The series 1/p to t^order of a coefficient list p with p[0] = 1:
+    each coefficient is minus the convolution of p with the lower ones."""
+    if p[0] != 1:
+        raise ValueError("constant term must be 1")
+    h = [1] + [0] * order
+    for d in range(1, order + 1):
+        h[d] = -sum(p[k] * h[d - k] for k in range(1, min(d + 1, len(p))) if p[k])
+    return h
 
 
 def _binomial(n, k):
@@ -122,7 +42,7 @@ def _binomial(n, k):
     return out
 
 
-def _times_factor(h, i, nu):
+def times_factor(h, i, nu):
     """Multiply the coefficient list h in place by the PBW factor of nu
     generators in degree i: (1 - t^i)^(-nu) for even i, (1 + t^i)^nu for
     odd i.  The factor for -nu is its inverse."""
@@ -148,8 +68,8 @@ def enveloping_series(dims, order):
     h = [1] + [0] * order
     for i, nu in enumerate(dims[:order], start=1):
         if nu:
-            _times_factor(h, i, nu)
-    return PowerSeries(h, order)
+            times_factor(h, i, nu)
+    return h
 
 
 def dims_from_series(p, max_j):
@@ -160,11 +80,7 @@ def dims_from_series(p, max_j):
     Raises ValueError if p(0) != 1 or some nu_i is negative or not an
     integer (then no graded super Lie algebra has 1/p as its series).
     """
-    if not isinstance(p, DensePolynomial):
-        p = DensePolynomial(p)
-    if p[0] != 1:
-        raise ValueError("constant term must be 1")
-    h = [int(c) if c.denominator == 1 else c for c in p.series(max_j).inverse().coeffs]
+    h = reciprocal(p, max_j)
     dims = []
     for i in range(1, max_j + 1):
         nu = h[i]
@@ -173,5 +89,5 @@ def dims_from_series(p, max_j):
         nu = int(nu)
         dims.append(nu)
         if nu:
-            _times_factor(h, i, -nu)
+            times_factor(h, i, -nu)
     return dims

@@ -13,7 +13,7 @@ the even part and a symmetric block on the odd part.
 import json
 from fractions import Fraction
 
-from .linalg import Echelon, addmul, echelon, extend, inverse, kernel, rank
+from .linalg import Echelon, addmul, echelon, extend, kernel, rank
 from .presentation import rat, rat_str
 
 
@@ -161,36 +161,6 @@ class FinDimSuperLieAlgebra:
         if series is None:
             return None
         return len(series) - 1
-
-    def change_basis(self, mat):
-        """New algebra with basis e'_i = sum_j mat[i][j] e_j.
-
-        mat must be invertible and parity-preserving (block structure over
-        the even/odd split).
-        """
-        m = [[Fraction(x) for x in row] for row in mat]
-        minv = inverse(m)
-        if minv is None:
-            raise SuperLieError("singular basis change")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if m[i][j] and self.parities[i] != self.parities[j]:
-                    raise SuperLieError("basis change must preserve parity")
-        brackets = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                u = {k: m[i][k] for k in range(self.dim) if m[i][k]}
-                v = {k: m[j][k] for k in range(self.dim) if m[j][k]}
-                b = self.bracket_vec(u, v)
-                coords = {}
-                for k, c in b.items():
-                    addmul(coords, c, dict(enumerate(minv[k])))
-                if coords:
-                    brackets[(i, j)] = coords
-        return FinDimSuperLieAlgebra(
-            [f"b{i}" for i in range(self.dim)], list(self.parities), brackets,
-            self.weights,
-        )
 
     # -- serialization
 

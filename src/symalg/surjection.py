@@ -53,6 +53,7 @@ from .linalg import addmul, intvec, rank, span
 from .presentation import (
     build_relations,
     free_gen_series_tym_hat,
+    is_identity,
 )
 from .superlie import heis, kirillov_weight
 
@@ -161,14 +162,9 @@ def check_input(p, r, t, l=None):
     (default 2 d' + 1, at least model_cutoff(d_prime)); raises
     SurjectionError on bad input.
     """
-    s = p.s
-    if s and any(
-        p.gamma[0][a][b] != (1 if a == b else 0)
-        for a in range(s)
-        for b in range(s)
-    ):
+    if p.s and not is_identity(p.gamma[0]):
         raise SurjectionError("normalize first: the pipeline assumes G^1 = id")
-    pinned, slots, d_prime = plan_assignment(p.n, s, r, t)
+    pinned, slots, d_prime = plan_assignment(p.n, p.s, r, t)
     if l is None:
         l = 2 * d_prime + 1
     if l < model_cutoff(d_prime):

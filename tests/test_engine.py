@@ -248,7 +248,8 @@ def test_dims_on_random_gamma(n, s, data, cutoff):
     p = data.draw(random_gamma(n, s))
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
-    assert [m.dim(w) for w in range(1, cutoff + 2)] == dims_ym(p, max_j=cutoff + 1)
+    dims = dims_ym(p.n, p.s, max_j=cutoff + 1)
+    assert [m.dim(w) for w in range(1, cutoff + 2)] == dims
     o = TensorLieModel(p.alphabet, r0 + r1, cutoff=5)
     assert {w: [r.label for r in m.reps[w]] for w in o.reps} == o.labels()
     assert {c: rational(m.ad[c]) for c in o.ad} == o.ad
@@ -329,6 +330,27 @@ def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     # the unusable pickle was replaced atomically, with no temporary left
     assert list(path.parent.iterdir()) == [path]
     assert pickle.loads(path.read_bytes()).schema == MODEL_SCHEMA
+
+
+def test_model_pickle_write_is_atomic(monkeypatch, tmp_path):
+    import symalg.cache as cache
+    from symalg.engine import load_or_build_model
+
+    p = preset(2, 1)
+    r0, r1 = build_relations(p)
+    path = tmp_path / "models" / "deadbeef-l5.pickle"
+    path.parent.mkdir()
+    path.write_bytes(b"old")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.os, "replace", fail)
+    with pytest.raises(OSError):
+        load_or_build_model(p.alphabet, r0 + r1, 5, tmp_path, "deadbeef")
+    # the old bytes are intact and no temporary file is left
+    assert list(path.parent.iterdir()) == [path]
+    assert path.read_bytes() == b"old"
 
 
 def _general_31():

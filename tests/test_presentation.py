@@ -227,8 +227,9 @@ def test_susy_derivations_shapes(minkowski32):
 def test_hilbert_series(p31):
     ser = hilbert_series_YM(3, 1, order=20)
     assert ser[0] == 1 and ser[1] == 0
-    den = ym_denominator(3, 1).series(20)
-    assert (den * ser).coeffs == [1] + [0] * 20
+    den = ym_denominator(3, 1)
+    assert [sum(den[k] * ser[d - k] for k in range(min(d, 8) + 1))
+            for d in range(21)] == [1] + [0] * 20
     # enveloping product formula over the Lie dimensions
     dims = dims_ym(3, 1, max_j=20)
     assert enveloping_series(dims, 20) == ser

@@ -134,7 +134,7 @@ def test_random_integer_presentations(p):
     # are exact to weight 10
     r0, r1 = build_relations(p)
     model = AssocModel(p.alphabet, r0 + r1, max_weight=10)
-    ser = hilbert_series_YM(p, order=10)
+    ser = hilbert_series_YM(p.n, p.s, order=10)
     assert [model.dim(w) for w in range(11)] == [ser[w] for w in range(11)]
     _all_green(verify_resolution(model, p, 10))
 

@@ -1,18 +1,23 @@
-"""Series layer: the PBW factorization read both ways, and the free
-Lie algebra dimensions it gives against the Lie engine."""
+"""Series layer: coefficient lists and their reciprocal, the PBW
+factorization read both ways, the free Lie algebra dimensions it gives
+against the Lie engine, and the closed forms built on it."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symalg.engine import LieModel, free_lie_dims
-from symalg.series import (
-    DensePolynomial,
-    PowerSeries,
-    dims_from_series,
-    enveloping_series,
+from symalg.presentation import (
+    dims_ym,
+    free_gen_series_k1s,
+    free_gen_series_tym,
+    free_gen_series_tym_hat,
+    hilbert_series_YM,
+    ym_denominator,
 )
-from symalg.presentation import ym_denominator
+from symalg.series import dims_from_series, enveloping_series, reciprocal
 from symalg.tensor import Alphabet
 
 
@@ -68,7 +73,7 @@ def test_dims_from_series_rejects_inconsistent():
         dims_from_series([1, 1], 4)
     # 1/(1 - t/2) = 1 + t/2 + ...: a fractional one
     with pytest.raises(ValueError, match="degree 1: nu=1/2"):
-        dims_from_series([1, "-1/2"], 4)
+        dims_from_series([1, Fraction(-1, 2)], 4)
     # 1/(1 - t + t^2) = (1 + t)/(1 + t^3): nu_1 = 1 peels off and leaves
     # 1/(1 + t^3), so nu_3 = -1
     with pytest.raises(ValueError, match="degree 3: nu=-1"):
@@ -90,22 +95,56 @@ def test_free_lie_dims_match_the_engine(alphabet):
     assert free_lie_dims(alphabet, 7) == [dims.get(w, 0) for w in range(1, 8)]
 
 
-def test_power_series_ring_ops():
-    p = PowerSeries([1, 2, 3, 4, 0, 1], 10)
-    assert (p * p.inverse()).coeffs == [1] + [0] * 10
+def _times(a, b, order):
+    """The product of two coefficient lists to t^order."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        for j, y in enumerate(b[: order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def test_reciprocal_inverts():
+    p = [1, 2, 3, 4, 0, 1]
+    assert _times(p, reciprocal(p, 10), 10) == [1] + [0] * 10
+    # 1/(1 - t) to t^3, and a p longer than the order
+    assert reciprocal([1, -1], 3) == [1, 1, 1, 1]
+    assert reciprocal(p, 1) == [1, -2]
+    q = [1, Fraction(1, 3), -2]
+    assert _times(q, reciprocal(q, 6), 6) == [1] + [0] * 6
+    with pytest.raises(ValueError, match="constant term must be 1"):
+        reciprocal([0, 1], 3)
 
 
 def test_enveloping_series_product_formula():
     # one even degree-2 and one odd degree-3 generator:
     # (1+t^3)/(1-t^2)
     s = enveloping_series([0, 1, 1], 8)
-    want = PowerSeries([1, 0, 0, 1], 8) * PowerSeries(
-        [1, 0, -1], 8
-    ).inverse()
-    assert s == want
+    assert s == _times([1, 0, 0, 1], reciprocal([1, 0, -1], 8), 8)
 
 
-def test_dense_polynomial_trims():
-    p = DensePolynomial([1, 0, 2, 0, 0])
-    assert p.degree() == 2
-    assert p[7] == 0
+def test_free_gen_series_tym_values():
+    # 1 - D/(1-t^2)^n = ((1-t^2)^n - D)/(1-t^2)^n for D = ym_denominator
+    f31 = free_gen_series_tym(3, 1, order=12)
+    assert [f31(d) for d in range(13)] == [0, 0, 0, 1, 3, 2, 5, 3, 7, 4, 9, 5, 11]
+    f30 = free_gen_series_tym(3, 0, order=12)
+    assert [f30(d) for d in range(13)] == [0, 0, 0, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11]
+    # an order below the degree of D truncates it
+    f2 = free_gen_series_tym(3, 1, order=4)
+    assert [f2(d) for d in range(-1, 5)] == [0, 0, 0, 0, 1, 3]
+
+
+def test_closed_forms_are_ints():
+    # integer input gives integer coefficients: no Fraction anywhere
+    series = [
+        hilbert_series_YM(3, 1, order=16),
+        hilbert_series_YM(0, 2, order=16),
+        dims_ym(4, 2, max_j=16),
+        enveloping_series(KNOWN_DIMS_31, 16),
+        reciprocal([1, -3, 2], 16),
+        free_lie_dims(Alphabet([("a", 0, 2), ("z", 1, 3)]), 16),
+    ]
+    for f in (free_gen_series_tym_hat(3, 1), free_gen_series_k1s(3),
+              free_gen_series_tym(4, 2, order=16)):
+        series.append([f(d) for d in range(17)])
+    assert all(type(c) is int for ser in series for c in ser)

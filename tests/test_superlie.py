@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from basis_change import scramble
 
 from symalg.engine import LieModel
 from symalg.presentation import build_relations, preset
@@ -105,17 +106,7 @@ def test_weight_basis_invariance():
     w0 = weight_of(g, f)
     for _ in range(5):
         n = g.dim
-        while True:
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if g.parities[i] == g.parities[j]:
-                        mat[i][j] = Fraction(rng.randint(-2, 2))
-            try:
-                gs = g.change_basis(mat)
-                break
-            except SuperLieError:
-                continue
+        mat, gs = scramble(g, rng)
         # transport f: f'(b_i) = f(sum mat[i][j] e_j)
         fs = {}
         for i in range(n):

@@ -13,6 +13,12 @@ Three checks over the modules of `src/symalg`:
   function, or a method other than a dunder, whose name starts with `_`
   and appears nowhere in the package as a name, an attribute or an
   imported name, except inside the helper itself.
+
+One check over the whole repository: a public function or method of the
+package that no file under `src`, `tests`, `demos` or `bench` reads in
+the same sense.  The imports of the package `__init__` only re-export, so
+they read nothing; `reports` is exempt, as the CLI looks its functions up
+by name.
 """
 
 import ast
@@ -21,8 +27,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "symalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "symalg"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = [p for d in ("src/symalg", "tests", "demos", "bench")
+           for p in sorted((ROOT / d).glob("*.py")) if p != SRC / "__init__.py"]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -105,30 +114,36 @@ def _reads(node):
     return out
 
 
-def _private_helpers(tree):
-    """(kind, name, def node) of the module-level `_` functions and the
-    non-dunder `_` methods of a module."""
+def _defs(tree, private=True):
+    """(kind, name, def node) of the module-level functions and the
+    non-dunder methods of a module whose names start with `_`, or with
+    private=False do not."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def wanted(node):
+        return (isinstance(node, defs) and node.name.startswith("_") == private
+                and not node.name.endswith("__"))
+
     for node in tree.body:
-        if isinstance(node, defs) and node.name.startswith("_"):
+        if wanted(node):
             yield "function", node.name, node
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef):
             for node in cls.body:
-                if (isinstance(node, defs) and node.name.startswith("_")
-                        and not node.name.endswith("__")):
+                if wanted(node):
                     yield "method", f"{cls.name}.{node.name}", node
 
 
-def unread_helpers(trees):
-    """The private helpers of the modules `trees` (name -> tree) that no
-    module reads outside the helper's own body."""
+def unread_helpers(trees, readers=None, private=True):
+    """The private helpers (or with private=False the public functions and
+    methods) of the modules `trees` (name -> tree) that no tree of
+    `readers` (default: `trees`) reads outside the def's own body."""
     read = Counter()
-    for tree in trees.values():
+    for tree in (trees if readers is None else readers).values():
         read.update(_reads(tree))
     out = []
     for module, tree in sorted(trees.items()):
-        for kind, name, node in _private_helpers(tree):
+        for kind, name, node in _defs(tree, private):
             short = node.name
             if read[short] == _reads(node)[short]:
                 out.append(f"{module}: line {node.lineno}: {kind} {name!r} is never read")
@@ -169,7 +184,7 @@ def test_the_checks_see_dead_names():
 
 def test_no_unread_private_helpers():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
-    assert sum(1 for t in trees.values() for _ in _private_helpers(t)) > 0
+    assert sum(1 for t in trees.values() for _ in _defs(t)) > 0
     found = unread_helpers(trees)
     assert not found, "; ".join(found)
 
@@ -191,4 +206,32 @@ def test_the_helper_check_sees_dead_helpers():
         "a.py: line 3: function '_recursive' is never read",
         "a.py: line 4: function '_dead' is never read",
         "a.py: line 7: method 'C._m' is never read",
+    ]
+
+
+def test_no_unread_public_functions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES if p.name != "reports.py"}
+    readers = {str(p.relative_to(ROOT)): ast.parse(p.read_text(), filename=str(p))
+               for p in READERS}
+    assert sum(1 for t in trees.values() for _ in _defs(t, False)) > 0
+    found = unread_helpers(trees, readers, private=False)
+    assert not found, "; ".join(found)
+
+
+def test_the_public_check_sees_dead_functions():
+    a = ast.parse(
+        "def used(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def dead(): pass\n"
+        "def _private(): pass\n"
+        "class C:\n"
+        "    def __len__(self): return 0\n"
+        "    def called(self): return self.called\n"
+        "    def method(self): return used()\n"
+    )
+    caller = ast.parse("from a import C\nC().method()\nC().called()\n")
+    assert unread_helpers({"a.py": a}, {"a.py": a, "t.py": caller}, private=False) == [
+        "a.py: line 2: function 'recursive' is never read",
+        "a.py: line 3: function 'dead' is never read",
     ]
