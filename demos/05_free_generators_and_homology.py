@@ -1,11 +1,12 @@
 """Free-generator series of distinguished ideals, and CE homology.
 
-Dropping the first two even directions leaves a free graded Lie algebra;
-its generator space has a closed-form dimension series that the engine
-re-derives weight by weight as dim(K_w) - dim([K,K]_w).  The same analysis
-applied to the n = 1 family and to its rewriting quotient gives the other
-two series.  Chevalley-Eilenberg homology of small truncations is computed
-exactly as well.
+Dropping the first two even directions leaves a free graded Lie algebra K;
+its generator space V has the closed-form series V = 1 - D * H_U(g/K),
+where 1/D is the Hilbert series of U(g) and g/K is spanned by x1, x2.  The
+engine re-derives it weight by weight as dim(K_w) - dim([K,K]_w).  The
+same formula with g/K spanned by x1, z1, z2 and one weight-6 class gives
+the series of the n = 1 ideal k(1,s).  Chevalley-Eilenberg homology of
+small truncations is computed exactly as well.
 """
 
 from symalg import (
@@ -13,8 +14,7 @@ from symalg import (
     LieModel,
     build_relations,
     ce_homology,
-    free_gen_series_k1s,
-    free_gen_series_tym_hat,
+    free_gen_series,
     preset,
 )
 from symalg.engine import k1s_generators, tym_hat_generators
@@ -23,19 +23,19 @@ p = preset(3, 1)
 r0, r1 = build_relations(p)
 model = LieModel(p.alphabet, r0 + r1, cutoff=9)
 hat = tym_hat_generators(model, 3, max_weight=10).counts()
-series = free_gen_series_tym_hat(3, 1)
+series = free_gen_series("tym-hat", 3, 1, 10)
 print("hat-ideal generator dimensions (weights 2..10):")
 print("  engine:", [hat[w] for w in range(2, 11)])
-print("  series:", [series(w) for w in range(2, 11)])
+print("  series:", series[2:])
 
 p13 = preset(1, 3)
 r0b, r1b = build_relations(p13)
 m13 = LieModel(p13.alphabet, r0b + r1b, cutoff=11)
 k13 = k1s_generators(m13, 3, max_weight=12).counts()
-ser13 = free_gen_series_k1s(3)
+ser13 = free_gen_series("k1s", 1, 3, 12)
 print("\nk(1,3) generator dimensions (weights 3..12):")
 print("  engine:", {w: c for w, c in k13.items() if c})
-print("  series:", {w: ser13(w) for w in (3, 6, 9, 12)})
+print("  series:", {w: c for w, c in enumerate(ser13) if c})
 
 # homology of the one-odd-generator line: one class in every degree
 line = FinDimSuperLieAlgebra(["w1"], [1], {}, [3])

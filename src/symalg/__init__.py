@@ -30,9 +30,7 @@ from .presentation import (
     check_nondegenerate,
     derive_gamma_tilde,
     dims_ym,
-    free_gen_series_k1s,
-    free_gen_series_tym,
-    free_gen_series_tym_hat,
+    free_gen_series,
     hilbert_series_YM,
     preset,
     quartic_form,

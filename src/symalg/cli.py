@@ -103,10 +103,6 @@ def cmd_dixmier(args):
 def cmd_freegens(args):
     p = _load_presentation(args)
     max_w = _at_least("--max", args.max, 1)
-    if args.ideal == "k1s" and (p.n != 1 or p.s < 3):
-        raise UsageError("--ideal k1s requires an n = 1 presentation with s >= 3")
-    if args.ideal != "k1s" and p.n < 2:
-        raise UsageError(f"--ideal {args.ideal} requires a presentation with n >= 2")
     return reports.freegens(p, args.ideal, max_w, _model_cache(args))
 
 

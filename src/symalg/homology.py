@@ -126,42 +126,29 @@ def ce_homology(g, degree_max, weight_max=None):
     """Betti numbers of the (weight-truncated) complex.
 
     Returns {degree: total dim} when the algebra carries no weights, else
-    {degree: {weight: dim}} with zero entries dropped.
+    {degree: {weight: dim}} with zero entries dropped.  Both come from one
+    computation: every wedge is keyed by its weight when graded and by 0
+    otherwise, and d preserves the key.
     """
     graded = g.weights is not None and weight_max is not None
-    bases = {
-        k: wedge_basis(g, k, weight_max) for k in range(0, degree_max + 2)
-    }
-    ranks = {}
+    blocks = {}
+    for k in range(degree_max + 2):
+        blocks[k] = {}
+        for wedge in wedge_basis(g, k, weight_max):
+            key = wedge_weight(g, wedge) if graded else 0
+            blocks[k].setdefault(key, []).append(wedge)
+    ranks = {0: {}}
     for k in range(1, degree_max + 2):
-        if graded:
-            by_w = {}
-            for wedge in bases[k]:
-                by_w.setdefault(wedge_weight(g, wedge), []).append(wedge)
-            ranks[k] = {
-                w: _matrix_rank(g, ws, bases[k - 1]) for w, ws in by_w.items()
-            }
-        else:
-            ranks[k] = _matrix_rank(g, bases[k], bases[k - 1])
+        targets = [wedge for ws in blocks[k - 1].values() for wedge in ws]
+        ranks[k] = {key: _matrix_rank(g, ws, targets) for key, ws in blocks[k].items()}
     out = {}
-    for k in range(0, degree_max + 1):
-        if graded:
-            dims_w = {}
-            for wedge in bases[k]:
-                w = wedge_weight(g, wedge)
-                dims_w[w] = dims_w.get(w, 0) + 1
-            betti = {}
-            for w, d in sorted(dims_w.items()):
-                rk = ranks[k].get(w, 0) if k else 0
-                b = d - rk - ranks[k + 1].get(w, 0)
-                if b:
-                    betti[w] = b
-            out[k] = betti
-        else:
-            d = len(bases[k])
-            rk = ranks[k] if k else 0
-            rk1 = ranks[k + 1]
-            out[k] = d - rk - rk1
+    for k in range(degree_max + 1):
+        betti = {}
+        for key, ws in sorted(blocks[k].items()):
+            b = len(ws) - ranks[k].get(key, 0) - ranks[k + 1].get(key, 0)
+            if b:
+                betti[key] = b
+        out[k] = betti if graded else betti.get(0, 0)
     return out
 
 

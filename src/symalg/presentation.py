@@ -12,6 +12,24 @@ the degree-8 superpotential whose cyclic derivatives recover them, the
 odd derivations mirroring supersymmetry transformations, the quartic
 obstruction tensor, and the closed-form Hilbert/dimension series.
 
+The enveloping algebra U(g) of the quotient Lie algebra g has Hilbert
+series 1/D, D = `ym_denominator` (Connes and Dubois-Violette, Lett. Math.
+Phys. 61 (2002), for s = 0), wherever `series_valid` holds.  An ideal K of
+g that is free on a graded space V (for tym, Herscovich and Solotar, Ann.
+of Math. 173 (2011)) splits it as U(g) = U(K) (x) U(g/K) with U(K) = T(V),
+so 1/D = H_U(g/K) / (1 - V), that is
+
+    V = 1 - D * H_U(g/K).
+
+`free_gen_series` evaluates this from the Lie dimensions q of g/K (degree
+1 first), which `quotient_dims` gives from one table of the three ideals
+and their rules:
+
+    ideal    g/K                          q                   rule
+    tym-hat  x1, x2                       [0, 2]              n >= 2
+    tym      x1..xn                       [0, n]              n >= 2
+    k1s      x1; z1, z2; a weight-6 class [0, 1, 2, 0, 0, 1]  n = 1, s >= 3
+
 Metrics: "orthonormal" (the identity form) or an explicit symmetric
 invertible matrix.  The superpotential and the supersymmetry derivations
 are also provided for explicit *diagonal* metrics; indefinite rational
@@ -25,7 +43,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .linalg import inverse, rank, ratio, rref
-from .series import dims_from_series, reciprocal, times_factor
+from .series import dims_from_series, enveloping_series, reciprocal
 from .tensor import (
     EVEN,
     ODD,
@@ -39,6 +57,11 @@ from .tensor import (
 
 
 def rat(x):
+    """The exact scalar of an int, a Fraction or a string such as "p/q".
+    Anything else raises TypeError: a float (JSON 0.1, or 1e400 read as
+    inf) has no exact meant value, and a bool is no scalar."""
+    if type(x) is bool or not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"a scalar must be an integer or a string 'p/q', got {x!r}")
     return Fraction(x)
 
 
@@ -500,6 +523,30 @@ def dims_ym(n, s, max_j=20):
     return dims_from_series(ym_denominator(n, s), max_j)
 
 
+def quotient_dims(ideal, n, s):
+    """The Lie dimensions q of g/K, degree 1 first, for the free ideal K
+    named `ideal` (the table of the module docstring).  Raises
+    PresentationError on a presentation outside the ideal's rule."""
+    rule, holds, q = {
+        "tym-hat": ("a presentation with n >= 2", n >= 2, [0, 2]),
+        "tym": ("a presentation with n >= 2", n >= 2, [0, n]),
+        "k1s": ("an n = 1 presentation with s >= 3", n == 1 and s >= 3,
+                [0, 1, 2, 0, 0, 1]),
+    }[ideal]
+    if not holds:
+        raise PresentationError(f"--ideal {ideal} requires {rule}")
+    return q
+
+
+def free_gen_series(ideal, n, s, order):
+    """Dimensions of the free generator space V of `ideal`, to t^order, as
+    the coefficient list of V = 1 - D * H_U(g/K) (module docstring)."""
+    d = ym_denominator(n, s)
+    u = enveloping_series(quotient_dims(ideal, n, s), order)
+    return [int(k == 0) - sum(d[i] * u[k - i] for i in range(min(k + 1, len(d))))
+            for k in range(order + 1)]
+
+
 def _is_square(q):
     q = Fraction(q)
     if q < 0:
@@ -686,61 +733,3 @@ def is_identity(m):
     return all(
         m[a][b] == (1 if a == b else 0) for a in range(len(m)) for b in range(len(m))
     )
-
-
-# -- closed-form generator series
-
-
-def free_gen_series_tym_hat(n, s):
-    """Coefficient extractor for the generator space of the hat ideal:
-    (n-2) t^2 + (2n-3) t^4 + sum_{k>=3} (2n-4) t^{2k} + sum_{k>=1} s t^{2k+1}.
-    """
-    if n < 2:
-        raise PresentationError("requires n >= 2")
-
-    def coeff(d):
-        if d == 2:
-            return n - 2
-        if d == 4:
-            return 2 * n - 3
-        if d >= 6 and d % 2 == 0:
-            return 2 * n - 4
-        if d >= 3 and d % 2 == 1:
-            return s
-        return 0
-
-    return coeff
-
-
-def free_gen_series_tym(n, s, order=40):
-    """Coefficient extractor, to t^order, for the generator space of the
-    tym ideal: 1 - ym_denominator / (1-t^2)^n."""
-    if n < 2:
-        raise PresentationError("requires n >= 2")
-    h = [-c for c in ym_denominator(n, s)[: order + 1]]
-    h += [0] * (order + 1 - len(h))
-    times_factor(h, 2, n)
-    h[0] += 1
-
-    def coeff(d):
-        # 0 below degree 0, as the other extractors; h[-1] is t^order
-        return h[d] if d >= 0 else 0
-
-    return coeff
-
-
-def free_gen_series_k1s(s):
-    """(s-2) t^3 + (2s-3) t^6 + sum_{k>=3} (2s-4) t^{3k}."""
-    if s < 3:
-        raise PresentationError("requires s >= 3")
-
-    def coeff(d):
-        if d == 3:
-            return s - 2
-        if d == 6:
-            return 2 * s - 3
-        if d >= 9 and d % 3 == 0:
-            return 2 * s - 4
-        return 0
-
-    return coeff

@@ -15,8 +15,18 @@ a symmetric algebra (1 - t^i)^(-nu_i) on each even degree and an exterior
 algebra (1 + t^i)^(nu_i) on each odd one.  `enveloping_series` multiplies
 the factors out; `dims_from_series` reads the factorization backwards from
 h = 1/p: nu_i is the coefficient of t^i once the factors of the lower
-degrees are divided off.  Both use `times_factor`, the one place the sign
+degrees are divided off.  Both use `_times_factor`, the one place the sign
 and parity convention of a factor is written.
+
+The same product gives the generator series of a free ideal K of g: U(g) =
+U(K) (x) U(g/K) and U(K) = T(V), so V = 1 - D * h with h the
+`enveloping_series` of the Lie dimensions of g/K and 1/D the Hilbert
+series of U(g).  `presentation.free_gen_series` evaluates it; the table of
+g/K per ideal is `presentation.quotient_dims`:
+
+    tym-hat  [0, 2]              (x1, x2)
+    tym      [0, n]              (x1..xn)
+    k1s      [0, 1, 2, 0, 0, 1]  (x1; z1, z2; one weight-6 class)
 
 Dimensions are checked to be non-negative integers.
 """
@@ -42,7 +52,7 @@ def _binomial(n, k):
     return out
 
 
-def times_factor(h, i, nu):
+def _times_factor(h, i, nu):
     """Multiply the coefficient list h in place by the PBW factor of nu
     generators in degree i: (1 - t^i)^(-nu) for even i, (1 + t^i)^nu for
     odd i.  The factor for -nu is its inverse."""
@@ -68,7 +78,7 @@ def enveloping_series(dims, order):
     h = [1] + [0] * order
     for i, nu in enumerate(dims[:order], start=1):
         if nu:
-            times_factor(h, i, nu)
+            _times_factor(h, i, nu)
     return h
 
 
@@ -89,5 +99,5 @@ def dims_from_series(p, max_j):
         nu = int(nu)
         dims.append(nu)
         if nu:
-            times_factor(h, i, -nu)
+            _times_factor(h, i, -nu)
     return dims

@@ -10,7 +10,6 @@ the odd part, so its Kirillov form splits into an antisymmetric block on
 the even part and a symmetric block on the odd part.
 """
 
-import json
 from fractions import Fraction
 
 from .linalg import Echelon, addmul, echelon, extend, kernel, rank
@@ -60,6 +59,9 @@ class FinDimSuperLieAlgebra:
         self.dim = len(self.names)
         if len(self.parities) != self.dim:
             raise SuperLieError("parity list length mismatch")
+        for name, parity in zip(self.names, self.parities):
+            if parity not in (0, 1):
+                raise SuperLieError(f"parity of {name!r} must be 0 or 1, got {parity!r}")
         table = {}
         for (i, j), coords in brackets.items():
             if i > j:
@@ -436,8 +438,3 @@ def heis(r, t):
         c = names.index("c")
         brackets[(c, c)] = {z: Fraction(1)}
     return FinDimSuperLieAlgebra(names, parities, brackets, weights)
-
-
-def save_algebra(g, path):
-    with open(path, "w") as fh:
-        json.dump(g.to_json(), fh, indent=1, sort_keys=True)

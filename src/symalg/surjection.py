@@ -50,11 +50,7 @@ directions meet the stabilizer trivially.
 
 from .engine import LieModel, rational
 from .linalg import addmul, intvec, rank, span
-from .presentation import (
-    build_relations,
-    free_gen_series_tym_hat,
-    is_identity,
-)
+from .presentation import build_relations, free_gen_series, is_identity
 from .superlie import heis, kirillov_weight
 
 
@@ -78,36 +74,39 @@ def plan_assignment(n, s, r, t):
         raise SurjectionError(
             "target out of range: need r, t >= 0, and r >= 1 or t >= 2"
         )
-    series = free_gen_series_tym_hat(n, s)
     tprime = t // 2
     odd_names = []
     for i in range(1, tprime + 1):
         odd_names += [f"a{i}", f"b{i}"]
     if t % 2:
         odd_names.append("c")
+    even_names = ["z"]
+    for i in range(2, r + 1):
+        even_names += [f"q{i}", f"p{i}"]
+    # n >= 3, and s >= 1 when t >= 1, so each slot weight from 5 on holds a
+    # name: none lands above weight 6 + 2 * (number of names)
+    order = 6 + 2 * (len(even_names) + len(odd_names))
+    series = free_gen_series("tym-hat", n, s, order)
     slots = []
 
     def fill(names, w):
         # each name takes the next free generator slot of weight w, w + 2, ...
         used = 0
         for name in names:
-            while used >= series(w):
+            while used >= series[w]:
                 w, used = w + 2, 0
             slots.append((w, name))
             used += 1
 
     if r >= 1:
         pinned = {"p1": ("x1", "x3"), "q1": ("x2", "x3")}
-        even_names = ["z"]
-        for i in range(2, r + 1):
-            even_names += [f"q{i}", f"p{i}"]
         fill(even_names, 6)
         # the odd slots start just above the last (even) weight used
         fill(odd_names, slots[-1][0] + 1)
     else:
         pinned = {}
         fill(odd_names, 5)
-        fill(["z"], 6)
+        fill(even_names, 6)
     d_prime = max(
         [wt for wt, _ in slots] + [4 if pinned else 0]
     )

@@ -93,14 +93,6 @@ class Alphabet:
         self._words[w] = out
         return out
 
-    def word_index(self, w):
-        key = ("idx", w)
-        if key in self._words:
-            return self._words[key]
-        idx = {u: i for i, u in enumerate(self.words_of_weight(w))}
-        self._words[key] = idx
-        return idx
-
     def poly(self, terms=()):
         return Poly(self, dict(terms))
 
@@ -342,16 +334,3 @@ class Derivation:
                 left_par = (left_par + par[letter]) & 1
         return out
 
-
-def random_poly(alphabet, weight, rng, terms=3, scale=4):
-    """Random homogeneous-weight polynomial (test helper)."""
-    words = alphabet.words_of_weight(weight)
-    if not words:
-        return alphabet.zero()
-    out = {}
-    for _ in range(terms):
-        u = words[rng.randrange(len(words))]
-        c = Fraction(rng.randint(-scale, scale))
-        if c:
-            out[u] = out.get(u, Fraction(0)) + c
-    return Poly(alphabet, {u: c for u, c in out.items() if c})

@@ -13,13 +13,16 @@ oracle has the same `ad` columns as the engine (as rational dicts, which
 the engine's integer vectors give through `symalg.engine.rational`).  Row
 counts grow with the number of tensor words, so keep cutoffs small (about
 11).
+
+`random_poly` draws the random tensor polynomials the tests feed to the
+engines.
 """
 
 from fractions import Fraction
 
 from symalg.engine import EngineError
 from symalg.linalg import Echelon, intvec
-from symalg.tensor import super_commutator
+from symalg.tensor import Poly, super_commutator
 
 
 class OracleRep:
@@ -46,13 +49,16 @@ class TensorLieModel:
         self.ideal_rows = {}
         # (generator name, weight, position) -> quotient coordinates of [g, b]
         self.ad = {}
+        # weight -> position of each tensor word in words_of_weight
+        self.word_index = {}
         self._build()
 
     def _build(self):
         A = self.alphabet
         min_w = min(g.weight for g in A.generators)
         for w in range(min_w, self.max_weight + 1):
-            index = A.word_index(w)
+            index = self.word_index[w] = {
+                u: i for i, u in enumerate(A.words_of_weight(w))}
             solver = Echelon()
             for r in self.rel_by_weight.get(w, ()):
                 solver.insert(_int_row(r, index))
@@ -106,7 +112,7 @@ class TensorLieModel:
         w = poly.weight()
         if w > self.max_weight:
             return {}
-        index = self.alphabet.word_index(w)
+        index = self.word_index[w]
         iv, den = intvec({index[u]: c for u, c in poly.terms.items()})
         sol = _solve(self.solvers[w], iv, len(index))
         if sol is None:
@@ -143,3 +149,17 @@ def _bracket_row(g, row, row_parity, lower_words, upper_index):
 def _int_row(poly, index):
     iv, _ = intvec({index[u]: c for u, c in poly.terms.items()})
     return iv
+
+
+def random_poly(alphabet, weight, rng, terms=3, scale=4):
+    """Random homogeneous-weight polynomial."""
+    words = alphabet.words_of_weight(weight)
+    if not words:
+        return alphabet.zero()
+    out = {}
+    for _ in range(terms):
+        u = words[rng.randrange(len(words))]
+        c = Fraction(rng.randint(-scale, scale))
+        if c:
+            out[u] = out.get(u, Fraction(0)) + c
+    return Poly(alphabet, {u: c for u, c in out.items() if c})

@@ -32,11 +32,7 @@ from symalg import (
 )
 from symalg.engine import k1s_generators, tym_hat_generators
 from symalg.linalg import Echelon, intvec
-from symalg.presentation import (
-    SymPresentation,
-    free_gen_series_k1s,
-    free_gen_series_tym_hat,
-)
+from symalg.presentation import SymPresentation, free_gen_series
 from symalg.refdata import (
     DEPENDENCY_IDENTITIES_31,
     EXPECTED_CUMULATIVE_31,
@@ -172,16 +168,16 @@ def test_criterion_06_susy_both_directions(assoc31, p31, minkowski32):
 def test_criterion_07_free_generator_series(model31):
     t0 = time.time()
     hat = tym_hat_generators(model31, 3, max_weight=10).counts()
-    series = free_gen_series_tym_hat(3, 1)
-    assert [hat[w] for w in range(2, 11)] == [series(w) for w in range(2, 11)]
+    series = free_gen_series("tym-hat", 3, 1, 10)
+    assert [hat[w] for w in range(2, 11)] == series[2:]
     assert [hat[w] for w in range(2, 11)] == [1, 1, 3, 1, 2, 1, 2, 1, 2]
     p13 = preset(1, 3)
     r0, r1 = build_relations(p13)
     m13 = LieModel(p13.alphabet, r0 + r1, cutoff=11)
     k13 = k1s_generators(m13, 3, max_weight=12).counts()
-    ser13 = free_gen_series_k1s(3)
+    ser13 = free_gen_series("k1s", 1, 3, 12)
     for w in range(2, 13):
-        assert k13.get(w, 0) == ser13(w), w
+        assert k13.get(w, 0) == ser13[w], w
     elapsed = time.time() - t0
     assert elapsed < 300
     _report(7, "free-generator series (hat ideal and k(1,3))", elapsed)

@@ -48,7 +48,7 @@ def test_normal_form_identity_on_generators(assoc31, p31):
 def test_normal_form_idempotent_linear(assoc31, p31):
     import random
 
-    from symalg.tensor import random_poly
+    from tensor_oracle import random_poly
 
     rng = random.Random(4)
     for _ in range(10):

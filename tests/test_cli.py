@@ -9,7 +9,12 @@ from pathlib import Path
 import pytest
 
 from symalg.cli import main
-from symalg.superlie import heis, save_algebra
+from symalg.superlie import heis
+
+
+def save_algebra(g, path):
+    with open(path, "w") as fh:
+        json.dump(g.to_json(), fh, indent=1, sort_keys=True)
 
 
 def run_cli(capsys, tmp_path, *argv):
@@ -299,6 +304,15 @@ def test_flags_a_target_does_not_read_exit_2(capsys, tmp_path, command, flag, va
     ('{"n": 3, "gamma": [[["1"]], [["0"]], [["0"]]]}', "lacks 's'"),
     ('{"n": 1, "s": 1, "gamma": [[["x"]]]}', "malformed presentation JSON"),
     ("not json", "is not JSON"),
+    # JSON numbers other than integers: 1e400 reads as inf (it used to end
+    # in an OverflowError traceback), 0.1 as the nearest binary fraction and
+    # true as 1
+    ('{"n": 1, "s": 2, "gamma": [[["1", 1e400], [1e400, "1"]]]}', "a scalar must be"),
+    ('{"n": 1, "s": 1, "gamma": [[[0.1]]]}', "a scalar must be"),
+    ('{"n": 1, "s": 1, "gamma": [[[true]]]}', "a scalar must be"),
+    ('{"n": 1, "s": 1, "gamma": [[["1"]]], "metric": [[1e400]]}', "a scalar must be"),
+    ('{"n": 1, "s": 1, "gamma": [[["1"]]], "metric": [[0.1]]}', "a scalar must be"),
+    ('{"n": 1, "s": 1, "gamma": [[["1"]]], "metric": [[true]]}', "a scalar must be"),
 ])
 def test_bad_presentation_file_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "p.json"
@@ -350,6 +364,15 @@ def _heis_files(tmp_path):
     ("functional-list", "malformed functional JSON"),
     ("functional-bad-rational", "malformed functional JSON"),
     ("functional-unknown-name", "malformed functional JSON"),
+    ("algebra-coeff-1e400", "malformed algebra JSON: a scalar must be"),
+    ("algebra-coeff-0.1", "malformed algebra JSON: a scalar must be"),
+    ("algebra-coeff-true", "malformed algebra JSON: a scalar must be"),
+    ("functional-1e400", "malformed functional JSON: a scalar must be"),
+    ("functional-0.1", "malformed functional JSON: a scalar must be"),
+    ("functional-true", "malformed functional JSON: a scalar must be"),
+    # an element of parity 2 is neither even nor odd: it used to drop out
+    # of the Kirillov blocks while the functional charged it, with exit 0
+    ("algebra-parity-2", "parity of 'x' must be 0 or 1, got 2"),
 ])
 @pytest.mark.parametrize("target", ["weight", "polarization"])
 def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
@@ -362,7 +385,14 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
         "algebra-no-brackets": '{"basis": [{"name": "x", "parity": 0}]}',
         "functional-list": "[1]", "functional-bad-rational": '{"z": "x"}',
         "functional-unknown-name": '{"nope": "1"}',
+        "algebra-parity-2": '{"basis": [{"name": "x", "parity": 2}], "brackets": []}',
     }
+    for number in ("1e400", "0.1", "true"):
+        contents[f"algebra-coeff-{number}"] = (
+            '{"basis": [{"name": "q", "parity": 0}, {"name": "p", "parity": 0}, '
+            '{"name": "z", "parity": 0}], '
+            f'"brackets": [{{"i": 0, "j": 1, "coeffs": {{"2": {number}}}}}]}}')
+        contents[f"functional-{number}"] = f'{{"z": {number}}}'
     if case in contents:
         bad.write_text(contents[case])
     if case.startswith("algebra"):
@@ -410,6 +440,19 @@ def test_dixmier_surject_bad_input_exits_2_before_build(
     assert captured.out == ""
     assert captured.err.startswith("symalg: error: ")
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_freegens_checks_the_ideal_rule_before_the_build(monkeypatch):
+    import symalg.reports
+    from symalg import PresentationError, preset
+
+    def no_build(*args):
+        raise AssertionError("the Lie model was built")
+
+    monkeypatch.setattr(symalg.reports, "_lie_model", no_build)
+    for ideal, n, s in (("k1s", 3, 1), ("tym", 1, 3)):
+        with pytest.raises(PresentationError, match=f"--ideal {ideal} requires"):
+            symalg.reports.freegens(preset(n, s), ideal, 10)
 
 
 # presentations the library rejects for one target; each used to end in

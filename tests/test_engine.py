@@ -27,10 +27,9 @@ from symalg.presentation import (
     build_relations,
     check_nondegenerate,
     dims_ym,
-    free_gen_series_k1s,
-    free_gen_series_tym,
-    free_gen_series_tym_hat,
+    free_gen_series,
     preset,
+    quotient_dims,
     semidirect_relation,
 )
 from symalg.refdata import (
@@ -181,12 +180,33 @@ def test_tym_hat_generator_series(model31):
 
 
 def test_tym_generator_series(model31):
-    from symalg.presentation import free_gen_series_tym
-
-    series = free_gen_series_tym(3, 1, order=9)
+    series = free_gen_series("tym", 3, 1, 9)
     got = tym_generators(model31, max_weight=9).counts()
     for w in range(2, 10):
-        assert got.get(w, 0) == series(w), w
+        assert got.get(w, 0) == series[w], w
+
+
+@pytest.mark.parametrize("ideal, n, s, cutoff", [
+    ("tym-hat", 3, 1, 13), ("tym", 3, 1, 13), ("tym-hat", 2, 2, 9), ("tym", 2, 2, 9),
+    ("tym-hat", 4, 1, 9), ("tym", 4, 1, 9), ("k1s", 1, 3, 11), ("k1s", 1, 4, 11),
+])
+def test_ideal_codimensions_match_the_table(model31, ideal, n, s, cutoff):
+    # dim g_w - dim K_w, read off the engine, is the table's g/K in degree w
+    if (n, s) == (3, 1):
+        m = model31
+    else:
+        p = preset(n, s)
+        r0, r1 = build_relations(p)
+        m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    analysis = {
+        "tym-hat": lambda: tym_hat_generators(m, n),
+        "tym": lambda: tym_generators(m),
+        "k1s": lambda: k1s_generators(m, s),
+    }[ideal]()
+    q = quotient_dims(ideal, n, s)
+    for w in range(1, cutoff + 2):
+        codim = m.dim(w) - len(analysis.k_basis.get(w, ()))
+        assert codim == (q[w - 1] if w <= len(q) else 0), w
 
 
 def test_tym30_weight4():
@@ -201,9 +221,9 @@ def test_k13_generator_series():
     p = preset(1, 3)
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=11)
-    series = free_gen_series_k1s(3)
+    series = free_gen_series("k1s", 1, 3, 12)
     assert k1s_generators(m, 3, max_weight=12).counts() == {
-        w: series(w) for w in range(2, 13)}
+        w: series[w] for w in range(2, 13)}
 
 
 def test_k13_below_the_seed_weight():
@@ -520,19 +540,19 @@ def test_free_generators_general_coefficients():
     m = LieModel(p.alphabet, r0 + r1, cutoff=11)
     hat = tym_hat_generators(m, 3, max_weight=12).counts()
     assert any(d > 1 for d, _ in m._struct.values())
-    series = free_gen_series_tym_hat(3, 1)
-    assert hat == {w: series(w) for w in range(2, 13)}
-    series = free_gen_series_tym(3, 1, order=12)
+    series = free_gen_series("tym-hat", 3, 1, 12)
+    assert hat == {w: series[w] for w in range(2, 13)}
+    series = free_gen_series("tym", 3, 1, 12)
     assert tym_generators(m, max_weight=12).counts() == {
-        w: series(w) for w in range(2, 13)}
+        w: series[w] for w in range(2, 13)}
     # n = 1 with a non-diagonal G^1: the [K, K] rows combine brackets over
     # different denominators
     p = SymPresentation(1, 3, [[[1, 1, 0], [1, 2, 1], [0, 1, -3]]])
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=11)
-    series = free_gen_series_k1s(3)
+    series = free_gen_series("k1s", 1, 3, 12)
     assert k1s_generators(m, 3, max_weight=12).counts() == {
-        w: series(w) for w in range(2, 13)}
+        w: series[w] for w in range(2, 13)}
 
 
 def test_free_generators_max_weight_zero(model31):

@@ -14,9 +14,7 @@ from symalg.presentation import (
     check_nondegenerate,
     derive_gamma_tilde,
     dims_ym,
-    free_gen_series_k1s,
-    free_gen_series_tym,
-    free_gen_series_tym_hat,
+    free_gen_series,
     hilbert_series_YM,
     preset,
     quartic_form,
@@ -276,15 +274,16 @@ def test_semidirect_requires_orthonormal_metric(metric):
 
 
 def test_generator_series():
-    hat31 = free_gen_series_tym_hat(3, 1)
-    assert [hat31(d) for d in range(2, 11)] == [1, 1, 3, 1, 2, 1, 2, 1, 2]
-    k13 = free_gen_series_k1s(3)
-    assert [k13(d) for d in (3, 6, 9, 12)] == [1, 3, 2, 2]
-    assert free_gen_series_tym_hat(2, 5)(2) == 0
-    w30 = free_gen_series_tym(3, 0, order=10)
-    assert w30(4) == 3
-    with pytest.raises(PresentationError):
-        free_gen_series_k1s(2)
+    hat31 = free_gen_series("tym-hat", 3, 1, 10)
+    assert hat31[2:] == [1, 1, 3, 1, 2, 1, 2, 1, 2]
+    k13 = free_gen_series("k1s", 1, 3, 12)
+    assert [k13[d] for d in (3, 6, 9, 12)] == [1, 3, 2, 2]
+    assert free_gen_series("tym-hat", 2, 5, 4)[2] == 0
+    assert free_gen_series("tym", 3, 0, 10)[4] == 3
+    # each ideal's rule is checked before anything is computed
+    for ideal, n, s in [("k1s", 1, 2), ("k1s", 3, 1), ("tym-hat", 1, 3), ("tym", 1, 3)]:
+        with pytest.raises(PresentationError, match=f"--ideal {ideal} requires"):
+            free_gen_series(ideal, n, s, 10)
 
 
 def test_presentation_json_roundtrip(minkowski32):

@@ -3,6 +3,7 @@ factorization read both ways, the free Lie algebra dimensions it gives
 against the Lie engine, and the closed forms built on it."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,7 @@ from hypothesis import strategies as st
 from symalg.engine import LieModel, free_lie_dims
 from symalg.presentation import (
     dims_ym,
-    free_gen_series_k1s,
-    free_gen_series_tym,
-    free_gen_series_tym_hat,
+    free_gen_series,
     hilbert_series_YM,
     ym_denominator,
 )
@@ -125,13 +124,54 @@ def test_enveloping_series_product_formula():
 
 def test_free_gen_series_tym_values():
     # 1 - D/(1-t^2)^n = ((1-t^2)^n - D)/(1-t^2)^n for D = ym_denominator
-    f31 = free_gen_series_tym(3, 1, order=12)
-    assert [f31(d) for d in range(13)] == [0, 0, 0, 1, 3, 2, 5, 3, 7, 4, 9, 5, 11]
-    f30 = free_gen_series_tym(3, 0, order=12)
-    assert [f30(d) for d in range(13)] == [0, 0, 0, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11]
+    f31 = free_gen_series("tym", 3, 1, 12)
+    assert f31 == [0, 0, 0, 1, 3, 2, 5, 3, 7, 4, 9, 5, 11]
+    f30 = free_gen_series("tym", 3, 0, 12)
+    assert f30 == [0, 0, 0, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11]
     # an order below the degree of D truncates it
-    f2 = free_gen_series_tym(3, 1, order=4)
-    assert [f2(d) for d in range(-1, 5)] == [0, 0, 0, 0, 1, 3]
+    assert free_gen_series("tym", 3, 1, 4) == [0, 0, 0, 1, 3]
+
+
+# The paper's statements of the three generator series, the test oracle of
+# the one formula V = 1 - D * H_U(g/K): two piecewise closed forms, and for
+# tym 1 - D/(1-t^2)^n with (1-t^2)^(-n) = sum_k C(n+k-1, k) t^(2k).
+
+
+def _paper_tym_hat(n, s, d):
+    """(n-2) t^2 + (2n-3) t^4 + sum_{k>=3} (2n-4) t^2k + sum_{k>=1} s t^(2k+1)."""
+    if d == 2:
+        return n - 2
+    if d == 4:
+        return 2 * n - 3
+    if d >= 6 and d % 2 == 0:
+        return 2 * n - 4
+    return s if d >= 3 and d % 2 else 0
+
+
+def _paper_tym(n, s, d):
+    D = [1, 0, -n, -s, 0, s, n, 0, -1]
+    return int(d == 0) - sum(D[i] * comb(n + (d - i) // 2 - 1, (d - i) // 2)
+                             for i in range(min(d, 8) + 1) if (d - i) % 2 == 0)
+
+
+def _paper_k1s(n, s, d):
+    """(s-2) t^3 + (2s-3) t^6 + sum_{k>=3} (2s-4) t^3k."""
+    if d == 3:
+        return s - 2
+    if d == 6:
+        return 2 * s - 3
+    return 2 * s - 4 if d >= 9 and d % 3 == 0 else 0
+
+
+def test_free_gen_series_matches_the_paper():
+    cases = [(ideal, n, s, paper) for ideal, paper in (("tym-hat", _paper_tym_hat),
+                                                       ("tym", _paper_tym))
+             for n in range(2, 9) for s in range(8)]
+    cases += [("k1s", 1, s, _paper_k1s) for s in range(3, 12)]
+    assert len(cases) == 121
+    for ideal, n, s, paper in cases:
+        assert free_gen_series(ideal, n, s, 40) == [paper(n, s, d) for d in range(41)], (
+            ideal, n, s)
 
 
 def test_closed_forms_are_ints():
@@ -144,7 +184,6 @@ def test_closed_forms_are_ints():
         reciprocal([1, -3, 2], 16),
         free_lie_dims(Alphabet([("a", 0, 2), ("z", 1, 3)]), 16),
     ]
-    for f in (free_gen_series_tym_hat(3, 1), free_gen_series_k1s(3),
-              free_gen_series_tym(4, 2, order=16)):
-        series.append([f(d) for d in range(17)])
+    series += [free_gen_series(ideal, n, s, 16)
+               for ideal, n, s in (("tym-hat", 3, 1), ("k1s", 1, 3), ("tym", 4, 2))]
     assert all(type(c) is int for ser in series for c in ser)

@@ -4,13 +4,13 @@ derivations, Koszul sign coherence."""
 import random
 
 import pytest
+from tensor_oracle import random_poly
 
 from symalg.tensor import (
     Alphabet,
     Derivation,
     cyclic_derivative,
     lie_expand,
-    random_poly,
     super_commutator,
     sym_alphabet,
 )
