@@ -1,8 +1,9 @@
 """Byte-level result cache for CLI reports.
 
-Reports are pure functions of their run configuration and of the code
-that computes them, so they are cached by the hash of the canonical
-configuration JSON together with the package version and REPORT_SCHEMA.
+Reports are pure functions of their run configuration, of the input
+files it names and of the code that computes them, so they are cached by
+the hash of the canonical configuration JSON together with the SHA-256 of
+each input file's bytes, the package version and REPORT_SCHEMA.
 A cache hit returns the stored bytes; recomputation with --no-cache
 additionally diffs against any stored entry and flags a mismatch.
 """
@@ -35,10 +36,22 @@ def cache_dir(override=None):
     return Path.home() / ".cache" / "symalg"
 
 
-def config_key(config):
-    doc = {"config": config, "schema": REPORT_SCHEMA, "version": __version__}
+def config_key(config, inputs):
+    """The entry name of a report: `inputs` maps each input-file flag to
+    the hash of the file's bytes, since the config names files by path."""
+    doc = {"config": config, "inputs": inputs, "schema": REPORT_SCHEMA,
+           "version": __version__}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def file_sha256(path):
+    """SHA-256 of a file's bytes; None when it cannot be read (the report
+    then fails on reading it and is never stored)."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None
 
 
 def lookup(key, directory):

@@ -5,10 +5,10 @@ truncation), verify (resolution, omega, susy, semidirect), dixmier
 (Kirillov weights, polarizations, Clifford-Weyl surjections) and freegens
 (free-generator series).  `symalg.reports` computes each report; this
 module parses and range-checks the flags, loads the input files, caches
-the report bytes by the configuration hash and renders them.  Cache hits
-are byte-identical to recomputation (--no-cache recomputes and diffs); an
-entry that is not a JSON object echoing the configuration is recomputed
-and replaced.
+the report bytes by the hash of the configuration and of the input files'
+bytes, and renders them.  Cache hits are byte-identical to recomputation
+(--no-cache recomputes and diffs); an entry that is not a JSON object
+echoing the configuration is recomputed and replaced.
 
 Exit codes:
 0  every requested verification passed
@@ -199,7 +199,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "format", "cache_dir", "no_cache")}
-    key = cachemod.config_key(config)
+    inputs = {opt: cachemod.file_sha256(config[opt])
+              for opt in ("presentation", "algebra", "functional") if config.get(opt)}
+    key = cachemod.config_key(config, inputs)
     cdir = cachemod.cache_dir(args.cache_dir)
     cached = cachemod.lookup(key, cdir)
     report = None if args.no_cache else _cached_report(cached, config)

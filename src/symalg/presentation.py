@@ -278,16 +278,23 @@ def _integral(poly):
 def check_nondegenerate(p):
     """Whether some lambda makes lambda o Gamma nondegenerate.
 
-    Decided by testing det(sum_i li G^i) != 0, i.e. full rank, on the
-    integer grid {0..s*n}^n (the determinant has degree <= s in each
-    variable, so a nonzero polynomial cannot vanish on the whole grid).
+    Decided by testing det(sum_i li G^i) != 0, i.e. full rank, at the
+    coordinate directions and then, in lexicographic order, on the integer
+    grid {0..s}^n.  The determinant has degree <= s in each variable, so
+    by the Combinatorial Nullstellensatz (Alon 1999) a nonzero one cannot
+    vanish on that grid.  The witness is also the lexicographically first
+    full-rank point of any larger grid {0..N}^n: at each first coordinate
+    below the witness's, the determinant vanishes on the grid of the other
+    variables, hence identically in them; a nonzero polynomial of degree
+    <= s in the first variable allows at most s such values, so the first
+    coordinate is at most s, and the same holds for each later coordinate
+    in turn.
     Returns (flag, witness-or-None).
     """
     if p.n == 0:
         return False, None
     if p.s == 0:
         return True, [Fraction(1)] + [Fraction(0)] * (p.n - 1)
-    bound = p.s * p.n + 1
 
     def full_rank_at(lam):
         m = [
@@ -306,7 +313,7 @@ def check_nondegenerate(p):
         lam = [Fraction(int(j == i)) for j in range(p.n)]
         if full_rank_at(lam):
             return True, lam
-    grid = [Fraction(v) for v in range(bound)]
+    grid = [Fraction(v) for v in range(p.s + 1)]
 
     def find(prefix):
         if len(prefix) == p.n:

@@ -3,7 +3,8 @@ Kirillov-form computations attached to an even functional: block ranks,
 the weight (Weyl index, Clifford index) of the associated primitive
 quotient, polarizations along a flag of ideals, and stabilizer subspaces.
 
-Conventions: a basis element carries a parity (and optionally a weight);
+Conventions: a basis element carries a parity (and optionally a weight,
+which then grades the brackets: [e_i, e_j] lies in weight w_i + w_j);
 brackets are stored for i <= j only, the other half being determined by
 super antisymmetry [x,y] = -(-1)^{|x||y|} [y,x].  An even functional kills
 the odd part, so its Kirillov form splits into an antisymmetric block on
@@ -59,6 +60,8 @@ class FinDimSuperLieAlgebra:
         self.dim = len(self.names)
         if len(self.parities) != self.dim:
             raise SuperLieError("parity list length mismatch")
+        if self.weights is not None and len(self.weights) != self.dim:
+            raise SuperLieError("weight list length mismatch")
         for name, parity in zip(self.names, self.parities):
             if parity not in (0, 1):
                 raise SuperLieError(f"parity of {name!r} must be 0 or 1, got {parity!r}")
@@ -67,12 +70,19 @@ class FinDimSuperLieAlgebra:
             if i > j:
                 raise SuperLieError("store brackets for i <= j only")
             coords = {k: Fraction(c) for k, c in coords.items() if c}
+            if not all(0 <= x < self.dim for x in (i, j, *coords)):
+                raise SuperLieError(f"bracket ({i},{j}) indexes outside the basis")
             if coords:
                 par = (self.parities[i] + self.parities[j]) % 2
                 for k in coords:
                     if self.parities[k] != par:
                         raise SuperLieError(
                             f"bracket ({i},{j}) violates parity at {k}"
+                        )
+                    if (self.weights is not None
+                            and self.weights[k] != self.weights[i] + self.weights[j]):
+                        raise SuperLieError(
+                            f"bracket ({i},{j}) violates the weights at {k}"
                         )
                 table[(i, j)] = coords
         self.table = table
@@ -185,11 +195,12 @@ class FinDimSuperLieAlgebra:
         try:
             basis = doc["basis"]
             names = [b["name"] for b in basis]
-            parities = [int(b["parity"]) for b in basis]
-            weights = [b["weight"] for b in basis] if all("weight" in b for b in basis) else None
+            parities = [_json_int(b, "parity") for b in basis]
+            weights = ([_json_int(b, "weight") for b in basis]
+                       if all("weight" in b for b in basis) else None)
             brackets = {}
             for entry in doc["brackets"]:
-                brackets[(int(entry["i"]), int(entry["j"]))] = {
+                brackets[(_json_int(entry, "i"), _json_int(entry, "j"))] = {
                     int(k): rat(v) for k, v in entry["coeffs"].items()
                 }
             return cls(names, parities, brackets, weights)
@@ -204,6 +215,15 @@ class FinDimSuperLieAlgebra:
         """Import the truncated quotient computed by a LieModel."""
         labels, parities, weights, brackets = model.export_struct()
         return cls(labels, parities, brackets, weights)
+
+
+def _json_int(entry, field):
+    """entry[field], which must be a JSON integer: no float, string or
+    boolean is read as one."""
+    value = entry[field]
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 # -- even functionals and the Kirillov form
@@ -317,8 +337,9 @@ def default_flag(g):
     return layers
 
 
-def vergne_polarization(g, f, flag=None):
-    """Sum over the flag of the radicals of the restricted Kirillov form.
+def vergne_polarization(g, f):
+    """Sum over `default_flag(g)` of the radicals of the restricted
+    Kirillov form.
 
     The result is checked to be an isotropic subalgebra whose even part has
     the (field-independent) maximal dimension dim g_0 - weyl.  The odd part
@@ -328,11 +349,9 @@ def vergne_polarization(g, f, flag=None):
     isotropic vectors that only exist after extending scalars (and over
     the rationals the block may even be anisotropic).
     """
-    if flag is None:
-        flag = default_flag(g)
     span = Echelon()
     basis = []
-    for layer in flag:
+    for layer in default_flag(g):
         for v in _restricted_radical(g, f, layer):
             if extend(span, v):
                 basis.append(v)

@@ -56,7 +56,6 @@ class Alphabet:
         self.parities = tuple(g.parity for g in self.generators)
         self.weights = tuple(g.weight for g in self.generators)
         self.names = tuple(g.name for g in self.generators)
-        self._words = {}
 
     def __len__(self):
         return len(self.generators)
@@ -74,24 +73,6 @@ class Alphabet:
 
     def word_name(self, word):
         return "*".join(self.names[i] for i in word) if word else "1"
-
-    def words_of_weight(self, w):
-        """All words of total weight w, in ascending monomial order."""
-        if w in self._words:
-            return self._words[w]
-        if w < 0:
-            out = []
-        elif w == 0:
-            out = [()]
-        else:
-            # Building by appended last letter keeps colex order: the last
-            # letter is the primary tiebreaker within a weight.
-            out = []
-            for g in self.generators:
-                for u in self.words_of_weight(w - g.weight):
-                    out.append(u + (g.index,))
-        self._words[w] = out
-        return out
 
     def poly(self, terms=()):
         return Poly(self, dict(terms))

@@ -8,7 +8,8 @@ from symalg.superlie import FinDimSuperLieAlgebra
 
 def change_basis(g, mat, minv):
     """g in the basis e'_i = sum_j mat[i][j] e_j, given minv = mat^-1;
-    mat must preserve parity (block structure over the even/odd split)."""
+    mat must preserve parity (block structure over the even/odd split).
+    The result carries no weights: a random basis mixes weight spaces."""
     n = g.dim
     rows = [{k: c for k, c in enumerate(row) if c} for row in mat]
     brackets = {}
@@ -20,7 +21,7 @@ def change_basis(g, mat, minv):
             if coords:
                 brackets[(i, j)] = coords
     return FinDimSuperLieAlgebra(
-        [f"b{i}" for i in range(n)], list(g.parities), brackets, g.weights
+        [f"b{i}" for i in range(n)], list(g.parities), brackets, None
     )
 
 

@@ -15,14 +15,28 @@ counts grow with the number of tensor words, so keep cutoffs small (about
 11).
 
 `random_poly` draws the random tensor polynomials the tests feed to the
-engines.
+engines, and `words_of_weight` lists the tensor words of one weight.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from symalg.engine import EngineError
 from symalg.linalg import Echelon, intvec
 from symalg.tensor import Poly, super_commutator
+
+
+@cache
+def words_of_weight(alphabet, w):
+    """All words of total weight w, in ascending monomial order."""
+    if w < 0:
+        return []
+    if w == 0:
+        return [()]
+    # Building by appended last letter keeps colex order: the last letter
+    # is the primary tiebreaker within a weight.
+    return [u + (g.index,) for g in alphabet.generators
+            for u in words_of_weight(alphabet, w - g.weight)]
 
 
 class OracleRep:
@@ -58,13 +72,13 @@ class TensorLieModel:
         min_w = min(g.weight for g in A.generators)
         for w in range(min_w, self.max_weight + 1):
             index = self.word_index[w] = {
-                u: i for i, u in enumerate(A.words_of_weight(w))}
+                u: i for i, u in enumerate(words_of_weight(A, w))}
             solver = Echelon()
             for r in self.rel_by_weight.get(w, ()):
                 solver.insert(_int_row(r, index))
             for g in A.generators:
                 wl = w - g.weight
-                lwords = A.words_of_weight(wl)
+                lwords = words_of_weight(A, wl)
                 for row in self.ideal_rows.get(wl, ()):
                     solver.insert(_bracket_row(g, row, wl & 1, lwords, index))
             self.ideal_rows[w] = [dict(r) for r in solver.rows.values()]
@@ -153,7 +167,7 @@ def _int_row(poly, index):
 
 def random_poly(alphabet, weight, rng, terms=3, scale=4):
     """Random homogeneous-weight polynomial."""
-    words = alphabet.words_of_weight(weight)
+    words = words_of_weight(alphabet, weight)
     if not words:
         return alphabet.zero()
     out = {}

@@ -373,6 +373,16 @@ def _heis_files(tmp_path):
     # an element of parity 2 is neither even nor odd: it used to drop out
     # of the Kirillov blocks while the functional charged it, with exit 0
     ("algebra-parity-2", "parity of 'x' must be 0 or 1, got 2"),
+    # parities, bracket indices and weights are JSON integers: each of
+    # these used to be coerced through int(...)
+    ("algebra-parity-1.5", "parity must be an integer, got 1.5"),
+    ("algebra-parity-string", "parity must be an integer, got '1'"),
+    ("algebra-parity-true", "parity must be an integer, got True"),
+    ("algebra-i-float", "i must be an integer, got 0.0"),
+    ("algebra-j-string", "j must be an integer, got '1'"),
+    ("algebra-weight-string", "weight must be an integer, got '2'"),
+    ("algebra-index-negative", "bracket (-1,1) indexes outside the basis"),
+    ("algebra-weights-ungraded", "bracket (0,1) violates the weights at 2"),
 ])
 @pytest.mark.parametrize("target", ["weight", "polarization"])
 def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
@@ -387,6 +397,21 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
         "functional-unknown-name": '{"nope": "1"}',
         "algebra-parity-2": '{"basis": [{"name": "x", "parity": 2}], "brackets": []}',
     }
+    for case_, basis, bracket in [
+        ("algebra-parity-1.5", '"parity": 1.5', '"i": 0, "j": 1'),
+        ("algebra-parity-string", '"parity": "1"', '"i": 0, "j": 1'),
+        ("algebra-parity-true", '"parity": true', '"i": 0, "j": 1'),
+        ("algebra-i-float", '"parity": 0', '"i": 0.0, "j": 1'),
+        ("algebra-j-string", '"parity": 0', '"i": 0, "j": "1"'),
+        ("algebra-weight-string", '"parity": 0, "weight": "2"', '"i": 0, "j": 1'),
+        ("algebra-index-negative", '"parity": 0', '"i": -1, "j": 1'),
+        ("algebra-weights-ungraded", '"parity": 0, "weight": 3', '"i": 0, "j": 1'),
+    ]:
+        # q, p, z with [q, p] = z; the first basis entry carries the variation
+        contents[case_] = (
+            f'{{"basis": [{{"name": "q", {basis}}}, {{"name": "p", "parity": 0, '
+            f'"weight": 4}}, {{"name": "z", "parity": 0, "weight": 6}}], '
+            f'"brackets": [{{{bracket}, "coeffs": {{"2": "1"}}}}]}}')
     for number in ("1e400", "0.1", "true"):
         contents[f"algebra-coeff-{number}"] = (
             '{"basis": [{"name": "q", "parity": 0}, {"name": "p", "parity": 0}, '
@@ -560,6 +585,25 @@ def test_report_cache_key_includes_code_version(monkeypatch, capsys, tmp_path, a
         "command": "hilbert", "preset": "2,0", "presentation": None,
         "degree": 4, "check_engine": False, "engine_depth": 12,
     }
+
+
+def test_edited_input_file_is_not_served_from_the_cache(capsys, tmp_path):
+    # the config names an input file by path; the key also hashes its
+    # bytes, so a rewritten file is recomputed, and the old bytes hit again
+    from symalg import preset
+
+    path = tmp_path / "p.json"
+    args = ("hilbert", "--presentation", str(path), "--degree", "6")
+    outs = []
+    for n in (3, 4, 3):
+        path.write_text(json.dumps(preset(n, 1).to_json()))
+        code, out = run_cli(capsys, tmp_path, *args)
+        assert code == 0
+        assert json.loads(out)["n"] == n
+        assert run_cli(capsys, tmp_path, "--no-cache", *args) == (0, out)
+        outs.append(out)
+    assert outs[0] == outs[2] != outs[1]
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
 def test_report_cache_store_is_atomic(monkeypatch, tmp_path):

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 from symalg.cliffordweyl import CWAlgebra
+from symalg.superlie import heis
 
 
 def test_weyl_convention():
@@ -32,7 +34,22 @@ def test_unit_neutral():
 
 def test_central_quotient():
     A = CWAlgebra(1, 1)
-    assert A.from_heis_name("z") == A.unit()
+    assert A.gen("z") == A.unit()
+    assert A.gen("q1") == A.gen("q", 1)
+
+
+def test_letters_satisfy_the_heis_relations():
+    # x y - (-1)^(|x||y|) y x = [x, y] at z = 1, for every ordered pair of
+    # heis basis elements (z included), both orders of each pair
+    for r, t in [(1, 0), (0, 3), (2, 2), (1, 5)]:
+        g, A = heis(r, t), CWAlgebra(r, t)
+        z = g.index("z")
+        for i in range(g.dim):
+            for j in range(g.dim):
+                x, y = A.gen(g.names[i]), A.gen(g.names[j])
+                sign = -1 if g.parities[i] and g.parities[j] else 1
+                expected = A.unit().scale(g.bracket(i, j).get(z, 0))
+                assert x * y - (y * x).scale(sign) == expected, (r, t, i, j)
 
 
 def _random_element(A, gens, rng):
@@ -72,3 +89,25 @@ def test_weyl_powers():
     q, p = A.gen("q", 1), A.gen("p", 1)
     q3 = q * q * q
     assert p * q3 == q3 * p - (q * q).scale(3)
+
+
+def test_weyl_powers_closed_formula():
+    # p^m q^k = sum_j (-1)^j j! C(m, j) C(k, j) q^(k-j) p^(m-j), on the
+    # second Weyl pair of an algebra with other letters around it
+    A = CWAlgebra(2, 1)
+    q, p = A.gen("q", 2), A.gen("p", 2)
+
+    def power(x, e):
+        out = A.unit()
+        for _ in range(e):
+            out = out * x
+        return out
+
+    for m in range(5):
+        for k in range(5):
+            expected = A.zero()
+            for j in range(min(m, k) + 1):
+                coef = (-1) ** j * factorial(j) * comb(m, j) * comb(k, j)
+                expected = expected + (power(q, k - j) * power(p, m - j)).scale(coef)
+            assert power(p, m) * power(q, k) == expected, (m, k)
+            assert len((power(q, k) * power(p, m)).terms) == 1

@@ -2,12 +2,13 @@
 
 import random
 
+import pytest
 from basis_change import scramble
 
 from symalg.engine import LieModel
 from symalg.homology import ce_check_d_squared, ce_homology
 from symalg.presentation import build_relations, preset
-from symalg.superlie import FinDimSuperLieAlgebra, heis
+from symalg.superlie import FinDimSuperLieAlgebra, SuperLieError, heis
 
 
 def test_one_odd_generator_all_degrees():
@@ -56,3 +57,17 @@ def test_d_squared_on_twenty_random_algebras():
             assert ce_check_d_squared(gs, 3)
             count += 1
     assert count == 20
+
+
+def test_weights_must_grade_the_brackets():
+    # heis's weights do not grade a random basis: such an algebra is
+    # refused, and a scramble carries no weights, so ce_homology with
+    # weight_max reads it ungraded.  The third scramble from this seed
+    # once ended in a KeyError at degree 2
+    rng = random.Random(5)
+    gs = [scramble(heis(r, t), rng)[1] for r, t in [(1, 1), (0, 2), (2, 1)]][2]
+    g = heis(2, 1)
+    assert gs.weights is None
+    with pytest.raises(SuperLieError, match="violates the weights"):
+        FinDimSuperLieAlgebra(gs.names, gs.parities, gs.table, g.weights)
+    assert ce_homology(gs, 3, weight_max=9) == ce_homology(g, 3)

@@ -3,8 +3,10 @@ inverse on small rational matrices (their scalar convention included), the
 sparse accumulate `addmul`, the in-place elimination step against a copying
 reference kernel, and the presentation checks built on them."""
 
+import itertools
 import pickle
 import random
+import time
 from unittest import mock
 from fractions import Fraction
 
@@ -363,3 +365,47 @@ def test_grid_witness_off_the_coordinate_directions():
     e11 = [["1", "0"], ["0", "0"]]
     e22 = [["0", "0"], ["0", "1"]]
     assert check_nondegenerate(SymPresentation(2, 2, [e11, e22])) == (True, [1, 1])
+
+
+def test_degenerate_gamma_is_decided_fast():
+    # the grid {0..s}^n has 3^6 points here, the grid {0..s*n}^n 13^6
+    e11 = [["1", "0"], ["0", "0"]]
+    t0 = time.perf_counter()
+    assert check_nondegenerate(SymPresentation(6, 2, [e11] * 6)) == (False, None)
+    assert time.perf_counter() - t0 < 1
+
+
+def _first_full_rank_point(p, top):
+    """The coordinate directions, then the grid {0..top}^n in
+    lexicographic order: the first lambda with lambda o Gamma of full
+    rank, or None."""
+    units = [tuple(int(j == i) for j in range(p.n)) for i in range(p.n)]
+    for lam in itertools.chain(units, itertools.product(range(top + 1), repeat=p.n)):
+        m = [[sum(lam[i] * p.gamma[i][a][b] for i in range(p.n)) for b in range(p.s)]
+             for a in range(p.s)]
+        if rank(m) == p.s:
+            return list(lam)
+    return None
+
+
+def test_grid_witness_equals_the_larger_grids():
+    # each G^i is a sum of s - 1 signed rank-one matrices, so no coordinate
+    # direction is a witness and the grid search decides
+    rng = random.Random(19)
+    witnesses = []
+    for _ in range(40):
+        n, s = rng.randint(2, 3), rng.randint(2, 3)
+        gamma = []
+        for _ in range(n):
+            g = [[0] * s for _ in range(s)]
+            for _ in range(s - 1):
+                v = [rng.randint(-1, 1) for _ in range(s)]
+                sign = rng.choice((-1, 1))
+                g = [[g[a][b] + sign * v[a] * v[b] for b in range(s)] for a in range(s)]
+            gamma.append(g)
+        p = SymPresentation(n, s, gamma)
+        want = _first_full_rank_point(p, s * n)
+        assert check_nondegenerate(p) == (want is not None, want)
+        witnesses.append(want)
+    assert witnesses.count(None) >= 3
+    assert any(w and max(w) == 2 for w in witnesses)

@@ -150,14 +150,14 @@ def test_polarization_heis11():
     assert subordinate_check(g, f, pol)
 
 
-def test_polarization_with_explicit_flag():
+def test_polarization_along_the_default_flag():
     from symalg.superlie import default_flag
 
     g = heis(1, 1)
     f = even_functional(g, {"z": 1})
     flag = default_flag(g)
     assert [len(layer) for layer in flag] == list(range(1, g.dim + 1))
-    pol = vergne_polarization(g, f, flag=flag)
+    pol = vergne_polarization(g, f)
     assert len(pol) == 2
 
 
