@@ -15,9 +15,10 @@ from symalg import (
     build_relations,
     ce_homology,
     free_gen_series,
+    free_ideal,
     preset,
 )
-from symalg.engine import k1s_generators, tym_hat_generators
+from symalg.engine import SubalgebraGenerators, tym_hat_generators
 
 p = preset(3, 1)
 r0, r1 = build_relations(p)
@@ -31,7 +32,7 @@ print("  series:", series[2:])
 p13 = preset(1, 3)
 r0b, r1b = build_relations(p13)
 m13 = LieModel(p13.alphabet, r0b + r1b, cutoff=11)
-k13 = k1s_generators(m13, 3, max_weight=12).counts()
+k13 = SubalgebraGenerators(m13, *free_ideal("k1s", 1, 3), max_weight=12).counts()
 ser13 = free_gen_series("k1s", 1, 3, 12)
 print("\nk(1,3) generator dimensions (weights 3..12):")
 print("  engine:", {w: c for w, c in k13.items() if c})

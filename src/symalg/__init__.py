@@ -15,8 +15,6 @@ from .engine import (
     LieModel,
     SubalgebraGenerators,
     free_lie_dims,
-    k1s_generators,
-    tym_generators,
     tym_hat_generators,
 )
 from .homology import ce_check_d_squared, ce_differential, ce_homology
@@ -31,6 +29,7 @@ from .presentation import (
     derive_gamma_tilde,
     dims_ym,
     free_gen_series,
+    free_ideal,
     hilbert_series_YM,
     preset,
     quartic_form,

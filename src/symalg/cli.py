@@ -25,7 +25,7 @@ import sys
 
 from . import cache as cachemod
 from . import reports
-from .presentation import PresentationError, SymPresentation, preset
+from .presentation import FREE_IDEALS, PresentationError, SymPresentation, preset
 from .superlie import FinDimSuperLieAlgebra, SuperLieError, functional_from_json
 from .surjection import SurjectionError
 
@@ -192,7 +192,7 @@ def main(argv=None):
 
     sp = sub.add_parser("freegens")
     add_presentation(sp)
-    sp.add_argument("--ideal", choices=("tym-hat", "tym", "k1s"), default="tym-hat")
+    sp.add_argument("--ideal", choices=tuple(FREE_IDEALS), default="tym-hat")
     sp.add_argument("--max", type=int, default=10)
     sp.set_defaults(func=cmd_freegens)
 

@@ -52,6 +52,7 @@ from math import gcd
 from pathlib import Path
 
 from .linalg import Echelon, ratio, span
+from .presentation import free_ideal
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -547,40 +548,46 @@ def free_lie_dims(alphabet, max_w):
 
 
 class SubalgebraGenerators:
-    """Free-generator analysis of a graded Lie ideal inside a LieModel.
+    """Free-generator analysis of a graded Lie ideal K inside a LieModel.
 
-    The ideal K is described by seed subspaces per weight (integer rows
-    over quotient positions) plus an optional weight from which K is
-    everything.  Per weight this spans K_w by the seeds and the brackets
-    [g, K_{w-|g|}] read off the ad columns, and [K,K]_w by the brackets of
-    lower basis elements; the rows of K_w independent of [K,K]_w count the
-    graded generator space of K (free by the structure theorems, which the
-    dimension series confirms degree by degree).  Only spans matter, so
-    each vector enters as the numerators of an engine vector, its
-    denominator dropped, and each span is one Echelon filled a batch at a
-    time, sparsest first.
+    K is given as in `presentation.FREE_IDEALS`: the seeds, generator
+    names or bracket pairs of names, generate it up to weight len(q), and
+    above that weight K is everything.  Per weight this spans K_w by the
+    seeds and the brackets [g, K_{w-|g|}] read off the ad columns, and
+    [K,K]_w by the brackets of lower basis elements; the rows of K_w
+    independent of [K,K]_w count the graded generator space of K (free by
+    the structure theorems, which the dimension series confirms degree by
+    degree).  Only spans matter, so each vector enters as the numerators
+    of an engine vector, its denominator dropped, and each span is one
+    Echelon filled a batch at a time, sparsest first.
     """
 
-    def __init__(self, model, seeds=None, full_from=None, max_weight=None):
-        self.model = model
-        self.max_weight = model.max_weight if max_weight is None else max_weight
-        self.seeds = seeds or {}
-        self.full_from = full_from
+    def __init__(self, model, q, seeds, max_weight=None):
+        max_weight = model.max_weight if max_weight is None else max_weight
+        A = model.alphabet
+
+        def coords(g):
+            return A.weights[A.index(g)], model.gen_coords[g][1]
+
+        seed_rows = {}
+        for seed in seeds:
+            if isinstance(seed, str):
+                w, row = coords(seed)
+            else:
+                (wa, a), (wb, b) = map(coords, seed)
+                w, row = wa + wb, _pair(model, wa, a, wb, b)
+            seed_rows.setdefault(w, []).append(row)
         # weight -> basis of K_w, the rows of its echelon
         self.k_basis = {}
         self.gen_counts = {}
-        self._build()
-
-    def _build(self):
-        model = self.model
         for w in sorted(model.reps):
-            if w > self.max_weight:
+            if w > max_weight:
                 break
-            if self.full_from is not None and w >= self.full_from:
+            if w > len(q):
                 rows = [{j: 1} for j in range(model.dim(w))]
             else:
-                rows = list(self.seeds.get(w, ()))
-                for g in model.alphabet.generators:
+                rows = seed_rows.pop(w, [])
+                for g in A.generators:
                     wl = w - g.weight
                     for u in self.k_basis.get(wl, ()):
                         acc = [1, {}]
@@ -615,24 +622,5 @@ def _pair(model, wu, u, wv, v):
 
 
 def tym_hat_generators(model, n, max_weight=None):
-    """Generator analysis of the ideal spanned by x3..xn and everything of
-    weight >= 3 (the free complement of the first two even directions)."""
-    seeds = {2: [{j: 1} for j in range(2, n)]}
-    return SubalgebraGenerators(model, seeds=seeds, full_from=3, max_weight=max_weight)
-
-
-def tym_generators(model, max_weight=None):
-    """Generator analysis of the augmentation ideal (weights >= 3)."""
-    return SubalgebraGenerators(model, seeds={}, full_from=3, max_weight=max_weight)
-
-
-def k1s_generators(model, s, max_weight=None):
-    """Generator analysis of the ideal generated by z3..zs and [z1,z2],
-    together with everything of weight >= 9, inside the n = 1 quotient."""
-    names = {f"z{a}" for a in range(3, s + 1)}
-    seeds = {3: [{j: 1} for j, rep in enumerate(model.reps.get(3, ()))
-                 if rep.label in names]}
-    coords = _pair(model, 3, model.gen_coords["z1"][1], 3, model.gen_coords["z2"][1])
-    if coords:
-        seeds[6] = [coords]
-    return SubalgebraGenerators(model, seeds=seeds, full_from=9, max_weight=max_weight)
+    """Generator analysis of the ideal tym-hat (its row does not read s)."""
+    return SubalgebraGenerators(model, *free_ideal("tym-hat", n, 0), max_weight)

@@ -22,13 +22,16 @@ so 1/D = H_U(g/K) / (1 - V), that is
     V = 1 - D * H_U(g/K).
 
 `free_gen_series` evaluates this from the Lie dimensions q of g/K (degree
-1 first), which `quotient_dims` gives from one table of the three ideals
-and their rules:
+1 first).  Each free ideal is one row of `FREE_IDEALS`: its rule, q, and
+the seeds, K's generators of weight <= len(q) as names or bracket pairs
+of names.  K is the ideal the seeds generate up to weight len(q), and all
+of g above it:
 
-    ideal    g/K                          q                   rule
-    tym-hat  x1, x2                       [0, 2]              n >= 2
-    tym      x1..xn                       [0, n]              n >= 2
-    k1s      x1; z1, z2; a weight-6 class [0, 1, 2, 0, 0, 1]  n = 1, s >= 3
+    ideal    rule           g/K                 q                   seeds
+    tym-hat  n >= 2         x1, x2              [0, 2]              x3..xn
+    tym      n >= 2         x1..xn              [0, n]              none
+    k1s      n = 1, s >= 3  x1, z1, z2 and one  [0, 1, 2, 0, 0, 1]  z3..zs, [z1, z2]
+                            weight-6 class
 
 Metrics: "orthonormal" (the identity form) or an explicit symmetric
 invertible matrix.  The superpotential and the supersymmetry derivations
@@ -280,15 +283,17 @@ def check_nondegenerate(p):
 
     Decided by testing det(sum_i li G^i) != 0, i.e. full rank, at the
     coordinate directions and then, in lexicographic order, on the integer
-    grid {0..s}^n.  The determinant has degree <= s in each variable, so
-    by the Combinatorial Nullstellensatz (Alon 1999) a nonzero one cannot
-    vanish on that grid.  The witness is also the lexicographically first
-    full-rank point of any larger grid {0..N}^n: at each first coordinate
-    below the witness's, the determinant vanishes on the grid of the other
-    variables, hence identically in them; a nonzero polynomial of degree
-    <= s in the first variable allows at most s such values, so the first
-    coordinate is at most s, and the same holds for each later coordinate
-    in turn.
+    grid {0..s-1}^n.  Once no coordinate direction is a witness, every
+    det G^i, the coefficient of li^s, is 0, so the determinant has degree
+    <= s - 1 in each variable, and by the Combinatorial Nullstellensatz
+    (Alon 1999) a nonzero one cannot vanish on that grid.  The witness is
+    also the lexicographically first full-rank point of any larger grid
+    {0..N}^n: at each first coordinate below the witness's, the
+    determinant vanishes on the grid of the other variables, hence
+    identically in them; a nonzero polynomial of degree <= s - 1 in the
+    first variable allows at most s - 1 such values, so the first
+    coordinate is at most s - 1, and the same holds for each later
+    coordinate in turn.
     Returns (flag, witness-or-None).
     """
     if p.n == 0:
@@ -313,7 +318,7 @@ def check_nondegenerate(p):
         lam = [Fraction(int(j == i)) for j in range(p.n)]
         if full_rank_at(lam):
             return True, lam
-    grid = [Fraction(v) for v in range(p.s + 1)]
+    grid = [Fraction(v) for v in range(p.s)]
 
     def find(prefix):
         if len(prefix) == p.n:
@@ -530,26 +535,33 @@ def dims_ym(n, s, max_j=20):
     return dims_from_series(ym_denominator(n, s), max_j)
 
 
-def quotient_dims(ideal, n, s):
-    """The Lie dimensions q of g/K, degree 1 first, for the free ideal K
-    named `ideal` (the table of the module docstring).  Raises
-    PresentationError on a presentation outside the ideal's rule."""
-    rule, holds, q = {
-        "tym-hat": ("a presentation with n >= 2", n >= 2, [0, 2]),
-        "tym": ("a presentation with n >= 2", n >= 2, [0, n]),
-        "k1s": ("an n = 1 presentation with s >= 3", n == 1 and s >= 3,
-                [0, 1, 2, 0, 0, 1]),
-    }[ideal]
-    if not holds:
+# ideal -> (rule, whether (n, s) meets it, (n, s) -> (q, seeds)): the
+# table of the module docstring
+FREE_IDEALS = {
+    "tym-hat": ("a presentation with n >= 2", lambda n, s: n >= 2,
+                lambda n, s: ([0, 2], [f"x{i}" for i in range(3, n + 1)])),
+    "tym": ("a presentation with n >= 2", lambda n, s: n >= 2,
+            lambda n, s: ([0, n], [])),
+    "k1s": ("an n = 1 presentation with s >= 3", lambda n, s: n == 1 and s >= 3,
+            lambda n, s: ([0, 1, 2, 0, 0, 1],
+                          [f"z{a}" for a in range(3, s + 1)] + [("z1", "z2")])),
+}
+
+
+def free_ideal(ideal, n, s):
+    """(q, seeds) of the row `ideal` of FREE_IDEALS; PresentationError on
+    a presentation outside the ideal's rule."""
+    rule, holds, row = FREE_IDEALS[ideal]
+    if not holds(n, s):
         raise PresentationError(f"--ideal {ideal} requires {rule}")
-    return q
+    return row(n, s)
 
 
 def free_gen_series(ideal, n, s, order):
     """Dimensions of the free generator space V of `ideal`, to t^order, as
     the coefficient list of V = 1 - D * H_U(g/K) (module docstring)."""
     d = ym_denominator(n, s)
-    u = enveloping_series(quotient_dims(ideal, n, s), order)
+    u = enveloping_series(free_ideal(ideal, n, s)[0], order)
     return [int(k == 0) - sum(d[i] * u[k - i] for i in range(min(k + 1, len(d))))
             for k in range(order + 1)]
 

@@ -15,14 +15,13 @@ model pickle cache, or None to build the model without it.
 
 from . import resolution
 from .assoc import AssocModel
-from .engine import (LieModel, basis_report, k1s_generators, load_or_build_model,
-                     tym_generators, tym_hat_generators)
+from .engine import LieModel, SubalgebraGenerators, basis_report, load_or_build_model
 from .linalg import inverse, rank
 from .presentation import (
     GammaTilde, PresentationError, build_relations, check_nondegenerate,
-    derive_gamma_tilde, dims_ym, free_gen_series, hilbert_series_YM, omega_check,
-    presentation_sha256, quartic_form, rat_str, semidirect_maps, semidirect_relation,
-    series_valid, superpotential, susy_derivations,
+    derive_gamma_tilde, dims_ym, free_gen_series, free_ideal, hilbert_series_YM,
+    omega_check, presentation_sha256, quartic_form, rat_str, semidirect_maps,
+    semidirect_relation, series_valid, superpotential, susy_derivations,
 )
 from .refdata import (DEPENDENCY_IDENTITIES_31, EXPECTED_CUMULATIVE_31,
                       reference_basis_trees)
@@ -266,18 +265,13 @@ def dixmier_surject(p, r, t, l=None, cache_dir=None):
 
 
 def freegens(p, ideal, max_weight, cache_dir=None):
-    """Free-generator counts of `ideal` to max_weight against the
-    closed-form series: "tym-hat" or "tym" for n >= 2, "k1s" for n = 1 and
-    s >= 3 (PresentationError otherwise, before the model is built)."""
+    """Free-generator counts of `ideal`, a row of FREE_IDEALS, to max_weight
+    against the closed-form series (PresentationError outside the ideal's
+    rule, before the model is built)."""
     series = free_gen_series(ideal, p.n, p.s, max_weight)
     model = _lie_model(p, max(max_weight - 1, 1), cache_dir)
-    if ideal == "tym-hat":
-        analysis = tym_hat_generators(model, p.n, max_weight=max_weight)
-    elif ideal == "tym":
-        analysis = tym_generators(model, max_weight=max_weight)
-    else:  # k1s
-        analysis = k1s_generators(model, p.s, max_weight=max_weight)
-    counts = analysis.counts()
+    counts = SubalgebraGenerators(model, *free_ideal(ideal, p.n, p.s),
+                                  max_weight).counts()
     expected = {w: series[w] for w in counts}
     return {
         "command": "freegens",

@@ -21,12 +21,8 @@ and parity convention of a factor is written.
 The same product gives the generator series of a free ideal K of g: U(g) =
 U(K) (x) U(g/K) and U(K) = T(V), so V = 1 - D * h with h the
 `enveloping_series` of the Lie dimensions of g/K and 1/D the Hilbert
-series of U(g).  `presentation.free_gen_series` evaluates it; the table of
-g/K per ideal is `presentation.quotient_dims`:
-
-    tym-hat  [0, 2]              (x1, x2)
-    tym      [0, n]              (x1..xn)
-    k1s      [0, 1, 2, 0, 0, 1]  (x1; z1, z2; one weight-6 class)
+series of U(g).  `presentation.free_gen_series` evaluates it, reading the
+Lie dimensions of g/K per ideal from `presentation.FREE_IDEALS`.
 
 Dimensions are checked to be non-negative integers.
 """

@@ -50,7 +50,7 @@ directions meet the stabilizer trivially.
 
 from .engine import LieModel, rational
 from .linalg import addmul, intvec, rank, span
-from .presentation import build_relations, free_gen_series, is_identity
+from .presentation import build_relations, free_gen_series, free_ideal, is_identity
 from .superlie import heis, kirillov_weight
 
 
@@ -207,13 +207,14 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     for name in ("x1", "x2", "x3"):
         if name not in pos2:
             raise SurjectionError(f"missing weight-2 representative {name}")
-    hat2 = [j for lbl, j in pos2.items() if lbl not in ("x1", "x2")]
+    # -- the ideal tym-hat's basis positions per weight: its seeds up to
+    # weight len(q) = 2 (the first weight with representatives), and
+    # everything above
+    q, seeds = free_ideal("tym-hat", p.n, p.s)
+    hat2 = sorted(pos2[name] for name in seeds)
 
-    # -- the ideal's basis positions per weight (weight 2 restricted)
     def hat_positions(w):
-        if w == 2:
-            return sorted(hat2)
-        return list(range(model.dim(w)))
+        return hat2 if w <= len(q) else list(range(model.dim(w)))
 
     # -- assignment bookkeeping
     slot_needs = {}

@@ -30,9 +30,9 @@ from symalg import (
     susy_derivations,
     weight_of,
 )
-from symalg.engine import k1s_generators, tym_hat_generators
+from symalg.engine import SubalgebraGenerators, tym_hat_generators
 from symalg.linalg import Echelon, intvec
-from symalg.presentation import SymPresentation, free_gen_series
+from symalg.presentation import SymPresentation, free_gen_series, free_ideal
 from symalg.refdata import (
     DEPENDENCY_IDENTITIES_31,
     EXPECTED_CUMULATIVE_31,
@@ -174,7 +174,7 @@ def test_criterion_07_free_generator_series(model31):
     p13 = preset(1, 3)
     r0, r1 = build_relations(p13)
     m13 = LieModel(p13.alphabet, r0 + r1, cutoff=11)
-    k13 = k1s_generators(m13, 3, max_weight=12).counts()
+    k13 = SubalgebraGenerators(m13, *free_ideal("k1s", 1, 3), max_weight=12).counts()
     ser13 = free_gen_series("k1s", 1, 3, 12)
     for w in range(2, 13):
         assert k13.get(w, 0) == ser13[w], w

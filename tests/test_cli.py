@@ -383,6 +383,19 @@ def _heis_files(tmp_path):
     ("algebra-weight-string", "weight must be an integer, got '2'"),
     ("algebra-index-negative", "bracket (-1,1) indexes outside the basis"),
     ("algebra-weights-ungraded", "bracket (0,1) violates the weights at 2"),
+    # coefficient keys were read through int(k), so " +2" and an
+    # Arabic-Indic two were both index 2; a repeated bracket replaced the
+    # first silently
+    ("algebra-coeff-key-plus", "malformed algebra JSON: coefficient key must be a "
+     "basis index, got ' +2'"),
+    ("algebra-coeff-key-arabic", "malformed algebra JSON: coefficient key must be a "
+     "basis index, got '\u0662'"),
+    ("algebra-bracket-twice", "bracket (0,1) is listed twice"),
+    # an even element with a nonzero square passed the constructor: with
+    # [a, a] = [c, c] = b the weight of b* was reported with exit 0, and with
+    # [a, a] = b alone the error blamed an odd rank
+    ("algebra-even-square", "the even 'a' has a nonzero square"),
+    ("algebra-even-squares", "the even 'a' has a nonzero square"),
 ])
 @pytest.mark.parametrize("target", ["weight", "polarization"])
 def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
@@ -418,6 +431,17 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
             '{"name": "z", "parity": 0}], '
             f'"brackets": [{{"i": 0, "j": 1, "coeffs": {{"2": {number}}}}}]}}')
         contents[f"functional-{number}"] = f'{{"z": {number}}}'
+    qpz = ('{"basis": [{"name": "q", "parity": 0}, {"name": "p", "parity": 0}, '
+           '{"name": "z", "parity": 0}], "brackets": [')
+    for case_, bracket in [("plus", '{"i": 0, "j": 1, "coeffs": {" +2": "1"}}'),
+                           ("arabic", '{"i": 0, "j": 1, "coeffs": {"\\u0662": "1"}}')]:
+        contents[f"algebra-coeff-key-{case_}"] = qpz + bracket + "]}"
+    contents["algebra-bracket-twice"] = qpz + (
+        '{"i": 0, "j": 1, "coeffs": {"2": "1"}}, {"i": 0, "j": 1, "coeffs": {"2": "5"}}]}')
+    abc = ('{"basis": [{"name": "a", "parity": 0}, {"name": "b", "parity": 0}, '
+           '{"name": "c", "parity": 0}], "brackets": [{"i": 0, "j": 0, "coeffs": {"1": "1"}}')
+    contents["algebra-even-square"] = abc + "]}"
+    contents["algebra-even-squares"] = abc + ', {"i": 2, "j": 2, "coeffs": {"1": "1"}}]}'
     if case in contents:
         bad.write_text(contents[case])
     if case.startswith("algebra"):
@@ -465,6 +489,15 @@ def test_dixmier_surject_bad_input_exits_2_before_build(
     assert captured.out == ""
     assert captured.err.startswith("symalg: error: ")
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_freegens_ideal_choices_are_the_table(capsys):
+    from symalg.presentation import FREE_IDEALS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["freegens", "--help"])
+    assert exc.value.code == 0
+    assert "--ideal {" + ",".join(FREE_IDEALS) + "}" in capsys.readouterr().out
 
 
 def test_freegens_checks_the_ideal_rule_before_the_build(monkeypatch):

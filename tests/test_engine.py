@@ -16,20 +16,20 @@ from tensor_oracle import TensorLieModel
 from symalg.engine import (
     EngineError,
     LieModel,
+    SubalgebraGenerators,
     free_lie_dims,
-    k1s_generators,
     rational,
-    tym_generators,
     tym_hat_generators,
 )
 from symalg.presentation import (
+    FREE_IDEALS,
     SymPresentation,
     build_relations,
     check_nondegenerate,
     dims_ym,
     free_gen_series,
+    free_ideal,
     preset,
-    quotient_dims,
     semidirect_relation,
 )
 from symalg.refdata import (
@@ -179,41 +179,64 @@ def test_tym_hat_generator_series(model31):
     assert [got[w] for w in range(2, 11)] == [1, 1, 3, 1, 2, 1, 2, 1, 2]
 
 
+def _generators(m, ideal, n, s, max_weight=None):
+    return SubalgebraGenerators(m, *free_ideal(ideal, n, s), max_weight)
+
+
 def test_tym_generator_series(model31):
     series = free_gen_series("tym", 3, 1, 9)
-    got = tym_generators(model31, max_weight=9).counts()
+    got = _generators(model31, "tym", 3, 1, max_weight=9).counts()
     for w in range(2, 10):
         assert got.get(w, 0) == series[w], w
 
 
+# (n, s, cutoff) per row of the table
+CODIMENSION_CASES = {
+    "tym-hat": [(3, 1, 13), (2, 2, 9), (4, 1, 9)],
+    "tym": [(3, 1, 13), (2, 2, 9), (4, 1, 9)],
+    "k1s": [(1, 3, 11), (1, 4, 11)],
+}
+
+
 @pytest.mark.parametrize("ideal, n, s, cutoff", [
-    ("tym-hat", 3, 1, 13), ("tym", 3, 1, 13), ("tym-hat", 2, 2, 9), ("tym", 2, 2, 9),
-    ("tym-hat", 4, 1, 9), ("tym", 4, 1, 9), ("k1s", 1, 3, 11), ("k1s", 1, 4, 11),
-])
+    (ideal, *case) for ideal in FREE_IDEALS for case in CODIMENSION_CASES[ideal]])
 def test_ideal_codimensions_match_the_table(model31, ideal, n, s, cutoff):
-    # dim g_w - dim K_w, read off the engine, is the table's g/K in degree w
+    # dim g_w - dim K_w, read off the engine for the row's seeds, is the
+    # row's g/K in degree w: q, then 0; seeds that disagree with q fail
     if (n, s) == (3, 1):
         m = model31
     else:
         p = preset(n, s)
         r0, r1 = build_relations(p)
         m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
-    analysis = {
-        "tym-hat": lambda: tym_hat_generators(m, n),
-        "tym": lambda: tym_generators(m),
-        "k1s": lambda: k1s_generators(m, s),
-    }[ideal]()
-    q = quotient_dims(ideal, n, s)
+    q, seeds = free_ideal(ideal, n, s)
+    analysis = SubalgebraGenerators(m, q, seeds)
     for w in range(1, cutoff + 2):
         codim = m.dim(w) - len(analysis.k_basis.get(w, ()))
         assert codim == (q[w - 1] if w <= len(q) else 0), w
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_k1s_seeds_generate_everything_above_weight_6(s):
+    # K of k1s is declared full from weight len(q) + 1 = 7; the ideal its
+    # seeds generate is already all of g there (g_7 = g_8 = 0 for n = 1,
+    # and g_9, g_12 are spanned), so the declaration changes no count
+    p = preset(1, s)
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=11)
+    q, seeds = free_ideal("k1s", 1, s)
+    closure = SubalgebraGenerators(m, q + [0] * 6, seeds)
+    codims = [m.dim(w) - len(closure.k_basis.get(w, ())) for w in range(1, 13)]
+    assert codims == q + [0] * 6
+    assert all(m.dim(w) for w in (9, 12))
+    assert closure.counts() == SubalgebraGenerators(m, q, seeds).counts()
 
 
 def test_tym30_weight4():
     p = preset(3, 0)
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=7)
-    got = tym_generators(m, max_weight=8).counts()
+    got = _generators(m, "tym", 3, 0, max_weight=8).counts()
     assert got[4] == 3
 
 
@@ -222,7 +245,7 @@ def test_k13_generator_series():
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=11)
     series = free_gen_series("k1s", 1, 3, 12)
-    assert k1s_generators(m, 3, max_weight=12).counts() == {
+    assert _generators(m, "k1s", 1, 3, max_weight=12).counts() == {
         w: series[w] for w in range(2, 13)}
 
 
@@ -231,7 +254,7 @@ def test_k13_below_the_seed_weight():
     p = preset(1, 3)
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=1)
-    assert k1s_generators(m, 3, max_weight=2).counts() == {2: 0}
+    assert _generators(m, "k1s", 1, 3, max_weight=2).counts() == {2: 0}
 
 
 INTEGERS = st.integers(-3, 3)
@@ -543,7 +566,7 @@ def test_free_generators_general_coefficients():
     series = free_gen_series("tym-hat", 3, 1, 12)
     assert hat == {w: series[w] for w in range(2, 13)}
     series = free_gen_series("tym", 3, 1, 12)
-    assert tym_generators(m, max_weight=12).counts() == {
+    assert _generators(m, "tym", 3, 1, max_weight=12).counts() == {
         w: series[w] for w in range(2, 13)}
     # n = 1 with a non-diagonal G^1: the [K, K] rows combine brackets over
     # different denominators
@@ -551,7 +574,7 @@ def test_free_generators_general_coefficients():
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=11)
     series = free_gen_series("k1s", 1, 3, 12)
-    assert k1s_generators(m, 3, max_weight=12).counts() == {
+    assert _generators(m, "k1s", 1, 3, max_weight=12).counts() == {
         w: series[w] for w in range(2, 13)}
 
 

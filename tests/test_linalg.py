@@ -368,7 +368,7 @@ def test_grid_witness_off_the_coordinate_directions():
 
 
 def test_degenerate_gamma_is_decided_fast():
-    # the grid {0..s}^n has 3^6 points here, the grid {0..s*n}^n 13^6
+    # the grid {0..s-1}^n has 2^6 points here, the grid {0..s*n}^n 13^6
     e11 = [["1", "0"], ["0", "0"]]
     t0 = time.perf_counter()
     assert check_nondegenerate(SymPresentation(6, 2, [e11] * 6)) == (False, None)
