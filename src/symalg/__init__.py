@@ -7,60 +7,59 @@ calculus, free resolutions of the trivial module, Chevalley-Eilenberg
 homology, free-generator series of the distinguished ideals, and the
 Kirillov-orbit pipeline producing Clifford-Weyl quotients of nilpotent
 truncations.  All arithmetic is exact rational.
+
+`import symalg` loads no submodule.  Each name below, and each submodule
+(`symalg.engine`, ...), is imported on first use (PEP 562), so a process
+compiles only the modules it runs; `from symalg import X` returns the
+object `symalg.<module>.X` itself.
 """
 
-from .assoc import AssocModel
-from .cliffordweyl import CWAlgebra, CWElement
-from .engine import (
-    LieModel,
-    SubalgebraGenerators,
-    free_lie_dims,
-    tym_hat_generators,
-)
-from .homology import ce_check_d_squared, ce_differential, ce_homology
-from .presentation import (
-    GammaTensor,
-    GammaTilde,
-    PresentationError,
-    SymPresentation,
-    build_relations,
-    check_equivariance_identity,
-    check_nondegenerate,
-    derive_gamma_tilde,
-    dims_ym,
-    free_gen_series,
-    free_ideal,
-    hilbert_series_YM,
-    preset,
-    quartic_form,
-    semidirect_maps,
-    superpotential,
-    susy_derivations,
-    ym_denominator,
-)
-from .resolution import SidedResolution, verify_resolution
-from .series import dims_from_series, enveloping_series
-from .superlie import (
-    FieldExtensionRequired,
-    FinDimSuperLieAlgebra,
-    IdealWeight,
-    even_functional,
-    heis,
-    kirillov_weight,
-    stabilizer_subspace,
-    subordinate_check,
-    vergne_polarization,
-    weight_of,
-)
-from .surjection import build_cw_surjection, plan_assignment
-from .tensor import (
-    Alphabet,
-    Derivation,
-    Poly,
-    cyclic_derivative,
-    lie_expand,
-    super_commutator,
-    sym_alphabet,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "assoc": ("AssocModel",),
+    "cliffordweyl": ("CWAlgebra", "CWElement"),
+    "engine": ("LieModel", "SubalgebraGenerators", "free_lie_dims",
+               "tym_hat_generators"),
+    "homology": ("ce_check_d_squared", "ce_differential", "ce_homology"),
+    "presentation": (
+        "GammaTensor", "GammaTilde", "PresentationError", "SymPresentation",
+        "build_relations", "check_equivariance_identity", "check_nondegenerate",
+        "derive_gamma_tilde", "dims_ym", "free_gen_series", "free_ideal",
+        "hilbert_series_YM", "preset", "quartic_form", "semidirect_maps",
+        "superpotential", "susy_derivations", "ym_denominator",
+    ),
+    "resolution": ("SidedResolution", "verify_resolution"),
+    "series": ("dims_from_series", "enveloping_series"),
+    "superlie": (
+        "FieldExtensionRequired", "FinDimSuperLieAlgebra", "IdealWeight",
+        "even_functional", "heis", "kirillov_weight", "stabilizer_subspace",
+        "subordinate_check", "vergne_polarization", "weight_of",
+    ),
+    "surjection": ("build_cw_surjection", "plan_assignment"),
+    "tensor": ("Alphabet", "Derivation", "Poly", "cyclic_derivative", "lie_expand",
+               "super_commutator", "sym_alphabet"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value
+            return value
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,7 +14,8 @@ Exit codes:
 0  every requested verification passed
 1  one failed (the report says "ok": false)
 2  malformed input, as one `symalg: error: ...` line on stderr: a
-   UsageError (flags, files), PresentationError, SurjectionError or
+   UsageError (flags, files, a cache directory that is not one) or one of
+   the library's InputErrors, PresentationError, SurjectionError and
    SuperLieError.  Any other exception is a program bug and propagates
 3  a recomputation differed from the cached report
 """
@@ -25,9 +26,7 @@ import sys
 
 from . import cache as cachemod
 from . import reports
-from .presentation import FREE_IDEALS, PresentationError, SymPresentation, preset
-from .superlie import FinDimSuperLieAlgebra, SuperLieError, functional_from_json
-from .surjection import SurjectionError
+from .presentation import FREE_IDEALS, InputError, SymPresentation, preset
 
 
 class UsageError(Exception):
@@ -55,6 +54,16 @@ def _load_presentation(args):
             )
         return preset(*(int(v) for v in parts))
     raise UsageError("provide --preset n,s or --presentation file.json")
+
+
+def _check_cache_dir(directory):
+    """UsageError unless `directory` is a directory or can be made one,
+    checked before the report is computed, since it is stored there."""
+    for path in (directory, *directory.parents):
+        if path.is_dir():
+            return
+        if path.exists() or path.is_symlink():
+            raise UsageError(f"cache directory {directory}: {path} is not a directory")
 
 
 def _model_cache(args):
@@ -95,6 +104,8 @@ def cmd_dixmier(args):
     for opt in ("algebra", "functional"):
         if getattr(args, opt) is None:
             raise UsageError(f"dixmier {args.target} requires --{opt} file.json")
+    from .superlie import FinDimSuperLieAlgebra, functional_from_json
+
     g = FinDimSuperLieAlgebra.from_json(_read_json(args.algebra))
     f = functional_from_json(g, _read_json(args.functional))
     return getattr(reports, f"dixmier_{args.target}")(g, f)
@@ -209,8 +220,9 @@ def main(argv=None):
         data = cached
     else:
         try:
+            _check_cache_dir(cdir)
             report = args.func(args)
-        except (UsageError, PresentationError, SurjectionError, SuperLieError) as exc:
+        except (UsageError, InputError) as exc:
             sys.stderr.write(f"symalg: error: {exc}\n")
             return 2
         report["config"] = config

@@ -494,17 +494,16 @@ def load_or_build_model(alphabet, relations, cutoff, cache_directory=None,
     """
     if not (cache_directory and presentation_hash):
         return LieModel(alphabet, relations, cutoff)
-    import pickle  # only cached runs pay for the import
+    # only cached runs pay for these imports
+    import pickle
+
+    from . import cache
 
     path = Path(cache_directory) / "models" / f"{presentation_hash}-l{cutoff}.pickle"
     model = _load_model(path, cutoff)
     if model is not None:
         return model
     model = LieModel(alphabet, relations, cutoff)
-    # imported here: `cache` reads the package's __version__, which is
-    # defined after this module is imported
-    from . import cache
-
     cache.write_atomic(path, lambda fh: pickle.dump(model, fh))
     return model
 

@@ -73,7 +73,13 @@ def rat_str(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class PresentationError(ValueError):
+class InputError(ValueError):
+    """Input the library rejects: the base of PresentationError,
+    SuperLieError and SurjectionError, so that a caller can tell them from
+    a program bug without importing the modules that raise them."""
+
+
+class PresentationError(InputError):
     pass
 
 

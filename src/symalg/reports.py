@@ -4,18 +4,17 @@ Each function takes a presentation (or a parsed algebra and functional)
 and plain values, and returns the report as a dict of JSON values, without
 the `config` that the CLI echoes.  Its "ok" says whether every requested
 verification passed.  Bad input raises the library's own errors,
-PresentationError, SurjectionError or SuperLieError (all ValueErrors).
+PresentationError, SurjectionError or SuperLieError (all InputErrors).
 The functions that read a Lie model take `cache_dir`, the directory of the
-model pickle cache, or None to build the model without it.
+model pickle cache, or None to build the model without it.  Each function
+imports the engines it runs when it is called, so a CLI process compiles
+only the modules of its own command.
 
     >>> from symalg import preset, reports
     >>> reports.hilbert(preset(3, 1), 6)["lie_dims"]
     [0, 3, 1, 3, 2, 6]
 """
 
-from . import resolution
-from .assoc import AssocModel
-from .engine import LieModel, SubalgebraGenerators, basis_report, load_or_build_model
 from .linalg import inverse, rank
 from .presentation import (
     GammaTilde, PresentationError, build_relations, check_nondegenerate,
@@ -23,14 +22,12 @@ from .presentation import (
     omega_check, presentation_sha256, quartic_form, rat_str, semidirect_maps,
     semidirect_relation, series_valid, superpotential, susy_derivations,
 )
-from .refdata import (DEPENDENCY_IDENTITIES_31, EXPECTED_CUMULATIVE_31,
-                      reference_basis_trees)
-from .superlie import SuperLieError, vergne_polarization, weight_of
-from .surjection import build_cw_surjection, check_input, model_cutoff
 from .tensor import Derivation, bracket_word_name, cyclic_derivative, lie_expand
 
 
 def _lie_model(p, cutoff, cache_dir):
+    from .engine import load_or_build_model
+
     r0, r1 = build_relations(p)
     return load_or_build_model(p.alphabet, r0 + r1, cutoff, cache_dir,
                                presentation_sha256(p))
@@ -55,6 +52,8 @@ def hilbert(p, degree, check_engine=False, engine_depth=12):
         if report["series_valid"]:
             report["lie_dims"] = dims_ym(p.n, p.s, max_j=degree)
         if check_engine and report["series_valid"]:
+            from .engine import LieModel
+
             depth = min(degree, engine_depth)
             r0, r1 = build_relations(p)
             model = LieModel(p.alphabet, r0 + r1, cutoff=depth - 1)
@@ -68,6 +67,8 @@ def hilbert(p, degree, check_engine=False, engine_depth=12):
 def basis(p, l, check_reference_basis=False, cache_dir=None):
     """The weight-graded basis of the Lie quotient to cutoff l; with
     check_reference_basis, the (3,1) reference basis and identities."""
+    from .engine import basis_report
+
     model = _lie_model(p, l, cache_dir)
     report = {
         "command": "basis",
@@ -81,6 +82,9 @@ def basis(p, l, check_reference_basis=False, cache_dir=None):
     if check_reference_basis:
         ok = p.n == 3 and p.s == 1 and p.is_orthonormal() and l <= 7
         if ok:
+            from .refdata import (DEPENDENCY_IDENTITIES_31, EXPECTED_CUMULATIVE_31,
+                                  reference_basis_trees)
+
             vectors = []
             for tree in reference_basis_trees(l):
                 poly = lie_expand(tree, p.alphabet)
@@ -125,6 +129,9 @@ def verify_omega(p):
 def verify_resolution(p, max_weight):
     """Both length-three resolutions to max_weight; each side lists the
     failed checks by weight, or "all-green"."""
+    from . import resolution
+    from .assoc import AssocModel
+
     resolution.check_resolvable(p)
     report = _verify("resolution", p)
     r0, r1 = build_relations(p)
@@ -149,6 +156,8 @@ def verify_resolution(p, max_weight):
 def verify_susy(p):
     """The supersymmetry criterion: the derivations preserve the ideal iff
     the quartic form vanishes."""
+    from .assoc import AssocModel
+
     report = _verify("susy", p)
     _, qzero = quartic_form(p)
     report["quartic_zero"] = qzero
@@ -208,6 +217,8 @@ def verify_semidirect(p):
             if isinstance(psi[name], str) and isinstance(psi_inv[psi[name]], str)
         )
         # d maps the defining relation into the relation ideal
+        from .engine import LieModel
+
         U, rho = semidirect_relation(p.n, p.s)
         D = Derivation(U, d_action, 0)
         dmodel = LieModel(U, [rho], cutoff=9)
@@ -221,6 +232,8 @@ def verify_semidirect(p):
 
 def dixmier_weight(g, f):
     """The Kirillov-form weight of the functional f on the algebra g."""
+    from .superlie import weight_of
+
     w = weight_of(g, f)
     return {
         "command": "dixmier",
@@ -233,6 +246,8 @@ def dixmier_weight(g, f):
 def dixmier_polarization(g, f):
     """The weight and a Vergne polarization; where none exists the report
     holds the reason as "error" and "ok" is false."""
+    from .superlie import SuperLieError, vergne_polarization
+
     report = dixmier_weight(g, f)
     report["target"] = "polarization"
     try:
@@ -254,6 +269,8 @@ def dixmier_polarization(g, f):
 def dixmier_surject(p, r, t, l=None, cache_dir=None):
     """The Clifford-Weyl surjection onto target (r, t) at cutoff l (default
     2 d' + 1), on a Lie model at model_cutoff(d')."""
+    from .surjection import build_cw_surjection, check_input, model_cutoff
+
     _, _, d_prime, l = check_input(p, r, t, l)
     model = _lie_model(p, model_cutoff(d_prime), cache_dir)
     res = build_cw_surjection(p, r, t, l=l, model=model)
@@ -268,6 +285,8 @@ def freegens(p, ideal, max_weight, cache_dir=None):
     """Free-generator counts of `ideal`, a row of FREE_IDEALS, to max_weight
     against the closed-form series (PresentationError outside the ideal's
     rule, before the model is built)."""
+    from .engine import SubalgebraGenerators
+
     series = free_gen_series(ideal, p.n, p.s, max_weight)
     model = _lie_model(p, max(max_weight - 1, 1), cache_dir)
     counts = SubalgebraGenerators(model, *free_ideal(ideal, p.n, p.s),

@@ -14,10 +14,10 @@ the even part and a symmetric block on the odd part.
 from fractions import Fraction
 
 from .linalg import Echelon, addmul, echelon, extend, kernel, rank
-from .presentation import rat, rat_str
+from .presentation import InputError, rat, rat_str
 
 
-class SuperLieError(ValueError):
+class SuperLieError(InputError):
     pass
 
 
@@ -62,7 +62,10 @@ class FinDimSuperLieAlgebra:
             raise SuperLieError("parity list length mismatch")
         if self.weights is not None and len(self.weights) != self.dim:
             raise SuperLieError("weight list length mismatch")
-        for name, parity in zip(self.names, self.parities):
+        for k, (name, parity) in enumerate(zip(self.names, self.parities)):
+            # a functional and `index` find an element by its name
+            if name in self.names[:k]:
+                raise SuperLieError(f"basis name {name!r} is listed twice")
             if parity not in (0, 1):
                 raise SuperLieError(f"parity of {name!r} must be 0 or 1, got {parity!r}")
         table = {}

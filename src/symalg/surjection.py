@@ -50,11 +50,12 @@ directions meet the stabilizer trivially.
 
 from .engine import LieModel, rational
 from .linalg import addmul, intvec, rank, span
-from .presentation import build_relations, free_gen_series, free_ideal, is_identity
+from .presentation import (InputError, build_relations, free_gen_series, free_ideal,
+                           is_identity)
 from .superlie import heis, kirillov_weight
 
 
-class SurjectionError(ValueError):
+class SurjectionError(InputError):
     pass
 
 

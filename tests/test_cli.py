@@ -327,14 +327,17 @@ def test_bad_presentation_file_exits_2(capsys, tmp_path, content, message):
 
 def test_program_errors_are_not_verification_failures(monkeypatch, capsys, tmp_path):
     # only the library's own errors select the susy fallback or the
-    # polarization error report; anything else is a bug and propagates
+    # polarization error report; anything else is a bug and propagates.
+    # Each function is patched where `reports` looks it up: it imports
+    # `superlie` inside the report function
     import symalg.reports
+    import symalg.superlie
 
     def bug(*args):
         raise RuntimeError("bug")
 
     monkeypatch.setattr(symalg.reports, "derive_gamma_tilde", bug)
-    monkeypatch.setattr(symalg.reports, "vergne_polarization", bug)
+    monkeypatch.setattr(symalg.superlie, "vergne_polarization", bug)
     with pytest.raises(RuntimeError):
         run_cli(capsys, tmp_path, "--no-cache", "verify", "susy", "--preset", "2,1")
     g = heis(1, 1)
@@ -396,6 +399,9 @@ def _heis_files(tmp_path):
     # [a, a] = b alone the error blamed an odd rank
     ("algebra-even-square", "the even 'a' has a nonzero square"),
     ("algebra-even-squares", "the even 'a' has a nonzero square"),
+    # a functional charges a name, so only the first of two equal names
+    # could be charged: basis q, q, z with [q, q'] = z gave weyl 0, exit 0
+    ("algebra-duplicate-name", "basis name 'q' is listed twice"),
 ])
 @pytest.mark.parametrize("target", ["weight", "polarization"])
 def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
@@ -442,6 +448,8 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
            '{"name": "c", "parity": 0}], "brackets": [{"i": 0, "j": 0, "coeffs": {"1": "1"}}')
     contents["algebra-even-square"] = abc + "]}"
     contents["algebra-even-squares"] = abc + ', {"i": 2, "j": 2, "coeffs": {"1": "1"}}]}'
+    contents["algebra-duplicate-name"] = qpz.replace('"p"', '"q"') + (
+        '{"i": 0, "j": 1, "coeffs": {"2": "1"}}]}')
     if case in contents:
         bad.write_text(contents[case])
     if case.startswith("algebra"):
@@ -639,6 +647,33 @@ def test_edited_input_file_is_not_served_from_the_cache(capsys, tmp_path):
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
+@pytest.mark.parametrize("how", ["flag", "flag-no-cache", "below-a-file", "env"])
+def test_cache_dir_that_is_no_directory_exits_2_before_computing(
+        monkeypatch, capsys, tmp_path, how):
+    # the report was computed in full and then storing it raised
+    # FileExistsError, with --no-cache too
+    import symalg.reports
+
+    def computed(*args):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(symalg.reports, "hilbert", computed)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cdir = blocker / "sub" if how == "below-a-file" else blocker
+    opts = {"flag": ["--cache-dir", str(cdir)],
+            "flag-no-cache": ["--cache-dir", str(cdir), "--no-cache"],
+            "below-a-file": ["--cache-dir", str(cdir)], "env": []}[how]
+    monkeypatch.setenv("SYMALG_CACHE_DIR", str(cdir if how == "env" else tmp_path))
+    code = main([*opts, "hilbert", "--preset", "3,1", "--degree", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"symalg: error: cache directory {cdir}: {blocker} is not a directory\n")
+    assert blocker.read_text() == ""
+
+
 def test_report_cache_store_is_atomic(monkeypatch, tmp_path):
     import symalg.cache as cache
 
@@ -656,16 +691,82 @@ def test_report_cache_store_is_atomic(monkeypatch, tmp_path):
     assert cache.lookup("k", tmp_path) == b"first\n"
 
 
-def test_import_loads_no_introspection_modules():
-    # `import symalg.cli` in a fresh interpreter loads none of the modules a
-    # dataclass would pull in; they cost start-up time and memory per run
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys; before = set(sys.modules); import symalg.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))")
+ROOT = Path(__file__).resolve().parent.parent
+# the modules a dataclass would pull in; they cost start-up time and memory
+INTROSPECTION = {"dataclasses", "inspect", "ast", "tokenize"}
+
+
+def _fresh_modules(code, cwd=None):
+    """The modules that running `code` loads in a fresh interpreter on this
+    source tree (printed after anything `code` prints)."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules)\n" + code
+            + "\nprint(' '.join(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _symalg_modules(loaded):
+    return {m for m in loaded if m == "symalg" or m.startswith("symalg.")}
+
+
+def test_import_loads_no_introspection_modules():
+    loaded = _fresh_modules("import symalg.cli")
     assert "symalg.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "tokenize"}
+    assert not loaded & INTROSPECTION
+    # the package itself imports no submodule: each loads on first use,
+    # with what it imports
+    assert _symalg_modules(_fresh_modules("import symalg")) == {"symalg"}
+    assert _symalg_modules(_fresh_modules("import symalg; symalg.homology")) == {
+        "symalg", "symalg.homology", "symalg.linalg"}
+
+
+# every command loads these: the CLI, the report cache, `reports` and what
+# it imports at the top
+CLI_MODULES = {"cli", "cache", "reports", "presentation", "linalg", "series", "tensor"}
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["--no-cache", "verify", "resolution", "--preset", "3,1", "--max-weight", "4"],
+     {"assoc", "resolution"}),
+    (["freegens", "--preset", "3,1", "--max", "5"], {"engine"}),
+    (["--no-cache", "dixmier", "surject", "--preset", "3,1", "--l", "13"],
+     {"engine", "superlie", "surjection"}),
+], ids=["verify-resolution", "freegens", "dixmier-surject"])
+def test_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
+    argv = ["--cache-dir", str(tmp_path / "cache"), *argv]
+    loaded = _fresh_modules(f"import symalg.cli\nassert symalg.cli.main({argv!r}) == 0")
+    assert _symalg_modules(loaded) == {"symalg", *(f"symalg.{m}" for m in CLI_MODULES | runs)}
+    assert not loaded & INTROSPECTION
+
+
+def test_every_public_name_is_its_modules_object():
+    import symalg
+
+    assert len(set(symalg.__all__)) == len(symalg.__all__) == 51
+    assert set(symalg.__all__) <= set(dir(symalg))
+    for name in symalg.__all__:
+        obj = getattr(symalg, name)
+        assert obj.__module__.startswith("symalg.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from symalg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(symalg.__all__)
+    assert not hasattr(symalg, "no_such_name")
+    # a plain attribute: the report cache key and the benchmark read it
+    assert "__version__" in vars(symalg)
+
+
+def test_readme_reports_example_runs(tmp_path):
+    # the block under "Reports from Python", in a fresh interpreter, where
+    # `from symalg import reports` goes through the lazy package namespace
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Reports from Python"):]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start:section.index("```", start)]
+    assert block.startswith("from symalg import preset, reports\n")
+    loaded = _fresh_modules(block, cwd=tmp_path)
+    assert "symalg.reports" in loaded
+    assert (tmp_path / "models").is_dir()

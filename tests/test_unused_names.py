@@ -7,8 +7,7 @@ Three checks over the modules of `src/symalg`:
   never read anywhere in the function, its nested functions included;
   tuple unpacking and loop targets are exempt, as are names starting
   with `_`;
-* an imported name never read in its module.  The package `__init__`
-  re-exports its module-level imports, so those are exempt;
+* an imported name never read in its module;
 * a private helper no module of the package reads: a module-level
   function, or a method other than a dunder, whose name starts with `_`
   and appears nowhere in the package as a name, an attribute or an
@@ -16,8 +15,7 @@ Three checks over the modules of `src/symalg`:
 
 One check over the whole repository: a public function or method of the
 package that no file under `src`, `tests`, `demos` or `bench` reads in
-the same sense.  The imports of the package `__init__` only re-export, so
-they read nothing; `reports` is exempt, as the CLI looks its functions up
+the same sense.  `reports` is exempt, as the CLI looks its functions up
 by name.
 """
 
@@ -31,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "symalg"
 MODULES = sorted(SRC.glob("*.py"))
 READERS = [p for d in ("src/symalg", "tests", "demos", "bench")
-           for p in sorted((ROOT / d).glob("*.py")) if p != SRC / "__init__.py"]
+           for p in sorted((ROOT / d).glob("*.py"))]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -84,13 +82,11 @@ def unused_locals(tree):
     return [msg for _, msg in sorted(out)]
 
 
-def unused_imports(tree, reexports=False):
+def unused_imports(tree):
     read = _loads(tree)
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if reexports and node in tree.body:
             continue
         for alias in node.names:
             # `import a.b` binds `a`
@@ -153,7 +149,7 @@ def unread_helpers(trees, readers=None, private=True):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals_or_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = unused_locals(tree) + unused_imports(tree, path.name == "__init__.py")
+    found = unused_locals(tree) + unused_imports(tree)
     assert not found, f"{path.name}: " + "; ".join(found)
 
 
