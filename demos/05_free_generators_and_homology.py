@@ -12,13 +12,14 @@ small truncations is computed exactly as well.
 from symalg import (
     FinDimSuperLieAlgebra,
     LieModel,
+    SubalgebraGenerators,
     build_relations,
     ce_homology,
     free_gen_series,
     free_ideal,
     preset,
+    tym_hat_generators,
 )
-from symalg.engine import SubalgebraGenerators, tym_hat_generators
 
 p = preset(3, 1)
 r0, r1 = build_relations(p)

@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "assoc": ("AssocModel",),
     "cliffordweyl": ("CWAlgebra", "CWElement"),
-    "engine": ("LieModel", "SubalgebraGenerators", "free_lie_dims",
-               "tym_hat_generators"),
+    "engine": ("LieModel", "free_lie_dims"),
+    "freegens": ("SubalgebraGenerators", "tym_hat_generators"),
     "homology": ("ce_check_d_squared", "ce_differential", "ce_homology"),
     "presentation": (
         "GammaTensor", "GammaTilde", "PresentationError", "SymPresentation",

@@ -208,6 +208,10 @@ def main(argv=None):
     sp.set_defaults(func=cmd_freegens)
 
     args = ap.parse_args(argv)
+    if args.cache_dir == "":
+        # cache.cache_dir reads an empty value as no flag: the default cache
+        sys.stderr.write("symalg: error: --cache-dir must name a directory\n")
+        return 2
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "format", "cache_dir", "no_cache")}
     inputs = {opt: cachemod.file_sha256(config[opt])

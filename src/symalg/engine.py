@@ -42,17 +42,15 @@ kernel rows enter the echelon as they are, since only their direction
 matters.  Values become rational at the edges alone: `project`, `struct`
 and `export_struct` return dicts whose integral values are ints and whose
 other values are Fractions (see `rational`, which applies
-`linalg.ratio`).  The free-generator analysis (`SubalgebraGenerators`)
-stays integral: it reads the ad columns and `_bracket` and spans their
-numerators.
+`linalg.ratio`).  The free-generator analysis of the ideals of a model
+is in `symalg.freegens`.
 """
 
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .linalg import Echelon, ratio, span
-from .presentation import free_ideal
+from .linalg import Echelon, ratio
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -544,82 +542,3 @@ def free_lie_dims(alphabet, max_w):
         if g.weight <= max_w:
             coeffs[g.weight] -= 1
     return dims_from_series(coeffs, max_w)
-
-
-class SubalgebraGenerators:
-    """Free-generator analysis of a graded Lie ideal K inside a LieModel.
-
-    K is given as in `presentation.FREE_IDEALS`: the seeds, generator
-    names or bracket pairs of names, generate it up to weight len(q), and
-    above that weight K is everything.  Per weight this spans K_w by the
-    seeds and the brackets [g, K_{w-|g|}] read off the ad columns, and
-    [K,K]_w by the brackets of lower basis elements; the rows of K_w
-    independent of [K,K]_w count the graded generator space of K (free by
-    the structure theorems, which the dimension series confirms degree by
-    degree).  Only spans matter, so each vector enters as the numerators
-    of an engine vector, its denominator dropped, and each span is one
-    Echelon filled a batch at a time, sparsest first.
-    """
-
-    def __init__(self, model, q, seeds, max_weight=None):
-        max_weight = model.max_weight if max_weight is None else max_weight
-        A = model.alphabet
-
-        def coords(g):
-            return A.weights[A.index(g)], model.gen_coords[g][1]
-
-        seed_rows = {}
-        for seed in seeds:
-            if isinstance(seed, str):
-                w, row = coords(seed)
-            else:
-                (wa, a), (wb, b) = map(coords, seed)
-                w, row = wa + wb, _pair(model, wa, a, wb, b)
-            seed_rows.setdefault(w, []).append(row)
-        # weight -> basis of K_w, the rows of its echelon
-        self.k_basis = {}
-        self.gen_counts = {}
-        for w in sorted(model.reps):
-            if w > max_weight:
-                break
-            if w > len(q):
-                rows = [{j: 1} for j in range(model.dim(w))]
-            else:
-                rows = seed_rows.pop(w, [])
-                for g in A.generators:
-                    wl = w - g.weight
-                    for u in self.k_basis.get(wl, ()):
-                        acc = [1, {}]
-                        for j, c in u.items():
-                            _add_scaled(acc, c, model.ad[(g.name, wl, j)])
-                        rows.append(acc[1])
-            basis = self.k_basis[w] = list(span(rows).rows.values())
-            # the bracket span [K, K]_w, then the generator complement
-            pairs = []
-            for wu, us in self.k_basis.items():
-                wv = w - wu
-                if wv < wu:
-                    continue
-                vs = self.k_basis.get(wv, ())
-                for i, u in enumerate(us):
-                    for v in vs[i if wu == wv else 0:]:
-                        pairs.append(_pair(model, wu, u, wv, v))
-            bech = span(pairs)
-            self.gen_counts[w] = sum(bech.insert(u) is not None for u in basis)
-
-    def counts(self):
-        return dict(sorted(self.gen_counts.items()))
-
-
-def _pair(model, wu, u, wv, v):
-    """Numerators of [u, v] for integer rows u at weight wu and v at wv."""
-    acc = [1, {}]
-    for i, a in u.items():
-        for j, b in v.items():
-            _add_scaled(acc, a * b, model._bracket(wu, i, wv, j))
-    return acc[1]
-
-
-def tym_hat_generators(model, n, max_weight=None):
-    """Generator analysis of the ideal tym-hat (its row does not read s)."""
-    return SubalgebraGenerators(model, *free_ideal("tym-hat", n, 0), max_weight)

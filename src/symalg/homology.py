@@ -14,27 +14,53 @@ weight when the algebra is weight-graded).
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 
 from .linalg import addmul, rank
 
 
 def wedge_basis(g, k, weight_max=None):
-    """Basis wedges as (even tuple, odd tuple); optionally weight-bounded."""
+    """Basis wedges as (even tuple, odd tuple), each part in `itertools`
+    order; optionally only those of weight <= weight_max, pruned while they
+    are enumerated: the even part may use what the odd part's least weight
+    leaves, and the odd part what the even part leaves."""
     ev = g.even_indices()
     od = g.odd_indices()
+    if weight_max is None or g.weights is None:
+        w, weight_max = [0] * g.dim, 0
+    else:
+        w = g.weights
+    least_odd = min((w[i] for i in od), default=0)
     out = []
     for ne in range(min(k, len(ev)), -1, -1):
         no = k - ne
-        for esub in combinations(ev, ne):
-            for osub in combinations_with_replacement(od, no):
-                if weight_max is not None and g.weights is not None:
-                    wt = sum(g.weights[i] for i in esub) + sum(
-                        g.weights[i] for i in osub
-                    )
-                    if wt > weight_max:
-                        continue
-                out.append((esub, osub))
+        for esub in _combinations(ev, ne, w, weight_max - no * least_odd, False):
+            rest = weight_max - sum(w[i] for i in esub)
+            out += [(esub, osub) for osub in _combinations(od, no, w, rest, True)]
+    return out
+
+
+def _combinations(items, r, weights, budget, repeat):
+    """The r-combinations of `items` (with repetition if `repeat`) of total
+    weight <= budget, in `itertools` order.  An item is skipped once the
+    partial weight, its own and (r - 1) times the least weight exceed the
+    budget, a lower bound on every completion whatever the signs."""
+    least = min((weights[i] for i in items), default=0)
+    out = []
+    prefix = []
+
+    def extend(start, r, budget):
+        if r == 0:
+            if budget >= 0:
+                out.append(tuple(prefix))
+            return
+        for pos in range(start, len(items)):
+            i = items[pos]
+            if weights[i] + (r - 1) * least <= budget:
+                prefix.append(i)
+                extend(pos if repeat else pos + 1, r - 1, budget - weights[i])
+                prefix.pop()
+
+    extend(0, r, budget)
     return out
 
 

@@ -285,7 +285,7 @@ def freegens(p, ideal, max_weight, cache_dir=None):
     """Free-generator counts of `ideal`, a row of FREE_IDEALS, to max_weight
     against the closed-form series (PresentationError outside the ideal's
     rule, before the model is built)."""
-    from .engine import SubalgebraGenerators
+    from .freegens import SubalgebraGenerators
 
     series = free_gen_series(ideal, p.n, p.s, max_weight)
     model = _lie_model(p, max(max_weight - 1, 1), cache_dir)

@@ -30,7 +30,7 @@ from symalg import (
     susy_derivations,
     weight_of,
 )
-from symalg.engine import SubalgebraGenerators, tym_hat_generators
+from symalg.freegens import SubalgebraGenerators, tym_hat_generators
 from symalg.linalg import Echelon, intvec
 from symalg.presentation import SymPresentation, free_gen_series, free_ideal
 from symalg.refdata import (

@@ -674,6 +674,27 @@ def test_cache_dir_that_is_no_directory_exits_2_before_computing(
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("opts, env", [
+    ([], False), (["--no-cache"], False), ([], True)], ids=["cache", "no-cache", "env"])
+def test_empty_cache_dir_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path, opts, env):
+    # an empty --cache-dir was read as no flag, so the report was stored
+    # under $SYMALG_CACHE_DIR or ~/.cache/symalg with exit 0
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    if env:
+        monkeypatch.setenv("SYMALG_CACHE_DIR", str(tmp_path / "env"))
+    else:
+        monkeypatch.delenv("SYMALG_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = main(["--cache-dir", "", *opts, "hilbert", "--preset", "2,0", "--degree", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "symalg: error: --cache-dir must name a directory\n"
+    assert list(tmp_path.rglob("*")) == [home]
+
+
 def test_report_cache_store_is_atomic(monkeypatch, tmp_path):
     import symalg.cache as cache
 
@@ -731,7 +752,7 @@ CLI_MODULES = {"cli", "cache", "reports", "presentation", "linalg", "series", "t
 @pytest.mark.parametrize("argv, runs", [
     (["--no-cache", "verify", "resolution", "--preset", "3,1", "--max-weight", "4"],
      {"assoc", "resolution"}),
-    (["freegens", "--preset", "3,1", "--max", "5"], {"engine"}),
+    (["freegens", "--preset", "3,1", "--max", "5"], {"engine", "freegens"}),
     (["--no-cache", "dixmier", "surject", "--preset", "3,1", "--l", "13"],
      {"engine", "superlie", "surjection"}),
 ], ids=["verify-resolution", "freegens", "dixmier-surject"])

@@ -2,25 +2,21 @@
 structure constants, free-generator analyses.
 
 The tensor-coordinate construction in `tensor_oracle` is the independent
-route the quotient-coordinate build is checked against."""
+route the quotient-coordinate build is checked against, and the all-pairs
+bracket span in `generators_oracle` the one for the free-generator counts."""
 
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from generators_oracle import oracle_counts
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from tensor_oracle import TensorLieModel
 
-from symalg.engine import (
-    EngineError,
-    LieModel,
-    SubalgebraGenerators,
-    free_lie_dims,
-    rational,
-    tym_hat_generators,
-)
+from symalg.engine import EngineError, LieModel, free_lie_dims, rational
+from symalg.freegens import SubalgebraGenerators, tym_hat_generators
 from symalg.presentation import (
     FREE_IDEALS,
     SymPresentation,
@@ -581,6 +577,58 @@ def test_free_generators_general_coefficients():
 def test_free_generators_max_weight_zero(model31):
     # max_weight 0 asks for no weight at all, not for the model's range
     assert tym_hat_generators(model31, 3, max_weight=0).counts() == {}
+
+
+def _generic(n, s, seed):
+    """G^1 = 1 and symmetric G^2..G^n with entries drawn from -3..3."""
+    rng = random.Random(seed)
+    gamma = [[[int(a == b) for b in range(s)] for a in range(s)]]
+    for _ in range(n - 1):
+        m = [[0] * s for _ in range(s)]
+        for a in range(s):
+            for b in range(a, s):
+                m[a][b] = m[b][a] = rng.randint(-3, 3)
+        gamma.append(m)
+    return SymPresentation(n, s, gamma)
+
+
+# (presentation, cutoff): every preset some row of FREE_IDEALS accepts,
+# seeded generic Gamma, and the general coefficients above
+GENERATOR_ORACLE_CASES = {
+    "31": (lambda: preset(3, 1), 13),
+    "22": (lambda: preset(2, 2), 11),
+    "41": (lambda: preset(4, 1), 9),
+    "32": (lambda: preset(3, 2), 11),
+    "33": (lambda: preset(3, 3), 11),
+    "13": (lambda: preset(1, 3), 11),
+    "14": (lambda: preset(1, 4), 11),
+    "30": (lambda: preset(3, 0), 11),
+    "32-generic-7": (lambda: _generic(3, 2, 7), 11),
+    "33-generic-7": (lambda: _generic(3, 3, 7), 11),
+    "31-G(1,2,-3)": (_general_31, 11),
+    "13-G1-nondiagonal": (
+        lambda: SymPresentation(1, 3, [[[1, 1, 0], [1, 2, 1], [0, 1, -3]]]), 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_ORACLE_CASES))
+def test_generators_match_all_pairs_oracle(model31, case):
+    # the annihilator recursion counts what the former route counts: K_w
+    # against the span of the brackets of every pair of K's basis elements
+    make, cutoff = GENERATOR_ORACLE_CASES[case]
+    p = make()
+    if case == "31":
+        m = model31
+    else:
+        r0, r1 = build_relations(p)
+        m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    ideals = [ideal for ideal, (_, holds, _) in FREE_IDEALS.items() if holds(p.n, p.s)]
+    assert ideals
+    for ideal in ideals:
+        q, seeds = free_ideal(ideal, p.n, p.s)
+        got = SubalgebraGenerators(m, q, seeds).counts()
+        assert got == oracle_counts(m, q, seeds), ideal
+        assert sorted(got) == m.weights()
 
 
 def _random_tree(rng, A, w):

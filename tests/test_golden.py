@@ -23,6 +23,8 @@ COMMANDS = {
                                  "--preset", "3,1", "--max", "12"],
     "freegens-tymhat-22-max10": ["freegens", "--ideal", "tym-hat",
                                  "--preset", "2,2", "--max", "10"],
+    "freegens-tym-31-max12": ["freegens", "--ideal", "tym",
+                              "--preset", "3,1", "--max", "12"],
     "freegens-k1s-13-max13": ["freegens", "--ideal", "k1s",
                               "--preset", "1,3", "--max", "13"],
     "surject-31-r1-t1-l13": ["dixmier", "surject", "--preset", "3,1",

@@ -1,12 +1,13 @@
 """Chevalley-Eilenberg homology with trivial coefficients."""
 
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from basis_change import scramble
 
 from symalg.engine import LieModel
-from symalg.homology import ce_check_d_squared, ce_homology
+from symalg.homology import ce_check_d_squared, ce_homology, wedge_basis
 from symalg.presentation import build_relations, preset
 from symalg.superlie import FinDimSuperLieAlgebra, SuperLieError, heis
 
@@ -71,3 +72,25 @@ def test_weights_must_grade_the_brackets():
     with pytest.raises(SuperLieError, match="violates the weights"):
         FinDimSuperLieAlgebra(gs.names, gs.parities, gs.table, g.weights)
     assert ce_homology(gs, 3, weight_max=9) == ce_homology(g, 3)
+
+
+def _filtered_wedges(g, k, weight_max):
+    """Every wedge of degree k, then those of weight <= weight_max."""
+    ev, od = g.even_indices(), g.odd_indices()
+    return [(e, o) for ne in range(min(k, len(ev)), -1, -1)
+            for e in combinations(ev, ne) for o in combinations_with_replacement(od, k - ne)
+            if sum(g.weights[i] for i in e + o) <= weight_max]
+
+
+def test_weight_pruned_wedges_equal_the_filtered_enumeration():
+    # wedge_basis prunes while it enumerates; the wedges and their order
+    # are those of filtering the full enumeration, also for weights <= 0
+    p = preset(3, 1)
+    r0, r1 = build_relations(p)
+    cases = [(FinDimSuperLieAlgebra.from_model(LieModel(p.alphabet, r0 + r1, cutoff=8)), 8)]
+    signed = FinDimSuperLieAlgebra(list("abcdefg"), [0, 1, 0, 1, 1, 0, 1], {},
+                                   [-2, 0, 1, 3, -1, 2, 0])
+    cases += [(signed, bound) for bound in (-3, 0, 2, 4)]
+    for g, bound in cases:
+        for k in range(6):
+            assert wedge_basis(g, k, bound) == _filtered_wedges(g, k, bound), (bound, k)
