@@ -45,15 +45,6 @@ def config_key(config, inputs):
     return hashlib.sha256(blob).hexdigest()
 
 
-def file_sha256(path):
-    """SHA-256 of a file's bytes; None when it cannot be read (the report
-    then fails on reading it and is never stored)."""
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError:
-        return None
-
-
 def lookup(key, directory):
     path = Path(directory) / f"{key}.json"
     if path.is_file():

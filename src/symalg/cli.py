@@ -4,11 +4,12 @@ Subcommands: hilbert (dimension series), basis (weight-graded basis of a
 truncation), verify (resolution, omega, susy, semidirect), dixmier
 (Kirillov weights, polarizations, Clifford-Weyl surjections) and freegens
 (free-generator series).  `symalg.reports` computes each report; this
-module parses and range-checks the flags, loads the input files, caches
-the report bytes by the hash of the configuration and of the input files'
-bytes, and renders them.  Cache hits are byte-identical to recomputation
-(--no-cache recomputes and diffs); an entry that is not a JSON object
-echoing the configuration is recomputed and replaced.
+module parses and range-checks the flags, reads each input file once,
+caches the report bytes by the hash of the configuration and of the bytes
+read (the same bytes the report is computed from), and renders them.
+Cache hits are byte-identical to recomputation (--no-cache recomputes and
+diffs); an entry that is not a JSON object echoing the configuration is
+recomputed and replaced.
 
 Exit codes:
 0  every requested verification passed
@@ -21,6 +22,7 @@ Exit codes:
 """
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -33,19 +35,31 @@ class UsageError(Exception):
     """Malformed command-line input; main() reports it and exits with 2."""
 
 
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}")
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"{path} is not JSON: {exc}")
+def _read_inputs(config):
+    """The input files `config` names, each read once: the SHA-256 of each
+    file's bytes, for the cache key, and the JSON parsed from the same
+    bytes, for the command."""
+    hashes, docs = {}, {}
+    for opt in ("presentation", "algebra", "functional"):
+        path = config.get(opt)
+        if path is None:
+            continue
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc.strerror}")
+        try:
+            docs[opt] = json.loads(data.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise UsageError(f"{path} is not JSON: {exc}")
+        hashes[opt] = hashlib.sha256(data).hexdigest()
+    return hashes, docs
 
 
-def _load_presentation(args):
+def _load_presentation(args, docs):
     if args.presentation:
-        return SymPresentation.from_json(_read_json(args.presentation))
+        return SymPresentation.from_json(docs["presentation"])
     if args.preset:
         parts = args.preset.split(",")
         if len(parts) != 2 or not all(v.strip().isdecimal() for v in parts):
@@ -77,42 +91,42 @@ def _at_least(flag, value, low=0):
     return value
 
 
-def cmd_hilbert(args):
-    p = _load_presentation(args)
+def cmd_hilbert(args, docs):
+    p = _load_presentation(args, docs)
     degree = _at_least("--degree", args.degree)
     depth = _at_least("--engine-depth", args.engine_depth, 1)
     return reports.hilbert(p, degree, args.check_engine, depth)
 
 
-def cmd_basis(args):
-    p = _load_presentation(args)
+def cmd_basis(args, docs):
+    p = _load_presentation(args, docs)
     return reports.basis(p, _at_least("--l", args.l), args.check_reference_basis,
                          _model_cache(args))
 
 
-def cmd_verify(args):
-    p = _load_presentation(args)
+def cmd_verify(args, docs):
+    p = _load_presentation(args, docs)
     if args.target == "resolution":
         return reports.verify_resolution(p, _at_least("--max-weight", args.max_weight))
     return getattr(reports, f"verify_{args.target}")(p)
 
 
-def cmd_dixmier(args):
+def cmd_dixmier(args, docs):
     if args.target == "surject":
-        return reports.dixmier_surject(_load_presentation(args), args.r, args.t,
+        return reports.dixmier_surject(_load_presentation(args, docs), args.r, args.t,
                                        args.l, _model_cache(args))
     for opt in ("algebra", "functional"):
         if getattr(args, opt) is None:
             raise UsageError(f"dixmier {args.target} requires --{opt} file.json")
     from .superlie import FinDimSuperLieAlgebra, functional_from_json
 
-    g = FinDimSuperLieAlgebra.from_json(_read_json(args.algebra))
-    f = functional_from_json(g, _read_json(args.functional))
+    g = FinDimSuperLieAlgebra.from_json(docs["algebra"])
+    f = functional_from_json(g, docs["functional"])
     return getattr(reports, f"dixmier_{args.target}")(g, f)
 
 
-def cmd_freegens(args):
-    p = _load_presentation(args)
+def cmd_freegens(args, docs):
+    p = _load_presentation(args, docs)
     max_w = _at_least("--max", args.max, 1)
     return reports.freegens(p, args.ideal, max_w, _model_cache(args))
 
@@ -214,9 +228,12 @@ def main(argv=None):
         return 2
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "format", "cache_dir", "no_cache")}
-    inputs = {opt: cachemod.file_sha256(config[opt])
-              for opt in ("presentation", "algebra", "functional") if config.get(opt)}
-    key = cachemod.config_key(config, inputs)
+    try:
+        hashes, docs = _read_inputs(config)
+    except UsageError as exc:
+        sys.stderr.write(f"symalg: error: {exc}\n")
+        return 2
+    key = cachemod.config_key(config, hashes)
     cdir = cachemod.cache_dir(args.cache_dir)
     cached = cachemod.lookup(key, cdir)
     report = None if args.no_cache else _cached_report(cached, config)
@@ -225,7 +242,7 @@ def main(argv=None):
     else:
         try:
             _check_cache_dir(cdir)
-            report = args.func(args)
+            report = args.func(args, docs)
         except (UsageError, InputError) as exc:
             sys.stderr.write(f"symalg: error: {exc}\n")
             return 2

@@ -267,24 +267,22 @@ def apply_functional(f, vec):
     return sum((f[k] * c for k, c in vec.items() if k in f), Fraction(0))
 
 
-def kirillov_weight(even_block, odd_block):
-    """Weight of the primitive quotient from the two blocks of a Kirillov
-    form B_f(x, y) = f([x, y]): weyl = (rank of the antisymmetric even
-    block)/2, clifford = rank of the symmetric odd block."""
-    er = rank(even_block)
+def kirillov_weight(form, even, odd):
+    """Weight of the primitive quotient from a Kirillov form
+    form(a, b) = f([a, b]) over the even keys `even` and the odd keys
+    `odd`: weyl = (rank of the antisymmetric even block)/2, clifford = rank
+    of the symmetric odd block."""
+    er = rank([[form(a, b) for b in even] for a in even])
     if er % 2:
         raise SuperLieError("even block of an antisymmetric form has odd rank")
-    return IdealWeight(weyl=er // 2, clifford=rank(odd_block))
+    return IdealWeight(weyl=er // 2, clifford=rank([[form(a, b) for b in odd] for a in odd]))
 
 
 def weight_of(g, f):
     """Weight of the primitive quotient attached to an even functional f
-    on g (kirillov_weight of the blocks of B_f on g_0 and g_1)."""
-
-    def block(indices):
-        return [[apply_functional(f, g.bracket(i, j)) for j in indices] for i in indices]
-
-    return kirillov_weight(block(g.even_indices()), block(g.odd_indices()))
+    on g: kirillov_weight of B_f over g_0 and g_1."""
+    return kirillov_weight(lambda i, j: apply_functional(f, g.bracket(i, j)),
+                           g.even_indices(), g.odd_indices())
 
 
 def subordinate_check(g, f, subspace):

@@ -40,12 +40,18 @@ order; a generator row [e_j | its target], or [e_j | 0] when it gets none,
 is inserted as it is chosen.  In the reduced echelon form, theta(b_j) is
 the image part of the row with pivot j divided by its pivot entry.
 
-Every structural property the argument needs is then verified exactly:
-the map respects all brackets up to weight l + 1 (re-checked pair by pair
-against the solved theta at the weights in R, and at the others as
-[theta(b_u), theta(b_v)] = 0 over the pairs of nonzero images), images
-beyond the cutoff vanish, the images span, and the two distinguished
-directions meet the stabilizer trivially.
+Every structural property the argument needs is verified exactly: the
+map respects all brackets up to weight l + 1 (at a weight in R each
+bracket row is re-checked against theta as soon as theta is read off
+there; at the others [theta(b_u), theta(b_v)] = 0 over the pairs of
+nonzero images), images beyond the cutoff vanish, the images span, and
+the two distinguished directions meet the stabilizer trivially.
+
+The weight is read off the Kirillov form f([a, b]) of the functional
+f = f0 . theta extended by zero on x1, x2 (f0 the z coordinate), over
+x1, x2 and the ideal basis elements f pairs with anything: on two ideal
+elements it is f0([theta(a), theta(b)]), and with x1 or x2 it is
+f0(theta([x, b])).
 """
 
 from .engine import LieModel, rational
@@ -228,11 +234,11 @@ def build_cw_surjection(p, r, t, l=None, model=None):
             raise SurjectionError(f"pinned class {tree} vanishes in the quotient")
         pinned_vecs.setdefault(4, []).append((name, coords))
 
-    # -- theta weight by weight: one augmented echelon per weight
+    # -- theta weight by weight: one augmented echelon per weight, each
+    # bracket row re-checked against theta as soon as theta is read off
     theta = res.theta
-    all_pairs = []  # (w, coords of [b_u, b_v], [theta(b_u), theta(b_v)])
+    compatible = True
     phi_desc = {}
-    zc = target.index("z")
 
     def theta_of_coords(w, coords):
         out = {}
@@ -267,9 +273,8 @@ def build_cw_surjection(p, r, t, l=None, model=None):
                         continue
                     coords = model.struct(wu, iu, wv, iv)
                     image = target.bracket_vec(theta[(wu, iu)], theta[(wv, iv)])
-                    pairs.append((w, coords, image))
-        all_pairs += pairs
-        ech = span(augmented(c, im) for _, c, im in pairs if c or im)
+                    pairs.append((coords, image))
+        ech = span(augmented(c, im) for c, im in pairs if c or im)
         # a pivot on an image column is a nonzero image forced on zero
         if max(ech.rows, default=-1) >= ncols:
             raise SurjectionError(
@@ -295,7 +300,9 @@ def build_cw_surjection(p, r, t, l=None, model=None):
                 ech.insert(augmented({j: 1}, image))
         if needs:
             raise SurjectionError(
-                f"generator shortage at weight {w}: unassigned {needs} (increase l)"
+                f"generator shortage at weight {w}: unassigned {needs}; the "
+                "model has fewer free generators there than the closed-form "
+                "series counts"
             )
         # in the reduced echelon form the row with pivot j is
         # row[j] [e_j | theta(b_j)]
@@ -304,16 +311,15 @@ def build_cw_surjection(p, r, t, l=None, model=None):
             row = ech.rows[j]
             theta[(w, j)] = rational((row[j], {k - ncols: x for k, x in row.items()
                                                if k >= ncols}))
+        compatible = compatible and all(
+            theta_of_coords(w, coords) == image for coords, image in pairs)
 
     res.phi = phi_desc
 
     # -- verification: morphism property on every bracket up to max_w, and
-    # images beyond the cutoff vanish.  The pair rows of the weights in R
-    # are re-checked against the solved theta; outside R theta is 0, so
-    # there the bracket of every two nonzero images must vanish
-    compatible = all(
-        theta_of_coords(w, coords) == image for w, coords, image in all_pairs
-    )
+    # images beyond the cutoff vanish.  The weights in R were re-checked as
+    # they were solved; outside R theta is 0, so there the bracket of every
+    # two nonzero images must vanish
     support = [(w, j) for (w, j), v in theta.items() if v]
     flzero = True
     for wu, iu in support:
@@ -332,66 +338,41 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     # -- surjectivity: the images span the Heisenberg algebra
     res.flags["surjective"] = rank(theta.values()) == target.dim
 
-    # -- the functional and its Kirillov form
-    def fbar_of_theta(v):
-        return v.get(zc, 0)
-
-    # rows for the two distinguished directions
-    xrow = {}
-    for name in ("x1", "x2"):
-        jx = pos2[name]
-        row = {}
+    # -- the functional f = f0 . theta, extended by zero on x1, x2, with f0
+    # the z coordinate, and its Kirillov form f([a, b]).  x1, x2 lie outside
+    # the ideal, so theta has no entry for them; [x, b] for b of weight w
+    # has weight w + 2, where theta vanishes unless w + 2 lies in R, so
+    # f([x, b]) is read once at those weights
+    zc = target.index("z")
+    xs = [(2, pos2["x1"]), (2, pos2["x2"])]
+    xform = {}
+    for x in xs:
         for w in weights:
-            if w + 2 not in reached:
-                continue
-            for j in hat_positions(w):
-                coords = model.struct(2, jx, w, j)
-                if coords:
-                    val = fbar_of_theta(theta_of_coords(w + 2, coords))
+            if w + 2 in reached:
+                for j in range(model.dim(w)):
+                    val = theta_of_coords(w + 2, model.struct(*x, w, j)).get(zc, 0)
                     if val:
-                        row[(w, j)] = val
-        xrow[name] = row
-    # pairing f0([.,.]) on heis coordinates
-    def pair(u, v):
-        return fbar_of_theta(target.bracket_vec(u, v))
+                        xform[x, (w, j)] = val
 
-    even_support = sorted(
-        {key for key in support if key[0] % 2 == 0}
-        | {key for row in xrow.values() for key in row}
-    )
-    m = []
-    x12 = fbar_of_theta(
-        theta_of_coords(4, model.struct(2, pos2["x1"], 2, pos2["x2"]))
-    )
-    row1 = [0, x12] + [xrow["x1"].get(k, 0) for k in even_support]
-    row2 = [-x12, 0] + [xrow["x2"].get(k, 0) for k in even_support]
-    m.append(row1)
-    m.append(row2)
-    for key in even_support:
-        row = [-xrow["x1"].get(key, 0), -xrow["x2"].get(key, 0)]
-        tk = theta[key]
-        for key2 in even_support:
-            row.append(pair(tk, theta[key2]))
-        m.append(row)
-    odd_support = [key for key in support if key[0] % 2 == 1]
-    modd = [[pair(theta[k1], theta[k2]) for k2 in odd_support] for k1 in odd_support]
-    res.weight = kirillov_weight(m, modd)
+    def form(a, b):
+        if a in theta and b in theta:
+            return target.bracket_vec(theta[a], theta[b]).get(zc, 0)
+        # the even x1, x2 pair antisymmetrically
+        return xform.get((a, b), 0) if a in xs else -xform.get((b, a), 0)
 
+    ideal_even = sorted({key for key in support if key[0] % 2 == 0}
+                        | {key for _, key in xform if key not in xs})
+    res.weight = kirillov_weight(form, xs + ideal_even,
+                                 [key for key in support if key[0] % 2])
     # -- stabilizer: no combination of the two directions pairs to zero
-    strank = rank(
-        [
-            [xrow["x1"].get(k, 0) for k in even_support],
-            [xrow["x2"].get(k, 0) for k in even_support],
-        ]
-    )
-    res.flags["stabilizer_trivial"] = strank == 2
+    # with the ideal
+    res.flags["stabilizer_trivial"] = rank(
+        [[form(x, key) for key in ideal_even] for x in xs]) == 2
     res.functional = {
         "description": "central character pulled back along the surjection, "
         "extended by zero on x1, x2",
         "support": {
-            f"w{w}#{j}": str(fbar_of_theta(v))
-            for (w, j), v in sorted(theta.items())
-            if fbar_of_theta(v)
+            f"w{w}#{j}": str(v[zc]) for (w, j), v in sorted(theta.items()) if v.get(zc)
         },
     }
     return res

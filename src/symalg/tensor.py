@@ -108,11 +108,6 @@ class Poly:
         self.alphabet = alphabet
         self.terms = terms
 
-    # -- construction helpers
-
-    def copy(self):
-        return Poly(self.alphabet, dict(self.terms))
-
     def is_zero(self):
         return not self.terms
 

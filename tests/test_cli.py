@@ -360,6 +360,7 @@ def _heis_files(tmp_path):
     ("no-functional", "requires --functional"),
     ("missing-algebra", "cannot read"),
     ("missing-functional", "cannot read"),
+    ("empty-algebra-path", "cannot read"),
     ("algebra-not-json", "is not JSON"),
     ("functional-not-json", "is not JSON"),
     ("algebra-basis-3", "malformed algebra JSON"),
@@ -461,6 +462,7 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
         "no-functional": ["--algebra", algebra],
         "missing-algebra": ["--algebra", missing, "--functional", functional],
         "missing-functional": ["--algebra", algebra, "--functional", missing],
+        "empty-algebra-path": ["--algebra", "", "--functional", functional],
     }.get(case, ["--algebra", algebra, "--functional", functional])
     code = main(["--cache-dir", str(tmp_path / "cache"), "dixmier", target, *opts])
     captured = capsys.readouterr()
@@ -645,6 +647,33 @@ def test_edited_input_file_is_not_served_from_the_cache(capsys, tmp_path):
         outs.append(out)
     assert outs[0] == outs[2] != outs[1]
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_input_file_rewritten_during_a_run_is_cached_under_the_bytes_read(
+        monkeypatch, capsys, tmp_path):
+    # the file is rewritten after its bytes were hashed for the key: a
+    # second read for parsing stored the new bytes' report under the old
+    # bytes' key, and a later run on the old bytes was served it
+    import symalg.cache
+    from symalg import preset
+
+    path = tmp_path / "p.json"
+    old, new = (json.dumps(preset(n, 1).to_json()) for n in (3, 4))
+    path.write_text(old)
+    args = ("hilbert", "--presentation", str(path), "--degree", "6")
+    config_key = symalg.cache.config_key
+
+    def rewrite_then_key(config, inputs):
+        path.write_text(new)
+        return config_key(config, inputs)
+
+    monkeypatch.setattr(symalg.cache, "config_key", rewrite_then_key)
+    code, out = run_cli(capsys, tmp_path, *args)
+    assert code == 0 and json.loads(out)["n"] == 3
+    monkeypatch.undo()
+    path.write_text(old)
+    assert run_cli(capsys, tmp_path, *args) == (0, out)
+    assert run_cli(capsys, tmp_path, "--no-cache", *args) == (0, out)
 
 
 @pytest.mark.parametrize("how", ["flag", "flag-no-cache", "below-a-file", "env"])

@@ -49,14 +49,19 @@ def test_validate_rejects_bad_jacobi():
 def test_kirillov_form_blocks():
     # B_f on heis(1, 1) with f = z*: the even block pairs q1 with p1, the
     # odd block is [c, c] = z
-    assert kirillov_weight([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[1]]) == IdealWeight(1, 1)
-    assert kirillov_weight([], []) == IdealWeight(0, 0)
+    pairing = {("q1", "p1"): 1, ("p1", "q1"): -1, ("c", "c"): 1}
+
+    def form(a, b):
+        return pairing.get((a, b), 0)
+
+    assert kirillov_weight(form, ["q1", "p1", "z"], ["c"]) == IdealWeight(1, 1)
+    assert kirillov_weight(form, [], []) == IdealWeight(0, 0)
     g = heis(1, 1)
     assert weight_of(g, even_functional(g, {"z": 1})) == IdealWeight(1, 1)
     assert weight_of(g, {}) == IdealWeight(0, 0)
     # an even block of odd rank is not antisymmetric
     with pytest.raises(SuperLieError, match="odd rank"):
-        kirillov_weight([[1]], [])
+        kirillov_weight(lambda a, b: 1, ["e"], [])
 
 
 def test_kirillov_form_ym12():

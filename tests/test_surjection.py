@@ -2,17 +2,18 @@
 
 import pytest
 
-from symalg import LieModel, SymPresentation, build_relations, preset
+from symalg import LieModel, SymPresentation, build_relations, preset, surjection
 from symalg.engine import rational
 from symalg.linalg import Echelon, intvec
 from symalg.presentation import normalize
-from symalg.superlie import FinDimSuperLieAlgebra, heis
+from symalg.superlie import FinDimSuperLieAlgebra, functional_from_json, heis, weight_of
 from symalg.surjection import (
     SurjectionError,
     build_cw_surjection,
     check_input,
     model_cutoff,
     plan_assignment,
+    reach,
 )
 
 
@@ -132,6 +133,52 @@ def test_skipped_weights_recheck_catches_a_three_step_target(monkeypatch, models
 
     monkeypatch.setattr("symalg.surjection.heis", three_step)
     res = build_cw_surjection(p31, 1, 1, l=15, model=models(3, 1, 15))
+    assert res.flags["bracket_compatible"] is False
+
+
+@pytest.mark.parametrize("ns, rt", [((3, 1), (0, 2)), ((3, 0), (1, 0))])
+def test_weight_of_the_reported_functional(models, ns, rt):
+    # a second route to the weight: the reported functional, 0 on x1 and
+    # x2, on the whole truncated quotient, through weight_of
+    p = preset(*ns)
+    model = models(*ns, model_cutoff(plan_assignment(*ns, *rt)[2]))
+    res = build_cw_surjection(p, *rt, model=model)
+    g = FinDimSuperLieAlgebra.from_model(model)
+    # from_model lists the basis weight by weight, in the model's order
+    keys = [f"w{w}#{j}" for w in model.weights() for j in range(model.dim(w))]
+    name = dict(zip(keys, g.names))
+    f = functional_from_json(g, {name[key]: value
+                                 for key, value in res.functional["support"].items()})
+    assert weight_of(g, f) == res.weight
+
+
+def test_a_corrupted_theta_in_r_fails_the_certificate(monkeypatch, models, p31):
+    # theta(b) + z at a weight w of R, for some b = [x3, b'] with b' in the
+    # ideal: z is central, so no bracket image and no check outside R
+    # changes; only the re-check of the pair rows at w sees it
+    pinned, slots, d_prime = plan_assignment(3, 1, 1, 1)
+    model = models(3, 1, model_cutoff(d_prime))
+    w = max(reach(pinned, slots))
+    x3 = [rep.label for rep in model.reps[2]].index("x3")
+    j = next(min(c) for i in range(model.dim(w - 2))
+             if (c := model.struct(2, x3, w - 2, i)))
+    z = heis(1, 1).index("z")
+
+    class Corrupted(dict):
+        def __setitem__(self, key, value):
+            if key == (w, j):
+                value = {**value, z: value.get(z, 0) + 1}
+            super().__setitem__(key, value)
+
+    class Result(surjection.CWSurjectionResult):
+        def __init__(self):
+            super().__init__()
+            self.theta = Corrupted()
+
+    assert build_cw_surjection(p31, 1, 1, model=model).ok
+    monkeypatch.setattr(surjection, "CWSurjectionResult", Result)
+    res = build_cw_surjection(p31, 1, 1, model=model)
+    assert res.theta[(w, j)][z] != 0
     assert res.flags["bracket_compatible"] is False
 
 

@@ -16,7 +16,8 @@ Three checks over the modules of `src/symalg`:
 One check over the whole repository: a public function or method of the
 package that no file under `src`, `tests`, `demos` or `bench` reads in
 the same sense.  `reports` is exempt, as the CLI looks its functions up
-by name.
+by name.  An attribute of a name imported from a module outside
+`symalg` is not a read: `shutil.copy` does not read `Poly.copy`.
 """
 
 import ast
@@ -96,14 +97,29 @@ def unused_imports(tree):
     return sorted(set(out))
 
 
-def _reads(node):
+def _foreign(tree):
+    """The names `tree` binds by importing a module outside `symalg`."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out.update((a.asname or a.name).split(".")[0] for a in n.names
+                       if a.name.split(".")[0] != "symalg")
+        elif (isinstance(n, ast.ImportFrom) and not n.level
+              and n.module.split(".")[0] != "symalg"):
+            out.update(a.asname or a.name for a in n.names)
+    return out
+
+
+def _reads(node, foreign=frozenset()):
     """Every name read in the subtree of `node` as a name, an attribute or
-    an imported name, with its count."""
+    an imported name, with its count; an attribute of a name in `foreign`
+    does not count."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             out[n.id] += 1
-        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+        elif (isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)
+              and not (isinstance(n.value, ast.Name) and n.value.id in foreign)):
             out[n.attr] += 1
         elif isinstance(n, ast.ImportFrom):
             out.update(alias.name for alias in n.names)
@@ -136,12 +152,12 @@ def unread_helpers(trees, readers=None, private=True):
     `readers` (default: `trees`) reads outside the def's own body."""
     read = Counter()
     for tree in (trees if readers is None else readers).values():
-        read.update(_reads(tree))
+        read.update(_reads(tree, _foreign(tree)))
     out = []
     for module, tree in sorted(trees.items()):
         for kind, name, node in _defs(tree, private):
             short = node.name
-            if read[short] == _reads(node)[short]:
+            if read[short] == _reads(node, _foreign(tree))[short]:
                 out.append(f"{module}: line {node.lineno}: {kind} {name!r} is never read")
     return out
 
@@ -225,9 +241,14 @@ def test_the_public_check_sees_dead_functions():
         "    def __len__(self): return 0\n"
         "    def called(self): return self.called\n"
         "    def method(self): return used()\n"
+        "    def copy(self): pass\n"
     )
     caller = ast.parse("from a import C\nC().method()\nC().called()\n")
-    assert unread_helpers({"a.py": a}, {"a.py": a, "t.py": caller}, private=False) == [
+    # `shutil.copy` and `p.copy` are attributes of modules outside the package
+    stdlib = ast.parse("import shutil\nimport os.path as p\nshutil.copy(p.copy)\n")
+    readers = {"a.py": a, "t.py": caller, "s.py": stdlib}
+    assert unread_helpers({"a.py": a}, readers, private=False) == [
         "a.py: line 2: function 'recursive' is never read",
         "a.py: line 3: function 'dead' is never read",
+        "a.py: line 9: method 'C.copy' is never read",
     ]
