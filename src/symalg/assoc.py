@@ -35,7 +35,7 @@ class AssocModel:
             w = r.weight()
             self.rel_by_weight.setdefault(w, []).append(r)
         self.normal = {0: [()]}
-        self._normal_index = {0: {(): 0}}
+        self.normal_index = {0: {(): 0}}
         self._nf_cache = {(): {(): 1}}
         for w in range(1, max_weight + 1):
             self._build_weight(w)
@@ -80,7 +80,7 @@ class AssocModel:
         pivots = rref(rows)
         normal = [u for i, u in enumerate(cands) if i not in pivots]
         self.normal[w] = normal
-        self._normal_index[w] = {u: i for i, u in enumerate(normal)}
+        self.normal_index[w] = {u: i for i, u in enumerate(normal)}
         # the candidates seed the normal-form table: a normal word reduces
         # to itself, pivot candidate i to -(tail over non-pivot candidates)
         nf = self._nf_cache

@@ -16,7 +16,7 @@ over L_{<w}:
 * super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x];
 * super-Jacobi g (x) [b, c] - [[g, b], c] - (-1)^{|g||b|} [b, [g, c]].
 
-Brackets are evaluated by one recursion, `_bracket`,
+Brackets are evaluated by one recursion, `bracket`,
 
     [[g, c], b] = [g, [c, b]] - (-1)^{|g||c|} [c, [g, b]],
 
@@ -32,25 +32,27 @@ with the generator g.  Tensor polynomials enter only as relations and
 `project` input, through theta; the build never expands a tensor word.
 
 Every quotient-coordinate vector inside the model (the ad columns,
-`gen_coords`, the memos of theta and of the brackets) is held as integers
-over one positive denominator, a pair (den, {position: int}) with
-gcd(den, entries) = 1, in the fraction-free style of Bareiss (Math. Comp.
-22, 1968).  The read-off takes the pivot entry of a fully reduced kernel
-row as the denominator, and combinations rescale to the lcm of the
-denominators they meet, so the build does integer arithmetic only; the
-kernel rows enter the echelon as they are, since only their direction
-matters.  Values become rational at the edges alone: `project`, `struct`
-and `export_struct` return dicts whose integral values are ints and whose
-other values are Fractions (see `rational`, which applies
-`linalg.ratio`).  The free-generator analysis of the ideals of a model
-is in `symalg.freegens`.
+`gen_coords`, the memos of theta and of the brackets) is a `linalg`
+integer vector (den, {position: int}) over one positive denominator.  The
+read-off takes the pivot entry of a fully reduced kernel row as the
+denominator, and combinations go through `linalg.add_scaled` and
+`linalg.primitive`, so the build does integer arithmetic only; the kernel
+rows enter the echelon as they are, since only their direction matters.
+Values become rational at the edges alone: `project`, `struct` and
+`export_struct` return them through `linalg.rational`, integral values as
+ints and the others as Fractions.
+
+The model stores nothing it can derive: a representative's weight is its
+key in `reps` and its parity that weight mod 2 (the engine requires
+generator parity == weight parity), and the dimensions of the free
+algebra are counted when `ideal_dim` asks for them.  The free-generator
+analysis of the ideals of a model is in `symalg.freegens`.
 """
 
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
-from .linalg import Echelon, ratio
+from .linalg import Echelon, add_scaled, primitive, rational
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -62,8 +64,9 @@ class EngineError(ValueError):
 # version is rebuilt.  Version 2 added the ad columns and Rep.tail;
 # version 3 dropped the tensor expansions and added gen_coords; version 4
 # pickles the single-mode Echelon (slots: rows only); version 5 holds the
-# coordinate vectors as (den, {position: int}).
-MODEL_SCHEMA = 5
+# coordinate vectors as (den, {position: int}); version 6 drops Rep's
+# weight and parity and the memos of rational brackets and free dimensions.
+MODEL_SCHEMA = 6
 
 # The zero coordinate vector (den, {}); shared, never mutated.
 _ZERO = (1, {})
@@ -73,15 +76,14 @@ class Rep:
     """Coset representative: a bracket monomial.
 
     `tail` is the (weight, position) of the lower representative c when the
-    label is (g, c), and None for a generator.
+    label is (g, c), and None for a generator.  The weight is the key of
+    the representative in `LieModel.reps`, and the parity that weight mod 2.
     """
 
-    __slots__ = ("label", "weight", "parity", "tail")
+    __slots__ = ("label", "tail")
 
-    def __init__(self, label, weight, parity, tail=None):
+    def __init__(self, label, tail=None):
         self.label = label
-        self.weight = weight
-        self.parity = parity
         self.tail = tail
 
     @property
@@ -89,7 +91,7 @@ class Rep:
         return bracket_word_name(self.label)
 
     def __repr__(self):
-        return f"Rep({self.name}, weight={self.weight})"
+        return f"Rep({self.name})"
 
 
 class LieModel:
@@ -124,11 +126,8 @@ class LieModel:
         # (generator name, weight, position) -> quotient coordinates of
         # [g, b] for the representative b at (weight, position)
         self.ad = {}
-        # brackets as integer vectors, and the rational view of the
-        # non-integral ones
+        # brackets at built weights, memoized by `bracket`
         self._struct = {}
-        self._struct_q = {}
-        self._free_dims = free_lie_dims(alphabet, self.max_weight)
         # an empty alphabet is the zero algebra: no weight is built
         min_w = min(alphabet.weights, default=self.max_weight + 1)
         for w in range(min_w, self.max_weight + 1):
@@ -161,30 +160,30 @@ class LieModel:
             rest = w - g.weight
             gd, gv = self.gen_coords[g.name]
             # (b) super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x]
+            sign = -1 if (g.parity and rest & 1) else 1
             for j in range(self.dim(rest)):
-                odd = g.parity and self.reps[rest][j].parity
-                acc = [1, {(g.name, rest, j): -1 if odd else 1}]
+                acc = [1, {(g.name, rest, j): sign}]
                 for k, a in gv.items():
-                    _add_scaled(acc, a, self._bracket(rest, j, g.weight, k), gd)
+                    add_scaled(acc, a, self.bracket(rest, j, g.weight, k), gd)
                 insert(acc)
             # (c) super-Jacobi g (x) [b,c] - [[g,b],c] - (-1)^{|g||b|} [b,[g,c]]
             for wb in self.weights():
                 wc = rest - wb
                 if wc not in self.reps:
                     continue
+                sign = -1 if (g.parity and wb & 1) else 1
                 for ib, b in enumerate(self.reps[wb]):
-                    sign = -1 if (g.parity and b.parity) else 1
                     bd, bv = self.ad[(g.name, wb, ib)]
                     for ic in range(self.dim(wc)):
                         if not (b.tail is None or wb < wc or (wb == wc and ib <= ic)):
                             continue
-                        acc = self._ad(g.name, rest, self._bracket(wb, ib, wc, ic), False)
+                        acc = self._ad(g.name, rest, self.bracket(wb, ib, wc, ic), False)
                         for k, a in bv.items():
-                            _add_scaled(acc, -a, self._bracket(wb + g.weight, k, wc, ic), bd)
+                            add_scaled(acc, -a, self.bracket(wb + g.weight, k, wc, ic), bd)
                         cd, cv = self.ad[(g.name, wc, ic)]
                         for k, a in cv.items():
-                            _add_scaled(acc, -sign * a,
-                                        self._bracket(wb, ib, wc + g.weight, k), cd)
+                            add_scaled(acc, -sign * a,
+                                       self.bracket(wb, ib, wc + g.weight, k), cd)
                         insert(acc)
         del self._open
         # read off: the non-pivot columns are the representatives, and the
@@ -199,10 +198,10 @@ class LieModel:
                 continue
             pos[-k] = len(reps)
             if isinstance(c, str):
-                reps.append(Rep(c, w, w & 1))
+                reps.append(Rep(c))
             else:
                 g, wl, j = c
-                reps.append(Rep((g, self.reps[wl][j].label), w, w & 1, (wl, j)))
+                reps.append(Rep((g, self.reps[wl][j].label), (wl, j)))
         for k, c in enumerate(cols):
             row = ech.rows.get(-k)
             if row is None:
@@ -225,7 +224,7 @@ class LieModel:
             return [d, {(g, wl, k): a for k, a in v.items()}]
         acc = [1, {}]
         for k, a in v.items():
-            _add_scaled(acc, a, self.ad[(g, wl, k)], d)
+            add_scaled(acc, a, self.ad[(g, wl, k)], d)
         return acc
 
     def _theta(self, word, memo):
@@ -239,7 +238,7 @@ class LieModel:
             wt = A.word_weight(tail)
             built = wt + A.weights[word[0]] in self.reps
             if tail:
-                got = _vector(self._ad(g, wt, self._theta(tail, memo), built))
+                got = primitive(self._ad(g, wt, self._theta(tail, memo), built))
             else:
                 got = self.gen_coords[g] if built else (1, {g: 1})
             memo[word] = got
@@ -253,7 +252,7 @@ class LieModel:
         for n, terms in parts.items():
             for word, c in terms.items():
                 q = Fraction(c, n)
-                _add_scaled(acc, q.numerator, self._theta(word, memo), q.denominator)
+                add_scaled(acc, q.numerator, self._theta(word, memo), q.denominator)
         return acc
 
     # -- queries
@@ -274,7 +273,7 @@ class LieModel:
         """Dimension of the ideal's weight-w component in the free algebra."""
         if w not in self.reps:
             return 0
-        return self._free_dims[w - 1] - self.dim(w)
+        return free_lie_dims(self.alphabet, w)[w - 1] - self.dim(w)
 
     def project(self, poly):
         """Quotient coordinates of a homogeneous Lie element.
@@ -291,27 +290,21 @@ class LieModel:
             return {}
         if w not in self.reps:
             raise EngineError(f"weight {w} not computed")
-        return rational(_vector(self._evaluate(_lie_parts(poly))))
+        return rational(primitive(self._evaluate(_lie_parts(poly))))
 
     def contains_ideal(self, poly):
         return not self.project(poly)
 
     def struct(self, wu, iu, wv, iv):
         """Coordinates of [b, b'] for representatives (wu, iu), (wv, iv),
-        integral values as ints and the others as Fractions.
+        integral values as ints and the others as Fractions: the rational
+        view of `bracket`.
 
-        The returned dict is shared with later calls; do not mutate it.
+        The returned dict may be shared with later calls; do not mutate it.
         """
-        d, v = self._bracket(wu, iu, wv, iv)
-        if d == 1:
-            return v
-        key = (wu, iu, wv, iv)
-        got = self._struct_q.get(key)
-        if got is None:
-            got = self._struct_q[key] = rational((d, v))
-        return got
+        return rational(self.bracket(wu, iu, wv, iv))
 
-    def _bracket(self, wu, iu, wv, iv):
+    def bracket(self, wu, iu, wv, iv):
         """[b, b'] as an integer vector (den, {position: int}); while its
         weight is being built, over the candidate columns and memoized in
         the step's `_open`, so `_struct` holds built weights only."""
@@ -332,14 +325,12 @@ class LieModel:
             g = u.label[0]
             wc, ic = u.tail
             wg = wu - wc
-            c_odd = self.reps[wc][ic].parity
-            g_odd = u.parity ^ c_odd
-            sign = -1 if (g_odd and c_odd) else 1
-            acc = self._ad(g, wc + wv, self._bracket(wc, ic, wv, iv), built)
+            sign = -1 if (wg & 1 and wc & 1) else 1
+            acc = self._ad(g, wc + wv, self.bracket(wc, ic, wv, iv), built)
             d, v = self.ad[(g, wv, iv)]
             for k, a in v.items():
-                _add_scaled(acc, -sign * a, self._bracket(wc, ic, wv + wg, k), d)
-            out = _vector(acc)
+                add_scaled(acc, -sign * a, self.bracket(wc, ic, wv + wg, k), d)
+            out = primitive(acc)
         memo[key] = out
         return out
 
@@ -350,14 +341,13 @@ class LieModel:
         (i, j) -> {k: value} over flat basis positions, i <= j, each value
         an int if integral and a Fraction otherwise.
         """
-        flat = []
         offs = {}
+        weights = []
         for w in self.weights():
-            offs[w] = len(flat)
-            flat.extend(self.reps[w])
-        labels = [r.name for r in flat]
-        parities = [r.parity for r in flat]
-        weights = [r.weight for r in flat]
+            offs[w] = len(weights)
+            weights += [w] * self.dim(w)
+        labels = [r.name for w in self.weights() for r in self.reps[w]]
+        parities = [w & 1 for w in weights]
         brackets = {}
         for wu in self.weights():
             for wv in self.weights():
@@ -375,59 +365,6 @@ class LieModel:
                                 offs[wu + wv] + k: c for k, c in coords.items()
                             }
         return labels, parities, weights, brackets
-
-
-def _add_scaled(acc, a, vec, d=1):
-    """acc += (a / d) * vec for ints a and d > 0, dropping zeros.
-
-    acc is an accumulator [den, {position: int}] and vec a vector
-    (den, {position: int}); acc's numerators are rescaled when its
-    denominator grows to the lcm of the denominators it meets.
-    """
-    vd, v = vec
-    vd *= d
-    den, out = acc
-    if vd != den:
-        if den % vd:
-            m = vd // gcd(den, vd)
-            for k in out:
-                out[k] *= m
-            den *= m
-            acc[0] = den
-        a *= den // vd
-    for k, c in v.items():
-        x = out.get(k, 0) + a * c
-        if x:
-            out[k] = x
-        else:
-            out.pop(k, None)
-
-
-def _vector(acc, d=1):
-    """The vector (den, {position: int}) of an accumulator divided by d,
-    with gcd(den, entries) = 1."""
-    den, out = acc
-    den *= d
-    if den != 1:
-        g = den
-        for x in out.values():
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            out = {k: x // g for k, x in out.items()}
-    return den, out
-
-
-def rational(vec):
-    """The rational dict of a vector (den, {position: int}): integral values
-    as ints, the others as Fractions.  A vector over den 1 is returned as
-    its own dict."""
-    d, v = vec
-    if d == 1:
-        return v
-    return {k: ratio(x, d) for k, x in v.items()}
 
 
 def _lie_parts(poly):

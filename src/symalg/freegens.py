@@ -39,8 +39,7 @@ integers, its denominator dropped.
 from itertools import count
 from math import lcm
 
-from .engine import _add_scaled
-from .linalg import Echelon, addmul, span
+from .linalg import Echelon, add_scaled, addmul, span
 from .presentation import free_ideal
 
 
@@ -154,13 +153,13 @@ def _numerators(terms):
     (den, {position: int})."""
     acc = [1, {}]
     for a, vec in terms:
-        _add_scaled(acc, a, vec)
+        add_scaled(acc, a, vec)
     return acc[1]
 
 
 def _pair(model, wu, u, wv, v):
     """Numerators of [u, v] for integer rows u at weight wu and v at wv."""
-    return _numerators((a * b, model._bracket(wu, i, wv, j))
+    return _numerators((a * b, model.bracket(wu, i, wv, j))
                        for i, a in u.items() for j, b in v.items())
 
 

@@ -34,17 +34,23 @@ dicts (int and Fraction values alike); it stores no zero value.  The
 elimination kernel eliminates in place through it: a pivot step
 `v <- a*v - b*r` scales the working row only when the pivot entry `a` is
 not 1 and then adds `-b*r`, so with a unit pivot it touches only the
-pivot row's entries instead of copying the working row.  The Lie
-engine's integer vectors over one denominator keep their own
-accumulate, `engine._add_scaled`.
+pivot row's entries instead of copying the working row.
+
+The Lie engine holds a rational vector as integers over one positive
+denominator, a pair (den, {key: int}) with gcd(den, entries) = 1, in the
+fraction-free style of Bareiss (Math. Comp. 22, 1968).  `add_scaled`
+accumulates such vectors into an accumulator [den, {key: int}], rescaling
+it to the lcm of the denominators it meets and then adding through
+`addmul`; `primitive` turns an accumulator back into a vector, and
+`rational` gives a vector's values under the scalar convention above.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
-def vec_gcd(values):
-    g = 0
+def vec_gcd(values, g=0):
+    """gcd(g, *values), stopping at the first 1."""
     for v in values:
         g = gcd(g, v)
         if g == 1:
@@ -80,6 +86,45 @@ def addmul(out, a, vec):
             out[k] = x
         else:
             out.pop(k, None)
+
+
+def add_scaled(acc, a, vec, d=1):
+    """acc += (a / d) * vec for ints a and d > 0, with acc an accumulator
+    [den, {key: int}] and vec a vector (den, {key: int}).  acc's
+    numerators are rescaled first when vec's denominator does not divide
+    acc's; an entry that cancels is removed."""
+    vd, v = vec
+    vd *= d
+    den, out = acc
+    if vd != den:
+        if den % vd:
+            m = vd // gcd(den, vd)
+            for k in out:
+                out[k] *= m
+            den *= m
+            acc[0] = den
+        a *= den // vd
+    addmul(out, a, v)
+
+
+def primitive(acc, d=1):
+    """The vector (den, {key: int}) of an accumulator divided by d, with
+    gcd(den, entries) = 1."""
+    den, out = acc
+    den *= d
+    g = vec_gcd(out.values(), den)
+    if g > 1:
+        return den // g, {k: x // g for k, x in out.items()}
+    return den, out
+
+
+def rational(vec):
+    """The rational dict of a vector (den, {key: int}), its values as
+    `ratio` gives them.  A vector over den 1 is returned as its own dict."""
+    d, v = vec
+    if d == 1:
+        return v
+    return {k: ratio(x, d) for k, x in v.items()}
 
 
 def _eliminate(v, r, p):

@@ -109,7 +109,7 @@ class SidedResolution:
         """nf(y * word) (left) or nf(word * y) (right), of weight w, as a
         dict over positions start + i of Y_w."""
         full = y + word if self.side == "left" else word + y
-        idx = self.model._normal_index[w]
+        idx = self.model.normal_index[w]
         return {start + idx[u]: c for u, c in self.model.normal_word(full).items()}
 
     def _blocks(self, weights):

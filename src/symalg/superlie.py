@@ -196,13 +196,14 @@ class FinDimSuperLieAlgebra:
         """Inverse of to_json; malformed documents raise SuperLieError."""
         try:
             basis = doc["basis"]
-            names = [b["name"] for b in basis]
-            parities = [_json_int(b, "parity") for b in basis]
-            weights = ([_json_int(b, "weight") for b in basis]
-                       if all("weight" in b for b in basis) else None)
+            names = [_json_value(b, "name", str) for b in basis]
+            parities = [_json_value(b, "parity") for b in basis]
+            weighted = sum("weight" in b for b in basis)
+            weights = ([_json_value(b, "weight") for b in basis]
+                       if weighted == len(basis) else None)
             brackets = {}
             for entry in doc["brackets"]:
-                key = (_json_int(entry, "i"), _json_int(entry, "j"))
+                key = (_json_value(entry, "i"), _json_value(entry, "j"))
                 if key in brackets:
                     raise SuperLieError(f"bracket ({key[0]},{key[1]}) is listed twice")
                 # a key is the decimal str(index) that to_json writes
@@ -210,7 +211,11 @@ class FinDimSuperLieAlgebra:
                 if bad:
                     raise ValueError(f"coefficient key must be a basis index, got {bad[0]!r}")
                 brackets[key] = {int(k): rat(v) for k, v in entry["coeffs"].items()}
-            return cls(names, parities, brackets, weights)
+            algebra = cls(names, parities, brackets, weights)
+            if weights is None and weighted:
+                # dropping them would skip the check that they grade the brackets
+                raise ValueError("weight is given for some basis entries but not all")
+            return algebra
         except SuperLieError:
             raise
         except (AttributeError, LookupError, TypeError, ValueError,
@@ -224,12 +229,14 @@ class FinDimSuperLieAlgebra:
         return cls(labels, parities, brackets, weights)
 
 
-def _json_int(entry, field):
-    """entry[field], which must be a JSON integer: no float, string or
-    boolean is read as one."""
+def _json_value(entry, field, kind=int):
+    """entry[field], which must be a JSON integer (kind int) or string
+    (kind str): no float, string or boolean is read as an integer, and no
+    number or list as a string."""
     value = entry[field]
-    if type(value) is not int:
-        raise TypeError(f"{field} must be an integer, got {value!r}")
+    if type(value) is not kind:
+        article = "an integer" if kind is int else "a string"
+        raise TypeError(f"{field} must be {article}, got {value!r}")
     return value
 
 

@@ -54,8 +54,8 @@ elements it is f0([theta(a), theta(b)]), and with x1 or x2 it is
 f0(theta([x, b])).
 """
 
-from .engine import LieModel, rational
-from .linalg import addmul, intvec, rank, span
+from .engine import LieModel
+from .linalg import addmul, intvec, rank, rational, span
 from .presentation import (InputError, build_relations, free_gen_series, free_ideal,
                            is_identity)
 from .superlie import heis, kirillov_weight

@@ -1,5 +1,5 @@
 """All-pairs free-generator counts: the test oracle for
-`symalg.engine.SubalgebraGenerators`.
+`symalg.freegens.SubalgebraGenerators`.
 
 This is the analysis's former construction.  Per weight w it spans K_w
 by the seeds and the brackets [g, K_{w-|g|}], spans [K, K]_w by the
@@ -9,8 +9,7 @@ engine's recursion by an independent route; its echelons grow with
 dim g_w, so keep cutoffs small.
 """
 
-from symalg.engine import _add_scaled
-from symalg.linalg import span
+from symalg.linalg import add_scaled, span
 
 
 def oracle_counts(model, q, seeds, max_weight=None):
@@ -43,7 +42,7 @@ def oracle_counts(model, q, seeds, max_weight=None):
                 for u in k_basis.get(wl, ()):
                     acc = [1, {}]
                     for j, c in u.items():
-                        _add_scaled(acc, c, model.ad[(g.name, wl, j)])
+                        add_scaled(acc, c, model.ad[(g.name, wl, j)])
                     rows.append(acc[1])
         basis = k_basis[w] = list(span(rows).rows.values())
         pairs = []
@@ -65,5 +64,5 @@ def _pair(model, wu, u, wv, v):
     acc = [1, {}]
     for i, a in u.items():
         for j, b in v.items():
-            _add_scaled(acc, a * b, model._bracket(wu, i, wv, j))
+            add_scaled(acc, a * b, model.bracket(wu, i, wv, j))
     return acc[1]

@@ -10,7 +10,7 @@ representatives, kept greedily when independent modulo the ideal.  Each
 representative's row carries a tag column above the word columns, so the
 reduction of a candidate reads off its quotient coordinates and the
 oracle has the same `ad` columns as the engine (as rational dicts, which
-the engine's integer vectors give through `symalg.engine.rational`).  Row
+the engine's integer vectors give through `symalg.linalg.rational`).  Row
 counts grow with the number of tensor words, so keep cutoffs small (about
 11).
 

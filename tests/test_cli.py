@@ -403,6 +403,14 @@ def _heis_files(tmp_path):
     # a functional charges a name, so only the first of two equal names
     # could be charged: basis q, q, z with [q, q'] = z gave weyl 0, exit 0
     ("algebra-duplicate-name", "basis name 'q' is listed twice"),
+    # a basis name is a JSON string: a list ended in a TypeError traceback
+    # in `polarization`, and a number could not be charged, with exit 0
+    ("algebra-name-list", "malformed algebra JSON: name must be a string, got ['q']"),
+    ("algebra-name-number", "malformed algebra JSON: name must be a string, got 5"),
+    # weights on some entries but not all were dropped, and with them the
+    # check that they grade the brackets
+    ("algebra-weights-partial", "malformed algebra JSON: weight is given for some "
+     "basis entries but not all"),
 ])
 @pytest.mark.parametrize("target", ["weight", "polarization"])
 def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
@@ -451,6 +459,11 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
     contents["algebra-even-squares"] = abc + ', {"i": 2, "j": 2, "coeffs": {"1": "1"}}]}'
     contents["algebra-duplicate-name"] = qpz.replace('"p"', '"q"') + (
         '{"i": 0, "j": 1, "coeffs": {"2": "1"}}]}')
+    qpz_bracket = qpz + '{"i": 0, "j": 1, "coeffs": {"2": "1"}}]}'
+    contents["algebra-name-list"] = qpz_bracket.replace('"q"', '["q"]')
+    contents["algebra-name-number"] = qpz_bracket.replace('"q"', "5")
+    contents["algebra-weights-partial"] = qpz_bracket.replace(
+        '"parity": 0}', '"parity": 0, "weight": 2}', 1)
     if case in contents:
         bad.write_text(contents[case])
     if case.startswith("algebra"):

@@ -8,6 +8,7 @@ bracket span in `generators_oracle` the one for the free-generator counts."""
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from generators_oracle import oracle_counts
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from tensor_oracle import TensorLieModel
 
+from symalg import engine
 from symalg.engine import EngineError, LieModel, free_lie_dims, rational
 from symalg.freegens import SubalgebraGenerators, tym_hat_generators
 from symalg.presentation import (
@@ -336,17 +338,37 @@ def test_model_pickle_cache_roundtrip(tmp_path):
         assert [r.name for r in m2.reps[w]] == [r.name for r in m1.reps[w]]
 
 
+class _Rep5:
+    """`engine.Rep` as schema 5 laid it out, with weight and parity slots;
+    it pickles under the name `symalg.engine.Rep`."""
+
+    __module__ = "symalg.engine"
+    __qualname__ = "Rep"
+    __slots__ = ("label", "weight", "parity", "tail")
+
+    def __init__(self, label, weight, parity, tail):
+        self.label, self.weight, self.parity, self.tail = label, weight, parity, tail
+
+
 def _old_model_pickle(alphabet, relations, schema):
     model = LieModel(alphabet, relations, cutoff=5)
     if schema is None:
         del model.schema  # as pickled before the schema existed
     else:
         model.schema = schema
-    return pickle.dumps(model)
+    if schema != 5:
+        return pickle.dumps(model)
+    # schema 5 also memoized the rational brackets and the free dimensions
+    model._struct_q = {}
+    model._free_dims = free_lie_dims(alphabet, model.max_weight)
+    model.reps = {w: [_Rep5(r.label, w, w & 1, r.tail) for r in reps]
+                  for w, reps in model.reps.items()}
+    with mock.patch.object(engine, "Rep", _Rep5):
+        return pickle.dumps(model)
 
 
 @pytest.mark.parametrize("content", ["garbage", "schemaless", "schema2", "schema3",
-                                     "schema4", "foreign"])
+                                     "schema4", "schema5", "foreign"])
 def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     from symalg.engine import MODEL_SCHEMA, load_or_build_model
 
@@ -361,6 +383,7 @@ def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
         "schema2": lambda: _old_model_pickle(p.alphabet, rels, 2),
         "schema3": lambda: _old_model_pickle(p.alphabet, rels, 3),
         "schema4": lambda: _old_model_pickle(p.alphabet, rels, 4),
+        "schema5": lambda: _old_model_pickle(p.alphabet, rels, 5),
         "foreign": lambda: pickle.dumps({"dims": {}}),
     }[content]())
     model = load_or_build_model(p.alphabet, rels, 5, tmp_path, "deadbeef")
@@ -510,7 +533,7 @@ def test_struct_matches_tensor_oracle(case):
     assert any(oracle.values())
     # super-antisymmetry: [b, a] = -(-1)^{|a||b|} [a, b]
     for wu, i, wv, j in pairs:
-        odd = m.reps[wu][i].parity and m.reps[wv][j].parity
+        odd = wu & 1 and wv & 1
         sign = 1 if odd else -1
         want = {k: sign * c for k, c in m.struct(wu, i, wv, j).items()}
         assert m.struct(wv, j, wu, i) == want

@@ -1,7 +1,8 @@
 """The exact linear-algebra kernel: properties of rank, rref, kernel and
 inverse on small rational matrices (their scalar convention included), the
-sparse accumulate `addmul`, the in-place elimination step against a copying
-reference kernel, and the presentation checks built on them."""
+sparse accumulate `addmul`, the integer vectors over one denominator
+(`add_scaled`, `primitive`), the in-place elimination step against a
+copying reference kernel, and the presentation checks built on them."""
 
 import itertools
 import pickle
@@ -9,13 +10,26 @@ import random
 import time
 from unittest import mock
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symalg import engine, linalg
-from symalg.linalg import Echelon, _eliminate, addmul, echelon, inverse, kernel, rank, rref, span
+from symalg.linalg import (
+    Echelon,
+    _eliminate,
+    add_scaled,
+    addmul,
+    echelon,
+    inverse,
+    kernel,
+    primitive,
+    rank,
+    rref,
+    span,
+)
 from symalg.presentation import (
     PresentationError,
     SymPresentation,
@@ -200,6 +214,29 @@ def test_addmul_is_the_dense_sum_without_zeros(out, a, vec):
     want = [out.get(k, 0) + a * vec.get(k, 0) for k in range(6)]
     addmul(out, a, vec)
     assert [out.get(k, 0) for k in range(6)] == want
+    assert all(out.values())
+
+
+# integer vectors (den, {key: int}) over keys 0..5; small numerators make
+# cancellation frequent, and the denominators meet in lcms
+INTVEC = st.tuples(st.integers(1, 6), st.dictionaries(st.integers(0, 5), st.integers(-4, 4),
+                                                      max_size=6))
+
+
+@SEEDED
+@given(st.lists(st.tuples(st.integers(-3, 3), INTVEC, st.integers(1, 4)), max_size=5),
+       st.integers(1, 4))
+def test_add_scaled_then_primitive_is_the_fraction_sum(terms, d):
+    # sum (a / d_i) * vec_i, divided by d: add_scaled accumulates it over
+    # one denominator and primitive reduces it to lowest terms
+    acc = [1, {}]
+    want = {}
+    for a, (vd, v), di in terms:
+        add_scaled(acc, a, (vd, v), di)
+        addmul(want, Fraction(a, vd * di), v)
+    den, out = primitive(acc, d)
+    assert {k: Fraction(x, den) for k, x in out.items()} == {k: c / d for k, c in want.items()}
+    assert den > 0 and gcd(den, *out.values()) == 1
     assert all(out.values())
 
 

@@ -18,6 +18,12 @@ package that no file under `src`, `tests`, `demos` or `bench` reads in
 the same sense.  `reports` is exempt, as the CLI looks its functions up
 by name.  An attribute of a name imported from a module outside
 `symalg` is not a read: `shutil.copy` does not read `Poly.copy`.
+
+And one check that keeps each module's private names its own: no module
+of the package imports a non-dunder `_name` from another module of the
+package, or reads an attribute `obj._name` with `obj` other than `self`
+or `cls` when it defines no `_name` itself (as a function, a class, a
+name or an attribute it assigns).
 """
 
 import ast
@@ -162,6 +168,40 @@ def unread_helpers(trees, readers=None, private=True):
     return out
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defines(tree):
+    """The names a module defines: functions, classes, and the names and
+    attributes it assigns."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            out.add(n.attr)
+    return out
+
+
+def foreign_private_reads(tree):
+    """The private names of other package modules that `tree` imports or
+    reads as an attribute of anything but `self` or `cls`."""
+    own = _defines(tree)
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.level or n.module.split(".")[0] == "symalg"):
+            out += [(n.lineno, f"line {n.lineno}: imports private {a.name!r}")
+                    for a in n.names if _private(a.name)]
+        elif (isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)
+              and _private(n.attr) and n.attr not in own
+              and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))):
+            out.append((n.lineno, f"line {n.lineno}: reads private {n.attr!r}"))
+    return [msg for _, msg in sorted(out)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals_or_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -251,4 +291,31 @@ def test_the_public_check_sees_dead_functions():
         "a.py: line 2: function 'recursive' is never read",
         "a.py: line 3: function 'dead' is never read",
         "a.py: line 9: method 'C.copy' is never read",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_reads(path):
+    found = foreign_private_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name}: " + "; ".join(found)
+
+
+def test_the_private_check_sees_foreign_reads():
+    tree = ast.parse(
+        "from .engine import _add_scaled, LieModel\n"
+        "from symalg.assoc import _hidden\n"
+        "from . import cache\n"
+        "class C:\n"
+        "    def __init__(self, model):\n"
+        "        self._own = model\n"
+        "        self.model = model\n"
+        "    def f(self, other, cls):\n"
+        "        other._own, cls._cls_attr, self._x, self.__class__\n"
+        "        return self.model._bracket(1), other._normal_index\n"
+    )
+    assert foreign_private_reads(tree) == [
+        "line 1: imports private '_add_scaled'",
+        "line 2: imports private '_hidden'",
+        "line 10: reads private '_bracket'",
+        "line 10: reads private '_normal_index'",
     ]
