@@ -5,7 +5,9 @@ homogeneous relation set is built one weight at a time.  At weight w the
 ambient space is spanned by the candidate words g * n with n a normal word
 of weight w - wt(g); the ideal contributes the rows r * y over relations r
 and lower normal words y (left factors are already normalized, so these
-rows span the whole weight-w component of the ideal).  A full reduced row
+rows span the whole weight-w component of the ideal).  Each relation is
+split once by first letter, r = sum_g g * t_g, and the row r * y is read as
+sum_g g * nf(t_g * y), one normal form per letter.  A full reduced row
 echelon over the candidate columns, taken in ascending monomial order,
 marks pivot words; the pivot-free candidates are the normal words of
 weight w.  The reduced rows seed the one normal-form table: each candidate
@@ -33,7 +35,7 @@ class AssocModel:
             if r.is_zero():
                 continue
             w = r.weight()
-            self.rel_by_weight.setdefault(w, []).append(r)
+            self.rel_by_weight.setdefault(w, []).append(r.split())
         self.normal = {0: [()]}
         self.normal_index = {0: {(): 0}}
         self._nf_cache = {(): {(): 1}}
@@ -62,19 +64,14 @@ class AssocModel:
             if wl < 0:
                 continue
             for y in self.normal.get(wl, ()):
-                for r in rels:
+                for groups in rels:
                     row = {}
-                    for m, c in r.terms.items():
-                        g = m[0]
-                        rest = m[1:] + y
-                        for n, d in self.normal_word(rest).items():
-                            cd = c * d
-                            k = cindex[(g,) + n]
-                            v = row.get(k, 0) + cd
-                            if v:
-                                row[k] = v
-                            else:
-                                row.pop(k, None)
+                    for g, tail in groups:
+                        acc = {}
+                        for rest, c in tail:
+                            addmul(acc, c, self.normal_word(rest + y))
+                        for n, d in acc.items():
+                            row[cindex[(g,) + n]] = d
                     if row:
                         rows.append(row)
         pivots = rref(rows)

@@ -16,15 +16,19 @@ Rational vectors (dicts, or dense rows given as sequences) enter through
 them.  Their values follow one scalar convention: an integral value is an
 `int` and any other value a `Fraction`.  `ratio(x, d)` is that rule for a
 quotient of ints, and `rref`, so `kernel` and `inverse` too, returns its
-values through it; integral results never enter `fractions.py`.
+values through it (a row whose pivot entry is 1 is returned as it is);
+integral results never enter `fractions.py`.  `intvec` returns an all-int
+dict as its zero-free copy over scale 1, with no pass over denominators.
 
 `span` inserts a batch of integer rows sparsest first, by a stable sort
 on the nonzero count; `echelon`, the Lie engine's generator spans and the
 surjection's per-weight systems all go through it.  The cost of
 elimination is fill: a dense early row is added into every later row that
 meets its pivot, while sparse rows keep the echelon sparse.  (The
-resolution's `b1` needs no echelon: its single-entry columns cover every
-row, and `resolution.rank_onto` certifies its rank from them.)
+resolution mostly needs no echelon for `b1` and `b2`:
+`resolution.certified_rank` counts their distinct leading positions, a
+lower bound on the rank, and where the count reaches an upper bound on
+the rank (d0 for `b1`, dim ker `b1` for `b2`) that bound is the rank.)
 The order is safe because the rank and the row space do not depend on it,
 and the reduced echelon form is unique; `rref` returns pivots and row keys
 in ascending order, so nothing a caller sees depends on the order either.
@@ -65,7 +69,10 @@ def ratio(x, d):
 
 
 def intvec(fracvec):
-    """Clear denominators: dict col->rational to (dict col->int, scale)."""
+    """Clear denominators: dict col->rational to (dict col->int, scale).
+    An all-int dict comes back as its zero-free copy with scale 1."""
+    if all(type(c) is int for c in fracvec.values()):
+        return {k: c for k, c in fracvec.items() if c}, 1
     den = 1
     for c in fracvec.values():
         den = den * c.denominator // gcd(den, c.denominator)
@@ -258,11 +265,12 @@ def rref(vectors):
     key order included, depends only on the row space."""
     ech = echelon(vectors)
     ech.full_reduce()
-    rows = ech.rows
-    return {
-        p: {k: ratio(x, rows[p][p]) for k, x in sorted(rows[p].items())}
-        for p in sorted(rows)
-    }
+    out = {}
+    for p in sorted(ech.rows):
+        row = sorted(ech.rows[p].items())
+        a = ech.rows[p][p]
+        out[p] = dict(row) if a == 1 else {k: ratio(x, a) for k, x in row}
+    return out
 
 
 def kernel(rows, ncols):

@@ -23,13 +23,25 @@ weight consists of the complex property, injectivity of the top map, and
 rank-exactness at every spot; the per-weight Euler characteristic of the
 verified modules recovers the defining identity of the Hilbert series.
 
-The ranks of b2 and b3 are computed exactly.  The rank of b1 is certified
-without elimination where it can be (`rank_onto`): normal words are
-closed under prefixes and suffixes (Bergman's diamond lemma), so every
+The ranks of b1 and b2 are certified without elimination where they can
+be (`certified_rank`): columns whose leading positions are pairwise
+distinct are independent, so the count of distinct leading positions is a
+lower bound on the rank, and where it reaches an upper bound that bound is
+the rank.  For b1 the positions are flat and the bound is d0: normal words
+are closed under prefixes and suffixes (Bergman's diamond lemma), so every
 normal word u of weight w > 0 is nf(y v) for the normal word y = u minus
-its last (left) or first (right) letter, and the single-entry columns of
-b1 cover Y_w.  Where they do not, as at w = 0 with P1 empty, the exact
-rank decides.
+its last (left) or first (right) letter, and leads a column of its own.
+For b2 a column leads at the P1 position whose word, y v (left) or v y
+(right), is smallest in the model's monomial order, as in Anick's
+resolution (Trans. AMS 296, 1986); the bound is the column count d2,
+and d1 - r1 where that is smaller once b1 o b2 = 0 has been recorded (im
+b2 then lies in ker b1).  Where the count falls short, as for b1 at w = 0
+with P1 empty, the exact rank decides.  The rank of b3 is always exact.
+
+Every column is built the same way: the normal form of the product y * u
+(left) or u * y (right) is placed, position by position, in its target
+block.  b2 sums the terms of one split letter in Y first, so each (y,
+relation, letter) places one normal form.
 """
 
 from .linalg import addmul, rank
@@ -54,25 +66,37 @@ class ResolutionReport:
         return f"ResolutionReport(weight={self.weight}, ok={self.ok})"
 
 
-def _compose(cols_inner, outer_cols):
-    """Columns of outer o inner, where inner columns are valued over the
-    keys of outer_cols."""
-    out = []
-    for col in cols_inner:
+def _composes_to_zero(inner, outer):
+    """Whether outer o inner is zero, where inner columns are valued over
+    the keys of outer.  Each inner column's image is accumulated inline,
+    and the first nonzero image ends the loop."""
+    for col in inner:
         acc = {}
+        get = acc.get
         for key, c in col.items():
-            addmul(acc, c, outer_cols[key])
-        out.append(acc)
-    return out
+            for k, x in outer[key].items():
+                acc[k] = get(k, 0) + c * x
+        if any(acc.values()):
+            return False
+    return True
 
 
-def rank_onto(cols, d0):
-    """Rank of columns valued over d0 rows.  Where the columns with a
-    single nonzero entry hit every row, they hold a nonsingular diagonal
-    d0 x d0 submatrix and the rank is d0 with no elimination; otherwise
-    the exact `rank`."""
-    hit = {key for col in cols if len(col) == 1 for key, c in col.items() if c}
-    return d0 if len(hit) == d0 else rank(cols)
+def certified_rank(cols, bound, key=None):
+    """Rank of a collection of columns, given an upper bound on it.
+
+    A column's leading position is its smallest key (under `key`, if
+    given).  Columns whose leading positions are pairwise distinct are
+    linearly independent, so the number of distinct leading positions
+    (a zero leading entry counts for none) is a lower bound on the rank.
+    Where it reaches `bound`, that is the rank and nothing is eliminated;
+    otherwise the exact `rank` decides."""
+    lead = set()
+    for col in cols:
+        if col:
+            p = min(col, key=key)
+            if col[p]:
+                lead.add(p)
+    return bound if len(lead) == bound else rank(cols)
 
 
 def check_resolvable(presentation):
@@ -103,14 +127,9 @@ class SidedResolution:
         self.weights = model.alphabet.weights
         self.parities = model.alphabet.parities
         r0, r1 = build_relations(presentation)
-        self.relations = r0 + r1
-
-    def _mult(self, y, word, w, start=0):
-        """nf(y * word) (left) or nf(word * y) (right), of weight w, as a
-        dict over positions start + i of Y_w."""
-        full = y + word if self.side == "left" else word + y
-        idx = self.model.normal_index[w]
-        return {start + idx[u]: c for u, c in self.model.normal_word(full).items()}
+        # each relation split once by the letter b2 splits off: the last
+        # on the left side, the first on the right
+        self.relations = [r.split(last=side == "left") for r in r0 + r1]
 
     def _blocks(self, weights):
         """(weight, start) of blocks Y_weight laid end to end."""
@@ -126,6 +145,19 @@ class SidedResolution:
     def _p2(self, w):
         return self._blocks(w - TOP + v for v in self.weights)
 
+    def _p1_key(self, w):
+        """Sort key of the flat P1 positions at weight w that orders them
+        as their words in the model's monomial order (ascending reversed
+        tuple): y v_k on the left, v_k y on the right.  On the left that is
+        the flat order itself, so the key is None; on the right a position
+        maps to its reversed word."""
+        if self.side == "left":
+            return None
+        words = []
+        for k, (wy, _) in enumerate(self._p1(w)):
+            words.extend(y[::-1] + (k,) for y in self.model.normal.get(wy, ()))
+        return words.__getitem__
+
     def degrees(self, w):
         """Component dimensions (P0, P1, P2, P3) at weight w."""
         d = self.model.dim
@@ -135,10 +167,15 @@ class SidedResolution:
 
     def b1_columns(self, w):
         """Columns keyed by flat P1 position, valued over Y_w coords."""
+        model = self.model
+        left = self.side == "left"
+        idx = model.normal_index[w]
         cols = {}
         for k, (wy, start) in enumerate(self._p1(w)):
-            for pos, y in enumerate(self.model.normal.get(wy, ())):
-                cols[start + pos] = self._mult(y, (k,), w)
+            v = (k,)
+            for pos, y in enumerate(model.normal.get(wy, ())):
+                nf = model.normal_word(y + v if left else v + y)
+                cols[start + pos] = {idx[u]: c for u, c in nf.items()}
         return cols
 
     def b2_columns(self, w):
@@ -147,47 +184,58 @@ class SidedResolution:
         Each relation word is split into a letter (last on the left side,
         first on the right) and the rest, which multiplies y into the
         letter's P1 block."""
+        model = self.model
+        left = self.side == "left"
         p1 = self._p1(w)
         cols = {}
-        for rel, (wy, start) in zip(self.relations, self._p2(w)):
-            for pos, y in enumerate(self.model.normal.get(wy, ())):
-                acc = {}
-                for word, c in rel.terms.items():
-                    if self.side == "left":
-                        letter, rest = word[-1], word[:-1]
-                    else:
-                        letter, rest = word[0], word[1:]
+        for groups, (wy, start) in zip(self.relations, self._p2(w)):
+            for pos, y in enumerate(model.normal.get(wy, ())):
+                col = {}
+                for letter, tail in groups:
+                    acc = {}
+                    for rest, c in tail:
+                        addmul(acc, c, model.normal_word(y + rest if left else rest + y))
                     wl, base = p1[letter]
-                    addmul(acc, c, self._mult(y, rest, wl, base))
-                cols[start + pos] = acc
+                    idx = model.normal_index[wl]
+                    for u, c in acc.items():
+                        col[base + idx[u]] = c
+                cols[start + pos] = col
         return cols
 
     def b3_columns(self, w):
         """Columns keyed by Y_{w-8} position, valued over flat P2 coords."""
+        model = self.model
+        left = self.side == "left"
         p2 = self._p2(w)
-        odd_sign = 1 if self.side == "left" else -1
+        odd_sign = 1 if left else -1
         cols = {}
-        for pos, y in enumerate(self.model.normal.get(w - TOP, ())):
-            acc = {}
+        for pos, y in enumerate(model.normal.get(w - TOP, ())):
+            col = {}
             for k, (wk, start) in enumerate(p2):
                 sign = odd_sign if self.parities[k] else 1
-                addmul(acc, sign, self._mult(y, (k,), wk, start))
-            cols[pos] = acc
+                idx = model.normal_index[wk]
+                v = (k,)
+                for u, c in model.normal_word(y + v if left else v + y).items():
+                    col[start + idx[u]] = sign * c
+            cols[pos] = col
         return cols
 
     def verify_weight(self, w):
-        """The checks at weight w.  r1 is d0 by the single-entry-column
-        certificate of `rank_onto` where it closes, else the exact rank;
-        r2 and r3 are exact ranks."""
+        """The checks at weight w.  r1 and r2 come from `certified_rank`:
+        r1 against the bound d0, and r2, with P1 ordered as its words,
+        against d2, or d1 - r1 where smaller once b1 o b2 = 0 puts im b2
+        inside ker b1.  r3 is an exact rank."""
         rep = ResolutionReport(w)
         d0, d1, d2, d3 = self.degrees(w)
         b1 = self.b1_columns(w)
         b2 = self.b2_columns(w)
         b3 = self.b3_columns(w)
-        rep.record("b1b2_zero", not any(_compose(b2.values(), b1)))
-        rep.record("b2b3_zero", not any(_compose(b3.values(), b2)))
-        r1 = rank_onto(b1.values(), d0)
-        r2 = rank(b2.values())
+        complex12 = _composes_to_zero(b2.values(), b1)
+        rep.record("b1b2_zero", complex12)
+        rep.record("b2b3_zero", _composes_to_zero(b3.values(), b2))
+        r1 = certified_rank(b1.values(), d0)
+        bound2 = min(d1 - r1, d2) if complex12 else d2
+        r2 = certified_rank(b2.values(), bound2, self._p1_key(w))
         r3 = rank(b3.values())
         rep.record("b3_injective", r3 == d3)
         rep.record("exact_at_p2", r2 + r3 == d2)

@@ -140,6 +140,16 @@ class Poly:
             raise ValueError("polynomial of mixed parity")
         return ps.pop()
 
+    def split(self, last=False):
+        """The terms grouped by their first letter (the last, if `last`):
+        a list of (letter, [(rest, coeff), ...]), letters in order of first
+        appearance, where each term is letter * rest (rest * letter)."""
+        out = {}
+        for u, c in self.terms.items():
+            letter, rest = (u[-1], u[:-1]) if last else (u[0], u[1:])
+            out.setdefault(letter, []).append((rest, c))
+        return list(out.items())
+
     # -- arithmetic
 
     def __add__(self, other):

@@ -23,6 +23,7 @@ from symalg.linalg import (
     add_scaled,
     addmul,
     echelon,
+    intvec,
     inverse,
     kernel,
     primitive,
@@ -215,6 +216,21 @@ def test_addmul_is_the_dense_sum_without_zeros(out, a, vec):
     addmul(out, a, vec)
     assert [out.get(k, 0) for k in range(6)] == want
     assert all(out.values())
+
+
+def test_intvec_of_an_int_dict_is_its_zero_free_copy():
+    vec = {0: 3, 2: 0, 5: -4}
+    out, den = intvec(vec)
+    assert den == 1 and out == {0: 3, 5: -4} and list(out) == [0, 5]
+    assert all(type(v) is int for v in out.values())
+    assert out is not vec and vec == {0: 3, 2: 0, 5: -4}
+
+
+def test_intvec_clears_the_denominators_of_a_mixed_dict():
+    vec = {1: 2, 3: Fraction(1, 6), 4: Fraction(-3, 4), 7: 0, 8: Fraction(4, 2)}
+    out, den = intvec(vec)
+    assert den == 12 and out == {1: 24, 3: 2, 4: -9, 8: 24}
+    assert all(type(v) is int for v in out.values())
 
 
 # integer vectors (den, {key: int}) over keys 0..5; small numerators make

@@ -3,6 +3,7 @@ and the scalar convention of their columns."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from symalg import AssocModel, SymPresentation, build_relations, resolution
 from symalg.linalg import echelon, rank
 from symalg.presentation import check_nondegenerate, hilbert_series_YM
-from symalg.resolution import SidedResolution, rank_onto, verify_resolution
+from symalg.resolution import SidedResolution, certified_rank, verify_resolution
 
 
 def _all_green(out):
@@ -165,17 +166,19 @@ def test_block_tables_minkowski32(minkowski32):
                        minkowski32)
 
 
-# -- the rank of b1: the single-entry-column certificate and its fallback
+# -- the ranks of b1 and b2: the leading-position certificate and its
+# fallback to the exact rank
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Count the calls `rank_onto` makes to the exact rank."""
+    """The ranks the resolution module computes by elimination, in call
+    order: the fallbacks of `certified_rank`, and r3."""
     calls = []
 
     def spy(cols):
-        calls.append(1)
-        return rank(cols)
+        calls.append(rank(cols))
+        return calls[-1]
 
     monkeypatch.setattr(resolution, "rank", spy)
     return calls
@@ -189,8 +192,9 @@ def fallbacks(monkeypatch):
     (presentation31(["1", "1/2", "-3/2"]), 12),  # Fraction values
 ], ids=["31", "22", "minkowski32", "G=2,-3,1", "G=1,1/2,-3/2"])
 def test_certificate_agrees_with_exact_rank(p, max_weight, request, fallbacks):
-    # r1 from rank_onto equals the exact rank, and since every normal word
-    # of weight w > 0 is nf(y v) for a normal y, the certificate closes at
+    # r1 from certified_rank equals the exact rank.  Every normal word of
+    # weight w > 0 is nf(y v) for a normal y, a column leading at that word,
+    # so the leading positions cover Y_w and the certificate closes at
     # every such weight: only w = 0, with P1 empty, falls back
     if isinstance(p, str):
         p = request.getfixturevalue(p)
@@ -202,27 +206,28 @@ def test_certificate_agrees_with_exact_rank(p, max_weight, request, fallbacks):
             cols = res.b1_columns(w).values()
             d0 = res.degrees(w)[0]
             fallbacks.clear()
-            assert rank_onto(cols, d0) == rank(cols) == d0 - (w == 0), (side, w)
+            assert certified_rank(cols, d0) == rank(cols) == d0 - (w == 0), (side, w)
             assert len(fallbacks) == (w == 0), (side, w)
 
 
 def test_certificate_needs_single_entry_columns(fallbacks):
-    # a column with two entries certifies nothing: here the exact rank is 2
-    assert rank_onto([{0: 1}, {0: 1, 1: 1}], 2) == 2
+    # two columns leading at the same row count once: here the exact rank
+    # is 2
+    assert certified_rank([{0: 1}, {0: 1, 1: 1}], 2) == 2
     assert len(fallbacks) == 1
     # ... and here 1, though together the columns touch both rows
-    assert rank_onto([{0: 1, 1: 1}, {0: -2, 1: -2}], 2) == 1
+    assert certified_rank([{0: 1, 1: 1}, {0: -2, 1: -2}], 2) == 1
     assert len(fallbacks) == 2
 
 
 def test_certificate_needs_every_row(fallbacks):
-    # single-entry columns on row 0 only leave the rank to elimination
-    assert rank_onto([{0: 3}, {0: 1}], 2) == 1
+    # columns leading at row 0 only leave the rank to elimination
+    assert certified_rank([{0: 3}, {0: 1}], 2) == 1
     assert len(fallbacks) == 1
 
 
 def test_certificate_takes_any_nonzero_coefficient(fallbacks):
-    assert rank_onto([{1: -2}, {0: 1, 1: 1}, {0: Fraction(1, 3)}], 2) == 2
+    assert certified_rank([{1: -2}, {0: 1, 1: 1}, {0: Fraction(1, 3)}], 2) == 2
     assert not fallbacks
 
 
@@ -233,6 +238,139 @@ def test_certificate_at_weight_zero(assoc31, p31, fallbacks):
         res = SidedResolution(assoc31, p31, side)
         assert res.b1_columns(0) == {}
         fallbacks.clear()
-        assert rank_onto(res.b1_columns(0).values(), res.degrees(0)[0]) == 0
+        assert certified_rank(res.b1_columns(0).values(), res.degrees(0)[0]) == 0
         assert len(fallbacks) == 1
         assert res.verify_weight(0).ok
+
+
+def test_certificate_counts_no_zero_leading_entry(fallbacks):
+    # a stored zero leads nowhere: the first column alone does not lead at
+    # row 0, so the two columns reach only one leading row
+    assert certified_rank([{0: 0, 1: 1}, {1: 2}], 2) == 1
+    assert len(fallbacks) == 1
+
+
+NONZERO = st.one_of(st.integers(-3, 3).filter(bool),
+                    st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)]))
+
+
+@st.composite
+def columns_order_slack(draw):
+    """Sparse int/Fraction columns over at most six rows, a sort key of the
+    rows (None, or a permutation's position map) and the slack of the
+    bound over the exact rank."""
+    nrows = draw(st.integers(1, 6))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, nrows - 1), NONZERO,
+                                         max_size=nrows), max_size=7))
+    perm = draw(st.one_of(st.none(), st.permutations(range(nrows))))
+    return cols, None if perm is None else perm.index, draw(st.integers(0, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(columns_order_slack())
+def test_certified_rank_is_the_exact_rank(case):
+    # for any key order and any bound >= the exact rank the result is the
+    # exact rank, and nothing is eliminated where the distinct leading
+    # positions reach the bound
+    cols, key, slack = case
+    exact = rank(cols)
+    leads = len({min(col, key=key) for col in cols if col})
+    calls = []
+
+    def spy(c):
+        calls.append(1)
+        return rank(c)
+
+    with mock.patch.object(resolution, "rank", spy):
+        assert certified_rank(cols, exact + slack, key) == exact
+    assert len(calls) == (leads != exact + slack)
+
+
+# -- where the b2 certificate closes
+
+
+@pytest.mark.parametrize("p", ["p31", presentation31([1, -3, 2]), "p22", "minkowski32"],
+                         ids=["31", "G=1,-3,2", "22", "minkowski32"])
+def test_b2_certificate_closes_to_weight_12(p, request, fallbacks):
+    # with P1 ordered as the words y v (left) and v y (right) in the model's
+    # monomial order, the leading positions of b2 reach d1 - r1 at every
+    # weight 1..12 on both sides: the one elimination per weight is r3
+    if isinstance(p, str):
+        p = request.getfixturevalue(p)
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=12)
+    for side in ("left", "right"):
+        res = SidedResolution(model, p, side)
+        for w in range(1, 13):
+            fallbacks.clear()
+            assert res.verify_weight(w).ok, (side, w)
+            assert fallbacks == [model.dim(w - 8)], (side, w)
+
+
+def test_b2_certificate_falls_back_on_13_left(fallbacks):
+    # (1,3) on the left at weight 12: the b2 columns lead at 16 distinct
+    # positions for rank 17, so r2 is the exact rank; the right side closes
+    from symalg import preset
+
+    p = preset(1, 3)
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=12)
+    for side, r2 in (("left", [17]), ("right", [])):
+        res = SidedResolution(model, p, side)
+        d0, d1, d2, d3 = res.degrees(12)
+        fallbacks.clear()
+        assert res.verify_weight(12).ok
+        assert d1 - d0 == 17
+        assert fallbacks == r2 + [d3], side
+
+
+# -- the failure path: a resolution that is not exact keeps its report
+
+
+def test_gamma_zero_report_bytes():
+    # with Gamma = 0 the (3,1) relations lose their cubic-quadratic
+    # coupling and the resolution is not exact: exact_at_p2 and euler fail
+    # at weights 5 and 7..12 on both sides, and the report, as the CLI
+    # writes it, keeps these bytes
+    import json
+
+    from symalg import reports
+
+    p = presentation31([0, 0, 0])
+    bad = {str(w): ["exact_at_p2", "euler"] for w in (5, 7, 8, 9, 10, 11, 12)}
+    expected = {
+        "command": "verify",
+        "target": "resolution",
+        "presentation_sha256":
+            "a036ec85073720bf4811b310a38284b2667c10114520a477371ff7faeb2b6a38",
+        "ok": False,
+        "sides": {"left": bad, "right": bad},
+        "max_weight": 12,
+    }
+    got = reports.verify_resolution(p, 12)
+    dump = lambda r: json.dumps(r, sort_keys=True, indent=1, default=str)  # noqa: E731
+    assert dump(got) == dump(expected)
+
+
+@pytest.mark.parametrize("w, checks", [
+    (6, {"b1b2_zero": False, "b2b3_zero": True, "b3_injective": True,
+         "exact_at_p2": True, "exact_at_p1": True, "exact_at_p0": True,
+         "euler": True}),
+    (10, {"b1b2_zero": False, "b2b3_zero": False, "b3_injective": True,
+          "exact_at_p2": False, "exact_at_p1": False, "exact_at_p0": True,
+          "euler": True}),
+])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_b2_off_the_complex_records_the_exact_checks(assoc31, p31, side, w, checks,
+                                                     monkeypatch, fallbacks):
+    # one unit added to the first b2 column puts b2 off ker b1, so b1 o b2
+    # is nonzero; the checks are those the exact ranks give
+    res = SidedResolution(assoc31, p31, side)
+    cols = res.b2_columns(w)
+    cols[0] = {**cols[0], 0: cols[0].get(0, 0) + 1}
+    monkeypatch.setattr(res, "b2_columns", lambda _: cols)
+    assert res.verify_weight(w).checks == checks
+    if w >= 8:
+        # P3 is not zero, so b2 is not injective and no certificate can
+        # reach the column count: r2 takes the exact rank, as r3 does
+        assert len(fallbacks) == 2
