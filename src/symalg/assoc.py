@@ -30,12 +30,11 @@ class AssocModel:
     def __init__(self, alphabet, relations, max_weight):
         self.alphabet = alphabet
         self.max_weight = max_weight
+        self.relations = list(relations)  # in order, zero relations included
         self.rel_by_weight = {}
-        for r in relations:
-            if r.is_zero():
-                continue
-            w = r.weight()
-            self.rel_by_weight.setdefault(w, []).append(r.split())
+        for r in self.relations:
+            if not r.is_zero():
+                self.rel_by_weight.setdefault(r.weight(), []).append(r.split())
         self.normal = {0: [()]}
         self.normal_index = {0: {(): 0}}
         self._nf_cache = {(): {(): 1}}

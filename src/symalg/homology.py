@@ -10,9 +10,13 @@ coefficients the differential keeps only the bracket terms:
   E = |yi| (|y1|+..+|y_{i-1}|) + |yj| (|y1|+..+|y_{j-1}|) + |yi||yj| + i + j
 
 and homology ranks are dim - rank(d_k) - rank(d_{k+1}) per degree (and per
-weight when the algebra is weight-graded).
+weight when the algebra is weight-graded).  The factors left after dropping
+yi and yj stay in basis order, so each term of [yi, yj] takes its place
+among them in one signed insertion.  d preserves weight, so each d_k is
+ranked weight block by weight block.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .linalg import addmul, rank
@@ -71,40 +75,28 @@ def wedge_weight(g, wedge):
     return sum(g.weights[i] for i in esub) + sum(g.weights[i] for i in osub)
 
 
-def _canonical(g, factors, coeff):
-    """Sort a wedge into (evens ascending, odds ascending) with Koszul signs.
-
-    factors: list of basis indices.  Returns (key, coeff) or None if zero
-    (repeated even factor).
-    """
-    fs = list(factors)
-    # insertion sort tracking the sign: swapping adjacent u, v costs
-    # -(-1)^(|u||v|)
-    for i in range(1, len(fs)):
-        j = i
-        while j > 0 and _order_key(g, fs[j - 1]) > _order_key(g, fs[j]):
-            pu, pv = g.parities[fs[j - 1]], g.parities[fs[j]]
-            coeff = coeff if (pu and pv) else -coeff
-            fs[j - 1], fs[j] = fs[j], fs[j - 1]
-            j -= 1
-    esub = tuple(i for i in fs if g.parities[i] == 0)
-    osub = tuple(i for i in fs if g.parities[i] == 1)
-    for a, b in zip(esub, esub[1:]):
-        if a == b:
-            return None
-    return (esub, osub), coeff
-
-
-def _order_key(g, i):
-    # evens before odds, then by index: matches wedge_basis enumeration
-    return (g.parities[i], i)
+def _insert(g, y, wedge, coeff):
+    """Place the factor y into a basis wedge (evens, odds) with its Koszul
+    sign.  y starts in front and moves right past every factor that sorts
+    before it (evens before odds, then by index, the `wedge_basis` order);
+    each swap with u multiplies coeff by -(-1)^(|u||y|), so an odd y passes
+    the evens with a sign each and the odds without.  Returns (wedge,
+    coeff), or None where y is even and already a factor (y ^ y = 0)."""
+    esub, osub = wedge
+    if g.parities[y]:
+        at = bisect_left(osub, y)
+        return (esub, osub[:at] + (y,) + osub[at:]), -coeff if len(esub) % 2 else coeff
+    at = bisect_left(esub, y)
+    if esub[at:at + 1] == (y,):
+        return None
+    return (esub[:at] + (y,) + esub[at:], osub), -coeff if at % 2 else coeff
 
 
 def ce_differential(g, wedge):
     """d of a basis wedge, as {basis wedge -> Fraction}."""
     esub, osub = wedge
-    ys = list(esub) + list(osub)
-    k = len(ys)
+    ys = tuple(esub) + tuple(osub)
+    ne, k = len(esub), len(ys)
     out = {}
     pref = [0] * (k + 1)
     for idx, y in enumerate(ys):
@@ -122,9 +114,10 @@ def ce_differential(g, wedge):
                 + (j + 1)
             )
             sign = -1 if exp % 2 else 1
-            rest = [ys[t] for t in range(k) if t != i and t != j]
+            rest = ys[:i] + ys[i + 1:j] + ys[j + 1:]
+            m = ne - (i < ne) - (j < ne)
             for tgt, c in br.items():
-                got = _canonical(g, [tgt] + rest, Fraction(sign) * c)
+                got = _insert(g, tgt, (rest[:m], rest[m:]), Fraction(sign) * c)
                 if got is None:
                     continue
                 key, coeff = got
@@ -154,7 +147,9 @@ def ce_homology(g, degree_max, weight_max=None):
     Returns {degree: total dim} when the algebra carries no weights, else
     {degree: {weight: dim}} with zero entries dropped.  Both come from one
     computation: every wedge is keyed by its weight when graded and by 0
-    otherwise, and d preserves the key.
+    otherwise.  The constructor refuses brackets that break the weights, so
+    d preserves the key, and each degree-k block is ranked against the
+    degree-(k - 1) block of its key alone.
     """
     graded = g.weights is not None and weight_max is not None
     blocks = {}
@@ -165,8 +160,8 @@ def ce_homology(g, degree_max, weight_max=None):
             blocks[k].setdefault(key, []).append(wedge)
     ranks = {0: {}}
     for k in range(1, degree_max + 2):
-        targets = [wedge for ws in blocks[k - 1].values() for wedge in ws]
-        ranks[k] = {key: _matrix_rank(g, ws, targets) for key, ws in blocks[k].items()}
+        ranks[k] = {key: _matrix_rank(g, ws, blocks[k - 1].get(key, ()))
+                    for key, ws in blocks[k].items()}
     out = {}
     for k in range(degree_max + 1):
         betti = {}

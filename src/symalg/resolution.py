@@ -6,8 +6,8 @@ the left resolution
     0 -> Y[-8] --b3--> Y (x) R --b2--> Y (x) V --b1--> Y --> k -> 0
 
 has differentials (y in the Y factor, v_k the generator letters x1..xn,
-z1..zs and r_k the relations r0 + r1 of `build_relations`, metric
-included; relation k has weight 8 - |v_k|)
+z1..zs and r_k the model's relations, r0 + r1 of `build_relations`,
+metric included; relation k has weight 8 - |v_k|)
 
     b3(y)       = sum_k y v_k (x) r_k
     b2(y (x) r) = sum_uv c_uv y u (x) v   for r = sum_uv c_uv u v, v a letter
@@ -40,12 +40,13 @@ with P1 empty, the exact rank decides.  The rank of b3 is always exact.
 
 Every column is built the same way: the normal form of the product y * u
 (left) or u * y (right) is placed, position by position, in its target
-block.  b2 sums the terms of one split letter in Y first, so each (y,
-relation, letter) places one normal form.
+block.  b2 reads the relations the `AssocModel` was built from, so a run
+expands them once, and sums the terms of one split letter in Y first, so
+each (y, relation, letter) places one normal form.
 """
 
 from .linalg import addmul, rank
-from .presentation import PresentationError, build_relations, series_valid
+from .presentation import PresentationError, series_valid
 
 TOP = 8  # weight of the top module Y[-8]: |v_k| + |r_k| for every k
 
@@ -117,7 +118,8 @@ class SidedResolution:
     Y_{w-8+|v_k|} (y (x) r_k), and b3 pairs letter k with relation k.
     `_blocks` lays a side's blocks end to end, so a column's key is its
     flat source position and its values sit on flat target positions;
-    b2 composes with b1, and b3 with b2, key for key.
+    b2 composes with b1, and b3 with b2, key for key.  Only
+    `check_resolvable` reads `presentation`.
     """
 
     def __init__(self, model, presentation, side="left"):
@@ -126,10 +128,9 @@ class SidedResolution:
         self.side = side
         self.weights = model.alphabet.weights
         self.parities = model.alphabet.parities
-        r0, r1 = build_relations(presentation)
-        # each relation split once by the letter b2 splits off: the last
-        # on the left side, the first on the right
-        self.relations = [r.split(last=side == "left") for r in r0 + r1]
+        # each of the model's relations split once by the letter b2 splits
+        # off: the last on the left side, the first on the right
+        self.relations = [r.split(last=side == "left") for r in model.relations]
 
     def _blocks(self, weights):
         """(weight, start) of blocks Y_weight laid end to end."""

@@ -122,23 +122,35 @@ class FinDimSuperLieAlgebra:
 
     # -- consistency and nilpotency
 
+    def check_jacobi(self):
+        """Raise SuperLieError at the first triple, in index order, where
+        the super Jacobi identity in adjoint form fails:
+            [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]].
+        The difference of the two sides is super-antisymmetric in x, y, z,
+        so the first failing triple is sorted.  Each of its three terms is
+        [x, [y, z]] up to order and sign, which vanishes unless some element
+        m of the stored [y, z] has a stored bracket with x; only the triples
+        {x, y, z} built that way are read."""
+        partners = {}
+        for i, j in self.table:
+            partners.setdefault(i, set()).add(j)
+            partners.setdefault(j, set()).add(i)
+        triples = {tuple(sorted((i, j, x))) for (i, j), coords in self.table.items()
+                   for m in coords for x in partners.get(m, ())}
+        for i, j, k in sorted(triples):
+            lhs = self.bracket_vec({i: Fraction(1)}, self.bracket(j, k))
+            rhs = self.bracket_vec(self.bracket(i, j), {k: Fraction(1)})
+            sign = -1 if (self.parities[i] and self.parities[j]) else 1
+            addmul(rhs, sign, self.bracket_vec({j: Fraction(1)}, self.bracket(i, k)))
+            if lhs != rhs:
+                raise SuperLieError(
+                    f"Jacobi fails at ({self.names[i]},{self.names[j]},{self.names[k]})"
+                )
+
     def validate(self):
         """Check the super Jacobi identity and nilpotency; returns a report
         dict including the class."""
-        # graded Jacobi in adjoint form:
-        # [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.bracket_vec({i: Fraction(1)}, self.bracket(j, k))
-                    rhs = self.bracket_vec(self.bracket(i, j), {k: Fraction(1)})
-                    sign = -1 if (self.parities[i] and self.parities[j]) else 1
-                    addmul(rhs, sign,
-                           self.bracket_vec({j: Fraction(1)}, self.bracket(i, k)))
-                    if lhs != rhs:
-                        raise SuperLieError(
-                            f"Jacobi fails at ({self.names[i]},{self.names[j]},{self.names[k]})"
-                        )
+        self.check_jacobi()
         nclass = self.nilpotency_class()
         if nclass is None:
             raise SuperLieError("algebra is not nilpotent")
@@ -193,7 +205,8 @@ class FinDimSuperLieAlgebra:
 
     @classmethod
     def from_json(cls, doc):
-        """Inverse of to_json; malformed documents raise SuperLieError."""
+        """Inverse of to_json; malformed documents, and brackets that break
+        super Jacobi, raise SuperLieError."""
         try:
             basis = doc["basis"]
             names = [_json_value(b, "name", str) for b in basis]
@@ -215,6 +228,7 @@ class FinDimSuperLieAlgebra:
             if weights is None and weighted:
                 # dropping them would skip the check that they grade the brackets
                 raise ValueError("weight is given for some basis entries but not all")
+            algebra.check_jacobi()
             return algebra
         except SuperLieError:
             raise

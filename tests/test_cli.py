@@ -411,6 +411,9 @@ def _heis_files(tmp_path):
     # check that they grade the brackets
     ("algebra-weights-partial", "malformed algebra JSON: weight is given for some "
      "basis entries but not all"),
+    # [a, b] = c, [b, c] = d and [a, d] = z break super Jacobi at (a, b, c):
+    # the weight (1, 0) and a 4-vector "polarization" came out with exit 0
+    ("algebra-jacobi", "Jacobi fails at (a,b,c)"),
 ])
 @pytest.mark.parametrize("target", ["weight", "polarization"])
 def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
@@ -464,6 +467,10 @@ def test_dixmier_bad_files_exit_2(capsys, tmp_path, target, case, message):
     contents["algebra-name-number"] = qpz_bracket.replace('"q"', "5")
     contents["algebra-weights-partial"] = qpz_bracket.replace(
         '"parity": 0}', '"parity": 0, "weight": 2}', 1)
+    contents["algebra-jacobi"] = json.dumps({
+        "basis": [{"name": x, "parity": 0} for x in "abcdz"],
+        "brackets": [{"i": i, "j": j, "coeffs": {str(k): "1"}}
+                     for i, j, k in [(0, 1, 2), (1, 2, 3), (0, 3, 4)]]})
     if case in contents:
         bad.write_text(contents[case])
     if case.startswith("algebra"):

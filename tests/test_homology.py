@@ -5,9 +5,11 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 from basis_change import scramble
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symalg.engine import LieModel
-from symalg.homology import ce_check_d_squared, ce_homology, wedge_basis
+from symalg.homology import _insert, ce_check_d_squared, ce_homology, wedge_basis
 from symalg.presentation import build_relations, preset
 from symalg.superlie import FinDimSuperLieAlgebra, SuperLieError, heis
 
@@ -94,3 +96,56 @@ def test_weight_pruned_wedges_equal_the_filtered_enumeration():
     for g, bound in cases:
         for k in range(6):
             assert wedge_basis(g, k, bound) == _filtered_wedges(g, k, bound), (bound, k)
+
+
+# -- the signed insertion against the full sort it replaced
+
+
+def _canonical(g, factors, coeff):
+    """Sort a wedge into (evens ascending, odds ascending) with Koszul signs.
+
+    factors: list of basis indices.  Returns (key, coeff) or None if zero
+    (repeated even factor).
+    """
+    fs = list(factors)
+    # insertion sort tracking the sign: swapping adjacent u, v costs
+    # -(-1)^(|u||v|)
+    for i in range(1, len(fs)):
+        j = i
+        while j > 0 and _order_key(g, fs[j - 1]) > _order_key(g, fs[j]):
+            pu, pv = g.parities[fs[j - 1]], g.parities[fs[j]]
+            coeff = coeff if (pu and pv) else -coeff
+            fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            j -= 1
+    esub = tuple(i for i in fs if g.parities[i] == 0)
+    osub = tuple(i for i in fs if g.parities[i] == 1)
+    for a, b in zip(esub, esub[1:]):
+        if a == b:
+            return None
+    return (esub, osub), coeff
+
+
+def _order_key(g, i):
+    # evens before odds, then by index: matches wedge_basis enumeration
+    return (g.parities[i], i)
+
+
+@st.composite
+def _wedge_and_factor(draw):
+    """Random parities, a basis wedge of up to five factors and a factor."""
+    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    g = FinDimSuperLieAlgebra([f"e{i}" for i in range(len(parities))], parities, {})
+    ev, od = g.even_indices(), g.odd_indices()
+    esub = tuple(sorted(draw(st.sets(st.sampled_from(ev), max_size=3)) if ev else ()))
+    osub = tuple(sorted(draw(st.lists(st.sampled_from(od), max_size=3)) if od else ()))
+    return g, (esub, osub), draw(st.integers(0, g.dim - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_wedge_and_factor(), st.integers(-3, 3).filter(bool))
+def test_insert_matches_the_full_sort(case, coeff):
+    # the factors of a basis wedge are already sorted, so placing one more
+    # factor is one pass: the key, the sign and the zero (a repeated even
+    # factor) are those of sorting the whole wedge with its Koszul signs
+    g, (esub, osub), y = case
+    assert _insert(g, y, (esub, osub), coeff) == _canonical(g, [y, *esub, *osub], coeff)

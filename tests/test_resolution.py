@@ -71,6 +71,28 @@ def test_excluded_parameters_rejected():
         SidedResolution(model, p, "left")
 
 
+def test_a_run_expands_the_relations_once(monkeypatch):
+    # SidedResolution reads the relations its AssocModel was built from, so
+    # one report expands them once; each side used to expand them again
+    import sys
+
+    from symalg import assoc, preset, presentation, reports
+
+    real = presentation.build_relations
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    assert assoc and resolution  # loaded before their names are wrapped
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symalg" and vars(module).get("build_relations") is real:
+            monkeypatch.setattr(module, "build_relations", counted)
+    assert reports.verify_resolution(preset(3, 1), 6)["ok"]
+    assert len(calls) == 1
+
+
 def test_euler_identity_from_module_dims(assoc31, p31):
     res = SidedResolution(assoc31, p31, "left")
     for w in range(0, 13):
