@@ -587,9 +587,10 @@ def normalize(p):
     """Normalized copy: witness = first coordinate, G^1 = identity.
 
     The odd basis change diagonalizes lambda o Gamma by symmetric
-    Gram-Schmidt and rescales by inverse square roots; entries whose
-    diagonal is not a rational square cannot be normalized over Q and
-    raise PresentationError.  Returns (presentation, change record).
+    Gram-Schmidt in the order of the unit vectors, and rescales by inverse
+    square roots.  A unit vector whose projection is isotropic raises
+    PresentationError, as does a diagonal entry that is not a rational
+    square.  Returns (presentation, change record).
     """
     ok, lam = check_nondegenerate(p)
     if not ok:
@@ -601,7 +602,9 @@ def normalize(p):
     record = {"witness": [rat_str(v) for v in lam]}
     nonzero = [i for i, v in enumerate(lam) if v]
     if lam[0] != 1 or len(nonzero) != 1:
-        if len(nonzero) == 1 and p.is_orthonormal() and lam[nonzero[0]] == 1:
+        # check_nondegenerate tries the unit vectors first, so a witness
+        # with one nonzero coordinate is a unit vector
+        if len(nonzero) == 1 and p.is_orthonormal():
             k = nonzero[0]
             gamma[0], gamma[k] = gamma[k], gamma[0]
             record["even_swap"] = [1, k + 1]
@@ -611,28 +614,20 @@ def normalize(p):
                 "with an invertible first matrix"
             )
     m1 = gamma[0]
-    # symmetric Gram-Schmidt: S^T m1 S diagonal
-    basis = [[Fraction(int(i == j)) for j in range(s)] for i in range(s)]
 
     def form(u, v):
         return sum(u[a] * m1[a][b] * v[b] for a in range(s) for b in range(s))
 
+    # symmetric Gram-Schmidt: S^T m1 S diagonal
     chosen = []
-    pool = list(basis)
-    while len(chosen) < s:
-        cand = None
-        for v in pool:
-            u = list(v)
-            for w in chosen:
-                coef = form(u, w) / form(w, w)
-                u = [x - coef * y for x, y in zip(u, w)]
-            if form(u, u):
-                cand = u
-                break
-        if cand is None:
+    for i in range(s):
+        u = [Fraction(int(i == j)) for j in range(s)]
+        for w in chosen:
+            coef = form(u, w) / form(w, w)
+            u = [x - coef * y for x, y in zip(u, w)]
+        if not form(u, u):
             raise PresentationError("gram-schmidt stalled on an isotropic block")
-        chosen.append(cand)
-        pool = pool[1:]
+        chosen.append(u)
     S = []
     for u in chosen:
         d = form(u, u)

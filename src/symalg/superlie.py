@@ -2,18 +2,22 @@
 Kirillov-form computations attached to an even functional: block ranks,
 the weight (Weyl index, Clifford index) of the associated primitive
 quotient, polarizations along a flag of ideals, and stabilizer subspaces.
+The polarization is read off one Gram matrix of the Kirillov form along
+one chain of ideals, the lower central series (`default_flag`).
 
 Conventions: a basis element carries a parity (and optionally a weight,
 which then grades the brackets: [e_i, e_j] lies in weight w_i + w_j);
 brackets are stored for i <= j only, the other half being determined by
 super antisymmetry [x,y] = -(-1)^{|x||y|} [y,x].  An even functional kills
 the odd part, so its Kirillov form splits into an antisymmetric block on
-the even part and a symmetric block on the odd part.
+the even part and a symmetric block on the odd part.  The constructor
+enforces bracket parity, so the bracket of homogeneous elements is
+homogeneous, and so is every vector of the lower central series.
 """
 
 from fractions import Fraction
 
-from .linalg import Echelon, addmul, echelon, extend, kernel, rank
+from .linalg import Echelon, addmul, echelon, extend, intvec, kernel, rank
 from .presentation import InputError, rat, rat_str
 
 
@@ -332,40 +336,40 @@ class FieldExtensionRequired(SuperLieError):
 
 
 def default_flag(g):
-    """Homogeneous chain of ideals with one-dimensional steps, refining the
-    lower central series (deepest terms first)."""
+    """A basis of g, the chain of the lower central series: deepest
+    nonzero term first, each term's spanning vectors sorted by their
+    support and kept where they are independent of the chain so far.
+
+    Every prefix of the chain spans an ideal, since [g, C^k] lies in
+    C^(k+1), and each step is one-dimensional.  Every vector is
+    homogeneous: C^1 = g is spanned by the unit vectors, and the
+    constructor makes a bracket of homogeneous elements homogeneous.  The
+    chain spans g, as C^1 = g is the last term walked.
+    """
     series = g.lower_central_series()
     if series is None:
         raise SuperLieError("algebra is not nilpotent")
-    layers = []
     chain = []
     probe = Echelon()  # the span of chain
-    # walk from the deepest nonzero term upwards
-    terms = [t for t in series if t]
-    for term in reversed(terms):
-        # homogeneous components of the layer, even then odd per basis order
-        cand = []
-        for v in term:
-            for par in (0, 1):
-                part = {i: c for i, c in v.items() if g.parities[i] == par}
-                if part:
-                    cand.append(part)
-        for v in sorted(cand, key=lambda d: sorted(d)):
+    for term in reversed(series):
+        for v in sorted(term, key=sorted):
             if extend(probe, v):
                 chain.append(v)
-                layers.append(list(chain))
-    # complete to all of g
-    for i in range(g.dim):
-        v = {i: Fraction(1)}
-        if extend(probe, v):
-            chain.append(v)
-            layers.append(list(chain))
-    return layers
+    return chain
 
 
 def vergne_polarization(g, f):
-    """Sum over `default_flag(g)` of the radicals of the restricted
-    Kirillov form.
+    """Sum of the radicals of the Kirillov form along `default_flag(g)`
+    (Vergne, C. R. Acad. Sci. Paris 270, 1970; Dixmier, ch. 6).
+
+    The form is computed once on the chain, as the Gram matrix
+    B[v][u] = f([chain[u], chain[v]]) held as integer rows (scaling a row
+    changes no kernel).  The radical of f on the ideal spanned by the
+    first k chain vectors is the kernel of B's leading k x k block.  An
+    even functional pairs even with even and odd with odd, so B is
+    block-diagonal by parity; its reduced echelon rows, and so the kernel
+    vectors, are each of one parity, as are the radical vectors built
+    from them.
 
     The result is checked to be an isotropic subalgebra whose even part has
     the (field-independent) maximal dimension dim g_0 - weyl.  The odd part
@@ -375,20 +379,27 @@ def vergne_polarization(g, f):
     isotropic vectors that only exist after extending scalars (and over
     the rationals the block may even be anisotropic).
     """
+    chain = default_flag(g)
+    gram = [intvec({u: apply_functional(f, g.bracket_vec(x, y))
+                    for u, x in enumerate(chain)})[0] for y in chain]
     span = Echelon()
     basis = []
-    for layer in default_flag(g):
-        for v in _restricted_radical(g, f, layer):
-            if extend(span, v):
-                basis.append(v)
+    for k in range(1, len(chain) + 1):
+        block = [{u: c for u, c in row.items() if u < k} for row in gram[:k]]
+        for coeffs in kernel(block, k):
+            vec = {}
+            for j, c in coeffs.items():
+                addmul(vec, c, chain[j])
+            if extend(span, vec):
+                basis.append(vec)
     w = weight_of(g, f)
     m0 = len(g.even_indices())
     m1 = len(g.odd_indices())
     target_even = m0 - w.weyl
     # closed-field bound: radical + a maximal isotropic of the rank-r part
     bound_odd = m1 - w.clifford + w.clifford // 2
-    # the radicals are split by parity and the basis is independent, so
-    # the dimensions of the two parts are counts
+    # the radical vectors are homogeneous and the basis is independent,
+    # so the dimensions of the two parts are counts
     got_odd = sum(g.parities[next(iter(v))] for v in basis)
     got_even = len(basis) - got_odd
     if not subordinate_check(g, f, basis):
@@ -405,29 +416,6 @@ def vergne_polarization(g, f):
             f"bound {bound_odd}"
         )
     return basis
-
-
-def _restricted_radical(g, f, layer_vectors):
-    """{x in span(layer) : f([x, layer]) = 0}."""
-    k = len(layer_vectors)
-    rows = []
-    for v in layer_vectors:
-        row = []
-        for u in layer_vectors:
-            row.append(apply_functional(f, g.bracket_vec(u, v)))
-        rows.append(row)
-    out = []
-    for coeffs in kernel(rows, k):
-        vec = {}
-        for j, c in coeffs.items():
-            addmul(vec, c, layer_vectors[j])
-        # an even functional's form pairs even with even and odd with odd,
-        # so both parity components of a radical vector are radical
-        for par in (0, 1):
-            part = {i: c for i, c in vec.items() if g.parities[i] == par}
-            if part:
-                out.append(part)
-    return out
 
 
 def _is_subalgebra(g, basis):
@@ -470,15 +458,12 @@ def heis(r, t):
         parities.append(1)
         weights.append(3)
     z = names.index("z")
+    # q_i precedes p_i and a_i precedes b_i, so each pair is stored as named
     brackets = {}
     for i in range(1, r + 1):
-        qi = names.index(f"q{i}")
-        pi = names.index(f"p{i}")
-        brackets[(min(qi, pi), max(qi, pi))] = {z: Fraction(1 if qi < pi else -1)}
+        brackets[(names.index(f"q{i}"), names.index(f"p{i}"))] = {z: Fraction(1)}
     for i in range(1, tprime + 1):
-        ai = names.index(f"a{i}")
-        bi = names.index(f"b{i}")
-        brackets[(min(ai, bi), max(ai, bi))] = {z: Fraction(1)}
+        brackets[(names.index(f"a{i}"), names.index(f"b{i}"))] = {z: Fraction(1)}
     if t % 2:
         c = names.index("c")
         brackets[(c, c)] = {z: Fraction(1)}

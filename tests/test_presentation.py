@@ -312,6 +312,10 @@ def test_normalize_paths():
     # symmetric gram-schmidt on a non-diagonal first matrix
     q5, _ = normalize(SymPresentation(1, 2, [[[1, 1], [1, 2]]]))
     assert q5.gamma[0] == [[1, 0], [0, 1]]
+    # a nondegenerate first matrix with e1 isotropic: Gram-Schmidt takes
+    # the unit vectors in order and stops at e1
+    with pytest.raises(PresentationError, match="gram-schmidt stalled on an isotropic block"):
+        normalize(SymPresentation(1, 2, [[[0, 1], [1, 1]]]))
 
 
 def test_omega_check_function(p31, minkowski32):

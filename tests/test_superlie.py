@@ -7,12 +7,16 @@ import pytest
 from basis_change import scramble
 
 from symalg.engine import LieModel
+from symalg.linalg import Echelon, addmul, echelon, extend, kernel, rank
 from symalg.presentation import build_relations, preset
 from symalg.superlie import (
     FieldExtensionRequired,
     FinDimSuperLieAlgebra,
     IdealWeight,
     SuperLieError,
+    _is_subalgebra,
+    apply_functional,
+    default_flag,
     even_functional,
     heis,
     kirillov_weight,
@@ -198,14 +202,134 @@ def test_polarization_heis11():
 
 
 def test_polarization_along_the_default_flag():
-    from symalg.superlie import default_flag
-
+    # the flag is one chain: g.dim independent homogeneous vectors, each
+    # prefix spanning an ideal
+    for g in (heis(1, 1), heis(2, 3), FinDimSuperLieAlgebra.from_model(ymodel(3, 1, 6)),
+              scramble(heis(1, 2), random.Random(5))[1]):
+        chain = default_flag(g)
+        assert len(chain) == g.dim and rank(chain) == g.dim
+        assert all(len({g.parities[i] for i in v}) == 1 for v in chain)
+        for k in range(1, g.dim + 1):
+            span = echelon(chain[:k])
+            assert not any(extend(span, g.bracket_vec({i: Fraction(1)}, v))
+                           for i in range(g.dim) for v in chain[:k])
     g = heis(1, 1)
-    f = even_functional(g, {"z": 1})
-    flag = default_flag(g)
-    assert [len(layer) for layer in flag] == list(range(1, g.dim + 1))
-    pol = vergne_polarization(g, f)
-    assert len(pol) == 2
+    assert len(vergne_polarization(g, even_functional(g, {"z": 1}))) == 2
+
+
+def _reference_flag(g):
+    """The layers of the polarization before it was read off one Gram
+    matrix: every prefix of the chain, built with a parity split."""
+    series = g.lower_central_series()
+    if series is None:
+        raise SuperLieError("algebra is not nilpotent")
+    layers = []
+    chain = []
+    probe = Echelon()
+    for term in reversed([t for t in series if t]):
+        cand = []
+        for v in term:
+            for par in (0, 1):
+                part = {i: c for i, c in v.items() if g.parities[i] == par}
+                if part:
+                    cand.append(part)
+        for v in sorted(cand, key=lambda d: sorted(d)):
+            if extend(probe, v):
+                chain.append(v)
+                layers.append(list(chain))
+    for i in range(g.dim):
+        v = {i: Fraction(1)}
+        if extend(probe, v):
+            chain.append(v)
+            layers.append(list(chain))
+    return layers
+
+
+def _reference_radical(g, f, layer_vectors):
+    """{x in span(layer) : f([x, layer]) = 0}, from the layer's own form."""
+    k = len(layer_vectors)
+    rows = [[apply_functional(f, g.bracket_vec(u, v)) for u in layer_vectors]
+            for v in layer_vectors]
+    out = []
+    for coeffs in kernel(rows, k):
+        vec = {}
+        for j, c in coeffs.items():
+            addmul(vec, c, layer_vectors[j])
+        for par in (0, 1):
+            part = {i: c for i, c in vec.items() if g.parities[i] == par}
+            if part:
+                out.append(part)
+    return out
+
+
+def _reference_polarization(g, f):
+    """vergne_polarization with the radicals recomputed on each layer."""
+    span = Echelon()
+    basis = []
+    for layer in _reference_flag(g):
+        for v in _reference_radical(g, f, layer):
+            if extend(span, v):
+                basis.append(v)
+    w = weight_of(g, f)
+    m1 = len(g.odd_indices())
+    target_even = len(g.even_indices()) - w.weyl
+    bound_odd = m1 - w.clifford + w.clifford // 2
+    got_odd = sum(g.parities[next(iter(v))] for v in basis)
+    got_even = len(basis) - got_odd
+    if not subordinate_check(g, f, basis):
+        raise SuperLieError("polarization is not subordinate")
+    if not _is_subalgebra(g, basis):
+        raise SuperLieError("polarization is not a subalgebra")
+    if got_even != target_even:
+        raise FieldExtensionRequired(
+            f"even isotropic dimension {got_even} misses the target {target_even}"
+        )
+    if got_odd < m1 - w.clifford or got_odd < bound_odd:
+        raise FieldExtensionRequired(
+            f"odd isotropic dimension {got_odd} below the closed-field "
+            f"bound {bound_odd}"
+        )
+    return basis
+
+
+def _outcome(polarize, g, f):
+    try:
+        return polarize(g, f)
+    except SuperLieError as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_functional(g, rng):
+    return {i: Fraction(rng.randint(-2, 2)) for i in g.even_indices()
+            if rng.random() < 0.5}
+
+
+POLARIZATION_TRUNCATIONS = [(3, 1, 6), (2, 2, 7), (1, 3, 8), (3, 2, 5), (4, 1, 4), (2, 1, 8)]
+
+
+def test_polarization_matches_the_layerwise_reference():
+    # heis(r, t) with r <= 2, t <= 3 and six truncated quotients, each with
+    # seeded functionals, and scrambled bases of some: the same vectors in
+    # the same order, or the same error
+    rng = random.Random(11)
+    cases = []
+    for r in range(3):
+        for t in range(4):
+            g = heis(r, t)
+            cases += [(g, even_functional(g, {"z": 1})), (g, {}),
+                      (g, _seeded_functional(g, rng))]
+    for n, s, cutoff in POLARIZATION_TRUNCATIONS:
+        g = FinDimSuperLieAlgebra.from_model(ymodel(n, s, cutoff))
+        cases += [(g, _seeded_functional(g, rng)) for _ in range(7)]
+    for g in (heis(1, 2), heis(2, 1), FinDimSuperLieAlgebra.from_model(ymodel(2, 1, 6))):
+        gs = scramble(g, rng)[1]
+        cases += [(gs, _seeded_functional(gs, rng)) for _ in range(4)]
+    failures = 0
+    for g, f in cases:
+        expected = _outcome(_reference_polarization, g, f)
+        assert _outcome(vergne_polarization, g, f) == expected, (g.names, f)
+        failures += isinstance(expected, tuple)
+    assert 0 < failures < len(cases) // 2
 
 
 def test_polarization_abelian():
@@ -245,8 +369,6 @@ def test_polarization_truncated_quotient():
     assert subordinate_check(g, f, pol)
     # maximality oracle: any basis direction keeping the span isotropic
     # already lies in the span
-    from symalg.linalg import rank
-
     for i in range(g.dim):
         if subordinate_check(g, f, pol + [{i: Fraction(1)}]):
             assert rank(pol + [{i: Fraction(1)}]) == rank(pol)
