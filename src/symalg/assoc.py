@@ -10,10 +10,20 @@ split once by first letter, r = sum_g g * t_g, and the row r * y is read as
 sum_g g * nf(t_g * y), one normal form per letter.  A full reduced row
 echelon over the candidate columns, taken in ascending monomial order,
 marks pivot words; the pivot-free candidates are the normal words of
-weight w.  The reduced rows seed the one normal-form table: each candidate
-word maps to its row (a normal word to itself), and any other word g * u
-reduces recursively through the rows of g * n over the normal form of u,
-and is then stored in the same table.
+weight w, listed in that order in `normal[w]`.
+
+A normal form is keyed by position: the normal form of a word of weight w
+is a dict {i: coeff} over the positions i of its normal words in
+`normal[w]`.  The reduced rows give, per letter g and weight w, the list
+`left[g][w]` whose entry i is nf(g * normal[w][i]): a pivot-free
+candidate's own position, a pivot candidate minus its row's tail.  The
+row r * y places the entry i of nf(t_g * y) at the candidate column of
+g * normal[.][i], and any other word g * u reduces by the first-letter
+recursion nf(g * u) = sum_i c_i left[g][|u|][i] over nf(u) = sum_i c_i e_i,
+both read by list index; the result is cached by word.  A normal form is shared, never copied: where nf(u) is one unit
+entry the cache holds the table's own dict, and the resolution's b1
+columns are the cached dicts themselves, so every normal form is
+read-only.
 
 Normal forms follow the scalar convention of `linalg.ratio`: an integral
 value is an int, and only a non-integral value carries a denominator.
@@ -36,59 +46,70 @@ class AssocModel:
             if not r.is_zero():
                 self.rel_by_weight.setdefault(r.weight(), []).append(r.split())
         self.normal = {0: [()]}
-        self.normal_index = {0: {(): 0}}
-        self._nf_cache = {(): {(): 1}}
+        # left[g][w][i] = nf(g * normal[w][i]), read-only
+        self.left = [[] for _ in alphabet.generators]
+        self._nf_cache = {(): {0: 1}}
         for w in range(1, max_weight + 1):
             self._build_weight(w)
 
     # -- construction
 
-    def _candidates(self, w):
-        out = []
+    def _build_weight(self, w):
+        # the candidates g * n as (word, g, position of n), in ascending
+        # monomial order; column[g][i] is the column of g * normal[wl][i]
+        cands = []
+        column = {}
         for g in self.alphabet.generators:
             wl = w - g.weight
-            if wl < 0:
-                continue
-            for n in self.normal.get(wl, ()):
-                out.append((g.index,) + n)
-        out.sort(key=lambda u: tuple(reversed(u)))
-        return out
-
-    def _build_weight(self, w):
-        cands = self._candidates(w)
-        cindex = {u: i for i, u in enumerate(cands)}
+            if wl >= 0:
+                gi = g.index
+                column[gi] = [0] * self.dim(wl)
+                cands.extend(((gi,) + n, gi, i) for i, n in enumerate(self.normal[wl]))
+        cands.sort(key=lambda c: c[0][::-1])
+        for j, (_, g, i) in enumerate(cands):
+            column[g][i] = j
         rows = []
         for q, rels in self.rel_by_weight.items():
             wl = w - q
             if wl < 0:
                 continue
-            for y in self.normal.get(wl, ()):
+            for y in self.normal[wl]:
                 for groups in rels:
                     row = {}
                     for g, tail in groups:
                         acc = {}
                         for rest, c in tail:
                             addmul(acc, c, self.normal_word(rest + y))
-                        for n, d in acc.items():
-                            row[cindex[(g,) + n]] = d
+                        col = column[g]
+                        for i, d in acc.items():
+                            row[col[i]] = d
                     if row:
                         rows.append(row)
         pivots = rref(rows)
-        normal = [u for i, u in enumerate(cands) if i not in pivots]
-        self.normal[w] = normal
-        self.normal_index[w] = {u: i for i, u in enumerate(normal)}
-        # the candidates seed the normal-form table: a normal word reduces
-        # to itself, pivot candidate i to -(tail over non-pivot candidates)
-        nf = self._nf_cache
-        for u in normal:
-            nf[u] = {u: 1}
-        for i, row in pivots.items():
-            nf[cands[i]] = {cands[j]: -c for j, c in row.items() if j != i}
+        # position in Y_w of each pivot-free candidate
+        pos = {}
+        for j in range(len(cands)):
+            if j not in pivots:
+                pos[j] = len(pos)
+        self.normal[w] = [cands[j][0] for j in pos]
+        # a normal candidate reduces to itself, pivot candidate j to
+        # -(its row's tail over the pivot-free candidates)
+        tabs = {g: [None] * len(col) for g, col in column.items()}
+        for j, (_, g, i) in enumerate(cands):
+            row = pivots.get(j)
+            if row is None:
+                tabs[g][i] = {pos[j]: 1}
+            else:
+                tabs[g][i] = {pos[k]: -c for k, c in row.items() if k != j}
+        for g, tab in tabs.items():
+            self.left[g].append(tab)
 
     # -- normal forms
 
     def normal_word(self, word):
-        """Normal-form coordinates {normal word -> coeff} of a word."""
+        """Normal-form coordinates {position in Y_w -> coeff} of a word of
+        weight w.  The result is shared with the model's tables: read it,
+        never change it."""
         got = self._nf_cache.get(word)
         if got is not None:
             return got
@@ -97,10 +118,14 @@ class AssocModel:
             raise ValueError(f"word of weight {w} beyond truncation {self.max_weight}")
         g = word[0]
         rest = self.normal_word(word[1:])
-        out = {}
-        nf = self._nf_cache
-        for n, d in rest.items():
-            addmul(out, d, nf[(g,) + n])
+        tab = self.left[g][w - self.alphabet.weights[g]]
+        if len(rest) == 1 and 1 in rest.values():
+            # g times a normal word: its entry of the table, shared
+            out = tab[next(iter(rest))]
+        else:
+            out = {}
+            for i, d in rest.items():
+                addmul(out, d, tab[i])
         self._nf_cache[word] = out
         return out
 
@@ -108,7 +133,9 @@ class AssocModel:
         """The canonical representative of a polynomial's coset."""
         out = {}
         for word, c in poly.terms.items():
-            addmul(out, c, self.normal_word(word))
+            nf = self.normal_word(word)
+            normal = self.normal[self.alphabet.word_weight(word)]
+            addmul(out, c, {normal[i]: d for i, d in nf.items()})
         from .tensor import Poly
 
         return Poly(self.alphabet, out)

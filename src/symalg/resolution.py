@@ -38,11 +38,15 @@ and d1 - r1 where that is smaller once b1 o b2 = 0 has been recorded (im
 b2 then lies in ker b1).  Where the count falls short, as for b1 at w = 0
 with P1 empty, the exact rank decides.  The rank of b3 is always exact.
 
-Every column is built the same way: the normal form of the product y * u
-(left) or u * y (right) is placed, position by position, in its target
-block.  b2 reads the relations the `AssocModel` was built from, so a run
-expands them once, and sums the terms of one split letter in Y first, so
-each (y, relation, letter) places one normal form.
+Every column is built the same way, from the model's normal form of the
+product y * u (left) or u * y (right).  Its keys are positions inside the
+target block, so an entry at position i lands at the block's start plus
+i: a b1 column, with its block at 0, is the normal form itself, the
+model's dict shared and never copied (read-only), and b2 and b3 shift
+each position by their block's start.  b2 reads the relations the
+`AssocModel` was built from, so a run expands them once, and sums the
+terms of one split letter in Y first, so each (y, relation, letter)
+places one normal form.
 """
 
 from .linalg import addmul, rank
@@ -167,16 +171,16 @@ class SidedResolution:
         return (d(w), p1, p2, d(w - TOP))
 
     def b1_columns(self, w):
-        """Columns keyed by flat P1 position, valued over Y_w coords."""
+        """Columns keyed by flat P1 position, valued over Y_w positions.
+        Each column is the model's own normal form of y v (left) or v y
+        (right), shared and never copied: read-only."""
         model = self.model
         left = self.side == "left"
-        idx = model.normal_index[w]
         cols = {}
         for k, (wy, start) in enumerate(self._p1(w)):
             v = (k,)
-            for pos, y in enumerate(model.normal.get(wy, ())):
-                nf = model.normal_word(y + v if left else v + y)
-                cols[start + pos] = {idx[u]: c for u, c in nf.items()}
+            for pos, y in enumerate(model.normal.get(wy, ()), start):
+                cols[pos] = model.normal_word(y + v if left else v + y)
         return cols
 
     def b2_columns(self, w):
@@ -196,10 +200,9 @@ class SidedResolution:
                     acc = {}
                     for rest, c in tail:
                         addmul(acc, c, model.normal_word(y + rest if left else rest + y))
-                    wl, base = p1[letter]
-                    idx = model.normal_index[wl]
-                    for u, c in acc.items():
-                        col[base + idx[u]] = c
+                    base = p1[letter][1]
+                    for i, c in acc.items():
+                        col[base + i] = c
                 cols[start + pos] = col
         return cols
 
@@ -212,12 +215,11 @@ class SidedResolution:
         cols = {}
         for pos, y in enumerate(model.normal.get(w - TOP, ())):
             col = {}
-            for k, (wk, start) in enumerate(p2):
+            for k, (_, start) in enumerate(p2):
                 sign = odd_sign if self.parities[k] else 1
-                idx = model.normal_index[wk]
                 v = (k,)
-                for u, c in model.normal_word(y + v if left else v + y).items():
-                    col[start + idx[u]] = sign * c
+                for i, c in model.normal_word(y + v if left else v + y).items():
+                    col[start + i] = sign * c
             cols[pos] = col
         return cols
 

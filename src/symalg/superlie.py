@@ -12,12 +12,15 @@ super antisymmetry [x,y] = -(-1)^{|x||y|} [y,x].  An even functional kills
 the odd part, so its Kirillov form splits into an antisymmetric block on
 the even part and a symmetric block on the odd part.  The constructor
 enforces bracket parity, so the bracket of homogeneous elements is
-homogeneous, and so is every vector of the lower central series.
+homogeneous, and so is every vector of the lower central series.  It
+stores each structure constant under `linalg`'s scalar convention, an
+int where the value is integral and a Fraction otherwise, and unit
+vectors are {i: 1}, so brackets with integral constants stay ints.
 """
 
 from fractions import Fraction
 
-from .linalg import Echelon, addmul, echelon, extend, intvec, kernel, rank
+from .linalg import Echelon, addmul, echelon, extend, intvec, kernel, rank, ratio
 from .presentation import InputError, rat, rat_str
 
 
@@ -76,7 +79,8 @@ class FinDimSuperLieAlgebra:
         for (i, j), coords in brackets.items():
             if i > j:
                 raise SuperLieError("store brackets for i <= j only")
-            coords = {k: Fraction(c) for k, c in coords.items() if c}
+            coords = {k: ratio(*Fraction(c).as_integer_ratio())
+                      for k, c in coords.items() if c}
             if not all(0 <= x < self.dim for x in (i, j, *coords)):
                 raise SuperLieError(f"bracket ({i},{j}) indexes outside the basis")
             if i == j and coords and not self.parities[i]:
@@ -142,10 +146,10 @@ class FinDimSuperLieAlgebra:
         triples = {tuple(sorted((i, j, x))) for (i, j), coords in self.table.items()
                    for m in coords for x in partners.get(m, ())}
         for i, j, k in sorted(triples):
-            lhs = self.bracket_vec({i: Fraction(1)}, self.bracket(j, k))
-            rhs = self.bracket_vec(self.bracket(i, j), {k: Fraction(1)})
+            lhs = self.bracket_vec({i: 1}, self.bracket(j, k))
+            rhs = self.bracket_vec(self.bracket(i, j), {k: 1})
             sign = -1 if (self.parities[i] and self.parities[j]) else 1
-            addmul(rhs, sign, self.bracket_vec({j: Fraction(1)}, self.bracket(i, k)))
+            addmul(rhs, sign, self.bracket_vec({j: 1}, self.bracket(i, k)))
             if lhs != rhs:
                 raise SuperLieError(
                     f"Jacobi fails at ({self.names[i]},{self.names[j]},{self.names[k]})"
@@ -166,7 +170,7 @@ class FinDimSuperLieAlgebra:
         """Independent spanning sets of C^1 = g, C^2 = [g,g], ... ending with
         the first zero term; None if the series stabilizes without reaching 0.
         """
-        full = [{i: Fraction(1)} for i in range(self.dim)]
+        full = [{i: 1} for i in range(self.dim)]
         series = [full]
         current = full
         current_rank = self.dim
@@ -325,7 +329,7 @@ def stabilizer_subspace(g, ideal_vectors, f):
     for v in ideal_vectors:
         row = []
         for i in range(g.dim):
-            row.append(apply_functional(f, g.bracket_vec({i: Fraction(1)}, v)))
+            row.append(apply_functional(f, g.bracket_vec({i: 1}, v)))
         rows.append(row)
     return kernel(rows, g.dim)
 
@@ -461,10 +465,10 @@ def heis(r, t):
     # q_i precedes p_i and a_i precedes b_i, so each pair is stored as named
     brackets = {}
     for i in range(1, r + 1):
-        brackets[(names.index(f"q{i}"), names.index(f"p{i}"))] = {z: Fraction(1)}
+        brackets[(names.index(f"q{i}"), names.index(f"p{i}"))] = {z: 1}
     for i in range(1, tprime + 1):
-        brackets[(names.index(f"a{i}"), names.index(f"b{i}"))] = {z: Fraction(1)}
+        brackets[(names.index(f"a{i}"), names.index(f"b{i}"))] = {z: 1}
     if t % 2:
         c = names.index("c")
-        brackets[(c, c)] = {z: Fraction(1)}
+        brackets[(c, c)] = {z: 1}
     return FinDimSuperLieAlgebra(names, parities, brackets, weights)

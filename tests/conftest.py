@@ -47,3 +47,20 @@ def minkowski32():
     gamma_tilde = [[[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[0, -1], [-1, 0]]]
     metric = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
     return SymPresentation(3, 2, gamma, metric, gamma_tilde)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The ranks the resolution module computes by elimination, in call
+    order: the fallbacks of `certified_rank`, and r3."""
+    from symalg import resolution
+    from symalg.linalg import rank
+
+    calls = []
+
+    def spy(cols):
+        calls.append(rank(cols))
+        return calls[-1]
+
+    monkeypatch.setattr(resolution, "rank", spy)
+    return calls

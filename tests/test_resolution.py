@@ -192,20 +192,6 @@ def test_block_tables_minkowski32(minkowski32):
 # fallback to the exact rank
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The ranks the resolution module computes by elimination, in call
-    order: the fallbacks of `certified_rank`, and r3."""
-    calls = []
-
-    def spy(cols):
-        calls.append(rank(cols))
-        return calls[-1]
-
-    monkeypatch.setattr(resolution, "rank", spy)
-    return calls
-
-
 @pytest.mark.parametrize("p, max_weight", [
     ("p31", 12),
     ("p22", 10),
