@@ -20,10 +20,10 @@ candidate's own position, a pivot candidate minus its row's tail.  The
 row r * y places the entry i of nf(t_g * y) at the candidate column of
 g * normal[.][i], and any other word g * u reduces by the first-letter
 recursion nf(g * u) = sum_i c_i left[g][|u|][i] over nf(u) = sum_i c_i e_i,
-both read by list index; the result is cached by word.  A normal form is shared, never copied: where nf(u) is one unit
-entry the cache holds the table's own dict, and the resolution's b1
-columns are the cached dicts themselves, so every normal form is
-read-only.
+both read by list index; the result is cached by word.  A normal form is
+shared, never copied: where nf(u) is one unit entry the cache holds the
+table's own dict, and the resolution's b1 columns are the cached dicts
+themselves, so every normal form is read-only.
 
 Normal forms follow the scalar convention of `linalg.ratio`: an integral
 value is an int, and only a non-integral value carries a denominator.

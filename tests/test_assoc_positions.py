@@ -8,14 +8,11 @@ import itertools
 import pytest
 from assoc_oracle import WordAssocModel, WordResolution
 from tensor_oracle import words_of_weight
+from test_resolution import presentation31
 
-from symalg import AssocModel, SymPresentation, build_relations, preset, resolution
+from symalg import AssocModel, build_relations, preset, resolution
 from symalg.resolution import SidedResolution
 from symalg.tensor import ODD, Alphabet
-
-
-def presentation31(g):
-    return SymPresentation(3, 1, [[[c]] for c in g])
 
 
 def agrees_with_oracle(p, max_weight):
