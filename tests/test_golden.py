@@ -41,6 +41,10 @@ COMMANDS = {
     "hilbert-31-d12-engine": ["hilbert", "--preset", "3,1", "--degree", "12",
                               "--check-engine"],
     "semidirect-31": ["verify", "semidirect", "--preset", "3,1"],
+    "verify-omega-32": ["verify", "omega", "--preset", "3,2"],
+    "verify-susy-31": ["verify", "susy", "--preset", "3,1"],
+    "verify-susy-minkowski32": ["verify", "susy", "--presentation",
+                                f"{INPUTS}/minkowski32.json"],
     "verify-resolution-31-w12": ["verify", "resolution", "--preset", "3,1",
                                  "--max-weight", "12"],
     "weight-31-l8-top": ["dixmier", "weight", "--algebra", f"{INPUTS}/ym31-l8.json",
@@ -71,10 +75,11 @@ def _json_file(doc):
     return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
 
 
-def test_golden_inputs_are_what_they_name():
+def test_golden_inputs_are_what_they_name(minkowski32):
     # ym31-l8: the (3,1) quotient to weight 8, dim 48, and a functional
     # charging its twelve top-weight even elements 1..12; generic33-seed7:
-    # G^1 = id and seeded symmetric G^2, G^3, as test_engine's fixture
+    # G^1 = id and seeded symmetric G^2, G^3, as test_engine's fixture;
+    # minkowski32: the conftest fixture
     from symalg.superlie import FinDimSuperLieAlgebra
     from test_engine import _generic
 
@@ -89,6 +94,7 @@ def test_golden_inputs_are_what_they_name():
         {g.names[i]: k for k, i in enumerate(top, 1)})
     assert (inputs / "generic33-seed7.json").read_bytes() == _json_file(
         _generic(3, 3, 7).to_json())
+    assert (inputs / "minkowski32.json").read_bytes() == _json_file(minkowski32.to_json())
 
 
 # the library's report functions give the same reports as the CLI: with the
