@@ -27,12 +27,11 @@ _EXPORTS = {
     "homology": ("ce_check_d_squared", "ce_differential", "ce_homology"),
     "presentation": (
         "GammaTensor", "GammaTilde", "PresentationError", "SymPresentation",
-        "build_relations", "check_equivariance_identity", "check_nondegenerate",
-        "derive_gamma_tilde", "dims_ym", "free_gen_series", "free_ideal",
-        "hilbert_series_YM", "preset", "quartic_form", "semidirect_maps",
-        "superpotential", "susy_derivations", "ym_denominator",
+        "build_relations", "check_nondegenerate", "dims_ym", "free_gen_series",
+        "free_ideal", "hilbert_series_YM", "preset", "ym_denominator",
     ),
     "resolution": ("SidedResolution", "verify_resolution"),
+    "semidirect": ("semidirect_maps",),
     "series": ("dims_from_series", "enveloping_series"),
     "superlie": (
         "FieldExtensionRequired", "FinDimSuperLieAlgebra", "IdealWeight",
@@ -40,6 +39,8 @@ _EXPORTS = {
         "subordinate_check", "vergne_polarization", "weight_of",
     ),
     "surjection": ("build_cw_surjection", "plan_assignment"),
+    "susy": ("check_equivariance_identity", "derive_gamma_tilde", "quartic_form",
+             "superpotential", "susy_derivations"),
     "tensor": ("Alphabet", "Derivation", "Poly", "cyclic_derivative", "lie_expand",
                "super_commutator", "sym_alphabet"),
 }

@@ -69,6 +69,7 @@ class AssocModel:
         for j, (_, g, i) in enumerate(cands):
             column[g][i] = j
         rows = []
+        weights = self.alphabet.weights
         for q, rels in self.rel_by_weight.items():
             wl = w - q
             if wl < 0:
@@ -78,8 +79,9 @@ class AssocModel:
                     row = {}
                     for g, tail in groups:
                         acc = {}
+                        wt = w - weights[g]
                         for rest, c in tail:
-                            addmul(acc, c, self.normal_word(rest + y))
+                            addmul(acc, c, self._normal_word(rest + y, wt))
                         col = column[g]
                         for i, d in acc.items():
                             row[col[i]] = d
@@ -111,14 +113,23 @@ class AssocModel:
         weight w.  The result is shared with the model's tables: read it,
         never change it."""
         got = self._nf_cache.get(word)
+        if got is None:
+            w = self.alphabet.word_weight(word)
+            if w > self.max_weight:
+                raise ValueError(f"word of weight {w} beyond truncation {self.max_weight}")
+            got = self._normal_word(word, w)
+        return got
+
+    def _normal_word(self, word, w):
+        # normal_word of a word of weight w <= max_weight, the weight of
+        # each suffix read off the letter it drops
+        got = self._nf_cache.get(word)
         if got is not None:
             return got
-        w = self.alphabet.word_weight(word)
-        if w > self.max_weight:
-            raise ValueError(f"word of weight {w} beyond truncation {self.max_weight}")
         g = word[0]
-        rest = self.normal_word(word[1:])
-        tab = self.left[g][w - self.alphabet.weights[g]]
+        wl = w - self.alphabet.weights[g]
+        rest = self._normal_word(word[1:], wl)
+        tab = self.left[g][wl]
         if len(rest) == 1 and 1 in rest.values():
             # g times a normal word: its entry of the table, shared
             out = tab[next(iter(rest))]

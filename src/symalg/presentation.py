@@ -8,9 +8,10 @@ part.  From it we build the defining relations
     r0_i = sum_j g^{jl} g^{im} [xj,[xl,xm]] - 1/2 sum_{a,b} G^i_ab [za,zb]
     r1_a = sum_{i,b} G^i_ab [xi,zb]
 
-the degree-8 superpotential whose cyclic derivatives recover them, the
-odd derivations mirroring supersymmetry transformations, the quartic
-obstruction tensor, and the closed-form Hilbert/dimension series.
+each one `tensor.lie_sum` of (coefficient, bracket tree) terms, and the
+closed-form Hilbert/dimension series.  The supersymmetry calculus of a
+presentation is in `symalg.susy`, its semidirect model in
+`symalg.semidirect`.
 
 The enveloping algebra U(g) of the quotient Lie algebra g has Hilbert
 series 1/D, D = `ym_denominator` (Connes and Dubois-Violette, Lett. Math.
@@ -34,29 +35,16 @@ of g above it:
                             weight-6 class
 
 Metrics: "orthonormal" (the identity form) or an explicit symmetric
-invertible matrix.  The superpotential and the supersymmetry derivations
-are also provided for explicit *diagonal* metrics; indefinite rational
-diagonal metrics are the only way to realize a vanishing quartic form
-without leaving the rationals (a sum of squares of nonzero quadratics
-cannot vanish over Q).
+invertible matrix.
 """
 
 import json
 from fractions import Fraction
 from math import isqrt
 
-from .linalg import inverse, rank, ratio, rref
+from .linalg import inverse, rank
 from .series import dims_from_series, enveloping_series, reciprocal
-from .tensor import (
-    EVEN,
-    ODD,
-    Alphabet,
-    Derivation,
-    Poly,
-    lie_expand,
-    super_commutator,
-    sym_alphabet,
-)
+from .tensor import lie_sum, sym_alphabet
 
 
 def rat(x):
@@ -243,45 +231,19 @@ def build_relations(p):
     Returns ([r0_1..r0_n], [r1_1..r1_s]), integral coefficients as ints and
     the others as Fractions (the scalar convention of `linalg.ratio`).
     """
-    A = p.alphabet
-    n, s = p.n, p.s
-    x = [A.gen(f"x{i+1}") for i in range(n)]
-    z = [A.gen(f"z{a+1}") for a in range(s)]
-    r0 = []
-    for i in range(n):
-        acc = A.zero()
-        for j in range(n):
-            for l in range(n):
-                gjl = p.metric_upper(j, l)
-                if not gjl:
-                    continue
-                for m in range(n):
-                    gim = p.metric_upper(i, m)
-                    if gim:
-                        acc = acc + super_commutator(
-                            x[j], super_commutator(x[l], x[m])
-                        ).scale(gjl * gim)
-        for a in range(s):
-            for b in range(s):
-                c = p.gamma[i][a][b]
-                if c:
-                    acc = acc - super_commutator(z[a], z[b]).scale(Fraction(c) / 2)
-        r0.append(acc)
-    r1 = []
-    for a in range(s):
-        acc = A.zero()
-        for i in range(n):
-            for b in range(s):
-                c = p.gamma[i][a][b]
-                if c:
-                    acc = acc + super_commutator(x[i], z[b]).scale(c)
-        r1.append(acc)
-    return [_integral(r) for r in r0], [_integral(r) for r in r1]
-
-
-def _integral(poly):
-    return Poly(poly.alphabet, {
-        u: ratio(c.numerator, c.denominator) for u, c in poly.terms.items()})
+    n, s, G, g = p.n, p.s, p.gamma, p.metric_upper
+    x = [f"x{i+1}" for i in range(n)]
+    z = [f"z{a+1}" for a in range(s)]
+    r0 = [lie_sum([(g(j, l) * g(i, m), (x[j], (x[l], x[m])))
+                   for j in range(n) for l in range(n) if g(j, l)
+                   for m in range(n) if g(i, m)]
+                  + [(Fraction(-G[i][a][b], 2), (z[a], z[b]))
+                     for a in range(s) for b in range(s) if G[i][a][b]], p.alphabet)
+          for i in range(n)]
+    r1 = [lie_sum([(G[i][a][b], (x[i], z[b]))
+                   for i in range(n) for b in range(s) if G[i][a][b]], p.alphabet)
+          for a in range(s)]
+    return r0, r1
 
 
 def check_nondegenerate(p):
@@ -337,179 +299,6 @@ def check_nondegenerate(p):
 
     witness = find([])
     return (True, witness) if witness else (False, None)
-
-
-def check_equivariance_identity(p, gamma_tilde=None):
-    """sum_b (G^i_ab Gt^{j,bc} + G^j_ab Gt^{i,bc}) == 2 g^{ij} delta_ac."""
-    gt = gamma_tilde or p.gamma_tilde
-    if p.s == 0:
-        return True
-    if gt is None:
-        try:
-            gt = derive_gamma_tilde(p)
-        except PresentationError:
-            return False
-    for i in range(p.n):
-        for j in range(p.n):
-            for a in range(p.s):
-                for c in range(p.s):
-                    lhs = sum(
-                        p.gamma[i][a][b] * gt[j][b][c] + p.gamma[j][a][b] * gt[i][b][c]
-                        for b in range(p.s)
-                    )
-                    if lhs != 2 * p.metric_upper(i, j) * int(a == c):
-                        return False
-    return True
-
-
-def derive_gamma_tilde(p):
-    """Solve the equivariance identity for Gamma-tilde by exact elimination.
-
-    The unknowns are the entries of n symmetric s x s matrices.  Raises
-    PresentationError if the system is inconsistent.
-    """
-    n, s = p.n, p.s
-    if s == 0:
-        return GammaTilde(n, 0, [[] for _ in range(n)])
-    # unknown index: (i, b<=c) -> column
-    cols = {}
-    for i in range(n):
-        for b in range(s):
-            for c in range(b, s):
-                cols[(i, b, c)] = len(cols)
-    ncols = len(cols)
-
-    def col(i, b, c):
-        return cols[(i, min(b, c), max(b, c))]
-
-    # augmented rows: the right-hand side sits in column ncols
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for a in range(s):
-                for c in range(s):
-                    row = {ncols: 2 * p.metric_upper(i, j) * int(a == c)}
-                    for b in range(s):
-                        for key, coef in ((col(j, b, c), p.gamma[i][a][b]),
-                                          (col(i, b, c), p.gamma[j][a][b])):
-                            row[key] = row.get(key, 0) + coef
-                    rows.append(row)
-    red = rref(rows)
-    if ncols in red:
-        raise PresentationError("equivariance system is inconsistent")
-    # free unknowns are set to zero
-    mats = [
-        [[red.get(col(i, b, c), {}).get(ncols, 0) for c in range(s)] for b in range(s)]
-        for i in range(n)
-    ]
-    gt = GammaTilde(n, s, mats)
-    if not check_equivariance_identity(p, gt):
-        raise PresentationError("equivariance solution failed verification")
-    return gt
-
-
-def superpotential(p):
-    """Weight-8 even element whose cyclic derivatives generate the relations.
-
-    W = -1/4 sum g^{il} g^{jm} [xi,xj][xl,xm]
-        + 1/2 sum G^i_ab za [xi,zb]
-
-    Requires an orthonormal or diagonal metric.
-    """
-    if not p.is_diagonal_metric():
-        raise PresentationError(
-            "superpotential requires an orthonormal or diagonal metric"
-        )
-    A = p.alphabet
-    n, s = p.n, p.s
-    x = [A.gen(f"x{i+1}") for i in range(n)]
-    z = [A.gen(f"z{a+1}") for a in range(s)]
-    W = A.zero()
-    for i in range(n):
-        ei = p.metric_upper(i, i)
-        for j in range(n):
-            ej = p.metric_upper(j, j)
-            br = super_commutator(x[i], x[j])
-            W = W - (br * br).scale(Fraction(ei * ej, 4))
-    for i in range(n):
-        for a in range(s):
-            for b in range(s):
-                c = p.gamma[i][a][b]
-                if c:
-                    W = W + (z[a] * super_commutator(x[i], z[b])).scale(
-                        Fraction(c) / 2
-                    )
-    return W
-
-
-def quartic_form(p):
-    """Fully symmetric tensor sum_{i,j} g_ij (G^i_ab G^j_cd + two pairings).
-
-    Returns (tensor, is_zero).
-    """
-    n, s = p.n, p.s
-    q = [[[[Fraction(0)] * s for _ in range(s)] for _ in range(s)] for _ in range(s)]
-    zero = True
-    for a in range(s):
-        for b in range(s):
-            for c in range(s):
-                for d in range(s):
-                    acc = Fraction(0)
-                    for i in range(n):
-                        for j in range(n):
-                            gij = p.metric_lower(i, j)
-                            if gij:
-                                acc += gij * (
-                                    p.gamma[i][a][b] * p.gamma[j][c][d]
-                                    + p.gamma[i][a][c] * p.gamma[j][b][d]
-                                    + p.gamma[i][a][d] * p.gamma[j][b][c]
-                                )
-                    q[a][b][c][d] = acc
-                    if acc:
-                        zero = False
-    return q, zero
-
-
-def susy_derivations(p, gamma_tilde=None):
-    """Odd degree-1 derivations d_c, c = 1..s:
-
-    d_c(xi) = g_ii sum_d G^i_cd zd
-    d_c(zb) = 1/2 sum Gt^{i,b,d} G^j_dc [xi,xj]
-
-    Requires Gamma-tilde (supplied or derivable) and a diagonal metric.
-    """
-    gt = gamma_tilde or p.gamma_tilde
-    if gt is None:
-        gt = derive_gamma_tilde(p)
-    if not p.is_diagonal_metric():
-        raise PresentationError("susy derivations require a diagonal metric")
-    A = p.alphabet
-    n, s = p.n, p.s
-    x = [A.gen(f"x{i+1}") for i in range(n)]
-    z = [A.gen(f"z{a+1}") for a in range(s)]
-    out = []
-    for c in range(s):
-        images = {}
-        for i in range(n):
-            img = A.zero()
-            for d in range(s):
-                coef = p.metric_lower(i, i) * p.gamma[i][c][d]
-                if coef:
-                    img = img + z[d].scale(coef)
-            images[f"x{i+1}"] = img
-        for b in range(s):
-            img = A.zero()
-            for d in range(s):
-                for i in range(n):
-                    for j in range(n):
-                        coef = gt[i][b][d] * p.gamma[j][d][c]
-                        if coef:
-                            img = img + super_commutator(x[i], x[j]).scale(
-                                Fraction(coef) / 2
-                            )
-            images[f"z{b+1}"] = img
-        out.append(Derivation(A, images, ODD))
-    return out
 
 
 def ym_denominator(n, s):
@@ -662,91 +451,8 @@ def normalize(p):
 def omega_check(p):
     """sum_i [xi, r0_i] + sum_a [za, r1_a] == 0 in the tensor algebra."""
     r0, r1 = build_relations(p)
-    acc = p.alphabet.zero()
-    for i in range(p.n):
-        acc = acc + super_commutator(p.alphabet.gen(f"x{i+1}"), r0[i])
-    for a in range(p.s):
-        acc = acc + super_commutator(p.alphabet.gen(f"z{a+1}"), r1[a])
-    return acc.is_zero()
-
-
-# -- the semidirect description
-
-
-def semidirect_alphabet(n, s):
-    """Generators of the codimension-one ideal complement model: q_i weight 2,
-    p_i weight 4 (even), z'_a weight 3 (odd), i = 2..n."""
-    gens = [(f"q{i}", EVEN, 2) for i in range(2, n + 1)]
-    gens += [(f"p{i}", EVEN, 4) for i in range(2, n + 1)]
-    gens += [(f"w{a}", ODD, 3) for a in range(1, s + 1)]
-    return Alphabet(gens)
-
-
-def semidirect_relation(n, s):
-    """sum_{i>=2} [qi,pi] + 1/2 sum_a [w_a,w_a] as a bracket tree list."""
-    U = semidirect_alphabet(n, s)
-    acc = U.zero()
-    for i in range(2, n + 1):
-        acc = acc + lie_expand((f"q{i}", f"p{i}"), U)
-    for a in range(1, s + 1):
-        acc = acc + lie_expand((f"w{a}", f"w{a}"), U).scale(Fraction(1, 2))
-    return U, acc
-
-
-def semidirect_maps(p):
-    """Generator-image tables of the isomorphism with the semidirect model.
-
-    Returns (psi, psi_inv, d_action) where psi maps x/z names to the model,
-    psi_inv maps model symbols back to bracket trees over x/z, and d_action
-    gives the derivation images of the distinguished even element.
-    Requires a nondegenerate presentation with the orthonormal metric,
-    normalized so that G^1 = id: the d-action is read off the orthonormal
-    relations.
-    """
-    if not p.is_orthonormal():
-        raise PresentationError("semidirect maps require the orthonormal metric")
-    ok, _ = check_nondegenerate(p)
-    if not ok:
-        raise PresentationError("presentation is degenerate")
-    if p.s and not is_identity(p.gamma[0]):
-        raise PresentationError("normalize first: G^1 must be the identity")
-    n, s = p.n, p.s
-    psi = {"x1": "d"}
-    for i in range(2, n + 1):
-        psi[f"x{i}"] = f"q{i}"
-    for a in range(1, s + 1):
-        psi[f"z{a}"] = f"w{a}"
-    psi_inv = {"d": "x1"}
-    for i in range(2, n + 1):
-        psi_inv[f"q{i}"] = f"x{i}"
-        psi_inv[f"p{i}"] = ("x1", f"x{i}")
-    for a in range(1, s + 1):
-        psi_inv[f"w{a}"] = f"z{a}"
-    U = semidirect_alphabet(n, s)
-    d_action = {}
-    for i in range(2, n + 1):
-        d_action[f"q{i}"] = U.gen(f"p{i}")
-    for i in range(2, n + 1):
-        acc = U.zero()
-        for j in range(2, n + 1):
-            acc = acc - lie_expand((f"q{j}", (f"q{j}", f"q{i}")), U)
-        for a in range(1, s + 1):
-            for b in range(1, s + 1):
-                c = p.gamma[i - 1][a - 1][b - 1]
-                if c:
-                    acc = acc + lie_expand((f"w{a}", f"w{b}"), U).scale(
-                        Fraction(c) / 2
-                    )
-        d_action[f"p{i}"] = acc
-    for a in range(1, s + 1):
-        acc = U.zero()
-        for j in range(2, n + 1):
-            for b in range(1, s + 1):
-                c = p.gamma[j - 1][a - 1][b - 1]
-                if c:
-                    acc = acc - lie_expand((f"q{j}", f"w{b}"), U).scale(c)
-        d_action[f"w{a}"] = acc
-    return psi, psi_inv, d_action
+    return lie_sum([(1, (f"x{i+1}", r)) for i, r in enumerate(r0)]
+                   + [(1, (f"z{a+1}", r)) for a, r in enumerate(r1)], p.alphabet).is_zero()
 
 
 def is_identity(m):

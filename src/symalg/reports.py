@@ -8,21 +8,21 @@ PresentationError, SurjectionError or SuperLieError (all InputErrors).
 The functions that read a Lie model take `cache_dir`, the directory of the
 model pickle cache, or None to build the model without it.  Each function
 imports the engines it runs when it is called, so a CLI process compiles
-only the modules of its own command.
+only the modules of its own command.  A check lives in the library, not
+here: `verify_susy` calls `susy.susy_criterion` and `verify_semidirect`
+calls `semidirect.check_semidirect`, and each only builds its dict.
 
     >>> from symalg import preset, reports
     >>> reports.hilbert(preset(3, 1), 6)["lie_dims"]
     [0, 3, 1, 3, 2, 6]
 """
 
-from .linalg import inverse, rank
+from .linalg import rank
 from .presentation import (
-    GammaTilde, PresentationError, build_relations, check_nondegenerate,
-    derive_gamma_tilde, dims_ym, free_gen_series, free_ideal, hilbert_series_YM,
-    omega_check, presentation_sha256, quartic_form, rat_str, semidirect_maps,
-    semidirect_relation, series_valid, superpotential, susy_derivations,
+    build_relations, dims_ym, free_gen_series, free_ideal, hilbert_series_YM,
+    omega_check, presentation_sha256, rat_str, series_valid,
 )
-from .tensor import Derivation, bracket_word_name, cyclic_derivative, lie_expand
+from .tensor import bracket_word_name, lie_expand, lie_sum
 
 
 def _lie_model(p, cutoff, cache_dir):
@@ -96,13 +96,9 @@ def basis(p, l, check_reference_basis=False, cache_dir=None):
             ok = count == model.total_dim() == EXPECTED_CUMULATIVE_31[l]
             report["reference_count"] = count
             if l >= 7:
-                ident_ok = True
-                for lhs, rhs in DEPENDENCY_IDENTITIES_31:
-                    acc = lie_expand(lhs, p.alphabet)
-                    for coeff, tree in rhs:
-                        acc = acc - lie_expand(tree, p.alphabet).scale(coeff)
-                    if not model.contains_ideal(acc):
-                        ident_ok = False
+                ident_ok = all(model.contains_ideal(
+                    lie_sum([(1, lhs)] + [(-c, tree) for c, tree in rhs], p.alphabet))
+                    for lhs, rhs in DEPENDENCY_IDENTITIES_31)
                 report["dependency_identities_ok"] = ident_ok
                 ok = ok and ident_ok
         report["reference_basis_ok"] = ok
@@ -154,29 +150,13 @@ def verify_resolution(p, max_weight):
 
 
 def verify_susy(p):
-    """The supersymmetry criterion: the derivations preserve the ideal iff
-    the quartic form vanishes."""
-    from .assoc import AssocModel
+    """The supersymmetry criterion (`susy.susy_criterion`): the derivations
+    preserve the ideal iff the quartic form vanishes."""
+    from .susy import susy_criterion
 
     report = _verify("susy", p)
-    _, qzero = quartic_form(p)
+    qzero, all_in = susy_criterion(p)
     report["quartic_zero"] = qzero
-    try:
-        gt = derive_gamma_tilde(p)
-    except PresentationError:
-        gt = _companion_fallback(p)
-    ders = susy_derivations(p, gt)
-    W = superpotential(p)
-    r0, r1 = build_relations(p)
-    model = AssocModel(p.alphabet, r0 + r1, max_weight=9)
-    names = [f"x{i+1}" for i in range(p.n)] + [f"z{a+1}" for a in range(p.s)]
-    all_in = True
-    for d in ders:
-        dW = d(W)
-        for name in names:
-            cd = cyclic_derivative(dW, name)
-            if not model.contains(cd):
-                all_in = False
     report["derivatives_in_ideal"] = all_in
     report["criterion"] = "ideal preserved iff quartic form vanishes"
     report["ok"] = all_in == qzero
@@ -190,43 +170,22 @@ def verify_susy(p):
     return report
 
 
-def _companion_fallback(p):
-    """Blockwise inverse companion tensor for susy probing when the
-    equivariance system is inconsistent."""
-    mats = []
-    for i in range(p.n):
-        inv = inverse(p.gamma[i])
-        mats.append(inv if inv is not None else [[0] * p.s for _ in range(p.s)])
-    return GammaTilde(p.n, p.s, mats)
-
-
 def verify_semidirect(p):
-    """The isomorphism with the semidirect model: the generator round trip
-    and the derivation preserving the defining relation."""
-    report = _verify("semidirect", p)
-    ok, _ = check_nondegenerate(p)
-    report["nondegenerate"] = ok
-    if ok:
-        psi, psi_inv, d_action = semidirect_maps(p)
-        report["psi"] = {k: bracket_word_name(v) for k, v in psi.items()}
-        report["psi_inv"] = {k: bracket_word_name(v) for k, v in psi_inv.items()}
-        # round trip on generators
-        round_ok = all(
-            psi_inv[psi[name]] == name
-            for name in psi
-            if isinstance(psi[name], str) and isinstance(psi_inv[psi[name]], str)
-        )
-        # d maps the defining relation into the relation ideal
-        from .engine import LieModel
+    """The isomorphism with the semidirect model
+    (`semidirect.check_semidirect`): the generator round trip and the
+    derivation preserving the defining relation."""
+    from .semidirect import check_semidirect
 
-        U, rho = semidirect_relation(p.n, p.s)
-        D = Derivation(U, d_action, 0)
-        dmodel = LieModel(U, [rho], cutoff=9)
-        report["relation_preserved"] = dmodel.contains_ideal(D(rho))
-        report["round_trip"] = round_ok
-        report["ok"] = round_ok and report["relation_preserved"]
-    else:
+    report = _verify("semidirect", p)
+    got = check_semidirect(p)
+    report["nondegenerate"] = got is not None
+    if got is None:
         report["ok"] = False
+        return report
+    psi, psi_inv, report["round_trip"], report["relation_preserved"] = got
+    report["psi"] = {k: bracket_word_name(v) for k, v in psi.items()}
+    report["psi_inv"] = {k: bracket_word_name(v) for k, v in psi_inv.items()}
+    report["ok"] = report["round_trip"] and report["relation_preserved"]
     return report
 
 

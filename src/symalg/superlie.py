@@ -103,8 +103,10 @@ class FinDimSuperLieAlgebra:
     # -- bracket evaluation
 
     def bracket(self, i, j):
+        """[e_i, e_j] as {k: coeff}.  For i <= j it is the stored entry of
+        `table` itself, not a copy: read it, never change it."""
         if i <= j:
-            return dict(self.table.get((i, j), {}))
+            return self.table.get((i, j), {})
         sign = -1 if not (self.parities[i] and self.parities[j]) else 1
         # [ei,ej] = -(-1)^(pi pj) [ej,ei]: even*odd or even*even -> -1, odd*odd -> +1
         return {k: sign * c for k, c in self.table.get((j, i), {}).items()}
@@ -396,7 +398,12 @@ def vergne_polarization(g, f):
                 addmul(vec, c, chain[j])
             if extend(span, vec):
                 basis.append(vec)
-    w = weight_of(g, f)
+    # the chain is a homogeneous basis of g, so B's blocks over the even
+    # and the odd chain vectors have the ranks of B_f on g_0 and g_1
+    parity = [g.parities[next(iter(v))] for v in chain]
+    w = kirillov_weight(lambda a, b: gram[a].get(b, 0),
+                        [u for u, q in enumerate(parity) if not q],
+                        [u for u, q in enumerate(parity) if q])
     m0 = len(g.even_indices())
     m1 = len(g.odd_indices())
     target_even = m0 - w.weyl

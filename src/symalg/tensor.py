@@ -16,7 +16,7 @@ parities p, q costs (-1)**(p*q).
 
 from fractions import Fraction
 
-from .linalg import addmul
+from .linalg import addmul, ratio
 
 EVEN = 0
 ODD = 1
@@ -238,6 +238,16 @@ def lie_expand(expr, alphabet):
     raise ValueError(f"malformed bracket tree {expr!r}")
 
 
+def lie_sum(terms, alphabet):
+    """The tensor element sum c * lie_expand(tree) over the (coefficient,
+    bracket tree) pairs `terms`, its values under the scalar convention of
+    `linalg.ratio` (int where integral)."""
+    out = {}
+    for c, tree in terms:
+        addmul(out, c, lie_expand(tree, alphabet).terms)
+    return Poly(alphabet, {u: ratio(*c.as_integer_ratio()) for u, c in out.items()})
+
+
 def bracket_word_name(expr):
     if isinstance(expr, str):
         return expr
@@ -305,18 +315,20 @@ class Derivation:
         self.weight_step = step
 
     def __call__(self, p):
-        alph = self.alphabet
-        par = alph.parities
-        out = alph.zero()
+        par = self.alphabet.parities
+        out = {}
         for u, c in p.terms.items():
             left_par = 0
             for i, letter in enumerate(u):
-                img = self.images[letter]
-                if img:
-                    sign = -1 if (self.parity and left_par) else 1
-                    head = Poly(alph, {u[:i]: Fraction(sign) * c})
-                    tail = Poly(alph, {u[i + 1 :]: Fraction(1)})
-                    out = out + head * img * tail
+                head, tail = u[:i], u[i + 1:]
+                a = -c if self.parity and left_par else c
+                for v, d in self.images[letter].terms.items():
+                    w = head + v + tail
+                    x = out.get(w, 0) + a * d
+                    if x:
+                        out[w] = x
+                    else:
+                        out.pop(w, None)
                 left_par = (left_par + par[letter]) & 1
-        return out
+        return Poly(self.alphabet, out)
 

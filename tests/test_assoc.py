@@ -7,13 +7,8 @@ import pytest
 from tensor_oracle import words_of_weight
 
 from symalg.assoc import AssocModel
-from symalg.presentation import (
-    build_relations,
-    hilbert_series_YM,
-    quartic_form,
-    superpotential,
-    susy_derivations,
-)
+from symalg.presentation import build_relations, hilbert_series_YM
+from symalg.susy import quartic_form, superpotential, susy_derivations
 from symalg.tensor import ODD, Alphabet, Poly, cyclic_derivative
 
 

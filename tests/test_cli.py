@@ -328,15 +328,16 @@ def test_bad_presentation_file_exits_2(capsys, tmp_path, content, message):
 def test_program_errors_are_not_verification_failures(monkeypatch, capsys, tmp_path):
     # only the library's own errors select the susy fallback or the
     # polarization error report; anything else is a bug and propagates.
-    # Each function is patched where `reports` looks it up: it imports
-    # `superlie` inside the report function
-    import symalg.reports
+    # Each function is patched where its caller looks it up: `susy` for
+    # the fallback, and `superlie`, which `reports` imports inside the
+    # report function
     import symalg.superlie
+    import symalg.susy
 
     def bug(*args):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(symalg.reports, "derive_gamma_tilde", bug)
+    monkeypatch.setattr(symalg.susy, "derive_gamma_tilde", bug)
     monkeypatch.setattr(symalg.superlie, "vergne_polarization", bug)
     with pytest.raises(RuntimeError):
         run_cli(capsys, tmp_path, "--no-cache", "verify", "susy", "--preset", "2,1")
@@ -804,7 +805,10 @@ CLI_MODULES = {"cli", "cache", "reports", "presentation", "linalg", "series", "t
     (["freegens", "--preset", "3,1", "--max", "5"], {"engine", "freegens"}),
     (["--no-cache", "dixmier", "surject", "--preset", "3,1", "--l", "13"],
      {"engine", "superlie", "surjection"}),
-], ids=["verify-resolution", "freegens", "dixmier-surject"])
+    (["--no-cache", "verify", "susy", "--preset", "3,1"], {"assoc", "susy"}),
+    (["--no-cache", "verify", "semidirect", "--preset", "3,1"], {"engine", "semidirect"}),
+], ids=["verify-resolution", "freegens", "dixmier-surject", "verify-susy",
+        "verify-semidirect"])
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
     argv = ["--cache-dir", str(tmp_path / "cache"), *argv]
     loaded = _fresh_modules(f"import symalg.cli\nassert symalg.cli.main({argv!r}) == 0")

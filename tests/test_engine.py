@@ -28,13 +28,13 @@ from symalg.presentation import (
     free_gen_series,
     free_ideal,
     preset,
-    semidirect_relation,
 )
 from symalg.refdata import (
     DEPENDENCY_IDENTITIES_31,
     EXPECTED_CUMULATIVE_31,
     reference_basis_trees,
 )
+from symalg.semidirect import semidirect_relation
 from symalg.tensor import Alphabet, lie_expand, super_commutator
 
 
@@ -721,7 +721,7 @@ def test_basis_report_shape(model31):
 
 def test_heis_relation_model():
     # the quotient defining the 2r+t+1 dimensional Heisenberg algebra
-    from symalg.presentation import semidirect_relation
+    from symalg.semidirect import semidirect_relation
 
     U, rho = semidirect_relation(3, 1)  # q2,q3,p2,p3,w1 with one relation
     m = LieModel(U, [rho], cutoff=5)

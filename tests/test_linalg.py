@@ -31,12 +31,8 @@ from symalg.linalg import (
     rref,
     span,
 )
-from symalg.presentation import (
-    PresentationError,
-    SymPresentation,
-    check_nondegenerate,
-    derive_gamma_tilde,
-)
+from symalg.presentation import PresentationError, SymPresentation, check_nondegenerate
+from symalg.susy import derive_gamma_tilde
 
 ENTRIES = st.one_of(
     st.integers(-3, 3),

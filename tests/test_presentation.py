@@ -10,19 +10,20 @@ from symalg.presentation import (
     PresentationError,
     SymPresentation,
     build_relations,
-    check_equivariance_identity,
     check_nondegenerate,
-    derive_gamma_tilde,
     dims_ym,
     free_gen_series,
     hilbert_series_YM,
     preset,
+    ym_denominator,
+)
+from symalg.semidirect import semidirect_maps, semidirect_relation
+from symalg.susy import (
+    check_equivariance_identity,
+    derive_gamma_tilde,
     quartic_form,
-    semidirect_maps,
-    semidirect_relation,
     superpotential,
     susy_derivations,
-    ym_denominator,
 )
 from symalg.series import enveloping_series
 from symalg.tensor import Derivation, cyclic_derivative, lie_expand, super_commutator
@@ -82,6 +83,95 @@ def test_relations_explicit_metric():
     )
     # g^{jj} g^{11} weights: j=1 term vanishes, j=2,3 get (-1)(+1)
     assert r0[0] == want + lie_expand(("x1", ("x1", "x1")), A)
+
+
+def _relations_oracle(p):
+    """The relations as the loop of `build_relations` before `lie_sum`
+    summed them: one Poly sum per bracket, values restored to the scalar
+    convention of `linalg.ratio` at the end."""
+    from symalg.linalg import ratio
+    from symalg.tensor import Poly
+
+    A = p.alphabet
+    n, s = p.n, p.s
+    x = [A.gen(f"x{i+1}") for i in range(n)]
+    z = [A.gen(f"z{a+1}") for a in range(s)]
+    r0 = []
+    for i in range(n):
+        acc = A.zero()
+        for j in range(n):
+            for l in range(n):
+                gjl = p.metric_upper(j, l)
+                if not gjl:
+                    continue
+                for m in range(n):
+                    gim = p.metric_upper(i, m)
+                    if gim:
+                        acc = acc + super_commutator(
+                            x[j], super_commutator(x[l], x[m])
+                        ).scale(gjl * gim)
+        for a in range(s):
+            for b in range(s):
+                c = p.gamma[i][a][b]
+                if c:
+                    acc = acc - super_commutator(z[a], z[b]).scale(Fraction(c) / 2)
+        r0.append(acc)
+    r1 = []
+    for a in range(s):
+        acc = A.zero()
+        for i in range(n):
+            for b in range(s):
+                c = p.gamma[i][a][b]
+                if c:
+                    acc = acc + super_commutator(x[i], z[b]).scale(c)
+        r1.append(acc)
+    return [Poly(A, {u: ratio(c.numerator, c.denominator) for u, c in r.terms.items()})
+            for r in r0 + r1]
+
+
+def _random_rational_presentation(seed):
+    """(n, s) in 1..4 x 0..3, Gamma with entries p/q (|p| <= 3, q <= 3),
+    and every third draw a random symmetric invertible metric."""
+    rng = random.Random(seed)
+    n, s = rng.randint(1, 4), rng.randint(0, 3)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    gamma = [[[entry() for _ in range(s)] for _ in range(s)] for _ in range(n)]
+    for m in gamma:
+        for a in range(s):
+            for b in range(a):
+                m[a][b] = m[b][a]
+    while True:
+        metric = "orthonormal"
+        if seed % 3 == 0:
+            metric = [[entry() for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    metric[i][j] = metric[j][i]
+        try:
+            return SymPresentation(n, s, gamma, metric)
+        except PresentationError:
+            continue
+
+
+@pytest.mark.parametrize("case", ["31", "22", "13", "41", "minkowski32",
+                                  *(f"random-{k}" for k in range(30))])
+def test_relations_match_the_bracket_loop(case, request):
+    # equal terms in the same order, with the same value types (int where
+    # integral, Fraction otherwise)
+    if case == "minkowski32":
+        p = request.getfixturevalue("minkowski32")
+    elif case.startswith("random-"):
+        p = _random_rational_presentation(int(case[7:]))
+    else:
+        p = preset(int(case[0]), int(case[1]))
+    r0, r1 = build_relations(p)
+    got = [list(r.terms.items()) for r in r0 + r1]
+    want = [list(r.terms.items()) for r in _relations_oracle(p)]
+    assert got == want
+    assert [[type(c) for _, c in r] for r in got] == [[type(c) for _, c in r] for r in want]
 
 
 def test_singular_metric_rejected():

@@ -33,6 +33,26 @@ def ymodel(n, s, cutoff):
     return LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
 
 
+def test_readers_leave_the_structure_constants_unchanged():
+    # `bracket` hands out the stored entries themselves; on the (3,1)
+    # cutoff-8 truncation with its top-weight functional (the golden inputs)
+    import copy
+    import json
+    from pathlib import Path
+
+    from symalg.homology import ce_homology
+    from symalg.superlie import functional_from_json
+
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    g = FinDimSuperLieAlgebra.from_json(json.loads((inputs / "ym31-l8.json").read_text()))
+    f = functional_from_json(g, json.loads((inputs / "ym31-l8-top.json").read_text()))
+    table = copy.deepcopy(g.table)
+    g.check_jacobi()
+    assert vergne_polarization(g, f)
+    assert ce_homology(g, 2, weight_max=10)
+    assert g.table == table
+
+
 def test_validate_examples():
     assert heis(1, 1).validate()["nilpotency_class"] == 2
     ab = FinDimSuperLieAlgebra(["x", "y"], [0, 0], {}, [2, 2])

@@ -2,6 +2,7 @@
 derivations, Koszul sign coherence."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from tensor_oracle import random_poly, words_of_weight
@@ -11,6 +12,7 @@ from symalg.tensor import (
     Derivation,
     cyclic_derivative,
     lie_expand,
+    lie_sum,
     super_commutator,
     sym_alphabet,
 )
@@ -114,6 +116,19 @@ def test_cyclic_derivative_rotation_invariance(A):
             lhs = cyclic_derivative(u * v, g)
             rhs = cyclic_derivative((v * u).scale(sign), g)
             assert lhs == rhs, g
+
+
+def test_lie_sum_values_follow_the_ratio_convention(A):
+    got = lie_sum([(Fraction(1, 2), ("z1", "z1")), (Fraction(1, 2), ("z1", "z1")),
+                   (Fraction(2, 3), ("x1", "x2")), (1, ("x2", "x1")),
+                   (0, ("x3", "z1"))], A)
+    want = (lie_expand(("z1", "z1"), A)
+            + lie_expand(("x1", "x2"), A).scale(Fraction(-1, 3)))
+    assert got == want
+    z1, x1, x2 = (A.index(g) for g in ("z1", "x1", "x2"))
+    assert type(got.terms[(z1, z1)]) is int
+    assert type(got.terms[(x1, x2)]) is Fraction
+    assert lie_sum([(1, ("x1", "x2")), (1, ("x2", "x1"))], A).is_zero()
 
 
 def test_derivation_euler(A):
