@@ -341,29 +341,22 @@ class LieModel:
         (i, j) -> {k: value} over flat basis positions, i <= j, each value
         an int if integral and a Fraction otherwise.
         """
-        offs = {}
-        weights = []
-        for w in self.weights():
-            offs[w] = len(weights)
-            weights += [w] * self.dim(w)
-        labels = [r.name for w in self.weights() for r in self.reps[w]]
+        flat = [(w, i) for w in self.weights() for i in range(self.dim(w))]
+        weights = [w for w, _ in flat]
+        offs = {w: weights.index(w) for w in set(weights)}
+        labels = [self.reps[w][i].name for w, i in flat]
         parities = [w & 1 for w in weights]
         brackets = {}
-        for wu in self.weights():
-            for wv in self.weights():
+        # flat is in weight order, so a row ends at its first partner
+        # above max_weight
+        for fi, (wu, i) in enumerate(flat):
+            for fj in range(fi, len(flat)):
+                wv, j = flat[fj]
                 if wu + wv > self.max_weight:
-                    continue
-                for i, _ in enumerate(self.reps[wu]):
-                    for j, _ in enumerate(self.reps[wv]):
-                        fi = offs[wu] + i
-                        fj = offs[wv] + j
-                        if fi > fj:
-                            continue
-                        coords = self.struct(wu, i, wv, j)
-                        if coords:
-                            brackets[(fi, fj)] = {
-                                offs[wu + wv] + k: c for k, c in coords.items()
-                            }
+                    break
+                coords = self.struct(wu, i, wv, j)
+                if coords:
+                    brackets[(fi, fj)] = {offs[wu + wv] + k: c for k, c in coords.items()}
         return labels, parities, weights, brackets
 
 

@@ -17,7 +17,6 @@ ranked weight block by weight block.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 
 from .linalg import addmul, rank
 
@@ -33,22 +32,22 @@ def wedge_basis(g, k, weight_max=None):
         w, weight_max = [0] * g.dim, 0
     else:
         w = g.weights
-    least_odd = min((w[i] for i in od), default=0)
+    least_even, least_odd = (min((w[i] for i in part), default=0) for part in (ev, od))
     out = []
     for ne in range(min(k, len(ev)), -1, -1):
         no = k - ne
-        for esub in _combinations(ev, ne, w, weight_max - no * least_odd, False):
+        for esub in _combinations(ev, ne, w, least_even, weight_max - no * least_odd, False):
             rest = weight_max - sum(w[i] for i in esub)
-            out += [(esub, osub) for osub in _combinations(od, no, w, rest, True)]
+            out += [(esub, osub) for osub in _combinations(od, no, w, least_odd, rest, True)]
     return out
 
 
-def _combinations(items, r, weights, budget, repeat):
+def _combinations(items, r, weights, least, budget, repeat):
     """The r-combinations of `items` (with repetition if `repeat`) of total
-    weight <= budget, in `itertools` order.  An item is skipped once the
-    partial weight, its own and (r - 1) times the least weight exceed the
-    budget, a lower bound on every completion whatever the signs."""
-    least = min((weights[i] for i in items), default=0)
+    weight <= budget, in `itertools` order, where `least` is the least
+    weight of an item.  An item is skipped once the partial weight, its
+    own and (r - 1) times `least` exceed the budget, a lower bound on every
+    completion whatever the signs."""
     out = []
     prefix = []
 
@@ -93,7 +92,8 @@ def _insert(g, y, wedge, coeff):
 
 
 def ce_differential(g, wedge):
-    """d of a basis wedge, as {basis wedge -> Fraction}."""
+    """d of a basis wedge, as {basis wedge -> coefficient}: each stored
+    structure constant times +-1, so integral constants give ints."""
     esub, osub = wedge
     ys = tuple(esub) + tuple(osub)
     ne, k = len(esub), len(ys)
@@ -117,11 +117,11 @@ def ce_differential(g, wedge):
             rest = ys[:i] + ys[i + 1:j] + ys[j + 1:]
             m = ne - (i < ne) - (j < ne)
             for tgt, c in br.items():
-                got = _insert(g, tgt, (rest[:m], rest[m:]), Fraction(sign) * c)
+                got = _insert(g, tgt, (rest[:m], rest[m:]), sign * c)
                 if got is None:
                     continue
                 key, coeff = got
-                val = out.get(key, Fraction(0)) + coeff
+                val = out.get(key, 0) + coeff
                 if val:
                     out[key] = val
                 else:

@@ -114,11 +114,10 @@ def add_scaled(acc, a, vec, d=1):
     addmul(out, a, v)
 
 
-def primitive(acc, d=1):
-    """The vector (den, {key: int}) of an accumulator divided by d, with
+def primitive(acc):
+    """The vector (den, {key: int}) of an accumulator, with
     gcd(den, entries) = 1."""
     den, out = acc
-    den *= d
     g = vec_gcd(out.values(), den)
     if g > 1:
         return den // g, {k: x // g for k, x in out.items()}

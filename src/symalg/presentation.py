@@ -40,6 +40,7 @@ invertible matrix.
 
 import json
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from .linalg import inverse, rank
@@ -286,19 +287,10 @@ def check_nondegenerate(p):
         lam = [Fraction(int(j == i)) for j in range(p.n)]
         if full_rank_at(lam):
             return True, lam
-    grid = [Fraction(v) for v in range(p.s)]
-
-    def find(prefix):
-        if len(prefix) == p.n:
-            return list(prefix) if full_rank_at(prefix) else None
-        for v in grid:
-            got = find(prefix + [v])
-            if got:
-                return got
-        return None
-
-    witness = find([])
-    return (True, witness) if witness else (False, None)
+    for lam in product([Fraction(v) for v in range(p.s)], repeat=p.n):
+        if full_rank_at(lam):
+            return True, list(lam)
+    return False, None
 
 
 def ym_denominator(n, s):

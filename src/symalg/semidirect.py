@@ -15,8 +15,8 @@ The action of d is read off the relations r0_i and r1_a:
     d(w_a) = -sum_{j>=2, b} G^j_ab [q_j, w_b]
 
 Each of rho and the images of d is one `tensor.lie_sum`.
-`check_semidirect` checks the isomorphism: the generator maps invert each
-other, and d maps rho into the ideal it generates.
+`check_semidirect` checks the isomorphism: the generator maps compose to
+the identity both ways, and d maps rho into the ideal it generates.
 """
 
 from fractions import Fraction
@@ -83,13 +83,21 @@ def semidirect_maps(p):
 def check_semidirect(p):
     """(psi, psi_inv, round_trip, relation_preserved) for the maps of
     `semidirect_maps`, or None for a degenerate presentation, which has no
-    semidirect model.  round_trip says that psi_inv inverts psi on the
-    generators; relation_preserved that d maps rho into the ideal it
+    semidirect model.  round_trip says that the two maps compose to the
+    identity both ways on the generators, psi taking a pair ("x1", t) to
+    d(psi(t)); relation_preserved that d maps rho into the ideal it
     generates, in the Lie model of the relation at cutoff 9."""
     if not check_nondegenerate(p)[0]:
         return None
     psi, psi_inv, d_action = semidirect_maps(p)
     U, rho = semidirect_relation(p.n, p.s)
+    d = Derivation(U, d_action, EVEN)
+
+    def image(t):
+        return psi[t] if isinstance(t, str) else d(U.gen(image(t[1])))
+
+    round_trip = (all(psi_inv[v] == k for k, v in psi.items())
+                  and all(image(t) == (u if isinstance(t, str) else U.gen(u))
+                          for u, t in psi_inv.items()))
     model = LieModel(U, [rho], cutoff=9)
-    return (psi, psi_inv, all(psi_inv[v] == k for k, v in psi.items()),
-            model.contains_ideal(Derivation(U, d_action, EVEN)(rho)))
+    return psi, psi_inv, round_trip, model.contains_ideal(d(rho))

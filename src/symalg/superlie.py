@@ -114,11 +114,8 @@ class FinDimSuperLieAlgebra:
     def bracket_vec(self, u, v):
         out = {}
         for i, a in u.items():
-            if not a:
-                continue
             for j, b in v.items():
-                if b:
-                    addmul(out, a * b, self.bracket(i, j))
+                addmul(out, a * b, self.bracket(i, j))
         return out
 
     def even_indices(self):
@@ -161,12 +158,12 @@ class FinDimSuperLieAlgebra:
         """Check the super Jacobi identity and nilpotency; returns a report
         dict including the class."""
         self.check_jacobi()
-        nclass = self.nilpotency_class()
-        if nclass is None:
+        series = self.lower_central_series()
+        if series is None:
             raise SuperLieError("algebra is not nilpotent")
         return {"dim_even": len(self.even_indices()),
                 "dim_odd": len(self.odd_indices()),
-                "nilpotency_class": nclass}
+                "nilpotency_class": len(series) - 1}
 
     def lower_central_series(self):
         """Independent spanning sets of C^1 = g, C^2 = [g,g], ... ending with
@@ -175,7 +172,6 @@ class FinDimSuperLieAlgebra:
         full = [{i: 1} for i in range(self.dim)]
         series = [full]
         current = full
-        current_rank = self.dim
         while True:
             nxt = []
             seen = Echelon()
@@ -187,16 +183,9 @@ class FinDimSuperLieAlgebra:
             series.append(nxt)
             if not nxt:
                 return series
-            if len(nxt) == current_rank:
+            if len(nxt) == len(current):
                 return None  # C^(k+1) = C^k nonzero: not nilpotent
             current = nxt
-            current_rank = len(nxt)
-
-    def nilpotency_class(self):
-        series = self.lower_central_series()
-        if series is None:
-            return None
-        return len(series) - 1
 
     # -- serialization
 
@@ -421,7 +410,7 @@ def vergne_polarization(g, f):
         raise FieldExtensionRequired(
             f"even isotropic dimension {got_even} misses the target {target_even}"
         )
-    if got_odd < m1 - w.clifford or got_odd < bound_odd:
+    if got_odd < bound_odd:
         raise FieldExtensionRequired(
             f"odd isotropic dimension {got_odd} below the closed-field "
             f"bound {bound_odd}"
@@ -443,39 +432,14 @@ def heis(r, t):
     Weights: q 2, p 4, z 6; a, b, c 3."""
     if r < 0 or t < 0:
         raise SuperLieError("need r, t >= 0")
-    names, parities, weights = [], [], []
-    for i in range(1, r + 1):
-        names.append(f"q{i}")
-        parities.append(0)
-        weights.append(2)
-    for i in range(1, r + 1):
-        names.append(f"p{i}")
-        parities.append(0)
-        weights.append(4)
-    names.append("z")
-    parities.append(0)
-    weights.append(6)
-    tprime = t // 2
-    for i in range(1, tprime + 1):
-        names.append(f"a{i}")
-        parities.append(1)
-        weights.append(3)
-    for i in range(1, tprime + 1):
-        names.append(f"b{i}")
-        parities.append(1)
-        weights.append(3)
-    if t % 2:
-        names.append("c")
-        parities.append(1)
-        weights.append(3)
-    z = names.index("z")
-    # q_i precedes p_i and a_i precedes b_i, so each pair is stored as named
-    brackets = {}
-    for i in range(1, r + 1):
-        brackets[(names.index(f"q{i}"), names.index(f"p{i}"))] = {z: 1}
-    for i in range(1, tprime + 1):
-        brackets[(names.index(f"a{i}"), names.index(f"b{i}"))] = {z: 1}
-    if t % 2:
-        c = names.index("c")
-        brackets[(c, c)] = {z: 1}
-    return FinDimSuperLieAlgebra(names, parities, brackets, weights)
+    h = t // 2
+    rows = ([(f"q{i}", 0, 2) for i in range(1, r + 1)]
+            + [(f"p{i}", 0, 4) for i in range(1, r + 1)] + [("z", 0, 6)]
+            + [(f"a{i}", 1, 3) for i in range(1, h + 1)]
+            + [(f"b{i}", 1, 3) for i in range(1, h + 1)] + [("c", 1, 3)] * (t % 2))
+    names, parities, weights = zip(*rows)
+    z = 2 * r
+    # q_i and p_i sit r apart, a_i and b_i sit h apart, and c pairs with itself
+    pairs = ([(i, i + r) for i in range(r)] + [(k, k + h) for k in range(z + 1, z + 1 + h)]
+             + [(z + 1 + 2 * h,) * 2] * (t % 2))
+    return FinDimSuperLieAlgebra(names, parities, {ij: {z: 1} for ij in pairs}, weights)

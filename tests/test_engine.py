@@ -172,6 +172,50 @@ def test_export_struct_small():
     assert len(m1.export_struct()[0]) == 3
 
 
+def _export_struct_by_weight_pairs(m):
+    """export_struct as four nested loops over the pairs of weights and of
+    their representatives, skipping the pairs with fi > fj: the oracle for
+    the walk over flat positions."""
+    offs = {}
+    weights = []
+    for w in m.weights():
+        offs[w] = len(weights)
+        weights += [w] * m.dim(w)
+    labels = [r.name for w in m.weights() for r in m.reps[w]]
+    parities = [w & 1 for w in weights]
+    brackets = {}
+    for wu in m.weights():
+        for wv in m.weights():
+            if wu + wv > m.max_weight:
+                continue
+            for i, _ in enumerate(m.reps[wu]):
+                for j, _ in enumerate(m.reps[wv]):
+                    fi = offs[wu] + i
+                    fj = offs[wv] + j
+                    if fi > fj:
+                        continue
+                    coords = m.struct(wu, i, wv, j)
+                    if coords:
+                        brackets[(fi, fj)] = {offs[wu + wv] + k: c for k, c in coords.items()}
+    return labels, parities, weights, brackets
+
+
+@pytest.mark.parametrize("case", ["31", "22", "41", "13", "33-generic-7"])
+def test_export_struct_equals_the_weight_pair_loops(case):
+    p, cutoff = {
+        "31": (preset(3, 1), 13),
+        "22": (preset(2, 2), 13),
+        "41": (preset(4, 1), 11),
+        "13": (preset(1, 3), 13),
+        "33-generic-7": (_generic(3, 3, 7), 11),
+    }[case]
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
+    got = m.export_struct()
+    assert got == _export_struct_by_weight_pairs(m)
+    assert got[3]
+
+
 def test_tym_hat_generator_series(model31):
     got = tym_hat_generators(model31, 3, max_weight=10).counts()
     assert [got[w] for w in range(2, 11)] == [1, 1, 3, 1, 2, 1, 2, 1, 2]

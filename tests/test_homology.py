@@ -1,7 +1,9 @@
 """Chevalley-Eilenberg homology with trivial coefficients."""
 
+import json
 import random
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from basis_change import scramble
@@ -9,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symalg.engine import LieModel
-from symalg.homology import _insert, ce_check_d_squared, ce_homology, wedge_basis
+from symalg.homology import (
+    _insert,
+    ce_check_d_squared,
+    ce_differential,
+    ce_homology,
+    wedge_basis,
+)
 from symalg.presentation import build_relations, preset
 from symalg.superlie import FinDimSuperLieAlgebra, SuperLieError, heis
 
@@ -40,6 +48,27 @@ def test_heisenberg_h1():
     g = heis(1, 0)  # q, p, z with [q,p] = z
     H = ce_homology(g, 2)
     assert H[0] == 1 and H[1] == 2
+
+
+def test_truncated_31_homology_to_degree_four():
+    # below the cutoff, H_k of the (3,1) truncation sits in the weights of
+    # the length-three resolution's terms: 3t^2 + t^3, t^5 + 3t^6, t^8
+    p = preset(3, 1)
+    r0, r1 = build_relations(p)
+    g = FinDimSuperLieAlgebra.from_model(LieModel(p.alphabet, r0 + r1, cutoff=14))
+    assert ce_homology(g, 4, weight_max=14) == {
+        0: {0: 1}, 1: {2: 3, 3: 1}, 2: {5: 1, 6: 3}, 3: {8: 1}, 4: {}}
+
+
+def test_ce_differential_keeps_integral_constants_as_ints():
+    # the (3,1) cutoff-8 truncation stores ints and halves; no half enters
+    # d of a degree-3 wedge of weight <= 8
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "inputs"
+                      / "ym31-l8.json").read_text())
+    g = FinDimSuperLieAlgebra.from_json(doc)
+    values = [c for wedge in wedge_basis(g, 3, 8) for c in ce_differential(g, wedge).values()]
+    assert len(values) == 44
+    assert all(type(c) is int for c in values)
 
 
 def test_d_squared_on_twenty_random_algebras():

@@ -236,18 +236,17 @@ INTVEC = st.tuples(st.integers(1, 6), st.dictionaries(st.integers(0, 5), st.inte
 
 
 @SEEDED
-@given(st.lists(st.tuples(st.integers(-3, 3), INTVEC, st.integers(1, 4)), max_size=5),
-       st.integers(1, 4))
-def test_add_scaled_then_primitive_is_the_fraction_sum(terms, d):
-    # sum (a / d_i) * vec_i, divided by d: add_scaled accumulates it over
-    # one denominator and primitive reduces it to lowest terms
+@given(st.lists(st.tuples(st.integers(-3, 3), INTVEC, st.integers(1, 4)), max_size=5))
+def test_add_scaled_then_primitive_is_the_fraction_sum(terms):
+    # sum (a / d_i) * vec_i: add_scaled accumulates it over one
+    # denominator and primitive reduces it to lowest terms
     acc = [1, {}]
     want = {}
     for a, (vd, v), di in terms:
         add_scaled(acc, a, (vd, v), di)
         addmul(want, Fraction(a, vd * di), v)
-    den, out = primitive(acc, d)
-    assert {k: Fraction(x, den) for k, x in out.items()} == {k: c / d for k, c in want.items()}
+    den, out = primitive(acc)
+    assert {k: Fraction(x, den) for k, x in out.items()} == want
     assert den > 0 and gcd(den, *out.values()) == 1
     assert all(out.values())
 
@@ -437,22 +436,69 @@ def _first_full_rank_point(p, top):
     return None
 
 
+def _nondegenerate_by_recursion(p):
+    """check_nondegenerate's search with the grid walked by a recursion
+    over prefixes: the coordinate directions, then {0..s-1}^n in
+    lexicographic order.  The oracle for the walk by `itertools.product`."""
+    def full_rank_at(lam):
+        m = [[sum(lam[i] * p.gamma[i][a][b] for i in range(p.n)) for b in range(p.s)]
+             for a in range(p.s)]
+        return rank(m) == p.s
+
+    for i in range(p.n):
+        lam = [Fraction(int(j == i)) for j in range(p.n)]
+        if full_rank_at(lam):
+            return True, lam
+    grid = [Fraction(v) for v in range(p.s)]
+
+    def find(prefix):
+        if len(prefix) == p.n:
+            return list(prefix) if full_rank_at(prefix) else None
+        for v in grid:
+            got = find(prefix + [v])
+            if got:
+                return got
+        return None
+
+    witness = find([])
+    return (True, witness) if witness else (False, None)
+
+
+def _singular_gamma(rng, n, s):
+    """n symmetric s x s matrices, each a sum of s - 1 signed rank-one
+    matrices, so no coordinate direction is a witness."""
+    gamma = []
+    for _ in range(n):
+        g = [[0] * s for _ in range(s)]
+        for _ in range(s - 1):
+            v = [rng.randint(-1, 1) for _ in range(s)]
+            sign = rng.choice((-1, 1))
+            g = [[g[a][b] + sign * v[a] * v[b] for b in range(s)] for a in range(s)]
+        gamma.append(g)
+    return gamma
+
+
+def test_grid_walk_equals_the_prefix_recursion():
+    # every witness here is a grid point, as no G^i has full rank
+    rng = random.Random(30)
+    flags = []
+    for _ in range(300):
+        n, s = rng.randint(1, 3), rng.randint(1, 4)
+        p = SymPresentation(n, s, _singular_gamma(rng, n, s))
+        ok, witness = check_nondegenerate(p)
+        assert (ok, witness) == _nondegenerate_by_recursion(p)
+        assert ok is False or all(type(x) is Fraction for x in witness)
+        flags.append(ok)
+    assert flags.count(True) >= 100 and flags.count(False) >= 100
+
+
 def test_grid_witness_equals_the_larger_grids():
-    # each G^i is a sum of s - 1 signed rank-one matrices, so no coordinate
-    # direction is a witness and the grid search decides
+    # no coordinate direction is a witness, so the grid search decides
     rng = random.Random(19)
     witnesses = []
     for _ in range(40):
         n, s = rng.randint(2, 3), rng.randint(2, 3)
-        gamma = []
-        for _ in range(n):
-            g = [[0] * s for _ in range(s)]
-            for _ in range(s - 1):
-                v = [rng.randint(-1, 1) for _ in range(s)]
-                sign = rng.choice((-1, 1))
-                g = [[g[a][b] + sign * v[a] * v[b] for b in range(s)] for a in range(s)]
-            gamma.append(g)
-        p = SymPresentation(n, s, gamma)
+        p = SymPresentation(n, s, _singular_gamma(rng, n, s))
         want = _first_full_rank_point(p, s * n)
         assert check_nondegenerate(p) == (want is not None, want)
         witnesses.append(want)

@@ -345,6 +345,27 @@ def test_semidirect_maps(p31):
     assert model.contains_ideal(D(rho))
 
 
+def test_round_trip_fails_when_a_map_misplaces_a_generator(p31, monkeypatch):
+    from symalg import semidirect
+
+    maps = semidirect.semidirect_maps
+
+    def with_d_q2_as_d_q3(p):
+        psi, psi_inv, d_action = maps(p)
+        d_action["q2"] = d_action["q3"]
+        return psi, psi_inv, d_action
+
+    def with_q2_back_to_x3(p):
+        psi, psi_inv, d_action = maps(p)
+        psi_inv["q2"] = "x3"
+        return psi, psi_inv, d_action
+
+    assert semidirect.check_semidirect(p31)[2] is True
+    for mutant in (with_d_q2_as_d_q3, with_q2_back_to_x3):
+        monkeypatch.setattr(semidirect, "semidirect_maps", mutant)
+        assert semidirect.check_semidirect(p31)[2] is False
+
+
 def test_semidirect_requires_normalized():
     p = SymPresentation(3, 1, [[[2]], [[0]], [[0]]])
     with pytest.raises(PresentationError):

@@ -62,6 +62,14 @@ def test_validate_examples():
     assert report["dim_even"] + report["dim_odd"] == 15
 
 
+def test_validate_rejects_a_non_nilpotent_algebra():
+    # [x, y] = y: C^2 = C^3 = span(y), so the series never reaches 0
+    g = FinDimSuperLieAlgebra(["x", "y"], [0, 0], {(0, 1): {1: 1}})
+    assert g.lower_central_series() is None
+    with pytest.raises(SuperLieError, match="algebra is not nilpotent"):
+        g.validate()
+
+
 def test_validate_rejects_bad_jacobi():
     bad = FinDimSuperLieAlgebra(
         ["x", "y", "z"], [0, 0, 0], {(0, 1): {2: 1}, (0, 2): {1: 1}}, None
@@ -427,6 +435,55 @@ def test_heis_dimensions():
     assert (len(g.even_indices()), len(g.odd_indices())) == (1, 2)
     assert heis(0, 0).dim == 1
     assert heis(0, 0).validate()["nilpotency_class"] == 1
+
+
+def _heis_name_by_name(r, t):
+    """heis's names, parities, weights and table, each name appended in its
+    own loop and each pair looked up by name: the oracle for the table
+    written once."""
+    names, parities, weights = [], [], []
+    for i in range(1, r + 1):
+        names.append(f"q{i}")
+        parities.append(0)
+        weights.append(2)
+    for i in range(1, r + 1):
+        names.append(f"p{i}")
+        parities.append(0)
+        weights.append(4)
+    names.append("z")
+    parities.append(0)
+    weights.append(6)
+    tprime = t // 2
+    for i in range(1, tprime + 1):
+        names.append(f"a{i}")
+        parities.append(1)
+        weights.append(3)
+    for i in range(1, tprime + 1):
+        names.append(f"b{i}")
+        parities.append(1)
+        weights.append(3)
+    if t % 2:
+        names.append("c")
+        parities.append(1)
+        weights.append(3)
+    z = names.index("z")
+    brackets = {}
+    for i in range(1, r + 1):
+        brackets[(names.index(f"q{i}"), names.index(f"p{i}"))] = {z: 1}
+    for i in range(1, tprime + 1):
+        brackets[(names.index(f"a{i}"), names.index(f"b{i}"))] = {z: 1}
+    if t % 2:
+        c = names.index("c")
+        brackets[(c, c)] = {z: 1}
+    return names, parities, weights, list(brackets.items())
+
+
+def test_heis_equals_the_name_by_name_construction():
+    for r in range(5):
+        for t in range(7):
+            g = heis(r, t)
+            got = g.names, g.parities, g.weights, list(g.table.items())
+            assert got == _heis_name_by_name(r, t), (r, t)
 
 
 def test_json_roundtrip():
