@@ -112,10 +112,19 @@ class FinDimSuperLieAlgebra:
         return {k: sign * c for k, c in self.table.get((j, i), {}).items()}
 
     def bracket_vec(self, u, v):
+        """[u, v] for vectors {index: coeff}.  Each pair reads its stored
+        entry table[(min, max)]; for i > j the sign of `bracket` goes into
+        the scalar, so no signed copy of the entry is built."""
         out = {}
+        table, parities = self.table, self.parities
         for i, a in u.items():
             for j, b in v.items():
-                addmul(out, a * b, self.bracket(i, j))
+                entry = table.get((i, j) if i <= j else (j, i))
+                if entry:
+                    ab = a * b
+                    if i > j and not (parities[i] and parities[j]):
+                        ab = -ab
+                    addmul(out, ab, entry)
         return out
 
     def even_indices(self):

@@ -844,3 +844,109 @@ def test_readme_reports_example_runs(tmp_path):
     loaded = _fresh_modules(block, cwd=tmp_path)
     assert "symalg.reports" in loaded
     assert (tmp_path / "models").is_dir()
+
+
+def _cli_process(argv, stdout=subprocess.PIPE):
+    """`python -m symalg.cli argv` on this source tree, as the benchmark
+    and the `symalg` script start it: (exit code, stdout, stderr).  Its
+    stdout is buffered (no PYTHONUNBUFFERED), so what main() wrote reaches
+    the pipe only through run()'s flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "symalg.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    """main(argv) as the test's own call: (exit code, stdout, stderr), with
+    argparse's SystemExit read as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["hilbert", "--preset", "2,1", "--degree", "6"], 0),
+    (["--format", "table", "verify", "omega", "--preset", "2,1"], 0),
+    (["basis", "--preset", "2,1", "--l", "5", "--check-reference-basis"], 1),
+    (["hilbert", "--preset", "3"], 2),
+    (["hilbert", "--preset", "0,0"], 2),
+    (["verify", "omega", "--preset", "2,1", "--max-weight", "5"], 2),
+    (["--help"], 0),
+], ids=["json", "table", "failed-check", "usage-error", "input-error", "argparse-error",
+        "help"])
+def test_process_exits_as_main_returns(monkeypatch, capsys, tmp_path, argv, code):
+    # the hard exit after main() keeps its code and every byte it wrote;
+    # argparse wraps its usage to COLUMNS, so both sides get the same
+    monkeypatch.setenv("COLUMNS", "80")
+    process = _cli_process(["--cache-dir", str(tmp_path / "process"), *argv])
+    in_process = _in_process(capsys, ["--cache-dir", str(tmp_path / "main"), *argv])
+    assert process == in_process
+    # and it wrote its report (or usage), or its error
+    assert process[0] == code and process[1 if code < 2 else 2]
+
+
+def test_process_reports_a_cache_mismatch_with_3(capsys, tmp_path):
+    args = ("hilbert", "--preset", "2,0", "--degree", "4")
+    got = {}
+    for side in ("process", "main"):
+        cdir = tmp_path / side
+        run = _cli_process if side == "process" else (lambda argv: _in_process(capsys, argv))
+        assert run(["--cache-dir", str(cdir), *args])[0] == 0
+        (entry,) = cdir.glob("*.json")
+        entry.write_bytes(b'{"ok": true, "tampered": 1}\n')
+        got[side] = run(["--cache-dir", str(cdir), "--no-cache", *args])
+    assert got["process"] == got["main"] and got["main"][0] == 3
+
+
+def test_hard_exit_leaves_complete_cache_files(monkeypatch, capsys, tmp_path):
+    # a cold run that ends in os._exit has closed and renamed its report
+    # entry and its model pickle: the pickle serves a rebuild-free run and
+    # the entry a second process
+    from symalg import engine
+
+    cache = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache), "basis", "--preset", "3,1", "--l", "5"]
+    code, out, err = _cli_process(argv)
+    assert (code, err) == (0, "")
+    (entry,) = cache.glob("*.json")
+    assert entry.read_bytes() == out.encode()
+    assert [p.name for p in (cache / "models").iterdir()] == [
+        f"{json.loads(out)['presentation_sha256']}-l5.pickle"]
+    entry.unlink()
+
+    def no_build(*args):
+        raise AssertionError("the model was rebuilt, not loaded")
+
+    monkeypatch.setattr(engine.LieModel, "__init__", no_build)
+    assert _in_process(capsys, argv) == (0, out, "")
+    # served from the report entry: no model is read or written
+    for model in (cache / "models").iterdir():
+        model.unlink()
+    assert _cli_process(argv) == (0, out, "")
+    assert not any((cache / "models").iterdir())
+
+
+def test_process_on_a_closed_pipe_fails_as_before(tmp_path):
+    # the report reaches the closed pipe only at run()'s flush: its OSError
+    # falls back to the normal exit, where the interpreter reports the lost
+    # output with 120
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = _cli_process(["--cache-dir", str(tmp_path / "cache"), "hilbert",
+                                     "--preset", "2,1", "--degree", "4"], stdout=write)
+    finally:
+        os.close(write)
+    assert code == 120 and "BrokenPipeError" in err
+
+
+def test_script_entry_point_is_run():
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text[text.index("[project.scripts]\n"):].split("\n\n")[0]
+    assert scripts.splitlines()[1:] == ['symalg = "symalg.cli:run"']

@@ -120,6 +120,38 @@ def test_check_jacobi_matches_every_triple():
     assert 50 < broken < 350
 
 
+def _reference_bracket_vec(g, u, v):
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            addmul(out, a * b, g.bracket(i, j))
+    return out
+
+
+def test_bracket_vec_matches_the_signed_copy_loop():
+    # the sign folded into the scalar gives the loop over signed copies of
+    # the entries: the same dict, in the same key order, for int and
+    # Fraction vectors with indices in random order
+    rng = random.Random(17)
+    algebras = [heis(r, t) for r in range(3) for t in range(4)]
+    algebras += [FinDimSuperLieAlgebra.from_model(ymodel(n, s, cutoff))
+                 for n, s, cutoff in POLARIZATION_TRUNCATIONS]
+
+    def vector(g, exact):
+        keys = rng.sample(range(g.dim), rng.randint(1, min(g.dim, 6)))
+        if exact:
+            return {k: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)) for k in keys}
+        return {k: rng.choice((-2, -1, 1, 3)) for k in keys}
+
+    for g in algebras:
+        for exact in (False, True):
+            for _ in range(60):
+                u, v = vector(g, exact), vector(g, exact)
+                got, want = g.bracket_vec(u, v), _reference_bracket_vec(g, u, v)
+                assert list(got.items()) == list(want.items()), (g.names, u, v)
+                assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
 def test_kirillov_form_blocks():
     # B_f on heis(1, 1) with f = z*: the even block pairs q1 with p1, the
     # odd block is [c, c] = z
