@@ -35,8 +35,8 @@ usual, and so does a run whose flush fails (a closed pipe).
 import argparse
 import hashlib
 import json
+import os
 import sys
-from os import _exit
 
 from . import cache as cachemod
 from . import reports
@@ -281,7 +281,7 @@ def run():
         sys.stderr.flush()
     except OSError:
         raise SystemExit(code)
-    _exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

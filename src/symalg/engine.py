@@ -6,9 +6,9 @@ quotient coordinates, by the nilpotent-quotient step for graded Lie
 algebras (W. A. de Graaf, Lie Algebras: Theory and Algorithms, 2000).
 L_w is spanned by the generators of weight w and the brackets [g, b_j] of
 a generator g with a representative b_j of L_{w-|g|}.  The step takes one
-column per such candidate (the generators, then one symbol g (x) b_j) and
-spans the kernel of the map onto L_w by rows that are already identities
-over L_{<w}:
+column per such candidate (the generators, then one symbol g (x) b_j),
+keys column k by the int -k, and spans the kernel of the map onto L_w by
+rows that are already identities over L_{<w}:
 
 * each relation of weight w, through the Dynkin-Specht-Wever map
   theta(a1...an) = [a1, [a2, ..., an]], for which theta(P) = n P on
@@ -22,8 +22,10 @@ Brackets are evaluated by one recursion, `bracket`,
 
 down to brackets [g, b_k] with a generator; `_theta` takes the same last
 step [a1, theta(a2...an)].  At a built weight [g, b_k] is the column of
-ad_g, and at the weight w being built it is the symbol g (x) b_k, so the
-step's rows and the queries on a built model share one code path.
+ad_g, and at the weight w being built it is the symbol g (x) b_k, held by
+its column key from the start, so the step's rows and the queries on a
+built model share one code path and every vector of the step is over int
+keys.
 Pivoting every row on its last candidate leaves the greedy
 representatives as the non-pivot columns (the first generators and
 bracket monomials independent modulo the ideal), and solving each
@@ -139,19 +141,26 @@ class LieModel:
         """Build L_w from L_{<w}: one nilpotent-quotient step."""
         A = self.alphabet
         cols = [g.name for g in A.generators if g.weight == w]
-        cols += [(g.name, w - g.weight, j) for g in A.generators
-                 for j in range(self.dim(w - g.weight))]
         # column k is keyed -k: Echelon pivots on the smallest key, so every
-        # row pivots on its last candidate
-        key = {c: -k for k, c in enumerate(cols)}
+        # row pivots on its last candidate.  `_cols` gives the key of a
+        # generator column by name, and those of the symbols g (x) b_j at
+        # weight wl as the list _cols[(g, wl)], so every vector of the step
+        # shares its key objects.
+        self._cols = {c: -k for k, c in enumerate(cols)}
+        for g in A.generators:
+            rest = w - g.weight
+            k = len(cols)
+            cols += [(g.name, rest, j) for j in range(self.dim(rest))]
+            self._cols[(g.name, rest)] = list(range(-k, -len(cols), -1))
         ech = Echelon()
         # memo of the brackets of weight w, over the candidate columns
         self._open = {}
 
         def insert(acc):
             # a kernel row's scale does not matter: insert its numerators
+            # (the echelon stores its own reduced copy)
             if acc[1]:
-                ech.insert({key[c]: v for c, v in acc[1].items()})
+                ech.insert(acc[1])
 
         # (a) relations, through theta
         for parts in relations:
@@ -161,8 +170,8 @@ class LieModel:
             gd, gv = self.gen_coords[g.name]
             # (b) super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x]
             sign = -1 if (g.parity and rest & 1) else 1
-            for j in range(self.dim(rest)):
-                acc = [1, {(g.name, rest, j): sign}]
+            for j, key in enumerate(self._cols[(g.name, rest)]):
+                acc = [1, {key: sign}]
                 for k, a in gv.items():
                     add_scaled(acc, a, self.bracket(rest, j, g.weight, k), gd)
                 insert(acc)
@@ -185,7 +194,7 @@ class LieModel:
                             add_scaled(acc, -sign * a,
                                        self.bracket(wb, ib, wc + g.weight, k), cd)
                         insert(acc)
-        del self._open
+        del self._open, self._cols
         # read off: the non-pivot columns are the representatives, and the
         # reduced row of a pivot column solves it over them, its pivot entry
         # being the denominator (full_reduce leaves it positive and the row
@@ -218,10 +227,11 @@ class LieModel:
     def _ad(self, g, wl, vec, built):
         """[g, x] for x = vec at weight wl, as an accumulator [den, {...}]:
         over the ad columns of g if wl + |g| is built, else over the
-        symbols g (x) b_k of the step building it."""
+        column keys of the symbols g (x) b_k of the step building it."""
         d, v = vec
         if not built:
-            return [d, {(g, wl, k): a for k, a in v.items()}]
+            keys = self._cols[(g, wl)]
+            return [d, {keys[k]: a for k, a in v.items()}]
         acc = [1, {}]
         for k, a in v.items():
             add_scaled(acc, a, self.ad[(g, wl, k)], d)
@@ -240,7 +250,7 @@ class LieModel:
             if tail:
                 got = primitive(self._ad(g, wt, self._theta(tail, memo), built))
             else:
-                got = self.gen_coords[g] if built else (1, {g: 1})
+                got = self.gen_coords[g] if built else (1, {self._cols[g]: 1})
             memo[word] = got
         return got
 
@@ -306,8 +316,9 @@ class LieModel:
 
     def bracket(self, wu, iu, wv, iv):
         """[b, b'] as an integer vector (den, {position: int}); while its
-        weight is being built, over the candidate columns and memoized in
-        the step's `_open`, so `_struct` holds built weights only."""
+        weight is being built, over the keys -k of the candidate columns
+        and memoized in the step's `_open`, so `_struct` holds built
+        weights only."""
         w = wu + wv
         built = w in self.reps or w > self.max_weight
         memo = self._struct if built else self._open
@@ -319,7 +330,8 @@ class LieModel:
         if w > self.max_weight:
             out = _ZERO
         elif u.tail is None:
-            out = self.ad[(u.label, wv, iv)] if built else (1, {(u.label, wv, iv): 1})
+            out = (self.ad[(u.label, wv, iv)] if built
+                   else (1, {self._cols[(u.label, wv)][iv]: 1}))
         else:
             # u = [g, c]:  [[g,c],b] = [g,[c,b]] - (-1)^{|g||c|} [c,[g,b]]
             g = u.label[0]

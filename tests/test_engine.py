@@ -601,9 +601,10 @@ def test_struct_matches_tensor_oracle(case):
 
 @pytest.mark.parametrize("case", ["31", "31-G(1,1/2,-3/2)", "semidirect-31"])
 def test_struct_holds_quotient_positions_only(case):
-    # while weight w is built, its brackets are over the candidate columns
-    # (generator names and symbols g (x) b_k); none of them may reach
-    # `_struct`, which is pickled and backs `struct`
+    # while weight w is built, its brackets are over the keys of the
+    # candidate columns (generators and symbols g (x) b_k); none of them
+    # may reach `_struct`, which is pickled and backs `struct`, and the
+    # step's key table goes with the step
     A, rels = {
         "31": lambda: _relations(lambda: preset(3, 1)),
         "31-G(1,1/2,-3/2)": lambda: _relations(
@@ -611,11 +612,41 @@ def test_struct_holds_quotient_positions_only(case):
         "semidirect-31": _semidirect,
     }[case]()
     m = LieModel(A, rels, cutoff=9)
-    assert m._struct and not hasattr(m, "_open")
+    assert m._struct and not hasattr(m, "_open") and not hasattr(m, "_cols")
     m.export_struct()
     for (wu, _, wv, _), (d, v) in m._struct.items():
         assert type(d) is int and d > 0
         assert all(type(k) is int and 0 <= k < m.dim(wu + wv) for k in v)
+
+
+@pytest.mark.parametrize("case", ["31", "33-generic-7"])
+def test_open_step_vectors_are_keyed_by_column(monkeypatch, case):
+    # at the weight being built, every vector `bracket` and `_ad` return is
+    # over the candidate-column keys -k, ints <= 0, never over generator
+    # names or (generator, weight, position) symbols
+    make = {"31": lambda: preset(3, 1), "33-generic-7": lambda: _generic(3, 3, 7)}[case]
+    p = make()
+    r0, r1 = build_relations(p)
+    seen = []
+    bracket, ad = LieModel.bracket, LieModel._ad
+
+    def spy_bracket(self, wu, iu, wv, iv):
+        out = bracket(self, wu, iu, wv, iv)
+        if wu + wv not in self.reps and wu + wv <= self.max_weight:
+            seen.append(out[1])
+        return out
+
+    def spy_ad(self, g, wl, vec, built):
+        out = ad(self, g, wl, vec, built)
+        if not built:
+            seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(LieModel, "bracket", spy_bracket)
+    monkeypatch.setattr(LieModel, "_ad", spy_ad)
+    LieModel(p.alphabet, r0 + r1, cutoff=9)
+    assert any(seen)
+    assert all(type(k) is int and k <= 0 for v in seen for k in v)
 
 
 def test_free_generators_general_coefficients():

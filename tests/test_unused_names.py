@@ -23,7 +23,8 @@ And one check that keeps each module's private names its own: no module
 of the package imports a non-dunder `_name` from another module of the
 package, or reads an attribute `obj._name` with `obj` other than `self`
 or `cls` when it defines no `_name` itself (as a function, a class, a
-name or an attribute it assigns).
+name or an attribute it assigns).  A module bound by `import m` with `m`
+outside `symalg` is not a package module: `os._exit` is no such read.
 """
 
 import ast
@@ -103,15 +104,20 @@ def unused_imports(tree):
     return sorted(set(out))
 
 
+def _foreign_modules(tree):
+    """The names `tree` binds to a module outside `symalg` by `import`."""
+    return {(a.asname or a.name).split(".")[0]
+            for n in ast.walk(tree) if isinstance(n, ast.Import)
+            for a in n.names if a.name.split(".")[0] != "symalg"}
+
+
 def _foreign(tree):
-    """The names `tree` binds by importing a module outside `symalg`."""
-    out = set()
+    """The names `tree` binds by importing a module outside `symalg`, or a
+    name from one."""
+    out = _foreign_modules(tree)
     for n in ast.walk(tree):
-        if isinstance(n, ast.Import):
-            out.update((a.asname or a.name).split(".")[0] for a in n.names
-                       if a.name.split(".")[0] != "symalg")
-        elif (isinstance(n, ast.ImportFrom) and not n.level
-              and n.module.split(".")[0] != "symalg"):
+        if (isinstance(n, ast.ImportFrom) and not n.level
+                and n.module.split(".")[0] != "symalg"):
             out.update(a.asname or a.name for a in n.names)
     return out
 
@@ -188,8 +194,10 @@ def _defines(tree):
 
 def foreign_private_reads(tree):
     """The private names of other package modules that `tree` imports or
-    reads as an attribute of anything but `self` or `cls`."""
+    reads as an attribute of anything but `self`, `cls` or a module
+    imported from outside the package."""
     own = _defines(tree)
+    exempt = {"self", "cls"} | _foreign_modules(tree)
     out = []
     for n in ast.walk(tree):
         if isinstance(n, ast.ImportFrom) and (n.level or n.module.split(".")[0] == "symalg"):
@@ -197,7 +205,7 @@ def foreign_private_reads(tree):
                     for a in n.names if _private(a.name)]
         elif (isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)
               and _private(n.attr) and n.attr not in own
-              and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))):
+              and not (isinstance(n.value, ast.Name) and n.value.id in exempt)):
             out.append((n.lineno, f"line {n.lineno}: reads private {n.attr!r}"))
     return [msg for _, msg in sorted(out)]
 
@@ -305,17 +313,25 @@ def test_the_private_check_sees_foreign_reads():
         "from .engine import _add_scaled, LieModel\n"
         "from symalg.assoc import _hidden\n"
         "from . import cache\n"
+        "import os, os.path as osp\n"
+        "import symalg.engine as eng\n"
         "class C:\n"
         "    def __init__(self, model):\n"
         "        self._own = model\n"
         "        self.model = model\n"
         "    def f(self, other, cls):\n"
         "        other._own, cls._cls_attr, self._x, self.__class__\n"
+        "        os._exit(osp._get_sep(''))\n"
+        "        cache._tmp_name, eng._lie_parts\n"
         "        return self.model._bracket(1), other._normal_index\n"
     )
+    # a stdlib module's private attribute is its own business; a package
+    # module's and an instance's are not
     assert foreign_private_reads(tree) == [
         "line 1: imports private '_add_scaled'",
         "line 2: imports private '_hidden'",
-        "line 10: reads private '_bracket'",
-        "line 10: reads private '_normal_index'",
+        "line 13: reads private '_lie_parts'",
+        "line 13: reads private '_tmp_name'",
+        "line 14: reads private '_bracket'",
+        "line 14: reads private '_normal_index'",
     ]
