@@ -624,8 +624,7 @@ def test_open_step_vectors_are_keyed_by_column(monkeypatch, case):
     # at the weight being built, every vector `bracket` and `_ad` return is
     # over the candidate-column keys -k, ints <= 0, never over generator
     # names or (generator, weight, position) symbols
-    make = {"31": lambda: preset(3, 1), "33-generic-7": lambda: _generic(3, 3, 7)}[case]
-    p = make()
+    p = {"31": lambda: preset(3, 1), "33-generic-7": lambda: _generic(3, 3, 7)}[case]()
     r0, r1 = build_relations(p)
     seen = []
     bracket, ad = LieModel.bracket, LieModel._ad
