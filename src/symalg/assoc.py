@@ -7,17 +7,17 @@ of weight w - wt(g); the ideal contributes the rows r * y over relations r
 and lower normal words y (left factors are already normalized, so these
 rows span the whole weight-w component of the ideal).  Each relation is
 split once by first letter, r = sum_g g * t_g, and the row r * y is read as
-sum_g g * nf(t_g * y), one normal form per letter.  A full reduced row
-echelon over the candidate columns, taken in ascending monomial order,
-marks pivot words; the pivot-free candidates are the normal words of
-weight w, listed in that order in `normal[w]`.
+sum_g g * nf(t_g * y), one normal form per letter.  `linalg.solve` reads
+the reduced echelon of these rows over the candidate columns, taken in
+ascending monomial order: its free (pivot-free) candidates are the normal
+words of weight w, listed in that order in `normal[w]`.
 
 A normal form is keyed by position: the normal form of a word of weight w
 is a dict {i: coeff} over the positions i of its normal words in
-`normal[w]`.  The reduced rows give, per letter g and weight w, the list
-`left[g][w]` whose entry i is nf(g * normal[w][i]): a pivot-free
-candidate's own position, a pivot candidate minus its row's tail.  The
-row r * y places the entry i of nf(t_g * y) at the candidate column of
+`normal[w]`.  `solve`'s vectors give, per letter g and weight w, the list
+`left[g][w]` whose entry i is nf(g * normal[w][i]): the candidate over the
+free candidates, a free candidate being its own position.  The row r * y
+places the entry i of nf(t_g * y) at the candidate column of
 g * normal[.][i], and any other word g * u reduces by the first-letter
 recursion nf(g * u) = sum_i c_i left[g][|u|][i] over nf(u) = sum_i c_i e_i,
 both read by list index; the result is cached by word.  A normal form is
@@ -27,13 +27,13 @@ themselves, so every normal form is read-only.
 
 Normal forms follow the scalar convention of `linalg.ratio`: an integral
 value is an int, and only a non-integral value carries a denominator.
-`rref` returns the reduction table that way, so when the relations are
-integral and the pivots it divides by are units (as for the presets and
-for `G^1 = 1` with small integer `G^2, G^3`), every normal form, and every
-resolution column built from them, is an int dict.
+`linalg.rational` returns the reduction table that way, so when the
+relations are integral and the pivot entries it divides by are units (as
+for the presets and for `G^1 = 1` with small integer `G^2, G^3`), every
+normal form, and every resolution column built from them, is an int dict.
 """
 
-from .linalg import addmul, rref
+from .linalg import addmul, echelon, rational, solve
 
 
 class AssocModel:
@@ -87,22 +87,13 @@ class AssocModel:
                             row[col[i]] = d
                     if row:
                         rows.append(row)
-        pivots = rref(rows)
-        # position in Y_w of each pivot-free candidate
-        pos = {}
-        for j in range(len(cands)):
-            if j not in pivots:
-                pos[j] = len(pos)
-        self.normal[w] = [cands[j][0] for j in pos]
-        # a normal candidate reduces to itself, pivot candidate j to
-        # -(its row's tail over the pivot-free candidates)
+        free, vectors = solve(echelon(rows), range(len(cands)))
+        self.normal[w] = [cands[j][0] for j in free]
+        # nf(g * normal[wl][i]) is its candidate's vector over the
+        # pivot-free candidates
         tabs = {g: [None] * len(col) for g, col in column.items()}
-        for j, (_, g, i) in enumerate(cands):
-            row = pivots.get(j)
-            if row is None:
-                tabs[g][i] = {pos[j]: 1}
-            else:
-                tabs[g][i] = {pos[k]: -c for k, c in row.items() if k != j}
+        for (_, g, i), vec in zip(cands, vectors):
+            tabs[g][i] = rational(vec)
         for g, tab in tabs.items():
             self.left[g].append(tab)
 

@@ -93,8 +93,13 @@ def _check_cache_dir(directory):
 
 
 def _model_cache(args):
-    """The model pickle cache; --no-cache neither reads nor writes it."""
-    return None if args.no_cache else cachemod.cache_dir(args.cache_dir)
+    """The model pickle cache, its `models` directory checked like the cache
+    directory; --no-cache neither reads nor writes it."""
+    if args.no_cache:
+        return None
+    directory = cachemod.cache_dir(args.cache_dir)
+    _check_cache_dir(directory / "models")
+    return directory
 
 
 def _at_least(flag, value, low=0):

@@ -36,10 +36,11 @@ with the generator g.  Tensor polynomials enter only as relations and
 Every quotient-coordinate vector inside the model (the ad columns,
 `gen_coords`, the memos of theta and of the brackets) is a `linalg`
 integer vector (den, {position: int}) over one positive denominator.  The
-read-off takes the pivot entry of a fully reduced kernel row as the
-denominator, and combinations go through `linalg.add_scaled` and
-`linalg.primitive`, so the build does integer arithmetic only; the kernel
-rows enter the echelon as they are, since only their direction matters.
+read-off is `linalg.solve`'s, which gives each candidate column over the
+representatives as such a vector, and combinations go through
+`linalg.add_scaled` and `linalg.primitive`, so the build does integer
+arithmetic only; the kernel rows enter the echelon as they are, since only
+their direction matters.
 Values become rational at the edges alone: `project`, `struct` and
 `export_struct` return them through `linalg.rational`, integral values as
 ints and the others as Fractions.
@@ -54,7 +55,7 @@ analysis of the ideals of a model is in `symalg.freegens`.
 from fractions import Fraction
 from pathlib import Path
 
-from .linalg import Echelon, add_scaled, primitive, rational
+from .linalg import Echelon, add_scaled, primitive, rational, solve
 from .tensor import bracket_word_name, super_commutator
 
 
@@ -195,33 +196,17 @@ class LieModel:
                                        self.bracket(wb, ib, wc + g.weight, k), cd)
                         insert(acc)
         del self._open, self._cols
-        # read off: the non-pivot columns are the representatives, and the
-        # reduced row of a pivot column solves it over them, its pivot entry
-        # being the denominator (full_reduce leaves it positive and the row
-        # primitive)
-        ech.full_reduce()
-        reps = []
-        pos = {}
-        for k, c in enumerate(cols):
-            if -k in ech.rows:
-                continue
-            pos[-k] = len(reps)
-            if isinstance(c, str):
-                reps.append(Rep(c))
-            else:
-                g, wl, j = c
-                reps.append(Rep((g, self.reps[wl][j].label), (wl, j)))
-        for k, c in enumerate(cols):
-            row = ech.rows.get(-k)
-            if row is None:
-                v = (1, {pos[-k]: 1})
-            else:
-                v = (row[-k], {pos[kk]: -x for kk, x in row.items() if kk != -k})
+        # read off: the non-pivot columns (generator names and symbols
+        # (g, wl, j)) are the representatives; `solve` gives each column over them
+        free, vectors = solve(ech, range(0, -len(cols), -1))
+        self.reps[w] = [Rep(c) if isinstance(c, str)
+                        else Rep((c[0], self.reps[c[1]][c[2]].label), c[1:])
+                        for c in (cols[-key] for key in free)]
+        for c, v in zip(cols, vectors):
             if isinstance(c, str):
                 self.gen_coords[c] = v
             else:
                 self.ad[c] = v
-        self.reps[w] = reps
         self.solvers[w] = ech
 
     def _ad(self, g, wl, vec, built):

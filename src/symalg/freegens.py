@@ -27,8 +27,10 @@ Graaf's nilpotent quotient):
    a basis, so A_w is the solution space in (lam, mu) of phi([V, V]_w) = 0
    and of (3) at every other ad column of every x.  At a representative's
    own tail (3) is an identity, and it is skipped.
-5. The rows of K_w whose values on A_w are independent span a V_w, whose
-   pairs enter (3) at the higher weights.
+5. `linalg.solve` reads A_w off these equations, one basis functional per
+   free unknown, all scaled to integers by one common factor.  The rows of
+   K_w whose values on A_w are independent span a V_w, whose pairs enter
+   (3) at the higher weights.
 
 The unknowns number sum_x dim A_{w-|x|} plus the generator
 representatives of weight w: at most a dozen per weight for tym-hat on
@@ -39,7 +41,7 @@ integers, its denominator dropped.
 from itertools import count
 from math import lcm
 
-from .linalg import Echelon, add_scaled, addmul, span
+from .linalg import Echelon, add_scaled, addmul, solve, span
 from .presentation import free_ideal
 
 
@@ -127,16 +129,12 @@ def _annihilator(model, w, ann, free):
         for i, u in enumerate(us):
             eqs += [_combine(_pair(model, wa, u, w - wa, v), forms)
                     for v in vs[i if 2 * wa == w else 0:]]
-    # the kernel: one vector per unknown u that is no pivot, numbered
-    # params[u], scaled by the lcm m of the pivot entries and held by
-    # unknown as kt[u] = {params[u']: value}
-    ech = span(eqs)
-    ech.full_reduce()
-    params = {u: t for t, u in enumerate(u for u in range(n) if u not in ech.rows)}
-    m = lcm(*(r[p] for p, r in ech.rows.items()))
-    kt = {u: {t: m} for u, t in params.items()}
-    for p, r in ech.rows.items():
-        kt[p] = {params[u]: -c * (m // r[p]) for u, c in r.items() if u != p}
+    # the kernel, scaled by the lcm m of the denominators of `solve`'s
+    # vectors: kt[u] holds unknown u's integer values over the free unknowns
+    params, vectors = solve(span(eqs), range(n))
+    vecs = list(vectors)
+    m = lcm(*(d for d, _ in vecs))
+    kt = [{t: x * (m // d) for t, x in v.items()} for d, v in vecs]
     return len(params), [_combine(f, kt) for f in forms]
 
 

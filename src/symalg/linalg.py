@@ -9,16 +9,19 @@ incremental echelon: vectors are reduced against the rows already present
 and inserted if independent.  Pivots sit on the smallest column of each
 row, so with columns listed in ascending monomial order the non-pivot
 columns of a completed echelon are the canonical coset representatives.
-`full_reduce` brings the rows to reduced echelon form, which is unique.
+`full_reduce` brings the rows to reduced echelon form, which is unique;
+`solve` reads it (the free columns, and each column over them) for the Lie
+and associative steps, the free generators, the surjection and `kernel`.
 
 Rational vectors (dicts, or dense rows given as sequences) enter through
 `extend`/`echelon`; `rank`, `rref`, `kernel` and `inverse` are built on
 them.  Their values follow one scalar convention: an integral value is an
 `int` and any other value a `Fraction`.  `ratio(x, d)` is that rule for a
-quotient of ints, and `rref`, so `kernel` and `inverse` too, returns its
-values through it (a row whose pivot entry is 1 is returned as it is);
-integral results never enter `fractions.py`.  `intvec` returns an all-int
-dict as its zero-free copy over scale 1, with no pass over denominators.
+quotient of ints; `rref`, so `inverse` too, returns its values through
+it (a row whose pivot entry is 1 is returned as it is), and `kernel`
+through `rational`; integral results never enter `fractions.py`.  `intvec`
+returns an all-int dict as its zero-free copy over scale 1, with no pass
+over denominators.
 
 `span` inserts a batch of integer rows sparsest first, by a stable sort
 on the nonzero count; `echelon`, the Lie engine's generator spans and the
@@ -221,6 +224,26 @@ class Echelon:
             rows[p] = r if r[p] > 0 else {k: -x for k, x in r.items()}
 
 
+def solve(ech, keys):
+    """Fully reduce ech and read it off over `keys`, a sequence holding every
+    column of its rows.  Returns (free, vectors): free numbers the non-pivot
+    keys in `keys` order, and vectors is an iterator that yields, one at a
+    time and in `keys` order, each key over the free keys as a vector
+    (den, {free number: int}).  The reduced row r of a pivot p reads
+    r[p] p = -sum r[f] f, so p gives (r[p], {free[f]: -r[f]})."""
+    ech.full_reduce()
+    rows = ech.rows
+    free = {k: t for t, k in enumerate(k for k in keys if k not in rows)}
+
+    def vector(k):
+        r = rows.get(k)
+        if r is None:
+            return 1, {free[k]: 1}
+        return r[k], {free[f]: -x for f, x in r.items() if f != k}
+
+    return free, map(vector, keys)
+
+
 # -- rational vectors and matrices (dicts col -> value, or dense rows)
 
 
@@ -275,13 +298,11 @@ def rref(vectors):
 def kernel(rows, ncols):
     """Basis of {x : M x = 0} for M given by its rows, one dict per non-pivot
     column f (x[f] = 1, zero at the other non-pivot columns), f ascending."""
-    red = rref(rows)
-    out = []
-    for f in range(ncols):
-        if f not in red:
-            x = {f: 1}
-            x.update((p, -r[f]) for p, r in red.items() if f in r)
-            out.append(dict(sorted(x.items())))
+    free, vectors = solve(echelon(rows), range(ncols))
+    out = [{} for _ in free]
+    for c, vec in enumerate(vectors):
+        for t, x in rational(vec).items():
+            out[t][c] = x
     return out
 
 

@@ -25,11 +25,17 @@ from .presentation import (
 from .tensor import bracket_word_name, lie_expand, lie_sum
 
 
+def _relations(p):
+    """The relations r0 + r1 of p, expanded when first iterated: a model
+    served from the cache never reads them."""
+    r0, r1 = build_relations(p)
+    yield from r0 + r1
+
+
 def _lie_model(p, cutoff, cache_dir):
     from .engine import load_or_build_model
 
-    r0, r1 = build_relations(p)
-    return load_or_build_model(p.alphabet, r0 + r1, cutoff, cache_dir,
+    return load_or_build_model(p.alphabet, _relations(p), cutoff, cache_dir,
                                presentation_sha256(p))
 
 

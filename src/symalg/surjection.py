@@ -29,16 +29,17 @@ built at cutoff 2 d' - 1 (model_cutoff), whatever cutoff l the report
 names.
 
 At a weight w in R every bracket [b_u, b_v] of lower ideal basis elements
-gives a row [coordinates | image], the image being [theta(b_u), theta(b_v)]
+gives a row [coordinates | -image], the image being [theta(b_u), theta(b_v)]
 on heis coordinates keyed above the quotient columns; these rows enter one
 echelon, sparsest first.  A pivot on an image column means the rows force
 a nonzero image of zero: no morphism extends the assignment, and
 SurjectionError names the weight.  The generators of weight w are then
 the pinned classes and the unit vectors e_j that the same echelon does not
 yet span (the residual of e_j has a coordinate entry), in the greedy
-order; a generator row [e_j | its target], or [e_j | 0] when it gets none,
-is inserted as it is chosen.  In the reduced echelon form, theta(b_j) is
-the image part of the row with pivot j divided by its pivot entry.
+order; a generator row [e_j | -its target], or [e_j | 0] when it gets
+none, is inserted as it is chosen.  Each row [c | -y] says theta(c) = y,
+so theta(b_j) is the solution of coordinate column j over the image
+columns, as `linalg.solve` reads it off the reduced echelon.
 
 Every structural property the argument needs is verified exactly: the
 map respects all brackets up to weight l + 1 (at a weight in R each
@@ -55,7 +56,7 @@ f0(theta([x, b])).
 """
 
 from .engine import LieModel
-from .linalg import addmul, intvec, rank, rational, span
+from .linalg import addmul, intvec, rank, rational, solve, span
 from .presentation import (InputError, build_relations, free_gen_series, free_ideal,
                            is_identity)
 from .superlie import heis, kirillov_weight
@@ -254,9 +255,9 @@ def build_cw_surjection(p, r, t, l=None, model=None):
         ncols = model.dim(w)
 
         def augmented(coords, image):
-            # the integer row [coords | image], heis coordinate k keyed ncols + k
+            # the integer row [coords | -image], heis coordinate k keyed ncols + k
             row = dict(coords)
-            row.update((ncols + k, c) for k, c in image.items())
+            row.update((ncols + k, -c) for k, c in image.items())
             return intvec(row)[0]
 
         # bracket rows: pairs of lower-weight ideal basis elements
@@ -304,15 +305,17 @@ def build_cw_surjection(p, r, t, l=None, model=None):
                 "model has fewer free generators there than the closed-form "
                 "series counts"
             )
-        # in the reduced echelon form the row with pivot j is
-        # row[j] [e_j | theta(b_j)]
-        ech.full_reduce()
-        for j in hat_positions(w):
-            row = ech.rows[j]
-            theta[(w, j)] = rational((row[j], {k - ncols: x for k, x in row.items()
-                                               if k >= ncols}))
+        # every coordinate column now has a pivot, so the free columns are
+        # the image columns, numbered by heis index, and coordinate column j
+        # solves to theta(b_j)
+        _, vectors = solve(ech, range(ncols + target.dim))
+        for j, vec in zip(range(ncols), vectors):
+            theta[(w, j)] = rational(vec)
         compatible = compatible and all(
             theta_of_coords(w, coords) == image for coords, image in pairs)
+        # the rows of the last weight in R would otherwise live through the
+        # checks below, where the run's memory peaks
+        del ech, vectors, pairs
 
     res.phi = phi_desc
 

@@ -724,6 +724,51 @@ def test_cache_dir_that_is_no_directory_exits_2_before_computing(
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--preset", "3,1", "--l", "5"],
+    ["freegens", "--preset", "3,1", "--max", "6"],
+    ["dixmier", "surject", "--preset", "3,1"],
+], ids=["basis", "freegens", "surject"])
+def test_models_entry_that_is_a_file_exits_2(capsys, tmp_path, argv):
+    # writing the model pickle under a plain file `models` ended in a
+    # FileExistsError traceback with exit 1
+    cdir = tmp_path / "cache"
+    cdir.mkdir()
+    blocker = cdir / "models"
+    blocker.write_text("")
+    code = main(["--cache-dir", str(cdir), *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"symalg: error: cache directory {blocker}: {blocker} is not a directory\n")
+    assert blocker.read_text() == ""
+    # --no-cache touches no model cache
+    assert main(["--cache-dir", str(cdir), "--no-cache", *argv]) == 0
+    assert blocker.read_text() == ""
+
+
+def test_warm_model_cache_expands_no_relations(monkeypatch, tmp_path):
+    # the relations were expanded before the model cache was looked up, so
+    # a warm run expanded relations it never read
+    import symalg.reports
+    from symalg import preset
+
+    calls = []
+    build = symalg.reports.build_relations
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(symalg.reports, "build_relations", counted)
+    cdir = tmp_path / "cache"
+    first = symalg.reports.freegens(preset(3, 1), "tym-hat", 8, cdir)
+    assert len(calls) == 1
+    assert symalg.reports.freegens(preset(3, 1), "tym-hat", 8, cdir) == first
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("opts, env", [
     ([], False), (["--no-cache"], False), ([], True)], ids=["cache", "no-cache", "env"])
 def test_empty_cache_dir_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path, opts, env):

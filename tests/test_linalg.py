@@ -2,12 +2,14 @@
 inverse on small rational matrices (their scalar convention included), the
 sparse accumulate `addmul`, the integer vectors over one denominator
 (`add_scaled`, `primitive`), the in-place elimination step against a
-copying reference kernel, and the presentation checks built on them."""
+copying reference kernel, `solve`'s read-off of a reduced echelon, and the
+presentation checks built on them."""
 
 import itertools
 import pickle
 import random
 import time
+from collections.abc import Iterator
 from unittest import mock
 from fractions import Fraction
 from math import gcd
@@ -29,6 +31,7 @@ from symalg.linalg import (
     primitive,
     rank,
     rref,
+    solve,
     span,
 )
 from symalg.presentation import PresentationError, SymPresentation, check_nondegenerate
@@ -363,6 +366,28 @@ def test_echelon_rows_match_the_copying_kernel(rows, probes):
         ref.full_reduce()
         assert _items(ech.rows) == _items(ref.rows)
         assert [list(row.items()) for row in rows] == before
+
+
+@SEEDED
+@given(st.lists(INTROW, max_size=10), st.booleans())
+def test_solve_reads_the_reduced_echelon(rows, down):
+    # keys 0..7 ascending, or negated and running downwards as the Lie
+    # engine's candidate columns do
+    keys = range(0, -8, -1) if down else range(8)
+    sign = -1 if down else 1
+    rows = [{sign * c: x for c, x in row.items()} for row in rows]
+    free, vectors = solve(span(rows), keys)
+    assert isinstance(vectors, Iterator)
+    pivots = rref(rows)
+    assert list(free) == [k for k in keys if k not in pivots]
+    assert list(free.values()) == list(range(len(free)))
+    vectors = dict(zip(keys, vectors))
+    for k, t in free.items():
+        assert vectors[k] == (1, {t: 1})
+    # x = delta on the free key numbered t solves every row: M x = 0
+    for t in free.values():
+        x = {k: Fraction(v.get(t, 0), d) for k, (d, v) in vectors.items()}
+        assert all(sum(c * x[k] for k, c in row.items()) == 0 for row in rows)
 
 
 @pytest.mark.parametrize("case", ["31", "31-G(1,2,-3)"])

@@ -25,6 +25,10 @@ package, or reads an attribute `obj._name` with `obj` other than `self`
 or `cls` when it defines no `_name` itself (as a function, a class, a
 name or an attribute it assigns).  A module bound by `import m` with `m`
 outside `symalg` is not a package module: `os._exit` is no such read.
+
+And one check that keeps the reading of a reduced echelon in one place:
+no module of the package but `linalg` reads `.full_reduce`, so every
+solution is read off through `linalg.solve`.
 """
 
 import ast
@@ -335,3 +339,27 @@ def test_the_private_check_sees_foreign_reads():
         "line 14: reads private '_bracket'",
         "line 14: reads private '_normal_index'",
     ]
+
+
+def full_reduce_reads(tree):
+    """The lines of `tree` that read or call an attribute `.full_reduce`."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "full_reduce"
+                  and not isinstance(n.ctx, ast.Store))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_reduces_an_echelon(path):
+    lines = full_reduce_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: full_reduce read at lines {lines}"
+
+
+def test_the_reduce_check_sees_reads():
+    tree = ast.parse(
+        "ech.full_reduce()\n"
+        "step = model.solvers[3].full_reduce\n"
+        "full_reduce = solve(ech, keys)\n"
+        "obj.full_reduce = None\n"
+    )
+    assert full_reduce_reads(tree) == [1, 2]
