@@ -20,10 +20,20 @@ free candidates, a free candidate being its own position.  The row r * y
 places the entry i of nf(t_g * y) at the candidate column of
 g * normal[.][i], and any other word g * u reduces by the first-letter
 recursion nf(g * u) = sum_i c_i left[g][|u|][i] over nf(u) = sum_i c_i e_i,
-both read by list index; the result is cached by word.  A normal form is
-shared, never copied: where nf(u) is one unit entry the cache holds the
-table's own dict, and the resolution's b1 columns are the cached dicts
-themselves, so every normal form is read-only.
+both read by list index.  A normal form is shared, never copied: where
+nf(u) is one unit entry the result is the table's own dict, and the
+resolution's b1 columns are these dicts themselves, so every normal form
+is read-only.
+
+The result is cached by word only where a later query can read it again:
+at weight at most max_weight - m, m the lightest letter's weight.  The
+recursion reads a word's proper suffixes, and a word with a proper suffix
+of weight above max_weight - m weighs more than max_weight, which
+`normal_word` rejects; so a heavier word is computed afresh at each
+query, and its dict lives as long as its caller holds it (the
+resolution's top-weight y * v products die with their weight's columns).
+The build never asks for one: at weight w it reduces words t_g * y of
+weight w - |g|.
 
 Normal forms follow the scalar convention of `linalg.ratio`: an integral
 value is an int, and only a non-integral value carries a denominator.
@@ -49,6 +59,8 @@ class AssocModel:
         # left[g][w][i] = nf(g * normal[w][i]), read-only
         self.left = [[] for _ in alphabet.generators]
         self._nf_cache = {(): {0: 1}}
+        # the heaviest word a later query can read again (module docstring)
+        self._memo_weight = max_weight - min(alphabet.weights, default=0)
         for w in range(1, max_weight + 1):
             self._build_weight(w)
 
@@ -128,7 +140,8 @@ class AssocModel:
             out = {}
             for i, d in rest.items():
                 addmul(out, d, tab[i])
-        self._nf_cache[word] = out
+        if w <= self._memo_weight:
+            self._nf_cache[word] = out
         return out
 
     def normal_form(self, poly):

@@ -39,14 +39,24 @@ b2 then lies in ker b1).  Where the count falls short, as for b1 at w = 0
 with P1 empty, the exact rank decides.  The rank of b3 is always exact.
 
 Every column is built the same way, from the model's normal form of the
-product y * u (left) or u * y (right).  Its keys are positions inside the
-target block, so an entry at position i lands at the block's start plus
-i: a b1 column, with its block at 0, is the normal form itself, the
-model's dict shared and never copied (read-only), and b2 and b3 shift
-each position by their block's start.  b2 reads the relations the
-`AssocModel` was built from, so a run expands them once, and sums the
-terms of one split letter in Y first, so each (y, relation, letter)
-places one normal form.
+product y * u (left) or u * y (right); `normal_word` is the only code
+that computes one.  On the right, the letter products v_k y of b1 and b3
+are read by position off the model's table `left[k][|y|]`: they are the
+dicts `normal_word(v_k + y)` returns, with no query and no memo entry.
+A column's keys are positions inside the target block, so an entry at
+position i lands at the block's start plus i: a b1 column, with its
+block at 0, is the normal form itself, the model's dict shared and never
+copied (read-only), and b2 and b3 shift each position by their block's
+start.  b2 reads the relations the `AssocModel` was built from, so a run
+expands them once, and sums the terms of one split letter in Y first, so
+each (y, relation, letter) places one normal form.
+
+A weight holds b1 and b3 whole but b2 one P2 block (one relation) at a
+time: `verify_weight` checks each block against b1, counts its leading
+positions, adds its share of b2 o b3 and drops it, and reads the blocks
+again only where the certificate of r2 falls short.  Together with the
+model's bounded memo (see `symalg.assoc`), a weight's top-weight normal
+forms then die with its columns.
 """
 
 from .linalg import addmul, rank
@@ -86,7 +96,18 @@ def _composes_to_zero(inner, outer):
     return True
 
 
-def certified_rank(cols, bound, key=None):
+def _add_leads(lead, cols, key=None):
+    """Add to the set `lead` the leading position of each column: its
+    smallest key (under `key`, if given), where that entry is nonzero."""
+    for col in cols:
+        if col:
+            p = min(col, key=key)
+            if col[p]:
+                lead.add(p)
+    return lead
+
+
+def certified_rank(cols, bound, key=None, lead=None):
     """Rank of a collection of columns, given an upper bound on it.
 
     A column's leading position is its smallest key (under `key`, if
@@ -94,13 +115,11 @@ def certified_rank(cols, bound, key=None):
     linearly independent, so the number of distinct leading positions
     (a zero leading entry counts for none) is a lower bound on the rank.
     Where it reaches `bound`, that is the rank and nothing is eliminated;
-    otherwise the exact `rank` decides."""
-    lead = set()
-    for col in cols:
-        if col:
-            p = min(col, key=key)
-            if col[p]:
-                lead.add(p)
+    otherwise the exact `rank` decides.  A caller that has collected the
+    leading positions already passes them as `lead`; `cols` is then read
+    only by the exact rank."""
+    if lead is None:
+        lead = _add_leads(set(), cols, key)
     return bound if len(lead) == bound else rank(cols)
 
 
@@ -170,75 +189,101 @@ class SidedResolution:
         p2 = sum(d(w - TOP + v) for v in self.weights)
         return (d(w), p1, p2, d(w - TOP))
 
+    def _letter_products(self, k, wy):
+        """The normal forms of y v_k (left) or v_k y (right) over the normal
+        words y of weight wy, in order.  On the right they are read off the
+        model's table `left[k][wy]`, the dicts `normal_word(v_k + y)`
+        returns."""
+        model = self.model
+        if wy < 0:
+            return ()
+        if self.side == "left":
+            v = (k,)
+            return (model.normal_word(y + v) for y in model.normal[wy])
+        return model.left[k][wy]
+
     def b1_columns(self, w):
         """Columns keyed by flat P1 position, valued over Y_w positions.
         Each column is the model's own normal form of y v (left) or v y
         (right), shared and never copied: read-only."""
-        model = self.model
-        left = self.side == "left"
         cols = {}
         for k, (wy, start) in enumerate(self._p1(w)):
-            v = (k,)
-            for pos, y in enumerate(model.normal.get(wy, ()), start):
-                cols[pos] = model.normal_word(y + v if left else v + y)
+            cols.update(enumerate(self._letter_products(k, wy), start))
         return cols
 
-    def b2_columns(self, w):
-        """Columns keyed by flat P2 position, valued over flat P1 coords.
+    def b2_columns(self, w, k):
+        """The columns of P2 block k (relation k), keyed by flat P2
+        position, valued over flat P1 coords.
 
-        Each relation word is split into a letter (last on the left side,
-        first on the right) and the rest, which multiplies y into the
+        Each word of relation k is split into a letter (last on the left
+        side, first on the right) and the rest, which multiplies y into the
         letter's P1 block."""
         model = self.model
         left = self.side == "left"
         p1 = self._p1(w)
+        wy, start = self._p2(w)[k]
         cols = {}
-        for groups, (wy, start) in zip(self.relations, self._p2(w)):
-            for pos, y in enumerate(model.normal.get(wy, ())):
-                col = {}
-                for letter, tail in groups:
-                    acc = {}
-                    for rest, c in tail:
-                        addmul(acc, c, model.normal_word(y + rest if left else rest + y))
-                    base = p1[letter][1]
-                    for i, c in acc.items():
-                        col[base + i] = c
-                cols[start + pos] = col
+        for pos, y in enumerate(model.normal.get(wy, ()), start):
+            col = {}
+            for letter, tail in self.relations[k]:
+                acc = {}
+                for rest, c in tail:
+                    addmul(acc, c, model.normal_word(y + rest if left else rest + y))
+                base = p1[letter][1]
+                for i, c in acc.items():
+                    col[base + i] = c
+            cols[pos] = col
         return cols
 
     def b3_columns(self, w):
         """Columns keyed by Y_{w-8} position, valued over flat P2 coords."""
-        model = self.model
-        left = self.side == "left"
-        p2 = self._p2(w)
-        odd_sign = 1 if left else -1
-        cols = {}
-        for pos, y in enumerate(model.normal.get(w - TOP, ())):
-            col = {}
-            for k, (_, start) in enumerate(p2):
-                sign = odd_sign if self.parities[k] else 1
-                v = (k,)
-                for i, c in model.normal_word(y + v if left else v + y).items():
+        odd_sign = 1 if self.side == "left" else -1
+        cols = {pos: {} for pos in range(self.model.dim(w - TOP))}
+        for k, (_, start) in enumerate(self._p2(w)):
+            sign = odd_sign if self.parities[k] else 1
+            for pos, nf in enumerate(self._letter_products(k, w - TOP)):
+                col = cols[pos]
+                for i, c in nf.items():
                     col[start + i] = sign * c
-            cols[pos] = col
         return cols
 
     def verify_weight(self, w):
         """The checks at weight w.  r1 and r2 come from `certified_rank`:
         r1 against the bound d0, and r2, with P1 ordered as its words,
         against d2, or d1 - r1 where smaller once b1 o b2 = 0 puts im b2
-        inside ker b1.  r3 is an exact rank."""
+        inside ker b1.  r3 is an exact rank.
+
+        b2 is read one block at a time and dropped: each block is checked
+        against b1, adds its leading positions to r2's count, and adds its
+        share of b2 o b3, read through the transpose of b3 (P2 position ->
+        its b3 entries).  Only an exact r2 reads the blocks again."""
         rep = ResolutionReport(w)
         d0, d1, d2, d3 = self.degrees(w)
         b1 = self.b1_columns(w)
-        b2 = self.b2_columns(w)
         b3 = self.b3_columns(w)
-        complex12 = _composes_to_zero(b2.values(), b1)
+        b3t = {}
+        for j, col in b3.items():
+            for p, c in col.items():
+                b3t.setdefault(p, []).append((j, c))
+        complex12 = True
+        lead = set()
+        key = self._p1_key(w)
+        b23 = {j: {} for j in b3}  # b2 o b3, column by column
+        blocks = range(len(self.relations))
+        for k in blocks:
+            block = self.b2_columns(w, k)
+            complex12 = complex12 and _composes_to_zero(block.values(), b1)
+            _add_leads(lead, block.values(), key)
+            for p, col in block.items():
+                for j, c in b3t.get(p, ()):
+                    addmul(b23[j], c, col)
+            del block  # before the next block is built
         rep.record("b1b2_zero", complex12)
-        rep.record("b2b3_zero", _composes_to_zero(b3.values(), b2))
+        rep.record("b2b3_zero", not any(b23.values()))
         r1 = certified_rank(b1.values(), d0)
         bound2 = min(d1 - r1, d2) if complex12 else d2
-        r2 = certified_rank(b2.values(), bound2, self._p1_key(w))
+        b2 = (col for k in blocks for col in self.b2_columns(w, k).values())
+        r2 = certified_rank(b2, bound2, lead=lead)
         r3 = rank(b3.values())
         rep.record("b3_injective", r3 == d3)
         rep.record("exact_at_p2", r2 + r3 == d2)

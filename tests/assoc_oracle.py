@@ -110,23 +110,23 @@ class WordResolution(SidedResolution):
                 cols[start + pos] = {idx[u]: c for u, c in nf.items()}
         return cols
 
-    def b2_columns(self, w):
+    def b2_columns(self, w, k):
         model = self.model
         left = self.side == "left"
         p1 = self._p1(w)
+        wy, start = self._p2(w)[k]
         cols = {}
-        for groups, (wy, start) in zip(self.relations, self._p2(w)):
-            for pos, y in enumerate(model.normal.get(wy, ())):
-                col = {}
-                for letter, tail in groups:
-                    acc = {}
-                    for rest, c in tail:
-                        addmul(acc, c, model.normal_word(y + rest if left else rest + y))
-                    wl, base = p1[letter]
-                    idx = model.normal_index[wl]
-                    for u, c in acc.items():
-                        col[base + idx[u]] = c
-                cols[start + pos] = col
+        for pos, y in enumerate(model.normal.get(wy, ())):
+            col = {}
+            for letter, tail in self.relations[k]:
+                acc = {}
+                for rest, c in tail:
+                    addmul(acc, c, model.normal_word(y + rest if left else rest + y))
+                wl, base = p1[letter]
+                idx = model.normal_index[wl]
+                for u, c in acc.items():
+                    col[base + idx[u]] = c
+            cols[start + pos] = col
         return cols
 
     def b3_columns(self, w):

@@ -1,6 +1,6 @@
 """Position-keyed normal forms and resolution columns against the
-word-keyed oracle (`assoc_oracle`), and the read-only tables the `b1`
-columns share."""
+word-keyed oracle (`assoc_oracle`), the read-only tables the `b1`
+columns share, and the bound on the words the normal-form memo keeps."""
 
 import copy
 import itertools
@@ -11,7 +11,7 @@ from tensor_oracle import words_of_weight
 from test_resolution import presentation31
 
 from symalg import AssocModel, build_relations, preset, resolution
-from symalg.resolution import SidedResolution
+from symalg.resolution import SidedResolution, verify_resolution
 from symalg.tensor import ODD, Alphabet
 
 
@@ -24,8 +24,10 @@ def agrees_with_oracle(p, max_weight):
         res = SidedResolution(model, p, side)
         ores = WordResolution(oracle, p, side)
         for w in range(max_weight + 1):
-            for name in ("b1_columns", "b2_columns", "b3_columns"):
+            for name in ("b1_columns", "b3_columns"):
                 assert getattr(res, name)(w) == getattr(ores, name)(w), (side, w, name)
+            for k in range(len(res.relations)):
+                assert res.b2_columns(w, k) == ores.b2_columns(w, k), (side, w, k)
             assert res.verify_weight(w).checks == ores.verify_weight(w).checks, (side, w)
     # the oracle's cache holds every candidate word and every word the
     # columns asked for, with their suffixes
@@ -89,7 +91,7 @@ def test_verification_leaves_the_tables_unchanged(p, request, monkeypatch, fallb
     table = copy.deepcopy(model.left)
     exact = resolution.rank  # the fixture's spy
 
-    def always_exact(cols, bound, key=None):
+    def always_exact(cols, bound, key=None, lead=None):
         return exact(cols)
 
     for certify in (resolution.certified_rank, always_exact):
@@ -105,3 +107,31 @@ def test_verification_leaves_the_tables_unchanged(p, request, monkeypatch, fallb
                 if certify is always_exact:
                     assert len(fallbacks) == 3, (side, w)
         assert model.left == table
+
+
+@pytest.mark.parametrize("p, max_weight", [
+    (preset(3, 1), 12), (preset(2, 2), 12), (preset(4, 1), 11), (preset(1, 3), 12),
+], ids=["31", "22", "41", "13"])
+def test_memo_keeps_only_words_a_later_query_reads(p, max_weight):
+    # after a resolution run the memo holds no word heavier than max_weight
+    # minus the lightest letter (it reaches that weight), and every normal
+    # form the run asked for, memoized or computed afresh, is the oracle's
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=max_weight)
+    oracle = WordAssocModel(p.alphabet, r0 + r1, max_weight=max_weight)
+    asked = []
+    real = model.normal_word
+
+    def spy(word):
+        asked.append(word)
+        return real(word)
+
+    model.normal_word = spy
+    out = verify_resolution(model, p, max_weight)
+    del model.normal_word
+    assert all(rep.ok for side in out.values() for rep in side)
+    weight = p.alphabet.word_weight
+    bound = max_weight - min(p.alphabet.weights)
+    assert max(map(weight, model._nf_cache)) == bound
+    assert max(map(weight, asked)) == max_weight
+    same_normal_forms(model, oracle, asked)

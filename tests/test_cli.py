@@ -122,6 +122,27 @@ def test_verify_resolution(capsys, tmp_path):
     assert doc["sides"] == {"left": "all-green", "right": "all-green"}
 
 
+@pytest.mark.parametrize("max_weight", [0, 1, 2])
+def test_verify_resolution_where_nothing_is_memoized(capsys, tmp_path, max_weight):
+    # at max weight 2 or less no word of positive weight is memoized (the
+    # lightest letter of (3,1) weighs 2); the report keeps its bytes
+    code, out = run_cli(capsys, tmp_path, "--no-cache", "verify", "resolution",
+                        "--preset", "3,1", "--max-weight", str(max_weight))
+    assert code == 0
+    doc = {
+        "command": "verify",
+        "config": {"command": "verify", "max_weight": max_weight, "presentation": None,
+                   "preset": "3,1", "target": "resolution"},
+        "max_weight": max_weight,
+        "ok": True,
+        "presentation_sha256":
+            "cb4fbfb204e18b7f9b74d6499556ef6c906ce12582c73f3c982880db6a60d217",
+        "sides": {"left": "all-green", "right": "all-green"},
+        "target": "resolution",
+    }
+    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def test_verify_semidirect(capsys, tmp_path):
     code, out = run_cli(capsys, tmp_path, "verify", "semidirect", "--preset", "3,1")
     assert code == 0

@@ -1,5 +1,6 @@
 """Per-weight verification of the length-three resolutions, both sides,
-and the scalar convention of their columns."""
+the scalar convention of their columns, and the checks of `b2` read block
+by block against a whole-weight reference."""
 
 import random
 from fractions import Fraction
@@ -9,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symalg import AssocModel, SymPresentation, build_relations, resolution
-from symalg.linalg import echelon, rank
+from symalg import AssocModel, SymPresentation, build_relations, preset, resolution
+from symalg.linalg import addmul, echelon, rank
 from symalg.presentation import check_nondegenerate, hilbert_series_YM
-from symalg.resolution import SidedResolution, certified_rank, verify_resolution
+from symalg.resolution import TOP, SidedResolution, certified_rank, verify_resolution
+
+
+def whole_b2(res, w):
+    """The union of `res`'s b2 blocks at weight w: every b2 column."""
+    cols = {}
+    for k in range(len(res.relations)):
+        cols.update(res.b2_columns(w, k))
+    return cols
 
 
 def _all_green(out):
@@ -62,8 +71,6 @@ def test_top_map_injectivity_ranks(assoc31, p31):
 
 
 def test_excluded_parameters_rejected():
-    from symalg import preset
-
     p = preset(1, 1)
     r0, r1 = build_relations(p)
     model = AssocModel(p.alphabet, r0 + r1, max_weight=6)
@@ -121,7 +128,7 @@ def model_and_values(p, max_weight):
     for side in ("left", "right"):
         res = SidedResolution(model, p, side)
         for w in range(max_weight + 1):
-            for cols in (res.b1_columns(w), res.b2_columns(w), res.b3_columns(w)):
+            for cols in (res.b1_columns(w), whole_b2(res, w), res.b3_columns(w)):
                 for col in cols.values():
                     values.extend(col.values())
     return model, values
@@ -171,7 +178,7 @@ def _block_table_sizes(model, p):
         for w in range(13):
             dims = res.degrees(w)
             for k, cols in enumerate(
-                    (res.b1_columns(w), res.b2_columns(w), res.b3_columns(w)), 1):
+                    (res.b1_columns(w), whole_b2(res, w), res.b3_columns(w)), 1):
                 assert sorted(cols) == list(range(dims[k])), (side, w, k)
                 assert all(key < dims[k - 1] for col in cols.values()
                            for key in col), (side, w, k)
@@ -318,8 +325,6 @@ def test_b2_certificate_closes_to_weight_12(p, request, fallbacks):
 def test_b2_certificate_falls_back_on_13_left(fallbacks):
     # (1,3) on the left at weight 12: the b2 columns lead at 16 distinct
     # positions for rank 17, so r2 is the exact rank; the right side closes
-    from symalg import preset
-
     p = preset(1, 3)
     r0, r1 = build_relations(p)
     model = AssocModel(p.alphabet, r0 + r1, max_weight=12)
@@ -374,11 +379,152 @@ def test_b2_off_the_complex_records_the_exact_checks(assoc31, p31, side, w, chec
     # one unit added to the first b2 column puts b2 off ker b1, so b1 o b2
     # is nonzero; the checks are those the exact ranks give
     res = SidedResolution(assoc31, p31, side)
-    cols = res.b2_columns(w)
-    cols[0] = {**cols[0], 0: cols[0].get(0, 0) + 1}
-    monkeypatch.setattr(res, "b2_columns", lambda _: cols)
+    blocks = [res.b2_columns(w, k) for k in range(len(res.relations))]
+    k = next(k for k, block in enumerate(blocks) if 0 in block)
+    first = blocks[k][0]
+    blocks[k] = {**blocks[k], 0: {**first, 0: first.get(0, 0) + 1}}
+    monkeypatch.setattr(res, "b2_columns", lambda _, k: blocks[k])
     assert res.verify_weight(w).checks == checks
     if w >= 8:
         # P3 is not zero, so b2 is not injective and no certificate can
         # reach the column count: r2 takes the exact rank, as r3 does
         assert len(fallbacks) == 2
+
+
+# -- b2 block by block, the right side off the tables: the checks equal
+# those of whole-weight columns, each product read through `normal_word`
+
+
+def reference_columns(res, w):
+    """b1, b2 and b3 of `res` at weight w, each built whole, with every
+    product y * u (left) or u * y (right) read through `normal_word`."""
+    model = res.model
+    left = res.side == "left"
+
+    def nf(y, u):
+        return model.normal_word(y + u if left else u + y)
+
+    p1, p2 = res._p1(w), res._p2(w)
+    b1 = {}
+    for k, (wy, start) in enumerate(p1):
+        for pos, y in enumerate(model.normal.get(wy, ()), start):
+            b1[pos] = nf(y, (k,))
+    b2 = {}
+    for groups, (wy, start) in zip(res.relations, p2):
+        for pos, y in enumerate(model.normal.get(wy, ()), start):
+            col = {}
+            for letter, tail in groups:
+                acc = {}
+                for rest, c in tail:
+                    addmul(acc, c, nf(y, rest))
+                for i, c in acc.items():
+                    col[p1[letter][1] + i] = c
+            b2[pos] = col
+    b3 = {}
+    odd_sign = 1 if left else -1
+    for pos, y in enumerate(model.normal.get(w - TOP, ())):
+        col = {}
+        for k, (_, start) in enumerate(p2):
+            sign = odd_sign if res.parities[k] else 1
+            for i, c in nf(y, (k,)).items():
+                col[start + i] = sign * c
+        b3[pos] = col
+    return b1, b2, b3
+
+
+def reference_checks(res, w):
+    """The checks at weight w, in record order, from whole columns: all of
+    b2, then both composites, then the ranks."""
+    d0, d1, d2, d3 = res.degrees(w)
+    b1, b2, b3 = reference_columns(res, w)
+    complex12 = resolution._composes_to_zero(b2.values(), b1)
+    complex23 = resolution._composes_to_zero(b3.values(), b2)
+    r1 = certified_rank(b1.values(), d0)
+    bound2 = min(d1 - r1, d2) if complex12 else d2
+    r2 = certified_rank(b2.values(), bound2, res._p1_key(w))
+    r3 = rank(b3.values())
+    return [("b1b2_zero", complex12), ("b2b3_zero", complex23),
+            ("b3_injective", r3 == d3), ("exact_at_p2", r2 + r3 == d2),
+            ("exact_at_p1", r1 + r2 == d1), ("exact_at_p0", r1 == d0 - (w == 0)),
+            ("euler", d0 - d1 + d2 - d3 == (w == 0))]
+
+
+def _draw(seed):
+    # the benchmark's shape: G^1 = 1, G^2 and G^3 from +-1..+-3
+    rng = random.Random(seed)
+    return presentation31([1] + [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(2)])
+
+
+STREAMED = [
+    ("p31", 12), ("p22", 12), (preset(4, 1), 11), (preset(1, 3), 12), ("minkowski32", 12),
+    (_draw(1), 12), (_draw(2), 12), (_draw(3), 12),
+]
+
+
+@pytest.mark.parametrize("p, max_weight", STREAMED,
+                         ids=["31", "22", "41", "13", "minkowski32", "seed1", "seed2", "seed3"])
+def test_streamed_checks_equal_whole_weight(p, max_weight, request):
+    # the blocks of b2 cover the whole-weight b2 column for column, each
+    # block keyed inside its own P2 block, and verify_weight records the
+    # reference's checks in the reference's order; the right side's b1
+    # columns are the dicts normal_word(v + y) returns, read off the tables
+    if isinstance(p, str):
+        p = request.getfixturevalue(p)
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=max_weight)
+    for side in ("left", "right"):
+        res = SidedResolution(model, p, side)
+        for w in range(max_weight + 1):
+            b1, b2, b3 = reference_columns(res, w)
+            got = res.b1_columns(w)
+            assert got == b1 and res.b3_columns(w) == b3, (side, w)
+            if side == "right":
+                assert all(got[pos] is b1[pos] for pos in b1), w
+            p2 = res._p2(w) + [(None, res.degrees(w)[2])]
+            for k in range(len(res.relations)):
+                block = res.b2_columns(w, k)
+                assert all(p2[k][1] <= pos < p2[k + 1][1] for pos in block), (side, w, k)
+            assert whole_b2(res, w) == b2, (side, w)
+            assert list(res.verify_weight(w).checks.items()) == reference_checks(res, w), \
+                (side, w)
+
+
+@pytest.mark.parametrize("p", ["p31", preset(1, 3)], ids=["31", "13"])
+def test_right_side_reads_the_tables(p, request):
+    # on the right, nf(v_k y) for a normal word y is the table entry
+    # left[k][|y|][position of y], the very dict normal_word(v_k + y)
+    # returns, for b1 (|y| = w - |v_k|) and b3 (|y| = w - 8) alike; on the
+    # left the products are the normal forms of y + v_k
+    if isinstance(p, str):
+        p = request.getfixturevalue(p)
+    r0, r1 = build_relations(p)
+    model = AssocModel(p.alphabet, r0 + r1, max_weight=12)
+    for side in ("left", "right"):
+        res = SidedResolution(model, p, side)
+        for k in range(len(res.relations)):
+            for wy in range(-3, 13 - p.alphabet.weights[k]):
+                got = list(res._letter_products(k, wy))
+                ys = model.normal.get(wy, ())
+                assert len(got) == len(ys), (side, k, wy)
+                for nf, y in zip(got, ys):
+                    if side == "right":
+                        assert nf is model.normal_word((k,) + y), (k, y)
+                    else:
+                        assert nf == model.normal_word(y + (k,)), (k, y)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_b2_off_b3_only_records_b2b3(assoc31, p31, side, monkeypatch):
+    # a b2 column that b3 reads, doubled: b2 stays inside ker b1 with its
+    # rank and leading positions, but b2 o b3 gains that column times its
+    # b3 coefficients, so b2b3_zero alone fails
+    w = 10
+    res = SidedResolution(assoc31, p31, side)
+    blocks = [res.b2_columns(w, k) for k in range(len(res.relations))]
+    read = {pos for col in res.b3_columns(w).values() for pos in col}
+    k, pos = next((k, pos) for k, block in enumerate(blocks) for pos in block
+                  if pos in read and block[pos])
+    blocks[k] = {**blocks[k], pos: {i: 2 * c for i, c in blocks[k][pos].items()}}
+    monkeypatch.setattr(res, "b2_columns", lambda _, k: blocks[k])
+    checks = res.verify_weight(w).checks
+    assert [name for name, ok in checks.items() if not ok] == ["b2b3_zero"]
