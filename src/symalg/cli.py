@@ -7,6 +7,8 @@ truncation), verify (resolution, omega, susy, semidirect), dixmier
 module parses and range-checks the flags, reads each input file once,
 caches the report bytes by the hash of the configuration and of the bytes
 read (the same bytes the report is computed from), and renders them.
+Every hash is `cache.sha256`, the interpreter's built-in SHA-256, so no
+command loads OpenSSL.
 Cache hits are byte-identical to recomputation (--no-cache recomputes and
 diffs); an entry that is not a JSON object echoing the configuration is
 recomputed and replaced.
@@ -33,7 +35,6 @@ usual, and so does a run whose flush fails (a closed pipe).
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -65,7 +66,7 @@ def _read_inputs(config):
             docs[opt] = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"{path} is not JSON: {exc}")
-        hashes[opt] = hashlib.sha256(data).hexdigest()
+        hashes[opt] = cachemod.sha256(data).hexdigest()
     return hashes, docs
 
 

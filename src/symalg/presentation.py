@@ -212,9 +212,9 @@ class SymPresentation:
 def presentation_sha256(p):
     """SHA-256 of the canonical JSON: the reports' `presentation_sha256`
     and the key of the model pickle cache."""
-    import hashlib
+    from .cache import sha256
 
-    return hashlib.sha256(p.canonical_json().encode()).hexdigest()
+    return sha256(p.canonical_json().encode()).hexdigest()
 
 
 def preset(n, s):

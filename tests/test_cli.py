@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symalg.cli import main
 from symalg.superlie import heis
@@ -828,6 +830,35 @@ def test_report_cache_store_is_atomic(monkeypatch, tmp_path):
     assert cache.lookup("k", tmp_path) == b"first\n"
 
 
+def test_cache_sha256_is_the_builtin_module():
+    import hashlib
+    import importlib
+
+    import symalg.cache as cache
+
+    builtin = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert cache.sha256 is builtin.sha256
+    assert cache.sha256 is not hashlib.sha256
+
+
+# lengths 0-300, drawn evenly, so the 55/56-byte (one padding block or
+# two) and 64-byte (block) edges come up; the examples pin them
+@settings(max_examples=300)
+@given(st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+@example(b"")
+@example(b"\x00" * 55)
+@example(b"\xff" * 56)
+@example(b"a" * 64)
+@example(b"b" * 119)
+@example(b"c" * 120)
+def test_cache_sha256_matches_hashlib(data):
+    import hashlib
+
+    import symalg.cache as cache
+
+    assert cache.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
 ROOT = Path(__file__).resolve().parent.parent
 # the modules a dataclass would pull in; they cost start-up time and memory
 INTROSPECTION = {"dataclasses", "inspect", "ast", "tokenize"}
@@ -860,6 +891,9 @@ def test_import_loads_no_introspection_modules():
         "symalg", "symalg.homology", "symalg.linalg"}
 
 
+# hashlib and the OpenSSL binding it loads
+HASHLIB = {"hashlib", "_hashlib"}
+
 # every command loads these: the CLI, the report cache, `reports` and what
 # it imports at the top
 CLI_MODULES = {"cli", "cache", "reports", "presentation", "linalg", "series", "tensor"}
@@ -873,13 +907,17 @@ CLI_MODULES = {"cli", "cache", "reports", "presentation", "linalg", "series", "t
      {"engine", "superlie", "surjection"}),
     (["--no-cache", "verify", "susy", "--preset", "3,1"], {"assoc", "susy"}),
     (["--no-cache", "verify", "semidirect", "--preset", "3,1"], {"engine", "semidirect"}),
+    (["--no-cache", "basis", "--preset", "3,1", "--l", "5"], {"engine"}),
+    (["hilbert", "--preset", "3,1", "--degree", "8"], set()),
 ], ids=["verify-resolution", "freegens", "dixmier-surject", "verify-susy",
-        "verify-semidirect"])
+        "verify-semidirect", "basis", "hilbert"])
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
     argv = ["--cache-dir", str(tmp_path / "cache"), *argv]
     loaded = _fresh_modules(f"import symalg.cli\nassert symalg.cli.main({argv!r}) == 0")
     assert _symalg_modules(loaded) == {"symalg", *(f"symalg.{m}" for m in CLI_MODULES | runs)}
     assert not loaded & INTROSPECTION
+    # every hash is the built-in SHA-256: no command maps OpenSSL's libcrypto
+    assert not loaded & HASHLIB
 
 
 def test_every_public_name_is_its_modules_object():
