@@ -10,31 +10,32 @@ column per such candidate (the generators, then one symbol g (x) b_j),
 keys column k by the int -k, and spans the kernel of the map onto L_w by
 rows that are already identities over L_{<w}:
 
-* each relation of weight w, through the Dynkin-Specht-Wever map
-  theta(a1...an) = [a1, [a2, ..., an]], for which theta(P) = n P on
-  length-n Lie polynomials;
+* each relation of weight w;
 * super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x];
 * super-Jacobi g (x) [b, c] - [[g, b], c] - (-1)^{|g||b|} [b, [g, c]].
 
-Brackets are evaluated by one recursion, `bracket`,
+Lie elements, the relations and the `project` input, enter as the
+(coefficient, bracket tree) terms of a `tensor.LieElement`; a `Poly`
+without them is refused.  A generator leaf reads `gen_coords` (its own
+column at the weight being built), a nested element its own trees, and a
+pair [a, b] the brackets of the representatives in a and b, by the one
+recursion `bracket`,
 
     [[g, c], b] = [g, [c, b]] - (-1)^{|g||c|} [c, [g, b]],
 
-down to brackets [g, b_k] with a generator; `_theta` takes the same last
-step [a1, theta(a2...an)].  At a built weight [g, b_k] is the column of
-ad_g, and at the weight w being built it is the symbol g (x) b_k, held by
-its column key from the start, so the step's rows and the queries on a
-built model share one code path and every vector of the step is over int
-keys.
+down to brackets [g, b_k] with a generator.  At a built weight [g, b_k]
+is the column of ad_g, and at the weight w being built it is the symbol
+g (x) b_k, held by its column key from the start, so the step's rows and
+the queries on a built model share one code path and every vector of the
+step is over int keys.
 Pivoting every row on its last candidate leaves the greedy
 representatives as the non-pivot columns (the first generators and
 bracket monomials independent modulo the ideal), and solving each
 candidate over them gives the columns of ad_g, the matrix of bracketing
-with the generator g.  Tensor polynomials enter only as relations and
-`project` input, through theta; the build never expands a tensor word.
+with the generator g.
 
 Every quotient-coordinate vector inside the model (the ad columns,
-`gen_coords`, the memos of theta and of the brackets) is a `linalg`
+`gen_coords`, the memo of the brackets) is a `linalg`
 integer vector (den, {position: int}) over one positive denominator.  The
 read-off is `linalg.solve`'s, which gives each candidate column over the
 representatives as such a vector, and combinations go through
@@ -52,11 +53,10 @@ algebra are counted when `ideal_dim` asks for them.  The free-generator
 analysis of the ideals of a model is in `symalg.freegens`.
 """
 
-from fractions import Fraction
 from pathlib import Path
 
 from .linalg import Echelon, add_scaled, primitive, rational, solve
-from .tensor import bracket_word_name, super_commutator
+from .tensor import bracket_word_name
 
 
 class EngineError(ValueError):
@@ -115,11 +115,10 @@ class LieModel:
         self.max_weight = cutoff + 1
         rel_by_weight = {}
         for r in relations:
-            if r.is_zero():
-                continue
-            w = r.weight()
-            r.parity()  # must be homogeneous
-            rel_by_weight.setdefault(w, []).append(_lie_parts(r))
+            # a zero element has no trees; weight() refuses an inhomogeneous one,
+            # and with parity == weight mod 2 that makes its parity homogeneous
+            if _trees(r):
+                rel_by_weight.setdefault(r.weight(), []).append(r)
         self.reps = {}
         # weight -> echelon of the kernel rows over the candidate columns
         self.solvers = {}
@@ -143,11 +142,12 @@ class LieModel:
         A = self.alphabet
         cols = [g.name for g in A.generators if g.weight == w]
         # column k is keyed -k: Echelon pivots on the smallest key, so every
-        # row pivots on its last candidate.  `_cols` gives the key of a
-        # generator column by name, and those of the symbols g (x) b_j at
-        # weight wl as the list _cols[(g, wl)], so every vector of the step
-        # shares its key objects.
-        self._cols = {c: -k for k, c in enumerate(cols)}
+        # row pivots on its last candidate.  Until the read-off a generator
+        # of weight w has its column as `gen_coords`, and `_cols` gives the
+        # keys of the symbols g (x) b_j at weight wl as the list
+        # _cols[(g, wl)], so every vector of the step shares its key objects.
+        self.gen_coords |= {c: (1, {-k: 1}) for k, c in enumerate(cols)}
+        self._cols = {}
         for g in A.generators:
             rest = w - g.weight
             k = len(cols)
@@ -163,9 +163,9 @@ class LieModel:
             if acc[1]:
                 ech.insert(acc[1])
 
-        # (a) relations, through theta
-        for parts in relations:
-            insert(self._evaluate(parts))
+        # (a) relations, from their bracket trees
+        for r in relations:
+            insert(self._evaluate(r))
         for g in A.generators:
             rest = w - g.weight
             gd, gv = self.gen_coords[g.name]
@@ -222,33 +222,32 @@ class LieModel:
             add_scaled(acc, a, self.ad[(g, wl, k)], d)
         return acc
 
-    def _theta(self, word, memo):
-        """Coordinates of theta(word) = [a1, [a2, ..., an]], over the
-        candidate columns if its weight is being built."""
-        got = memo.get(word)
-        if got is None:
-            A = self.alphabet
-            g = A.names[word[0]]
-            tail = word[1:]
-            wt = A.word_weight(tail)
-            built = wt + A.weights[word[0]] in self.reps
-            if tail:
-                got = primitive(self._ad(g, wt, self._theta(tail, memo), built))
-            else:
-                got = self.gen_coords[g] if built else (1, {self._cols[g]: 1})
-            memo[word] = got
-        return got
-
-    def _evaluate(self, parts):
-        """The accumulator of the sum of theta(P_n) / n over the parts
-        {n: {word: c}} of a Lie element (Dynkin-Specht-Wever)."""
+    def _evaluate(self, elem):
+        """A Lie element as an integer vector at its weight, from its
+        (coefficient, bracket tree) terms: over the candidate columns while
+        that weight is being built, zero above the truncation."""
+        trees = _trees(elem)
         acc = [1, {}]
-        memo = {}
-        for n, terms in parts.items():
-            for word, c in terms.items():
-                q = Fraction(c, n)
-                add_scaled(acc, q.numerator, self._theta(word, memo), q.denominator)
-        return acc
+        if trees and elem.weight() <= self.max_weight:
+            for c, tree in trees:
+                n, d = c.as_integer_ratio()
+                add_scaled(acc, n, self._tree(tree)[1], d)
+        return primitive(acc)
+
+    def _tree(self, tree):
+        """(weight, integer vector) of a bracket tree: a generator name, a
+        pair of trees or a nested Lie element."""
+        if isinstance(tree, str):
+            A = self.alphabet
+            return A.weights[A.index(tree)], self.gen_coords[tree]
+        if not isinstance(tree, tuple | list):
+            return tree.weight(), self._evaluate(tree)
+        (wa, (da, va)), (wb, (db, vb)) = map(self._tree, tree)
+        acc = [1, {}]
+        for i, x in va.items():
+            for j, y in vb.items():
+                add_scaled(acc, x * y, self.bracket(wa, i, wb, j), da * db)
+        return wa + wb, primitive(acc)
 
     # -- queries
 
@@ -271,21 +270,12 @@ class LieModel:
         return free_lie_dims(self.alphabet, w)[w - 1] - self.dim(w)
 
     def project(self, poly):
-        """Quotient coordinates of a homogeneous Lie element.
-
-        Returns {rep position -> value} at the element's weight, each value
-        an int if integral and a Fraction otherwise; the empty dict means
-        the element lies in the ideal.  Each length-n part P_n is evaluated
-        as theta(P_n) / n; raises if some part is not a Lie polynomial.
-        """
-        if poly.is_zero():
-            return {}
-        w = poly.weight()
-        if w > self.max_weight:
-            return {}
-        if w not in self.reps:
-            raise EngineError(f"weight {w} not computed")
-        return rational(primitive(self._evaluate(_lie_parts(poly))))
+        """Quotient coordinates of a homogeneous Lie element, evaluated from
+        the bracket trees of its `tensor.LieElement` (a `lie_sum` or
+        `lie_expand`); a `Poly` without trees is refused.  Returns {rep
+        position -> value} at the element's weight, each value an int if
+        integral and a Fraction otherwise; {} means it lies in the ideal."""
+        return rational(self._evaluate(poly))
 
     def contains_ideal(self, poly):
         return not self.project(poly)
@@ -357,36 +347,12 @@ class LieModel:
         return labels, parities, weights, brackets
 
 
-def _lie_parts(poly):
-    """The parts of a tensor polynomial by word length, {n: {word: c}}.
-
-    Raises EngineError unless every part is a Lie polynomial, checked by
-    theta(P_n) = n P_n in the tensor algebra (Dynkin-Specht-Wever).
-    """
-    A = poly.alphabet
-    parts = {}
-    for u, c in poly.terms.items():
-        parts.setdefault(len(u), {})[u] = c
-    memo = {}
-
-    def theta(word):
-        got = memo.get(word)
-        if got is None:
-            got = A.gen(A.names[word[0]])
-            if len(word) > 1:
-                got = super_commutator(got, theta(word[1:]))
-            memo[word] = got
-        return got
-
-    for n, terms in parts.items():
-        acc = A.zero()
-        for word, c in terms.items():
-            acc = acc + theta(word).scale(c)
-        if acc.terms != {u: n * c for u, c in terms.items()}:
-            raise EngineError(
-                f"element of weight {poly.weight()} is not in the Lie span"
-            )
-    return parts
+def _trees(elem):
+    """The (coefficient, bracket tree) terms of a `tensor.LieElement`."""
+    if not hasattr(elem, "trees"):
+        raise EngineError("a Lie element enters with its bracket trees, as "
+                          "tensor.lie_sum or lie_expand builds it; a Poly has none")
+    return elem.trees
 
 
 def label_tree(label):

@@ -14,16 +14,16 @@ The action of d is read off the relations r0_i and r1_a:
     d(p_i) = -sum_{j>=2} [q_j, [q_j, q_i]] + 1/2 sum_{a,b} G^i_ab [w_a, w_b]
     d(w_a) = -sum_{j>=2, b} G^j_ab [q_j, w_b]
 
-Each of rho and the images of d is one `tensor.lie_sum`.
-`check_semidirect` checks the isomorphism: the generator maps compose to
-the identity both ways, and d maps rho into the ideal it generates.
+Each of rho and the images of d is one `tensor.lie_sum`; `leibniz` applies
+d on bracket trees.  `check_semidirect` checks the isomorphism: the maps
+compose to the identity both ways, and d maps rho into its own ideal.
 """
 
 from fractions import Fraction
 
 from .engine import LieModel
 from .presentation import PresentationError, check_nondegenerate, is_identity
-from .tensor import EVEN, ODD, Alphabet, Derivation, lie_sum
+from .tensor import EVEN, ODD, Alphabet, lie_expand, lie_sum
 
 
 def semidirect_alphabet(n, s):
@@ -80,6 +80,21 @@ def semidirect_maps(p):
     return psi, psi_inv, d_action
 
 
+def leibniz(elem, images):
+    """d(elem) for the even derivation d given on generators by `images`,
+    built on elem's bracket trees by the Leibniz rule d[a, b] = [d a, b] +
+    [a, d b], so the result is again a Lie element."""
+    def d(tree):
+        if isinstance(tree, str):
+            return images[tree]
+        if isinstance(tree, tuple | list):
+            a, b = tree
+            return lie_sum([(1, (d(a), b)), (1, (a, d(b)))], elem.alphabet)
+        return leibniz(tree, images)
+
+    return lie_sum([(c, d(tree)) for c, tree in elem.trees], elem.alphabet)
+
+
 def check_semidirect(p):
     """(psi, psi_inv, round_trip, relation_preserved) for the maps of
     `semidirect_maps`, or None for a degenerate presentation, which has no
@@ -91,13 +106,12 @@ def check_semidirect(p):
         return None
     psi, psi_inv, d_action = semidirect_maps(p)
     U, rho = semidirect_relation(p.n, p.s)
-    d = Derivation(U, d_action, EVEN)
 
     def image(t):
-        return psi[t] if isinstance(t, str) else d(U.gen(image(t[1])))
+        return psi[t] if isinstance(t, str) else leibniz(lie_expand(image(t[1]), U), d_action)
 
     round_trip = (all(psi_inv[v] == k for k, v in psi.items())
                   and all(image(t) == (u if isinstance(t, str) else U.gen(u))
                           for u, t in psi_inv.items()))
     model = LieModel(U, [rho], cutoff=9)
-    return psi, psi_inv, round_trip, model.contains_ideal(d(rho))
+    return psi, psi_inv, round_trip, model.contains_ideal(leibniz(rho, d_action))

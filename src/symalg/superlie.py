@@ -183,11 +183,13 @@ class FinDimSuperLieAlgebra:
         current = full
         while True:
             nxt = []
-            seen = Echelon()
+            # each weight spans on its own (key None if unweighted)
+            seen = {}
             for u in full:
                 for v in current:
                     b = self.bracket_vec(u, v)
-                    if extend(seen, b):
+                    if b and extend(seen.setdefault(
+                            self.weights and self.weights[next(iter(b))], Echelon()), b):
                         nxt.append(b)
             series.append(nxt)
             if not nxt:

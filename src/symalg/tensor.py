@@ -221,31 +221,52 @@ def super_commutator(u, v):
     return u * v - (v * u).scale(sign)
 
 
-def lie_expand(expr, alphabet):
-    """Expand a bracket tree into the tensor algebra.
+class LieElement(Poly):
+    """The tensor polynomial of a sum of brackets, with the (coefficient,
+    bracket tree) terms it was expanded from: a Lie element by construction.
+    A tree is a generator name, a pair (left, right) meaning the graded
+    bracket of the two subtrees, or a nested element.  The Lie engine
+    evaluates the trees; everything else reads `terms`."""
 
-    A tree is a generator name, or a pair (left, right) meaning the graded
-    bracket of the two subtrees.
-    """
+    __slots__ = ("trees",)
+
+    def __init__(self, alphabet, terms, trees):
+        super().__init__(alphabet, terms)
+        self.trees = trees
+
+
+def _expand(expr, alphabet):
+    """The tensor polynomial of a bracket tree."""
     if isinstance(expr, str):
         return alphabet.gen(expr)
-    if isinstance(expr, Poly):
+    if isinstance(expr, LieElement):
         return expr
     if isinstance(expr, (tuple, list)) and len(expr) == 2:
-        return super_commutator(
-            lie_expand(expr[0], alphabet), lie_expand(expr[1], alphabet)
-        )
+        return super_commutator(_expand(expr[0], alphabet), _expand(expr[1], alphabet))
     raise ValueError(f"malformed bracket tree {expr!r}")
 
 
+def lie_expand(expr, alphabet):
+    """The Lie element of one bracket tree."""
+    return lie_sum([(1, expr)], alphabet)
+
+
 def lie_sum(terms, alphabet):
-    """The tensor element sum c * lie_expand(tree) over the (coefficient,
-    bracket tree) pairs `terms`, its values under the scalar convention of
-    `linalg.ratio` (int where integral)."""
-    out = {}
+    """The Lie element sum c * tree over the (coefficient, bracket tree)
+    pairs `terms`, its values under the scalar convention of `linalg.ratio`
+    (int where integral).  It keeps the terms of the weights whose part is
+    nonzero: a homogeneous element's trees have its weight, zero has none."""
+    parts = {}
     for c, tree in terms:
-        addmul(out, c, lie_expand(tree, alphabet).terms)
-    return Poly(alphabet, {u: ratio(*c.as_integer_ratio()) for u, c in out.items()})
+        p = _expand(tree, alphabet)
+        if c and p:
+            out, kept = parts.setdefault(p.weight(), ({}, []))
+            addmul(out, c, p.terms)
+            kept.append((c, tree))
+    parts = [part for part in parts.values() if part[0]]
+    return LieElement(alphabet, {u: ratio(*c.as_integer_ratio())
+                                 for out, _ in parts for u, c in out.items()},
+                      tuple(t for _, kept in parts for t in kept))
 
 
 def bracket_word_name(expr):

@@ -8,6 +8,7 @@ bracket span in `generators_oracle` the one for the free-generator counts."""
 import pickle
 import random
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -35,7 +36,7 @@ from symalg.refdata import (
     reference_basis_trees,
 )
 from symalg.semidirect import semidirect_relation
-from symalg.tensor import Alphabet, lie_expand, super_commutator
+from symalg.tensor import Alphabet, lie_expand, lie_sum, super_commutator
 
 
 @pytest.fixture(scope="module")
@@ -118,36 +119,38 @@ def test_reference_basis_reduces_independently(model31, p31):
 
 def test_dependency_identities(model31, p31):
     for lhs, rhs in DEPENDENCY_IDENTITIES_31:
-        acc = lie_expand(lhs, p31.alphabet)
-        for coeff, tree in rhs:
-            acc = acc - lie_expand(tree, p31.alphabet).scale(coeff)
-        assert model31.contains_ideal(acc)
+        assert model31.contains_ideal(
+            lie_sum([(1, lhs)] + [(-c, tree) for c, tree in rhs], p31.alphabet))
+        # each identity is a dependency, not a vanishing: its left side survives
+        assert model31.project(lie_expand(lhs, p31.alphabet))
 
 
 def test_project_and_membership(model31, p31):
     r0, r1 = build_relations(p31)
     assert model31.contains_ideal(r0[0])
     assert model31.contains_ideal(r1[0])
-    x1 = p31.alphabet.gen("x1")
-    coords = model31.project(x1)
+    coords = model31.project(lie_expand("x1", p31.alphabet))
     assert list(coords.values()) == [Fraction(1)]
 
 
 def test_project_int_and_fraction_coefficients_agree(model31, p31):
-    # an int coefficient is the same scalar as its Fraction: the length-n
-    # part is divided by n exactly, never by float division
+    # an int coefficient is the same scalar as its Fraction, and a tree's
+    # coefficient enters as an exact ratio, never by float division
     A = p31.alphabet
-    x1, x2, z1 = (A.index(n) for n in ("x1", "x2", "z1"))
     cases = [
-        {(x1, x2): 1, (x2, x1): -1},
-        {(x2, z1): 3, (z1, x2): -3},
-        # [x1, [x1, x2]] plus [z1, z1]: parts of length 3 and 2 at weight 6
-        {(x1, x1, x2): 1, (x1, x2, x1): -2, (x2, x1, x1): 1, (z1, z1): 2},
+        [(1, ("x1", "x2"))],
+        [(3, ("x2", "z1"))],
+        # trees of two shapes at weight 6
+        [(1, ("x1", ("x1", "x2"))), (1, ("z1", "z1"))],
+        [(Fraction(1, 3), ("x1", ("x1", "x2"))), (Fraction(-1, 2), ("z1", "z1"))],
     ]
     for terms in cases:
-        want = model31.project(A.poly({u: Fraction(c) for u, c in terms.items()}))
+        want = model31.project(lie_sum([(Fraction(c), t) for c, t in terms], A))
         assert want
-        assert model31.project(A.poly(terms)) == want
+        assert model31.project(lie_sum(terms, A)) == want
+        # the same terms twice, each tree as a nested Lie element
+        twice = lie_sum([(c, lie_expand(t, A)) for c, t in terms] * 2, A)
+        assert model31.project(twice) == {k: 2 * v for k, v in want.items()}
 
 
 def test_struct_antisymmetry(model31):
@@ -366,7 +369,7 @@ def test_empty_alphabet_is_the_zero_algebra():
     model = LieModel(Alphabet([]), [], cutoff=5)
     assert model.weights() == [] and model.total_dim() == 0
     assert all(model.dim(w) == 0 for w in range(7))
-    assert model.project(Alphabet([]).zero()) == {}
+    assert model.project(lie_sum([], Alphabet([]))) == {}
 
 
 def test_model_pickle_cache_roundtrip(tmp_path):
@@ -478,9 +481,9 @@ def _semidirect():
 def _dependent_generators():
     # relations that make generators dependent: b = a, c = [a, e], d = 0
     A = Alphabet([("a", 0, 2), ("b", 0, 2), ("e", 0, 2), ("c", 0, 4), ("d", 1, 3)])
-    rels = [A.gen("b") - A.gen("a"),
-            A.gen("c") - lie_expand(("a", "e"), A),
-            A.gen("d")]
+    rels = [lie_sum([(1, "b"), (-1, "a")], A),
+            lie_sum([(1, "c"), (-1, ("a", "e"))], A),
+            lie_expand("d", A)]
     return A, rels
 
 
@@ -534,20 +537,22 @@ def test_dependent_generators_are_solved():
 
 
 # presentation, cutoff: (3,1), (2,2), an n = 1 case `freegens --ideal k1s`
-# accepts, and general coefficients G = (1, 2, -3)
+# accepts, general coefficients G = (1, 2, -3) and the seeded generic (3,3)
+# of `tests/golden/inputs/generic33-seed7.json`
 STRUCT_CASES = {
     "31": (lambda: preset(3, 1), 11),
     "22": (lambda: preset(2, 2), 10),
     "13": (lambda: preset(1, 3), 11),
     "31-G(1,2,-3)": (_general_31, 11),
+    "33-generic-7": (lambda: _generic(3, 3, 7), 9),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STRUCT_CASES))
 def test_struct_matches_tensor_oracle(case):
-    # struct works in quotient coordinates only; the oracle expands both
-    # representatives' labels in the tensor algebra and projects the
-    # commutator in tensor coordinates
+    # struct works in quotient coordinates only, and project evaluates the
+    # bracket's tree; the oracle expands both representatives' labels in the
+    # tensor algebra and projects the commutator in tensor coordinates
     make, cutoff = STRUCT_CASES[case]
     p = make()
     r0, r1 = build_relations(p)
@@ -566,14 +571,14 @@ def test_struct_matches_tensor_oracle(case):
     oracle = {}
     values = []
     for wu, i, wv, j in pairs:
-        bracket = super_commutator(polys[(wu, i)], polys[(wv, j)])
+        # one tree whose two leaves are the representatives' Lie elements
+        bracket = lie_expand((polys[(wu, i)], polys[(wv, j)]), p.alphabet)
         oracle[(wu, i, wv, j)] = o.project(bracket)
         assert m.struct(wu, i, wv, j) == oracle[(wu, i, wv, j)], (wu, i, wv, j)
+        got = m.project(bracket)
+        assert got == oracle[(wu, i, wv, j)], (wu, i, wv, j)
         values += m.struct(wu, i, wv, j).values()
-        if wu + wv <= 8:  # project expands its input: keep the weights low
-            got = m.project(bracket)
-            assert got == oracle[(wu, i, wv, j)], (wu, i, wv, j)
-            values += got.values()
+        values += got.values()
     assert any(oracle.values())
     # super-antisymmetry: [b, a] = -(-1)^{|a||b|} [a, b]
     for wu, i, wv, j in pairs:
@@ -728,61 +733,109 @@ def test_generators_match_all_pairs_oracle(model31, case):
         assert sorted(got) == m.weights()
 
 
-def _random_tree(rng, A, w):
-    """A random bracket tree of weight w over A, or None if there is none."""
+@cache
+def _has_tree(weights, w, depth):
+    """Whether a bracket tree of weight w and depth <= depth exists over
+    generators of the given weights."""
+    return w in weights or depth > 0 and any(
+        _has_tree(weights, u, depth - 1) and _has_tree(weights, w - u, depth - 1)
+        for u in range(1, w))
+
+
+@st.composite
+def bracket_tree(draw, A, w, depth):
+    """A bracket tree of weight w and depth <= depth over A, which has one."""
     names = [g.name for g in A.generators if g.weight == w]
-    splits = [(u, w - u) for u in range(1, w)]
-    rng.shuffle(splits)
-    if names and (not splits or rng.random() < 0.3):
-        return rng.choice(names)
-    for u, v in splits:
-        left = _random_tree(rng, A, u)
-        right = left and _random_tree(rng, A, v)
-        if right:
-            return (left, right)
-    return rng.choice(names) if names else None
+    splits = [u for u in range(1, w) if depth > 0
+              and _has_tree(A.weights, u, depth - 1)
+              and _has_tree(A.weights, w - u, depth - 1)]
+    pick = draw(st.sampled_from(names + splits))
+    if isinstance(pick, str):
+        return pick
+    return (draw(bracket_tree(A, pick, depth - 1)), draw(bracket_tree(A, w - pick, depth - 1)))
 
 
-def test_project_matches_oracle_on_random_lie_combinations(model31, oracle31, p31):
-    # random combinations of bracket trees, mixing word lengths within a
-    # weight (x-trees and z-trees), project as in tensor coordinates
-    A = p31.alphabet
-    rng = random.Random(11)
-    nonzero = 0
-    for _ in range(40):
-        w = rng.randint(2, 12)
-        acc = A.zero()
-        for _ in range(3):
-            tree = _random_tree(rng, A, w)
-            if tree:
-                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                acc = acc + lie_expand(tree, A).scale(c)
-        got = model31.project(acc)
-        assert got == oracle31.project(acc)
-        nonzero += bool(got)
-    assert nonzero >= 20
+@st.composite
+def lie_terms(draw, A, max_weight, depth=4):
+    """One to three (rational coefficient, bracket tree) terms of one
+    weight <= max_weight, each tree of depth <= depth."""
+    w = draw(st.sampled_from([w for w in range(1, max_weight + 1)
+                              if _has_tree(A.weights, w, depth)]))
+    return draw(st.lists(st.tuples(RATIONALS, bracket_tree(A, w, depth)),
+                         min_size=1, max_size=3))
+
+
+@pytest.fixture(scope="module")
+def generic33():
+    """The engine and the tensor-coordinate oracle on the seeded generic
+    (3,3) presentation of the golden inputs, weights <= 10."""
+    p = _generic(3, 3, 7)
+    r0, r1 = build_relations(p)
+    return LieModel(p.alphabet, r0 + r1, cutoff=9), TensorLieModel(p.alphabet, r0 + r1, cutoff=9)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_project_matches_oracle_on_random_lie_combinations(model31, oracle31, generic33, data):
+    # combinations of bracket trees (depth <= 4, rational coefficients,
+    # mixing x-trees and z-trees within a weight) over the (3,1) preset
+    # and the seeded generic (3,3) alphabets: the engine evaluates the trees
+    # and the oracle reduces the expanded tensor words
+    m, o = data.draw(st.sampled_from([(model31, oracle31), generic33]))
+    elem = lie_sum(data.draw(lie_terms(m.alphabet, o.max_weight)), m.alphabet)
+    assert m.project(elem) == o.project(elem)
 
 
 @pytest.mark.parametrize("word, lie_part", [
     (("x1", "x2"), None),
     (("x1", "x1"), None),
     (("z1", "x1", "x1"), None),
-    # a Lie part of another length does not hide the non-Lie one
+    # a Lie part with its trees does not make the sum a Lie element
     (("x1", "x2", "x3"), ("z1", "z1")),
 ])
 def test_project_rejects_non_lie_words(model31, p31, word, lie_part):
+    # a Poly carries no bracket trees, so the engine refuses it
     A = p31.alphabet
     poly = A.poly({tuple(A.index(n) for n in word): Fraction(1)})
     if lie_part:
         poly = poly + lie_expand(lie_part, A)
-    with pytest.raises(EngineError, match="not in the Lie span"):
+    with pytest.raises(EngineError, match="bracket trees"):
         model31.project(poly)
+    with pytest.raises(EngineError, match="bracket trees"):
+        model31.contains_ideal(poly)
+
+
+def test_a_poly_without_trees_is_refused(model31, p31):
+    # refused even where it is a Lie element or zero; as the leaf of a
+    # tree it is refused by lie_sum, so a LieElement is Lie by construction
+    A = p31.alphabet
+    commutator = super_commutator(A.gen("x1"), A.gen("x2"))
+    for poly in (commutator, A.zero()):
+        for query in (model31.project, model31.contains_ideal,
+                      lambda q: LieModel(A, [q], cutoff=5)):
+            with pytest.raises(EngineError, match="bracket trees"):
+                query(poly)
+    with pytest.raises(ValueError, match="malformed bracket tree"):
+        lie_sum([(1, ("x3", commutator))], A)
 
 
 def test_non_lie_relation_rejected(p31):
     A = p31.alphabet
-    with pytest.raises(EngineError):
+    with pytest.raises(EngineError, match="bracket trees"):
         LieModel(A, [A.gen("x1") * A.gen("x2")], cutoff=3)
+
+
+def test_zero_lie_elements_evaluate_to_zero(model31, p31):
+    # a zero element, as a relation, as a query and as a leaf of a tree
+    A = p31.alphabet
+    zero = lie_sum([(1, ("x1", "x1"))], A)
+    assert zero.is_zero() and zero.trees == ()
+    r0, r1 = build_relations(p31)
+    assert LieModel(A, r0 + r1 + [zero], cutoff=7).dims() == LieModel(A, r0 + r1, cutoff=7).dims()
+    assert model31.project(zero) == {} and model31.contains_ideal(zero)
+    elem = lie_sum([(1, ("x2", zero)), (2, (("x1", zero), "z1")), (1, ("x1", "x2"))], A)
+    assert elem.trees == ((1, ("x1", "x2")),)
+    assert model31.project(elem) == model31.project(lie_expand(("x1", "x2"), A))
 
 
 def test_basis_report_shape(model31):

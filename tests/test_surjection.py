@@ -252,11 +252,10 @@ def test_inconsistent_bracket_rows_raise(model31, p31):
     # [x1,x3] -> p1 and [x2,x3] -> q1 force their bracket onto [p1,q1] = -z;
     # declaring that bracket zero gives the row [0 | -z], whose pivot sits
     # on an image column
-    from symalg.tensor import super_commutator
+    from symalg.tensor import lie_expand
 
     A = p31.alphabet
-    (i,), (k,) = (model31.project(super_commutator(A.gen(x), A.gen("x3")))
-                  for x in ("x1", "x2"))
+    (i,), (k,) = (model31.project(lie_expand((x, "x3"), A)) for x in ("x1", "x2"))
     model = _TamperedModel(model31, (4, min(i, k), 4, max(i, k)))
     with pytest.raises(SurjectionError, match="not a morphism at weight 8"):
         build_cw_surjection(p31, 1, 1, l=13, model=model)
@@ -265,10 +264,10 @@ def test_inconsistent_bracket_rows_raise(model31, p31):
 def test_pinned_class_in_the_bracket_span_raises(model31, p31):
     # weight 4 has one bracket pair, [x3,x3] = 0; reading it as the class of
     # [x1,x3] puts the pinned class of p1 in the span of the bracket rows
-    from symalg.tensor import super_commutator
+    from symalg.tensor import lie_expand
 
     A = p31.alphabet
-    p1 = model31.project(super_commutator(A.gen("x1"), A.gen("x3")))
+    p1 = model31.project(lie_expand(("x1", "x3"), A))
     x3 = [rep.name for rep in model31.reps[2]].index("x3")
     model = _TamperedModel(model31, (2, x3, 2, x3), p1)
     with pytest.raises(SurjectionError, match="pinned target p1 is dependent"):

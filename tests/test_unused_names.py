@@ -29,6 +29,11 @@ outside `symalg` is not a package module: `os._exit` is no such read.
 And one check that keeps the reading of a reduced echelon in one place:
 no module of the package but `linalg` reads `.full_reduce`, so every
 solution is read off through `linalg.solve`.
+
+And one check that keeps the Lie engine on bracket trees: `engine.py`
+imports nothing from `tensor` but `bracket_word_name` and reads no
+`.terms` attribute, so it evaluates a Lie element from the trees of its
+`tensor.LieElement` and never from its tensor words.
 """
 
 import ast
@@ -363,3 +368,46 @@ def test_the_reduce_check_sees_reads():
         "obj.full_reduce = None\n"
     )
     assert full_reduce_reads(tree) == [1, 2]
+
+
+def tensor_reads(tree):
+    """What `tree` takes from the tensor algebra: each name it imports from
+    `tensor` but `bracket_word_name`, an import of the module itself, and
+    each read of an attribute `.terms`."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            from_tensor = (n.module or "").split(".")[-1] == "tensor"
+            out += [(n.lineno, f"line {n.lineno}: imports {a.name!r}") for a in n.names
+                    if a.name == "tensor" or from_tensor and a.name != "bracket_word_name"]
+        elif isinstance(n, ast.Import):
+            out += [(n.lineno, f"line {n.lineno}: imports {a.name!r}") for a in n.names
+                    if a.name.split(".")[-1] == "tensor"]
+        elif (isinstance(n, ast.Attribute) and n.attr == "terms"
+              and not isinstance(n.ctx, ast.Store)):
+            out.append((n.lineno, f"line {n.lineno}: reads .terms"))
+    return [msg for _, msg in sorted(out)]
+
+
+def test_the_engine_reads_lie_elements_as_trees():
+    found = tensor_reads(ast.parse((SRC / "engine.py").read_text()))
+    assert not found, "engine.py: " + "; ".join(found)
+
+
+def test_the_tensor_check_sees_reads():
+    tree = ast.parse(
+        "from .tensor import bracket_word_name, super_commutator\n"
+        "from symalg.tensor import Poly\n"
+        "from . import linalg, tensor\n"
+        "import symalg.tensor as t\n"
+        "poly.terms.items()\n"
+        "self.terms = {}\n"
+        "terms = elem.trees\n"
+    )
+    assert tensor_reads(tree) == [
+        "line 1: imports 'super_commutator'",
+        "line 2: imports 'Poly'",
+        "line 3: imports 'tensor'",
+        "line 4: imports 'symalg.tensor'",
+        "line 5: reads .terms",
+    ]
