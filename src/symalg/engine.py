@@ -231,10 +231,10 @@ class LieModel:
         if trees and elem.weight() <= self.max_weight:
             for c, tree in trees:
                 n, d = c.as_integer_ratio()
-                add_scaled(acc, n, self._tree(tree)[1], d)
+                add_scaled(acc, n, self.tree_vector(tree)[1], d)
         return primitive(acc)
 
-    def _tree(self, tree):
+    def tree_vector(self, tree):
         """(weight, integer vector) of a bracket tree: a generator name, a
         pair of trees or a nested Lie element."""
         if isinstance(tree, str):
@@ -242,7 +242,7 @@ class LieModel:
             return A.weights[A.index(tree)], self.gen_coords[tree]
         if not isinstance(tree, tuple | list):
             return tree.weight(), self._evaluate(tree)
-        (wa, (da, va)), (wb, (db, vb)) = map(self._tree, tree)
+        (wa, (da, va)), (wb, (db, vb)) = map(self.tree_vector, tree)
         acc = [1, {}]
         for i, x in va.items():
             for j, y in vb.items():

@@ -52,17 +52,9 @@ class SubalgebraGenerators:
     def __init__(self, model, q, seeds, max_weight=None):
         max_weight = model.max_weight if max_weight is None else max_weight
         A = model.alphabet
-
-        def coords(g):
-            return A.weights[A.index(g)], model.gen_coords[g][1]
-
         seed_rows = {}
         for seed in seeds:
-            if isinstance(seed, str):
-                w, row = coords(seed)
-            else:
-                (wa, a), (wb, b) = map(coords, seed)
-                w, row = wa + wb, _pair(model, wa, a, wb, b)
+            w, (_, row) = model.tree_vector(seed)
             seed_rows.setdefault(w, []).append(row)
         # weight -> basis of K_w (the rows of its echelon)
         self.k_basis = {}

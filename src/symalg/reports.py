@@ -91,10 +91,14 @@ def basis(p, l, check_reference_basis=False, cache_dir=None):
             from .refdata import (DEPENDENCY_IDENTITIES_31, EXPECTED_CUMULATIVE_31,
                                   reference_basis_trees)
 
-            elems = [lie_expand(tree, p.alphabet) for tree in reference_basis_trees(l)]
-            # distinct weights use disjoint coordinate blocks
-            count = rank([{e.weight() * 10**6 + k: v for k, v in model.project(e).items()}
-                          for e in elems])
+            vectors = []
+            for tree in reference_basis_trees(l):
+                poly = lie_expand(tree, p.alphabet)
+                # distinct weights use disjoint coordinate blocks
+                vectors.append(
+                    {poly.weight() * 10**6 + k: v for k, v in model.project(poly).items()}
+                )
+            count = rank(vectors)
             ok = count == model.total_dim() == EXPECTED_CUMULATIVE_31[l]
             report["reference_count"] = count
             if l >= 7:

@@ -906,7 +906,7 @@ CLI_MODULES = {"cli", "cache", "reports", "presentation", "linalg", "series", "t
     (["--no-cache", "dixmier", "surject", "--preset", "3,1", "--l", "13"],
      {"engine", "superlie", "surjection"}),
     (["--no-cache", "verify", "susy", "--preset", "3,1"], {"assoc", "susy"}),
-    (["--no-cache", "verify", "semidirect", "--preset", "3,1"], {"engine", "semidirect"}),
+    (["--no-cache", "verify", "semidirect", "--preset", "3,1"], {"semidirect"}),
     (["--no-cache", "basis", "--preset", "3,1", "--l", "5"], {"engine"}),
     (["hilbert", "--preset", "3,1", "--degree", "8"], set()),
 ], ids=["verify-resolution", "freegens", "dixmier-surject", "verify-susy",

@@ -757,11 +757,11 @@ def bracket_tree(draw, A, w, depth):
 
 @st.composite
 def lie_terms(draw, A, max_weight, depth=4):
-    """One to three (rational coefficient, bracket tree) terms of one
-    weight <= max_weight, each tree of depth <= depth."""
+    """One to three (nonzero rational coefficient, bracket tree) terms of
+    one weight <= max_weight, each tree of depth <= depth."""
     w = draw(st.sampled_from([w for w in range(1, max_weight + 1)
                               if _has_tree(A.weights, w, depth)]))
-    return draw(st.lists(st.tuples(RATIONALS, bracket_tree(A, w, depth)),
+    return draw(st.lists(st.tuples(RATIONALS.filter(bool), bracket_tree(A, w, depth)),
                          min_size=1, max_size=3))
 
 
@@ -774,16 +774,25 @@ def generic33():
     return LieModel(p.alphabet, r0 + r1, cutoff=9), TensorLieModel(p.alphabet, r0 + r1, cutoff=9)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(data=st.data())
-def test_project_matches_oracle_on_random_lie_combinations(model31, oracle31, generic33, data):
-    # combinations of bracket trees (depth <= 4, rational coefficients,
-    # mixing x-trees and z-trees within a weight) over the (3,1) preset
-    # and the seeded generic (3,3) alphabets: the engine evaluates the trees
-    # and the oracle reduces the expanded tensor words
-    m, o = data.draw(st.sampled_from([(model31, oracle31), generic33]))
-    elem = lie_sum(data.draw(lie_terms(m.alphabet, o.max_weight)), m.alphabet)
-    assert m.project(elem) == o.project(elem)
+def test_project_matches_oracle_on_random_lie_combinations(model31, oracle31, generic33):
+    # combinations of bracket trees (depth <= 4, nonzero rational
+    # coefficients, mixing x-trees and z-trees within a weight) over the
+    # (3,1) preset and the seeded generic (3,3) alphabets: the engine
+    # evaluates the trees and the oracle reduces the expanded tensor words.
+    # Most draws must project nonzero, or the comparison says little
+    nonzero = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(data=st.data())
+    def check(data):
+        m, o = data.draw(st.sampled_from([(model31, oracle31), generic33]))
+        elem = lie_sum(data.draw(lie_terms(m.alphabet, o.max_weight)), m.alphabet)
+        got = m.project(elem)
+        assert got == o.project(elem)
+        nonzero.append(bool(got))
+
+    check()
+    assert sum(nonzero) >= len(nonzero) / 2
 
 
 @pytest.mark.parametrize("word, lie_part", [
