@@ -160,6 +160,12 @@ def _render_table(doc, indent=0):
                 lines.extend(_render_table(v, indent + 1))
             else:
                 lines.append(f"{pad}{str(k).ljust(width)}  {v}")
+    elif isinstance(doc, list) and any(isinstance(v, dict) for v in doc):
+        # one block per item, its first line marked "- "
+        for v in doc:
+            block = _render_table(v, indent + 1) or [""]
+            lines.append(f"{pad}- {block[0][len(pad) + 2:]}".rstrip())
+            lines.extend(block[1:])
     elif isinstance(doc, list):
         lines.append(pad + "  ".join(str(v) for v in doc))
     else:

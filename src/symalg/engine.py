@@ -11,8 +11,36 @@ keys column k by the int -k, and spans the kernel of the map onto L_w by
 rows that are already identities over L_{<w}:
 
 * each relation of weight w;
-* super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x];
-* super-Jacobi g (x) [b, c] - [[g, b], c] - (-1)^{|g||b|} [b, [g, c]].
+* super-antisymmetry A(g, x) = [x, g] + (-1)^{|x||g|} g (x) x for each
+  generator g and representative x;
+* super-Jacobi J(g, b, c) = g (x) [b, c] - [[g, b], c] - (-1)^{|g||b|} [b, [g, c]]
+  for each generator g and representatives b, c with b a generator or b
+  not after c in (weight, position) order.
+
+The step leaves out three kinds of these rows, which cannot add rank
+(`_implied`).  In L_{<w}, a Lie superalgebra, an element has unique
+coordinates, so its identities hold between the coordinate vectors
+exactly; at weight w the bracket [h, y] of a generator representative h
+is the symbol h (x) y.
+
+1. Definitions.  If g (x) b was kept as the representative u = [g, b]
+   (label (g, b), tail the position of b), ad_g(b) is the unit vector of
+   u, and `bracket` expands [u, c] into exactly the other two terms of
+   J(g, b, c): the row is zero.  Likewise A(g, x) for x = [g, c] and an
+   even g: [g, g] = 0 and [c, g] = -[g, c] = -x, so [x, g] expands into
+   g (x) [c, g] - [c, [g, g]] = -g (x) x.
+2. Even squares.  J(g, g, c) for an even g: ad_g(g) = [g, g] = 0, and the
+   first and third terms cancel, the representative b being g itself.
+3. Mirrored generator pairs.  J(g, h, c) for a generator h before g in the
+   alphabet, when g is a representative too.  ad_h(g) = -(-1)^{|g||h|}
+   ad_g(h), and `bracket` is linear in its first argument, so J(g, h, c) =
+   -(-1)^{|g||h|} J(h, g, c) term by term, and J(h, g, c) is built or is
+   zero by 1.
+
+So the kernel's row space is that of the full row set, and so are the
+reduced echelon `solve` reads and the model.  Antisymmetry rows A(g, x)
+for x = [h, c] with h after g never added rank in the cases tried either,
+but no proof is known, so they are built.
 
 Lie elements, the relations and the `project` input, enter as the
 (coefficient, bracket tree) terms of a `tensor.LieElement`; a `Poly`
@@ -172,6 +200,8 @@ class LieModel:
             # (b) super-antisymmetry [x, g] + (-1)^{|x||g|} [g, x]
             sign = -1 if (g.parity and rest & 1) else 1
             for j, key in enumerate(self._cols[(g.name, rest)]):
+                if self._implied(g, rest, j, False):
+                    continue
                 acc = [1, {key: sign}]
                 for k, a in gv.items():
                     add_scaled(acc, a, self.bracket(rest, j, g.weight, k), gd)
@@ -183,6 +213,8 @@ class LieModel:
                     continue
                 sign = -1 if (g.parity and wb & 1) else 1
                 for ib, b in enumerate(self.reps[wb]):
+                    if self._implied(g, wb, ib, True):
+                        continue
                     bd, bv = self.ad[(g.name, wb, ib)]
                     for ic in range(self.dim(wc)):
                         if not (b.tail is None or wb < wc or (wb == wc and ib <= ic)):
@@ -208,6 +240,27 @@ class LieModel:
             else:
                 self.ad[c] = v
         self.solvers[w] = ech
+
+    def _implied(self, g, wb, ib, jacobi):
+        """Whether the step leaves out the super-antisymmetry row of the
+        generator g and the representative b at (wb, ib), or with `jacobi`
+        the super-Jacobi rows J(g, b, c) for every c: the rows the module
+        docstring proves zero, (1) and (2), or the mirror of a built row, (3)."""
+        b = self.reps[wb][ib]
+        even = not g.parity
+        if not jacobi:
+            # (1) x = [g, c] for an even g
+            return even and b.tail is not None and b.label[0] == g.name
+        return (even and b.label == g.name
+                or b.tail is None and self.alphabet.index(b.label) < g.index
+                and self._kept(g.weight, self.gen_coords[g.name], g.name)
+                or self._kept(wb + g.weight, self.ad[(g.name, wb, ib)], (g.name, b.label)))
+
+    def _kept(self, w, vec, label):
+        """Whether vec, the coordinates of the candidate with this label at
+        the built weight w, is the unit vector of that candidate kept as a
+        representative (a label names one candidate of its weight)."""
+        return any(self.reps[w][k].label == label for k in vec[1])
 
     def _ad(self, g, wl, vec, built):
         """[g, x] for x = vec at weight wl, as an accumulator [den, {...}]:

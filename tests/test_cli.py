@@ -273,6 +273,19 @@ def test_table_format(capsys, tmp_path):
     assert "identity_holds" in out and "{" not in out.splitlines()[0]
 
 
+def test_table_format_renders_each_object_of_a_list_as_a_block(capsys, tmp_path):
+    code, out = run_cli(capsys, tmp_path, "--format", "table", "basis", "--preset", "3,1",
+                        "--l", "4")
+    assert code == 0 and "{" not in out
+    lines = out.splitlines()
+    start = lines.index("components:") + 1
+    assert lines[start:start + 8] == [
+        "  - weight  2", "    dim     3", "    basis:", "      x1  x2  x3",
+        "  - weight  3", "    dim     1", "    basis:", "      z1",
+    ]
+    assert sum(line.startswith("  - weight") for line in lines) == 4
+
+
 @pytest.mark.parametrize("argv, message", [
     (("hilbert", "--preset", "3"), "--preset expects n,s"),
     (("hilbert", "--preset", "a,b"), "--preset expects n,s"),

@@ -20,6 +20,7 @@ from tensor_oracle import TensorLieModel
 from symalg import engine
 from symalg.engine import EngineError, LieModel, free_lie_dims, rational
 from symalg.freegens import SubalgebraGenerators, tym_hat_generators
+from symalg.linalg import Echelon
 from symalg.presentation import (
     FREE_IDEALS,
     SymPresentation,
@@ -487,10 +488,50 @@ def _dependent_generators():
     return A, rels
 
 
+@cache
+def _has_tree(weights, w, depth):
+    """Whether a bracket tree of weight w and depth <= depth exists over
+    generators of the given weights."""
+    return w in weights or depth > 0 and any(
+        _has_tree(weights, u, depth - 1) and _has_tree(weights, w - u, depth - 1)
+        for u in range(1, w))
+
+
+def _tree(choose, A, w, depth):
+    """A bracket tree of weight w and depth <= depth over A, which has one:
+    `choose` picks a generator name or the weight of a left subtree."""
+    names = [g.name for g in A.generators if g.weight == w]
+    splits = [u for u in range(1, w) if depth > 0
+              and _has_tree(A.weights, u, depth - 1)
+              and _has_tree(A.weights, w - u, depth - 1)]
+    pick = choose(names + splits)
+    if isinstance(pick, str):
+        return pick
+    return (_tree(choose, A, pick, depth - 1), _tree(choose, A, w - pick, depth - 1))
+
+
+def _random_case(seed):
+    """A seeded alphabet of 2-4 generators of weights 1-3, parity = weight
+    mod 2, listed in drawn order, and 0-3 relations, each one to three
+    random bracket trees of one weight <= 6 with coefficients in +-1, +-2."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    A = Alphabet([(f"a{i}", w % 2, w) for i, w in enumerate(weights)])
+    rels = []
+    for _ in range(rng.randint(0, 3)):
+        w = rng.choice([w for w in range(1, 7) if _has_tree(A.weights, w, 3)])
+        rels.append(lie_sum([(rng.choice((-2, -1, 1, 2)), _tree(rng.choice, A, w, 3))
+                             for _ in range(rng.randint(1, 3))], A))
+    return A, rels
+
+
+# seed: cutoff <= 9, at most about 3 000 tensor words at the top weight
+RANDOM_CASES = {0: 9, 6: 7, 19: 8, 23: 9, 24: 7, 27: 9}
+
 # alphabet and relations, cutoff: (3,1), (2,2), n = 1 cases
 # `freegens --ideal k1s` accepts, (3,1) with general coefficients
 # G = (1, 2, -3), the semidirect model U with its one relation, and
-# relations that make generators dependent
+# relations that make generators dependent, and the seeded random cases
 ORACLE_CASES = {
     "31": (lambda: _relations(lambda: preset(3, 1)), 13),
     "22": (lambda: _relations(lambda: preset(2, 2)), 10),
@@ -499,7 +540,26 @@ ORACLE_CASES = {
     "31-G(1,2,-3)": (lambda: _relations(_general_31), 11),
     "semidirect-31": (_semidirect, 9),
     "dependent-generators": (_dependent_generators, 9),
+    **{f"random-{seed}": (lambda seed=seed: _random_case(seed), cutoff)
+       for seed, cutoff in RANDOM_CASES.items()},
 }
+
+
+def test_random_cases_cover_the_left_out_rows():
+    # the rows the step leaves out depend on the alphabet order and on
+    # parity signs, and a mirrored pair needs its generators kept: the
+    # seeds give odd generators, a weight shared by generators, an order
+    # that disagrees with weight, 0-3 relations and a generator a relation
+    # makes dependent
+    cases = [_random_case(seed) for seed in RANDOM_CASES]
+    assert any(any(A.parities) for A, _ in cases)
+    assert any(len(set(A.weights)) < len(A.weights) for A, _ in cases)
+    assert any(list(A.weights) != sorted(A.weights) for A, _ in cases)
+    assert {len(rels) for _, rels in cases} == {0, 1, 2, 3}
+    models = [LieModel(A, rels, RANDOM_CASES[seed])
+              for seed, (A, rels) in zip(RANDOM_CASES, cases)]
+    assert any(g.name not in [r.label for r in m.reps.get(g.weight, ())]
+               for m in models for g in m.alphabet.generators)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -519,6 +579,59 @@ def test_build_matches_tensor_oracle(case):
             assert rational(m.gen_coords[g.name]) == o.project(A.gen(g.name)), g.name
     for w in m.weights():
         assert m.ideal_dim(w) == o.ideal_dim(w), w
+
+
+class _AllRows(LieModel):
+    """The step with every super-antisymmetry and super-Jacobi row of the
+    module docstring's list built, none left out."""
+
+    def _implied(self, g, wb, ib, jacobi):
+        return False
+
+
+# presentation, cutoff
+ALL_ROWS_CASES = {
+    "31": (lambda: preset(3, 1), 13),
+    "41": (lambda: preset(4, 1), 11),
+    "22": (lambda: preset(2, 2), 11),
+    "13": (lambda: preset(1, 3), 11),
+    "33-generic-7": (lambda: _generic(3, 3, 7), 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALL_ROWS_CASES))
+def test_left_out_rows_leave_the_model_unchanged(case):
+    # the kernel's row space is the full row set's, so `solve` reads the
+    # same reduced echelon: the same representatives and integer vectors
+    make, cutoff = ALL_ROWS_CASES[case]
+    p = make()
+    r0, r1 = build_relations(p)
+    m = LieModel(p.alphabet, r0 + r1, cutoff)
+    full = _AllRows(p.alphabet, r0 + r1, cutoff)
+    assert ({w: [(r.label, r.tail) for r in reps] for w, reps in m.reps.items()}
+            == {w: [(r.label, r.tail) for r in reps] for w, reps in full.reps.items()})
+    assert m.ad == full.ad
+    assert m.gen_coords == full.gen_coords
+
+
+def test_rows_handed_to_the_echelon(monkeypatch):
+    # a deterministic work counter: the nonzero rows the (3,1) cutoff-13
+    # build inserts, with the left-out rows and with every row
+    inserts = []
+
+    class Counting(Echelon):
+        def insert(self, vec):
+            inserts.append(vec)
+            return super().insert(vec)
+
+    monkeypatch.setattr(engine, "Echelon", Counting)
+    p = preset(3, 1)
+    r0, r1 = build_relations(p)
+    LieModel(p.alphabet, r0 + r1, cutoff=13)
+    assert len(inserts) == 687
+    inserts.clear()
+    _AllRows(p.alphabet, r0 + r1, cutoff=13)
+    assert len(inserts) == 734
 
 
 def test_dependent_generators_are_solved():
@@ -733,26 +846,10 @@ def test_generators_match_all_pairs_oracle(model31, case):
         assert sorted(got) == m.weights()
 
 
-@cache
-def _has_tree(weights, w, depth):
-    """Whether a bracket tree of weight w and depth <= depth exists over
-    generators of the given weights."""
-    return w in weights or depth > 0 and any(
-        _has_tree(weights, u, depth - 1) and _has_tree(weights, w - u, depth - 1)
-        for u in range(1, w))
-
-
 @st.composite
 def bracket_tree(draw, A, w, depth):
     """A bracket tree of weight w and depth <= depth over A, which has one."""
-    names = [g.name for g in A.generators if g.weight == w]
-    splits = [u for u in range(1, w) if depth > 0
-              and _has_tree(A.weights, u, depth - 1)
-              and _has_tree(A.weights, w - u, depth - 1)]
-    pick = draw(st.sampled_from(names + splits))
-    if isinstance(pick, str):
-        return pick
-    return (draw(bracket_tree(A, pick, depth - 1)), draw(bracket_tree(A, w - pick, depth - 1)))
+    return _tree(lambda options: draw(st.sampled_from(options)), A, w, depth)
 
 
 @st.composite
