@@ -17,7 +17,7 @@ rows that are already identities over L_{<w}:
   for each generator g and representatives b, c with b a generator or b
   not after c in (weight, position) order.
 
-The step leaves out three kinds of these rows, which cannot add rank
+The step leaves out four kinds of these rows, which cannot add rank
 (`_implied`).  In L_{<w}, a Lie superalgebra, an element has unique
 coordinates, so its identities hold between the coordinate vectors
 exactly; at weight w the bracket [h, y] of a generator representative h
@@ -36,11 +36,30 @@ is the symbol h (x) y.
    ad_g(h), and `bracket` is linear in its first argument, so J(g, h, c) =
    -(-1)^{|g||h|} J(h, g, c) term by term, and J(h, g, c) is built or is
    zero by 1.
+4. Paired antisymmetry rows.  A(g, x) for x = [h, c] with h after g in
+   the alphabet, when g, h and [g, c] (label (g, c)) are representatives
+   too.  Let y = [g, h] and D(c, y) = [c, y] + (-1)^{|c||y|} [y, c], each
+   bracket of weight w expanded by `bracket`.  Expanding [x, g] by the
+   label of x, and using [g, c] = -(-1)^{|g||c|} [c, g] and [h, g] =
+   -(-1)^{|g||h|} y in L_{<w},
 
-So the kernel's row space is that of the full row set, and so are the
-reduced echelon `solve` reads and the model.  Antisymmetry rows A(g, x)
-for x = [h, c] with h after g never added rank in the cases tried either,
-but no proof is known, so they are built.
+       A(g, x) = (-1)^{|x||g|} J(g, h, c) + (-1)^{|h||c| + |g||h|} D(c, y),
+
+   and the same with g and h swapped, where D(c, [h, g]) =
+   -(-1)^{|g||h|} D(c, y) by linearity,
+
+       A(h, [g, c]) = (-1)^{(|g| + |c|)|h|} J(h, g, c) - (-1)^{|g||c|} D(c, y).
+
+   Eliminating D(c, y) writes A(g, x) over J(g, h, c), J(h, g, c) and
+   A(h, [g, c]).  The last is built, since g comes before h, and each
+   Jacobi row is built, zero by 1, or J(h, g, c), the mirror of
+   J(g, h, c) by 3.
+
+So each row left out is zero or a combination of rows that are built or
+zero, the kernel's row space is that of the full row set, and so are the
+reduced echelon `solve` reads and the model.  When [g, c] is not a
+representative, D(c, y) is no row and no proof is known that A(g, [h, c])
+is implied, so it is built.
 
 Lie elements, the relations and the `project` input, enter as the
 (coefficient, bracket tree) terms of a `tensor.LieElement`; a `Poly`
@@ -245,22 +264,35 @@ class LieModel:
         """Whether the step leaves out the super-antisymmetry row of the
         generator g and the representative b at (wb, ib), or with `jacobi`
         the super-Jacobi rows J(g, b, c) for every c: the rows the module
-        docstring proves zero, (1) and (2), or the mirror of a built row, (3)."""
+        docstring proves zero, (1) and (2), or a combination of built
+        rows, (3) and (4)."""
         b = self.reps[wb][ib]
         even = not g.parity
-        if not jacobi:
-            # (1) x = [g, c] for an even g
-            return even and b.tail is not None and b.label[0] == g.name
-        return (even and b.label == g.name
-                or b.tail is None and self.alphabet.index(b.label) < g.index
-                and self._kept(g.weight, self.gen_coords[g.name], g.name)
-                or self._kept(wb + g.weight, self.ad[(g.name, wb, ib)], (g.name, b.label)))
+        if jacobi:
+            return (even and b.label == g.name
+                    or b.tail is None and self.alphabet.index(b.label) < g.index
+                    and self._kept_generator(g.name)
+                    or self._kept(wb + g.weight, self.ad[(g.name, wb, ib)], (g.name, b.label)))
+        if b.tail is None:
+            return False
+        h = b.label[0]
+        wc, ic = b.tail
+        # (1) x = [g, c] for an even g; (4) x = [h, c] for h after g
+        return (even and h == g.name
+                or self.alphabet.index(h) > g.index
+                and self._kept_generator(g.name) and self._kept_generator(h)
+                and self._kept(wc + g.weight, self.ad[(g.name, wc, ic)],
+                               (g.name, self.reps[wc][ic].label)))
 
     def _kept(self, w, vec, label):
         """Whether vec, the coordinates of the candidate with this label at
         the built weight w, is the unit vector of that candidate kept as a
         representative (a label names one candidate of its weight)."""
         return any(self.reps[w][k].label == label for k in vec[1])
+
+    def _kept_generator(self, name):
+        A = self.alphabet
+        return self._kept(A.weights[A.index(name)], self.gen_coords[name], name)
 
     def _ad(self, g, wl, vec, built):
         """[g, x] for x = vec at weight wl, as an accumulator [den, {...}]:

@@ -628,7 +628,7 @@ def test_rows_handed_to_the_echelon(monkeypatch):
     p = preset(3, 1)
     r0, r1 = build_relations(p)
     LieModel(p.alphabet, r0 + r1, cutoff=13)
-    assert len(inserts) == 687
+    assert len(inserts) == 534
     inserts.clear()
     _AllRows(p.alphabet, r0 + r1, cutoff=13)
     assert len(inserts) == 734
