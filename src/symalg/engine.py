@@ -291,6 +291,7 @@ class LieModel:
         return any(self.reps[w][k].label == label for k in vec[1])
 
     def _kept_generator(self, name):
+        """Whether the generator `name` is a representative."""
         A = self.alphabet
         return self._kept(A.weights[A.index(name)], self.gen_coords[name], name)
 
