@@ -547,10 +547,10 @@ ORACLE_CASES = {
 
 def test_random_cases_cover_the_left_out_rows():
     # the rows the step leaves out depend on the alphabet order and on
-    # parity signs, and a mirrored pair needs its generators kept: the
-    # seeds give odd generators, a weight shared by generators, an order
-    # that disagrees with weight, 0-3 relations and a generator a relation
-    # makes dependent
+    # parity signs, and the mirrored and paired rows need their generators
+    # kept: the seeds give odd generators, a weight shared by generators,
+    # an order that disagrees with weight, 0-3 relations and a generator a
+    # relation makes dependent
     cases = [_random_case(seed) for seed in RANDOM_CASES]
     assert any(any(A.parities) for A, _ in cases)
     assert any(len(set(A.weights)) < len(A.weights) for A, _ in cases)
