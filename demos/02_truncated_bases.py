@@ -8,7 +8,7 @@ known closed-form bases can be re-derived and checked.
 
 from symalg import LieModel, build_relations, preset
 from symalg.refdata import DEPENDENCY_IDENTITIES_31, reference_basis_trees
-from symalg.tensor import lie_expand, lie_sum
+from symalg.tensor import bracket_word_name, lie_expand, lie_sum
 
 p = preset(3, 1)
 r0, r1 = build_relations(p)
@@ -16,7 +16,8 @@ model = LieModel(p.alphabet, r0 + r1, cutoff=7)
 
 print("dimensions per weight:", model.dims())
 for w in model.weights():
-    print(f"  weight {w}: {[rep.name for rep in model.reps[w]]}")
+    names = [bracket_word_name(model.label(w, i)) for i in range(model.dim(w))]
+    print(f"  weight {w}: {names}")
 
 cums = [sum(model.dim(w) for w in range(2, l + 2)) for l in range(1, 8)]
 print("cumulative dimensions for cutoffs 1..7:", cums)

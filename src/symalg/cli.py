@@ -167,10 +167,16 @@ def _render_table(doc, indent=0):
             lines.append(f"{pad}- {block[0][len(pad) + 2:]}".rstrip())
             lines.extend(block[1:])
     elif isinstance(doc, list):
-        lines.append(pad + "  ".join(str(v) for v in doc))
+        lines.append(pad + "  ".join(map(_word, doc)))
     else:
         lines.append(pad + str(doc))
     return lines
+
+
+def _word(v):
+    """A list item as one table cell: a nested list as a bracket word,
+    [x1,[x2,z1]], the name the reports use elsewhere."""
+    return "[" + ",".join(map(_word, v)) + "]" if isinstance(v, list) else str(v)
 
 
 def _cached_report(data, config):

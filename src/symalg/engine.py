@@ -24,11 +24,11 @@ exactly; at weight w the bracket [h, y] of a generator representative h
 is the symbol h (x) y.
 
 1. Definitions.  If g (x) b was kept as the representative u = [g, b]
-   (label (g, b), tail the position of b), ad_g(b) is the unit vector of
-   u, and `bracket` expands [u, c] into exactly the other two terms of
-   J(g, b, c): the row is zero.  Likewise A(g, x) for x = [g, c] and an
-   even g: [g, g] = 0 and [c, g] = -[g, c] = -x, so [x, g] expands into
-   g (x) [c, g] - [c, [g, g]] = -g (x) x.
+   (its column key (g, weight, position of b)), ad_g(b) is the unit
+   vector of u, and `bracket` expands [u, c] into exactly the other two
+   terms of J(g, b, c): the row is zero.  Likewise A(g, x) for x =
+   [g, c] and an even g: [g, g] = 0 and [c, g] = -[g, c] = -x, so [x, g]
+   expands into g (x) [c, g] - [c, [g, g]] = -g (x) x.
 2. Even squares.  J(g, g, c) for an even g: ad_g(g) = [g, g] = 0, and the
    first and third terms cancel, the representative b being g itself.
 3. Mirrored generator pairs.  J(g, h, c) for a generator h before g in the
@@ -37,11 +37,11 @@ is the symbol h (x) y.
    -(-1)^{|g||h|} J(h, g, c) term by term, and J(h, g, c) is built or is
    zero by 1.
 4. Paired antisymmetry rows.  A(g, x) for x = [h, c] with h after g in
-   the alphabet, when g, h and [g, c] (label (g, c)) are representatives
-   too.  Let y = [g, h] and D(c, y) = [c, y] + (-1)^{|c||y|} [y, c], each
-   bracket of weight w expanded by `bracket`.  Expanding [x, g] by the
-   label of x, and using [g, c] = -(-1)^{|g||c|} [c, g] and [h, g] =
-   -(-1)^{|g||h|} y in L_{<w},
+   the alphabet, when g, h and [g, c] (the column key (g, wc, ic)) are
+   representatives too.  Let y = [g, h] and D(c, y) = [c, y] +
+   (-1)^{|c||y|} [y, c], each bracket of weight w expanded by `bracket`.
+   Expanding [x, g] as [[h, c], g] by the key of x, and using [g, c] =
+   -(-1)^{|g||c|} [c, g] and [h, g] = -(-1)^{|g||h|} y in L_{<w},
 
        A(g, x) = (-1)^{|x||g|} J(g, h, c) + (-1)^{|h||c| + |g||h|} D(c, y),
 
@@ -93,11 +93,13 @@ Values become rational at the edges alone: `project`, `struct` and
 `export_struct` return them through `linalg.rational`, integral values as
 ints and the others as Fractions.
 
-The model stores nothing it can derive: a representative's weight is its
-key in `reps` and its parity that weight mod 2 (the engine requires
-generator parity == weight parity), and the dimensions of the free
-algebra are counted when `ideal_dim` asks for them.  The free-generator
-analysis of the ideals of a model is in `symalg.freegens`.
+The model stores nothing it can derive: a representative is its
+candidate's column key, a generator name or (g, wl, j) for [g, b_j], from
+which `label` derives its bracket tree; its weight is its key in `reps`
+and its parity that weight mod 2 (the engine requires generator parity ==
+weight parity), and the dimensions of the free algebra are counted when
+`ideal_dim` asks for them.  The free-generator analysis of the ideals of
+a model is in `symalg.freegens`.
 """
 
 from pathlib import Path
@@ -115,33 +117,13 @@ class EngineError(ValueError):
 # version 3 dropped the tensor expansions and added gen_coords; version 4
 # pickles the single-mode Echelon (slots: rows only); version 5 holds the
 # coordinate vectors as (den, {position: int}); version 6 drops Rep's
-# weight and parity and the memos of rational brackets and free dimensions.
-MODEL_SCHEMA = 6
+# weight and parity and the memos of rational brackets and free dimensions;
+# version 7 drops Rep: a representative is its candidate column key, a
+# generator name or (g, weight, position), and its bracket tree is derived.
+MODEL_SCHEMA = 7
 
 # The zero coordinate vector (den, {}); shared, never mutated.
 _ZERO = (1, {})
-
-
-class Rep:
-    """Coset representative: a bracket monomial.
-
-    `tail` is the (weight, position) of the lower representative c when the
-    label is (g, c), and None for a generator.  The weight is the key of
-    the representative in `LieModel.reps`, and the parity that weight mod 2.
-    """
-
-    __slots__ = ("label", "tail")
-
-    def __init__(self, label, tail=None):
-        self.label = label
-        self.tail = tail
-
-    @property
-    def name(self):
-        return bracket_word_name(self.label)
-
-    def __repr__(self):
-        return f"Rep({self.name})"
 
 
 class LieModel:
@@ -166,6 +148,7 @@ class LieModel:
             # and with parity == weight mod 2 that makes its parity homogeneous
             if _trees(r):
                 rel_by_weight.setdefault(r.weight(), []).append(r)
+        # weight -> the representatives, each its candidate column key
         self.reps = {}
         # weight -> echelon of the kernel rows over the candidate columns
         self.solvers = {}
@@ -236,7 +219,7 @@ class LieModel:
                         continue
                     bd, bv = self.ad[(g.name, wb, ib)]
                     for ic in range(self.dim(wc)):
-                        if not (b.tail is None or wb < wc or (wb == wc and ib <= ic)):
+                        if not (type(b) is str or wb < wc or (wb == wc and ib <= ic)):
                             continue
                         acc = self._ad(g.name, rest, self.bracket(wb, ib, wc, ic), False)
                         for k, a in bv.items():
@@ -248,11 +231,10 @@ class LieModel:
                         insert(acc)
         del self._open, self._cols
         # read off: the non-pivot columns (generator names and symbols
-        # (g, wl, j)) are the representatives; `solve` gives each column over them
+        # (g, wl, j)) are the representatives, held by their column keys;
+        # `solve` gives each column over them
         free, vectors = solve(ech, range(0, -len(cols), -1))
-        self.reps[w] = [Rep(c) if isinstance(c, str)
-                        else Rep((c[0], self.reps[c[1]][c[2]].label), c[1:])
-                        for c in (cols[-key] for key in free)]
+        self.reps[w] = [cols[-key] for key in free]
         for c, v in zip(cols, vectors):
             if isinstance(c, str):
                 self.gen_coords[c] = v
@@ -269,31 +251,30 @@ class LieModel:
         b = self.reps[wb][ib]
         even = not g.parity
         if jacobi:
-            return (even and b.label == g.name
-                    or b.tail is None and self.alphabet.index(b.label) < g.index
+            return (even and b == g.name
+                    or type(b) is str and self.alphabet.index(b) < g.index
                     and self._kept_generator(g.name)
-                    or self._kept(wb + g.weight, self.ad[(g.name, wb, ib)], (g.name, b.label)))
-        if b.tail is None:
+                    or self._kept(wb + g.weight, (g.name, wb, ib)))
+        if type(b) is str:
             return False
-        h = b.label[0]
-        wc, ic = b.tail
+        h, wc, ic = b
         # (1) x = [g, c] for an even g; (4) x = [h, c] for h after g
         return (even and h == g.name
                 or self.alphabet.index(h) > g.index
                 and self._kept_generator(g.name) and self._kept_generator(h)
-                and self._kept(wc + g.weight, self.ad[(g.name, wc, ic)],
-                               (g.name, self.reps[wc][ic].label)))
+                and self._kept(wc + g.weight, (g.name, wc, ic)))
 
-    def _kept(self, w, vec, label):
-        """Whether vec, the coordinates of the candidate with this label at
-        the built weight w, is the unit vector of that candidate kept as a
-        representative (a label names one candidate of its weight)."""
-        return any(self.reps[w][k].label == label for k in vec[1])
+    def _kept(self, w, key):
+        """Whether the candidate with this column key at the built weight w
+        was kept as a representative: its coordinates are then the unit
+        vector of the representative that is the key itself."""
+        vec = self.gen_coords[key] if type(key) is str else self.ad[key]
+        return any(self.reps[w][k] == key for k in vec[1])
 
     def _kept_generator(self, name):
         """Whether the generator `name` is a representative."""
         A = self.alphabet
-        return self._kept(A.weights[A.index(name)], self.gen_coords[name], name)
+        return self._kept(A.weights[A.index(name)], name)
 
     def _ad(self, g, wl, vec, built):
         """[g, x] for x = vec at weight wl, as an accumulator [den, {...}]:
@@ -339,6 +320,15 @@ class LieModel:
 
     def weights(self):
         return sorted(self.reps)
+
+    def label(self, w, i):
+        """Bracket tree of the representative at (w, i): its generator name,
+        or (g, tree of b_j) for the candidate key (g, wl, j) of [g, b_j]."""
+        rep = self.reps[w][i]
+        if type(rep) is str:
+            return rep
+        g, wl, j = rep
+        return g, self.label(wl, j)
 
     def dim(self, w):
         return len(self.reps.get(w, ()))
@@ -390,13 +380,12 @@ class LieModel:
         u = self.reps[wu][iu]
         if w > self.max_weight:
             out = _ZERO
-        elif u.tail is None:
-            out = (self.ad[(u.label, wv, iv)] if built
-                   else (1, {self._cols[(u.label, wv)][iv]: 1}))
+        elif type(u) is str:
+            out = (self.ad[(u, wv, iv)] if built
+                   else (1, {self._cols[(u, wv)][iv]: 1}))
         else:
             # u = [g, c]:  [[g,c],b] = [g,[c,b]] - (-1)^{|g||c|} [c,[g,b]]
-            g = u.label[0]
-            wc, ic = u.tail
+            g, wc, ic = u
             wg = wu - wc
             sign = -1 if (wg & 1 and wc & 1) else 1
             acc = self._ad(g, wc + wv, self.bracket(wc, ic, wv, iv), built)
@@ -417,7 +406,7 @@ class LieModel:
         flat = [(w, i) for w in self.weights() for i in range(self.dim(w))]
         weights = [w for w, _ in flat]
         offs = {w: weights.index(w) for w in set(weights)}
-        labels = [self.reps[w][i].name for w, i in flat]
+        labels = [bracket_word_name(self.label(w, i)) for w, i in flat]
         parities = [w & 1 for w in weights]
         brackets = {}
         # flat is in weight order, so a row ends at its first partner
@@ -454,7 +443,7 @@ def basis_report(model):
         {
             "weight": w,
             "dim": model.dim(w),
-            "basis": [label_tree(rep.label) for rep in model.reps[w]],
+            "basis": [label_tree(model.label(w, i)) for i in range(model.dim(w))],
         }
         for w in model.weights()
     ]

@@ -96,23 +96,24 @@ def _annihilator(model, w, ann, free):
     # the last generator first (its rows fill in least); lam[x][j] is
     # sum_i lam_{x,i} alpha_i(c_j) and forms[b] is phi(b), over them
     lam = {}
-    n = sum(rep.tail is None for rep in reps)
+    n = sum(type(rep) is str for rep in reps)
     for g in reversed(model.alphabet.generators):
         dim_a, values = ann.get(w - g.weight, (0, ()))
         lam[g.name] = [{n + i: c for i, c in v.items()} for v in values]
         n += dim_a
     mu = count()
-    forms = [{next(mu): 1} if rep.tail is None else lam[rep.label[0]][rep.tail[1]]
+    forms = [{next(mu): 1} if type(rep) is str else lam[rep[0]][rep[2]]
              for rep in reps]
-    own = {(rep.label[0], rep.tail[1]) for rep in reps if rep.tail}
+    own = set(reps)
     live = {b for b, f in enumerate(forms) if f}
     # (3) at the ad column [x, c_k] = v / d: phi(v) - d lam[x][k] = 0,
     # skipped where it has no unknown or is a representative's own tail
     eqs = []
     for g in model.alphabet.generators:
         for k, rhs in enumerate(lam[g.name]):
-            d, v = model.ad[(g.name, w - g.weight, k)]
-            if (rhs or not live.isdisjoint(v)) and (g.name, k) not in own:
+            key = (g.name, w - g.weight, k)
+            d, v = model.ad[key]
+            if (rhs or not live.isdisjoint(v)) and key not in own:
                 eqs.append(_combine(v, forms))
                 addmul(eqs[-1], -d, rhs)
     # phi([u, v]) = 0 for the pairs of V

@@ -82,7 +82,9 @@ class GammaTensor:
         if len(matrices) != n:
             raise PresentationError(f"expected {n} matrices, got {len(matrices)}")
         for i, m in enumerate(matrices):
-            mat = [[rat(m[a][b]) for b in range(s)] for a in range(s)]
+            if len(m) != s or any(len(row) != s for row in m):
+                raise PresentationError(f"gamma[{i}] must be {s} x {s}")
+            mat = [[rat(x) for x in row] for row in m]
             for a in range(s):
                 for b in range(a):
                     if mat[a][b] != mat[b][a]:

@@ -60,6 +60,7 @@ from .linalg import addmul, intvec, rank, rational, solve, span
 from .presentation import (InputError, build_relations, free_gen_series, free_ideal,
                            is_identity)
 from .superlie import heis, kirillov_weight
+from .tensor import bracket_word_name
 
 
 class SurjectionError(InputError):
@@ -211,7 +212,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
     reached = reach(pinned, slots)
 
     # positions of x1..xn among the weight-2 representatives
-    pos2 = {rep.label: j for j, rep in enumerate(model.reps.get(2, ()))}
+    pos2 = {rep: j for j, rep in enumerate(model.reps.get(2, ()))}
     for name in ("x1", "x2", "x3"):
         if name not in pos2:
             raise SurjectionError(f"missing weight-2 representative {name}")
@@ -297,7 +298,7 @@ def build_cw_surjection(p, r, t, l=None, model=None):
                 if needs:
                     name = needs.pop(0)
                     image = {target.index(name): 1}
-                    phi_desc[name] = f"weight-{w} slot {model.reps[w][j].name}"
+                    phi_desc[name] = f"weight-{w} slot {bracket_word_name(model.label(w, j))}"
                 ech.insert(augmented({j: 1}, image))
         if needs:
             raise SurjectionError(

@@ -284,6 +284,13 @@ def test_table_format_renders_each_object_of_a_list_as_a_block(capsys, tmp_path)
         "  - weight  3", "    dim     1", "    basis:", "      z1",
     ]
     assert sum(line.startswith("  - weight") for line in lines) == 4
+    # a basis element's bracket tree, a nested list, reads as its bracket word
+    assert lines[start + 11] == "      [x1,x2]  [x1,x3]  [x2,x3]"
+    code, out = run_cli(capsys, tmp_path, "--format", "table", "basis", "--preset", "3,1",
+                        "--l", "6")
+    weight7 = ("      [x1,[x2,z1]]  [x1,[x3,z1]]  [x2,[x2,z1]]  [x2,[x3,z1]]  [x3,[x2,z1]]"
+               "  [x3,[x3,z1]]")
+    assert code == 0 and weight7 in out.splitlines()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -349,6 +356,14 @@ def test_flags_a_target_does_not_read_exit_2(capsys, tmp_path, command, flag, va
     ('{"n": 1, "s": 1, "gamma": [[["1"]]], "metric": [[1e400]]}', "a scalar must be"),
     ('{"n": 1, "s": 1, "gamma": [[["1"]]], "metric": [[0.1]]}', "a scalar must be"),
     ('{"n": 1, "s": 1, "gamma": [[["1"]]], "metric": [[true]]}', "a scalar must be"),
+    # a gamma matrix must be s x s: its extra rows and columns were dropped
+    ('{"n": 3, "s": 1, "gamma": [[[1, 7], [7, 2]], [[0]], [[0], [3]]]}',
+     "gamma[0] must be 1 x 1"),
+    ('{"n": 1, "s": 2, "gamma": [[[1, 0], [0]]]}', "gamma[0] must be 2 x 2"),
+    ('{"n": 1, "s": 1, "gamma": [[[1]]], "gamma_tilde": [[[1], [0]]]}',
+     "gamma[0] must be 1 x 1"),
+    ('{"n": 1, "s": 2, "gamma": [[[1, 0], [0, 1]]], "gamma_tilde": [[[1, 0], [0, 1, 2]]]}',
+     "gamma[0] must be 2 x 2"),
 ])
 def test_bad_presentation_file_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "p.json"

@@ -5,6 +5,7 @@ The tensor-coordinate construction in `tensor_oracle` is the independent
 route the quotient-coordinate build is checked against, and the all-pairs
 bracket span in `generators_oracle` the one for the free-generator counts."""
 
+import io
 import pickle
 import random
 from fractions import Fraction
@@ -37,7 +38,18 @@ from symalg.refdata import (
     reference_basis_trees,
 )
 from symalg.semidirect import semidirect_relation
-from symalg.tensor import Alphabet, lie_expand, lie_sum, super_commutator
+from symalg.tensor import Alphabet, bracket_word_name, lie_expand, lie_sum, super_commutator
+
+
+def _labels(m, weights=None):
+    """weight -> the bracket trees of the representatives, by `LieModel.label`."""
+    return {w: [m.label(w, i) for i in range(m.dim(w))]
+            for w in (m.weights() if weights is None else weights)}
+
+
+def _names(m, w):
+    """The bracket-word names of the representatives of weight w."""
+    return [bracket_word_name(t) for t in _labels(m, [w])[w]]
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +109,7 @@ def test_l1_basis():
     p = preset(3, 1)
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=1)
-    assert {w: [rep.name for rep in reps] for w, reps in m.reps.items()} == {
-        2: ["x1", "x2", "x3"]}
+    assert {w: _names(m, w) for w in m.weights()} == {2: ["x1", "x2", "x3"]}
 
 
 def test_reference_basis_reduces_independently(model31, p31):
@@ -185,7 +196,7 @@ def _export_struct_by_weight_pairs(m):
     for w in m.weights():
         offs[w] = len(weights)
         weights += [w] * m.dim(w)
-    labels = [r.name for w in m.weights() for r in m.reps[w]]
+    labels = [name for w in m.weights() for name in _names(m, w)]
     parities = [w & 1 for w in weights]
     brackets = {}
     for wu in m.weights():
@@ -340,7 +351,7 @@ def test_dims_on_random_gamma(n, s, data, cutoff):
     dims = dims_ym(p.n, p.s, max_j=cutoff + 1)
     assert [m.dim(w) for w in range(1, cutoff + 2)] == dims
     o = TensorLieModel(p.alphabet, r0 + r1, cutoff=5)
-    assert {w: [r.label for r in m.reps[w]] for w in o.reps} == o.labels()
+    assert _labels(m, o.reps) == o.labels()
     assert {c: rational(m.ad[c]) for c in o.ad} == o.ad
 
 
@@ -383,19 +394,18 @@ def test_model_pickle_cache_roundtrip(tmp_path):
     m2 = load_or_build_model(p.alphabet, r0 + r1, 5, tmp_path, "deadbeef")
     assert m2.dims() == m1.dims()
     for w in m1.weights():
-        assert [r.name for r in m2.reps[w]] == [r.name for r in m1.reps[w]]
+        assert _names(m2, w) == _names(m1, w)
 
 
-class _Rep5:
-    """`engine.Rep` as schema 5 laid it out, with weight and parity slots;
-    it pickles under the name `symalg.engine.Rep`."""
+class _OldRep:
+    """The representative class `engine.Rep` of schemas 5 and 6: its bracket
+    tree and the (weight, position) of its lower representative, and in
+    schema 5 also its weight and parity.  It pickles under the name
+    `symalg.engine.Rep`, which the engine no longer defines."""
 
     __module__ = "symalg.engine"
     __qualname__ = "Rep"
-    __slots__ = ("label", "weight", "parity", "tail")
-
-    def __init__(self, label, weight, parity, tail):
-        self.label, self.weight, self.parity, self.tail = label, weight, parity, tail
+    __slots__ = ("label", "tail", "weight", "parity")
 
 
 def _old_model_pickle(alphabet, relations, schema):
@@ -404,19 +414,30 @@ def _old_model_pickle(alphabet, relations, schema):
         del model.schema  # as pickled before the schema existed
     else:
         model.schema = schema
-    if schema != 5:
+    if schema not in (5, 6):
         return pickle.dumps(model)
-    # schema 5 also memoized the rational brackets and the free dimensions
-    model._struct_q = {}
-    model._free_dims = free_lie_dims(alphabet, model.max_weight)
-    model.reps = {w: [_Rep5(r.label, w, w & 1, r.tail) for r in reps]
-                  for w, reps in model.reps.items()}
-    with mock.patch.object(engine, "Rep", _Rep5):
+    reps = {}
+    for w, keys in model.reps.items():
+        reps[w] = []
+        for i, key in enumerate(keys):
+            r = _OldRep()
+            r.label = model.label(w, i)
+            r.tail = None if type(key) is str else key[1:]
+            if schema == 5:
+                r.weight, r.parity = w, w & 1
+            reps[w].append(r)
+    model.reps = reps
+    if schema == 5:
+        # schema 5 also memoized the rational brackets and the free dimensions
+        model._struct_q = {}
+        model._free_dims = free_lie_dims(alphabet, model.max_weight)
+    # pickle resolves a class by its name, so the name must exist to write it
+    with mock.patch.object(engine, "Rep", _OldRep, create=True):
         return pickle.dumps(model)
 
 
 @pytest.mark.parametrize("content", ["garbage", "schemaless", "schema2", "schema3",
-                                     "schema4", "schema5", "foreign"])
+                                     "schema4", "schema5", "schema6", "foreign"])
 def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     from symalg.engine import MODEL_SCHEMA, load_or_build_model
 
@@ -432,6 +453,7 @@ def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
         "schema3": lambda: _old_model_pickle(p.alphabet, rels, 3),
         "schema4": lambda: _old_model_pickle(p.alphabet, rels, 4),
         "schema5": lambda: _old_model_pickle(p.alphabet, rels, 5),
+        "schema6": lambda: _old_model_pickle(p.alphabet, rels, 6),
         "foreign": lambda: pickle.dumps({"dims": {}}),
     }[content]())
     model = load_or_build_model(p.alphabet, rels, 5, tmp_path, "deadbeef")
@@ -440,6 +462,26 @@ def test_model_pickle_cache_rebuilds_unusable_pickle(tmp_path, content):
     # the unusable pickle was replaced atomically, with no temporary left
     assert list(path.parent.iterdir()) == [path]
     assert pickle.loads(path.read_bytes()).schema == MODEL_SCHEMA
+
+
+def test_model_pickle_holds_builtins_and_four_classes(model31):
+    # a representative is its candidate key, so the pickle names no class
+    # of the package but these four: a new stored type is a MODEL_SCHEMA
+    # decision
+    seen = set()
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module, name):
+            seen.add((module, name))
+            return super().find_class(module, name)
+
+    loaded = Recording(io.BytesIO(pickle.dumps(model31))).load()
+    assert {c for c in seen if c[0] != "builtins"} == {
+        ("symalg.engine", "LieModel"), ("symalg.linalg", "Echelon"),
+        ("symalg.tensor", "Alphabet"), ("symalg.tensor", "Generator")}
+    assert all(type(r) is str or type(r) is tuple for reps in loaded.reps.values()
+               for r in reps)
+    assert loaded.reps == model31.reps and _labels(loaded) == _labels(model31)
 
 
 def test_model_pickle_write_is_atomic(monkeypatch, tmp_path):
@@ -558,7 +600,7 @@ def test_random_cases_cover_the_left_out_rows():
     assert {len(rels) for _, rels in cases} == {0, 1, 2, 3}
     models = [LieModel(A, rels, RANDOM_CASES[seed])
               for seed, (A, rels) in zip(RANDOM_CASES, cases)]
-    assert any(g.name not in [r.label for r in m.reps.get(g.weight, ())]
+    assert any(g.name not in _labels(m, [g.weight])[g.weight]
                for m in models for g in m.alphabet.generators)
 
 
@@ -570,7 +612,7 @@ def test_build_matches_tensor_oracle(case):
     A, rels = make()
     m = LieModel(A, rels, cutoff)
     o = TensorLieModel(A, rels, cutoff)
-    assert {w: [r.label for r in reps] for w, reps in m.reps.items()} == o.labels()
+    assert _labels(m) == o.labels()
     # the engine holds integer vectors (den, {position: int}); compare their
     # rational view
     assert {c: rational(v) for c, v in m.ad.items()} == o.ad
@@ -608,8 +650,8 @@ def test_left_out_rows_leave_the_model_unchanged(case):
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff)
     full = _AllRows(p.alphabet, r0 + r1, cutoff)
-    assert ({w: [(r.label, r.tail) for r in reps] for w, reps in m.reps.items()}
-            == {w: [(r.label, r.tail) for r in reps] for w, reps in full.reps.items()})
+    assert m.reps == full.reps
+    assert _labels(m) == _labels(full)
     assert m.ad == full.ad
     assert m.gen_coords == full.gen_coords
 
@@ -640,10 +682,10 @@ def test_dependent_generators_are_solved():
     # replaces the later bracket monomials it equals
     A, rels = _dependent_generators()
     m = LieModel(A, rels, cutoff=5)
-    assert [r.name for r in m.reps[2]] == ["a", "e"]
+    assert _names(m, 2) == ["a", "e"]
     assert rational(m.gen_coords["b"]) == {0: 1}
     assert m.dim(3) == 0 and rational(m.gen_coords["d"]) == {}
-    assert [r.name for r in m.reps[4]] == ["c"]
+    assert _names(m, 4) == ["c"]
     assert m.project(lie_expand(("a", "e"), A)) == {0: 1}
     assert m.project(lie_expand(("b", "e"), A)) == {0: 1}
     assert m.project(lie_expand(("e", "d"), A)) == {}
@@ -671,8 +713,8 @@ def test_struct_matches_tensor_oracle(case):
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=cutoff)
     o = TensorLieModel(p.alphabet, r0 + r1, cutoff=cutoff)
-    polys = {(w, i): lie_expand(rep.label, p.alphabet)
-             for w in m.weights() for i, rep in enumerate(m.reps[w])}
+    polys = {(w, i): lie_expand(tree, p.alphabet)
+             for w, trees in _labels(m).items() for i, tree in enumerate(trees)}
     pairs = [
         (wu, i, wv, j)
         for wu in m.weights()

@@ -15,6 +15,7 @@ from symalg.surjection import (
     plan_assignment,
     reach,
 )
+from symalg.tensor import bracket_word_name
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def full_theta(p, r, t, l, model):
     off the reduced row with pivot j."""
     pinned, slots, _, l = check_input(p, r, t, l)
     target = heis(r, t)
-    pos2 = {rep.label: j for j, rep in enumerate(model.reps[2])}
+    pos2 = {model.label(2, j): j for j in range(model.dim(2))}
     needs = {}
     for w, name in slots:
         needs.setdefault(w, []).append(name)
@@ -159,7 +160,7 @@ def test_a_corrupted_theta_in_r_fails_the_certificate(monkeypatch, models, p31):
     pinned, slots, d_prime = plan_assignment(3, 1, 1, 1)
     model = models(3, 1, model_cutoff(d_prime))
     w = max(reach(pinned, slots))
-    x3 = [rep.label for rep in model.reps[2]].index("x3")
+    x3 = [model.label(2, j) for j in range(model.dim(2))].index("x3")
     j = next(min(c) for i in range(model.dim(w - 2))
              if (c := model.struct(2, x3, w - 2, i)))
     z = heis(1, 1).index("z")
@@ -268,7 +269,7 @@ def test_pinned_class_in_the_bracket_span_raises(model31, p31):
 
     A = p31.alphabet
     p1 = model31.project(lie_expand(("x1", "x3"), A))
-    x3 = [rep.name for rep in model31.reps[2]].index("x3")
+    x3 = [bracket_word_name(model31.label(2, j)) for j in range(model31.dim(2))].index("x3")
     model = _TamperedModel(model31, (2, x3, 2, x3), p1)
     with pytest.raises(SurjectionError, match="pinned target p1 is dependent"):
         build_cw_surjection(p31, 1, 1, l=13, model=model)
@@ -284,7 +285,7 @@ def test_generator_shortage_raises():
     p = preset(4, 1)
     r0, r1 = build_relations(p)
     m = LieModel(p.alphabet, r0 + r1, cutoff=13)
-    pos = {w: [rep.name for rep in m.reps[w]] for w in (3, 4, 7)}
+    pos = {w: [bracket_word_name(m.label(w, i)) for i in range(m.dim(w))] for w in (3, 4, 7)}
     pair = (3, pos[3].index("z1"), 4, pos[4].index("[x3,x4]"))
     model = _TamperedModel(m, pair, {pos[7].index("[x2,[x2,z1]]"): 1})
     with pytest.raises(SurjectionError,
