@@ -16,7 +16,6 @@ from symalg import (
     superpotential,
     susy_derivations,
 )
-from symalg.presentation import GammaTilde
 from symalg.tensor import cyclic_derivative
 
 p = preset(3, 1)
@@ -30,7 +29,7 @@ print("cyclic derivatives reproduce the relations\n")
 _, qzero = quartic_form(p)
 print(f"(3,1): quartic form vanishes: {qzero}")
 model = AssocModel(p.alphabet, r0 + r1, max_weight=9)
-companion = GammaTilde(3, 1, [[[1]], [[0]], [[0]]])
+companion = [[[1]], [[0]], [[0]]]
 dW = susy_derivations(p, companion)[0](W)
 escaped = [
     nm

@@ -26,9 +26,9 @@ _EXPORTS = {
     "freegens": ("SubalgebraGenerators", "tym_hat_generators"),
     "homology": ("ce_check_d_squared", "ce_differential", "ce_homology"),
     "presentation": (
-        "GammaTensor", "GammaTilde", "PresentationError", "SymPresentation",
-        "build_relations", "check_nondegenerate", "dims_ym", "free_gen_series",
-        "free_ideal", "hilbert_series_YM", "preset", "ym_denominator",
+        "PresentationError", "SymPresentation", "build_relations",
+        "check_nondegenerate", "dims_ym", "free_gen_series", "free_ideal",
+        "hilbert_series_YM", "preset", "ym_denominator",
     ),
     "resolution": ("SidedResolution", "verify_resolution"),
     "semidirect": ("semidirect_maps",),

@@ -36,8 +36,10 @@ ENV_VAR = "SYMALG_CACHE_DIR"
 # flags a verify or dixmier target does not read; version 4 gives the
 # hilbert report of n = 0 the free algebra's series and drops the series
 # for (1,0) and (1,1); version 5 rejects the semidirect report of a
-# non-orthonormal metric, which version 4 stored as ok.
-REPORT_SCHEMA = 5
+# non-orthonormal metric, which version 4 stored as ok; version 6 rejects
+# `hilbert --check-engine` without a closed-form series and a run given
+# both --preset and --presentation, which version 5 stored.
+REPORT_SCHEMA = 6
 
 
 def cache_dir(override=None):

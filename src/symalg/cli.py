@@ -71,6 +71,8 @@ def _read_inputs(config):
 
 
 def _load_presentation(args, docs):
+    if args.preset and args.presentation:
+        raise UsageError("give --preset n,s or --presentation file.json, not both")
     if args.presentation:
         return SymPresentation.from_json(docs["presentation"])
     if args.preset:

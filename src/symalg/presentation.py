@@ -3,7 +3,13 @@
 A presentation is (n, s, Gamma, metric, optional Gamma-tilde): n even
 generators x1..xn of weight 2, s odd generators z1..zs of weight 3, a
 symmetric tensor Gamma (n matrices of size s x s) and a metric on the even
-part.  From it we build the defining relations
+part.  `SymPresentation` holds Gamma and Gamma-tilde (the companion tensor
+of `symalg.susy`, or None) as plain lists of n matrices, each a list of
+Fraction rows, so `p.gamma[i][a][b]` is G^i_ab, and an explicit metric as
+one such matrix.  One reader checks the count, shape, symmetry and
+scalars of all three, and its PresentationError names the field
+(`gamma[i]`, `gamma_tilde[i]`, `metric`).  From the presentation we
+build the defining relations
 
     r0_i = sum_j g^{jl} g^{im} [xj,[xl,xm]] - 1/2 sum_{a,b} G^i_ab [za,zb]
     r1_a = sum_{i,b} G^i_ab [xi,zb]
@@ -72,72 +78,45 @@ class PresentationError(InputError):
     pass
 
 
-class GammaTensor:
-    """n symmetric s x s rational matrices G^i_ab."""
-
-    def __init__(self, n, s, matrices):
-        self.n = n
-        self.s = s
-        mats = []
-        if len(matrices) != n:
-            raise PresentationError(f"expected {n} matrices, got {len(matrices)}")
-        for i, m in enumerate(matrices):
-            if len(m) != s or any(len(row) != s for row in m):
-                raise PresentationError(f"gamma[{i}] must be {s} x {s}")
-            mat = [[rat(x) for x in row] for row in m]
-            for a in range(s):
-                for b in range(a):
-                    if mat[a][b] != mat[b][a]:
-                        raise PresentationError(f"gamma[{i}] is not symmetric")
-            mats.append(mat)
-        self.mats = mats
-
-    def __getitem__(self, i):
-        return self.mats[i]
-
-    def is_zero(self):
-        return all(not c for m in self.mats for row in m for c in row)
-
-    def __eq__(self, other):
-        return isinstance(other, GammaTensor) and self.mats == other.mats
-
-
-class GammaTilde(GammaTensor):
-    """Companion tensor Gt^{i,a,b}, symmetric in (a, b)."""
+def _read_matrices(field, m, size, count=None):
+    """A presentation's matrix input as lists of Fraction rows (`rat`):
+    with `count`, a list of `count` matrices, named field[0], field[1],
+    ...; without, one matrix named `field`.  Each must be a symmetric
+    size x size matrix; anything else raises PresentationError naming
+    the field."""
+    if count is not None:
+        if len(m) != count:
+            raise PresentationError(f"{field}: expected {count} matrices, got {len(m)}")
+        return [_read_matrices(f"{field}[{i}]", mi, size) for i, mi in enumerate(m)]
+    if len(m) != size or any(len(row) != size for row in m):
+        raise PresentationError(f"{field} must be {size} x {size}")
+    m = [[rat(x) for x in row] for row in m]
+    if any(m[a][b] != m[b][a] for a in range(size) for b in range(a)):
+        raise PresentationError(f"{field} is not symmetric")
+    return m
 
 
 class SymPresentation:
-    """(n, s, Gamma, metric, optional Gamma-tilde)."""
+    """(n, s, Gamma, metric, optional Gamma-tilde), the matrices as lists
+    of Fraction rows (module docstring); `metric` is "orthonormal" or a
+    symmetric invertible n x n matrix."""
 
     def __init__(self, n, s, gamma, metric="orthonormal", gamma_tilde=None):
         if n < 0 or s < 0 or n + s == 0:
             raise PresentationError("need n + s > 0 with n, s >= 0")
         self.n = n
         self.s = s
-        if isinstance(gamma, GammaTensor):
-            self.gamma = gamma
-        else:
-            self.gamma = GammaTensor(n, s, gamma)
+        self.gamma = _read_matrices("gamma", gamma, s, n)
         if metric == "orthonormal":
             self.metric = "orthonormal"
             self._metric_inv = None
         else:
-            mat = [[rat(x) for x in row] for row in metric]
-            if len(mat) != n or any(len(r) != n for r in mat):
-                raise PresentationError("metric must be n x n")
-            for i in range(n):
-                for j in range(i):
-                    if mat[i][j] != mat[j][i]:
-                        raise PresentationError("metric is not symmetric")
-            inv = inverse(mat)
-            if inv is None:
+            self.metric = _read_matrices("metric", metric, n)
+            self._metric_inv = inverse(self.metric)
+            if self._metric_inv is None:
                 raise PresentationError("singular metric")
-            self.metric = mat
-            self._metric_inv = inv
-        if gamma_tilde is None or isinstance(gamma_tilde, GammaTilde):
-            self.gamma_tilde = gamma_tilde
-        else:
-            self.gamma_tilde = GammaTilde(n, s, gamma_tilde)
+        self.gamma_tilde = (None if gamma_tilde is None
+                            else _read_matrices("gamma_tilde", gamma_tilde, s, n))
         self.alphabet = sym_alphabet(n, s)
 
     # -- metric access (lower and upper indices)
@@ -165,18 +144,17 @@ class SymPresentation:
     # -- serialization
 
     def to_json(self):
+        def strs(m):
+            return [[rat_str(c) for c in row] for row in m]
+
         doc = {
             "n": self.n,
             "s": self.s,
-            "gamma": [[[rat_str(c) for c in row] for row in m] for m in self.gamma.mats],
-            "metric": "orthonormal"
-            if self.is_orthonormal()
-            else [[rat_str(c) for c in row] for row in self.metric],
+            "gamma": [strs(m) for m in self.gamma],
+            "metric": "orthonormal" if self.is_orthonormal() else strs(self.metric),
         }
         if self.gamma_tilde is not None:
-            doc["gamma_tilde"] = [
-                [[rat_str(c) for c in row] for row in m] for m in self.gamma_tilde.mats
-            ]
+            doc["gamma_tilde"] = [strs(m) for m in self.gamma_tilde]
         return doc
 
     @classmethod
@@ -282,7 +260,7 @@ def check_nondegenerate(p):
         ]
         return rank(m) == p.s
 
-    if p.gamma.is_zero():
+    if not any(c for m in p.gamma for row in m for c in row):
         return False, None
     # try the coordinate directions first: the canonical witness is e1
     for i in range(p.n):
@@ -381,7 +359,7 @@ def normalize(p):
     if p.s == 0:
         return p, {"witness": [rat_str(v) for v in lam]}
     n, s = p.n, p.s
-    gamma = [[[Fraction(c) for c in row] for row in m] for m in p.gamma.mats]
+    gamma = list(p.gamma)
     record = {"witness": [rat_str(v) for v in lam]}
     nonzero = [i for i, v in enumerate(lam) if v]
     if lam[0] != 1 or len(nonzero) != 1:
@@ -436,7 +414,7 @@ def normalize(p):
         ]
         new_gamma.append(mat)
     record["odd_change"] = [[rat_str(x) for x in row] for row in S]
-    out = SymPresentation(n, s, new_gamma, p.metric if not p.is_orthonormal() else "orthonormal")
+    out = SymPresentation(n, s, new_gamma, p.metric)
     if not is_identity(out.gamma[0]):
         raise PresentationError("normalization failed verification")
     return out, record

@@ -20,7 +20,7 @@ calls `semidirect.check_semidirect`, and each only builds its dict.
 from .linalg import rank
 from .presentation import (
     build_relations, dims_ym, free_gen_series, free_ideal, hilbert_series_YM,
-    omega_check, presentation_sha256, rat_str, series_valid,
+    PresentationError, omega_check, presentation_sha256, rat_str, series_valid,
 )
 from .tensor import bracket_word_name, lie_expand, lie_sum
 
@@ -41,7 +41,13 @@ def _lie_model(p, cutoff, cache_dir):
 
 def hilbert(p, degree, check_engine=False, engine_depth=12):
     """Closed-form series to `degree`; with check_engine, the Lie engine's
-    dimensions to min(degree, engine_depth) against them."""
+    dimensions to min(degree, engine_depth) against them, which needs
+    `series_valid` (PresentationError otherwise)."""
+    if check_engine and not series_valid(p.n, p.s):
+        raise PresentationError(
+            f"--check-engine needs the closed-form Lie dimensions: n >= 1 and "
+            f"(n,s) other than (1,0) and (1,1), got ({p.n},{p.s})"
+        )
     report = {
         "command": "hilbert",
         "presentation_sha256": presentation_sha256(p),
@@ -57,7 +63,7 @@ def hilbert(p, degree, check_engine=False, engine_depth=12):
             report["enveloping_series"] = [str(c) for c in ser]
         if report["series_valid"]:
             report["lie_dims"] = dims_ym(p.n, p.s, max_j=degree)
-        if check_engine and report["series_valid"]:
+        if check_engine:
             from .engine import LieModel
 
             depth = min(degree, engine_depth)

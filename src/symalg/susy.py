@@ -23,13 +23,13 @@ from fractions import Fraction
 
 from .assoc import AssocModel
 from .linalg import addmul, inverse, rref
-from .presentation import GammaTilde, PresentationError, build_relations
+from .presentation import PresentationError, build_relations
 from .tensor import ODD, Derivation, Poly, cyclic_derivative, lie_sum, super_commutator
 
 
 def check_equivariance_identity(p, gamma_tilde=None):
     """sum_b (G^i_ab Gt^{j,bc} + G^j_ab Gt^{i,bc}) == 2 g^{ij} delta_ac."""
-    gt = gamma_tilde or p.gamma_tilde
+    gt = p.gamma_tilde if gamma_tilde is None else gamma_tilde
     if p.s == 0:
         return True
     if gt is None:
@@ -46,12 +46,13 @@ def check_equivariance_identity(p, gamma_tilde=None):
 def derive_gamma_tilde(p):
     """Solve the equivariance identity for Gamma-tilde by exact elimination.
 
-    The unknowns are the entries of n symmetric s x s matrices.  Raises
-    PresentationError if the system is inconsistent.
+    The unknowns are the entries of n symmetric s x s matrices; returns
+    them as n lists of rows.  Raises PresentationError if the system is
+    inconsistent.
     """
     n, s = p.n, p.s
     if s == 0:
-        return GammaTilde(n, 0, [[] for _ in range(n)])
+        return [[] for _ in range(n)]
     # unknown index: (i, b<=c) -> column
     cols = {}
     for i in range(n):
@@ -79,11 +80,10 @@ def derive_gamma_tilde(p):
     if ncols in red:
         raise PresentationError("equivariance system is inconsistent")
     # free unknowns are set to zero
-    mats = [
+    gt = [
         [[red.get(col(i, b, c), {}).get(ncols, 0) for c in range(s)] for b in range(s)]
         for i in range(n)
     ]
-    gt = GammaTilde(n, s, mats)
     if not check_equivariance_identity(p, gt):
         raise PresentationError("equivariance solution failed verification")
     return gt
@@ -141,7 +141,7 @@ def susy_derivations(p, gamma_tilde=None):
 
     Requires Gamma-tilde (supplied or derivable) and a diagonal metric.
     """
-    gt = gamma_tilde or p.gamma_tilde
+    gt = p.gamma_tilde if gamma_tilde is None else gamma_tilde
     if gt is None:
         gt = derive_gamma_tilde(p)
     if not p.is_diagonal_metric():
@@ -166,11 +166,7 @@ def susy_derivations(p, gamma_tilde=None):
 def _companion_fallback(p):
     """Blockwise inverse companion tensor for susy probing when the
     equivariance system is inconsistent: (G^i)^(-1), zero where singular."""
-    mats = []
-    for i in range(p.n):
-        inv = inverse(p.gamma[i])
-        mats.append(inv if inv is not None else [[0] * p.s for _ in range(p.s)])
-    return GammaTilde(p.n, p.s, mats)
+    return [inverse(m) or [[0] * p.s for _ in range(p.s)] for m in p.gamma]
 
 
 def susy_criterion(p):

@@ -143,9 +143,7 @@ def test_criterion_06_susy_both_directions(assoc31, p31, minkowski32):
     # negative direction: canonical (3,1), quartic nonzero
     _, qzero = quartic_form(p31)
     assert not qzero
-    from symalg.presentation import GammaTilde
-
-    companion = GammaTilde(3, 1, [[[1]], [[0]], [[0]]])
+    companion = [[[1]], [[0]], [[0]]]
     dW = susy_derivations(p31, companion)[0](superpotential(p31))
     names31 = ["x1", "x2", "x3", "z1"]
     assert not all(

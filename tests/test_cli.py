@@ -312,6 +312,11 @@ def test_table_format_renders_each_object_of_a_list_as_a_block(capsys, tmp_path)
     (("hilbert", "--preset", "3,1", "--degree", "-1"), "--degree must be >= 0"),
     (("basis", "--preset", "3,1", "--l", "-1"), "--l must be >= 0"),
     (("verify", "resolution", "--preset", "0,1"), "no length-three resolution"),
+    (("hilbert", "--preset", "2,0", "--presentation",
+      str(Path(__file__).parent / "golden/inputs/generic33-seed7.json")), "not both"),
+    (("hilbert", "--preset", "1,1", "--check-engine"), "--check-engine needs"),
+    (("hilbert", "--preset", "1,0", "--check-engine"), "--check-engine needs"),
+    (("hilbert", "--preset", "0,2", "--check-engine"), "--check-engine needs"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     code = main(["--cache-dir", str(tmp_path / "cache"), *argv])
@@ -361,9 +366,18 @@ def test_flags_a_target_does_not_read_exit_2(capsys, tmp_path, command, flag, va
      "gamma[0] must be 1 x 1"),
     ('{"n": 1, "s": 2, "gamma": [[[1, 0], [0]]]}', "gamma[0] must be 2 x 2"),
     ('{"n": 1, "s": 1, "gamma": [[[1]]], "gamma_tilde": [[[1], [0]]]}',
-     "gamma[0] must be 1 x 1"),
+     "gamma_tilde[0] must be 1 x 1"),
     ('{"n": 1, "s": 2, "gamma": [[[1, 0], [0, 1]]], "gamma_tilde": [[[1, 0], [0, 1, 2]]]}',
-     "gamma[0] must be 2 x 2"),
+     "gamma_tilde[0] must be 2 x 2"),
+    # gamma_tilde and the metric are read like gamma, each message naming its field
+    ('{"n": 2, "s": 1, "gamma": [[[1]], [[0]]], "gamma_tilde": [[[1]]]}',
+     "gamma_tilde: expected 2 matrices, got 1"),
+    ('{"n": 1, "s": 2, "gamma": [[[1, 0], [0, 1]]], "gamma_tilde": [[[1, 2], [0, 1]]]}',
+     "gamma_tilde[0] is not symmetric"),
+    ('{"n": 2, "s": 1, "gamma": [[[1]], [[0]]], "metric": [[1, 0], [0]]}',
+     "metric must be 2 x 2"),
+    ('{"n": 2, "s": 1, "gamma": [[[1]], [[0]]], "metric": [[1, 2], [0, 1]]}',
+     "metric is not symmetric"),
 ])
 def test_bad_presentation_file_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "p.json"
@@ -951,7 +965,7 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
 def test_every_public_name_is_its_modules_object():
     import symalg
 
-    assert len(set(symalg.__all__)) == len(symalg.__all__) == 51
+    assert len(set(symalg.__all__)) == len(symalg.__all__) == 49
     assert set(symalg.__all__) <= set(dir(symalg))
     for name in symalg.__all__:
         obj = getattr(symalg, name)

@@ -1,8 +1,10 @@
 """Presentation layer: relations, superpotential calculus, predicates,
 series, semidirect description."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +75,7 @@ def test_relations_11():
 
 def test_relations_explicit_metric():
     metric = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
-    p = SymPresentation(3, 1, preset(3, 1).gamma.mats, metric)
+    p = SymPresentation(3, 1, preset(3, 1).gamma, metric)
     r0, _ = build_relations(p)
     A = p.alphabet
     want = (
@@ -191,18 +193,16 @@ def test_equivariance_cases(minkowski32, p31):
     assert check_equivariance_identity(minkowski32) is True
     assert check_equivariance_identity(p31) is False
     # any gamma-tilde fails for the canonical (3,1): i=j=2 forces 0 = 2
-    from symalg.presentation import GammaTilde
-
     for val in (0, 1, -2):
-        gt = GammaTilde(3, 1, [[[val]], [[val]], [[val]]])
+        gt = [[[val]], [[val]], [[val]]]
         assert check_equivariance_identity(p31, gt) is False
     assert check_equivariance_identity(preset(2, 0)) is True
 
 
 def test_derive_gamma_tilde(minkowski32):
     gt = derive_gamma_tilde(minkowski32)
-    assert gt.mats == minkowski32.gamma_tilde.mats
-    assert derive_gamma_tilde(preset(2, 0)).mats == [[], []]
+    assert gt == minkowski32.gamma_tilde
+    assert derive_gamma_tilde(preset(2, 0)) == [[], []]
     with pytest.raises(PresentationError):
         derive_gamma_tilde(preset(3, 1))
 
@@ -415,17 +415,23 @@ def test_generator_series():
             free_gen_series(ideal, n, s, 10)
 
 
-def test_presentation_json_roundtrip(minkowski32):
-    doc = minkowski32.to_json()
-    back = SymPresentation.from_json(doc)
-    assert back.canonical_json() == minkowski32.canonical_json()
+GENERIC33 = Path(__file__).resolve().parent / "golden" / "inputs" / "generic33-seed7.json"
+
+
+@pytest.mark.parametrize("source", ["preset31", "generic33", "minkowski32"])
+def test_presentation_json_roundtrip(source, minkowski32):
+    p = {"preset31": lambda: preset(3, 1),
+         "generic33": lambda: SymPresentation.from_json(json.loads(GENERIC33.read_text())),
+         "minkowski32": lambda: minkowski32}[source]()
+    back = SymPresentation.from_json(p.to_json())
+    assert back.canonical_json() == p.canonical_json()
 
 
 def test_normalize_paths():
     from symalg.presentation import normalize
 
     q, rec = normalize(preset(3, 1))
-    assert q.gamma.mats == preset(3, 1).gamma.mats
+    assert q.gamma == preset(3, 1).gamma
     # rescaling a multiple of the identity
     p2 = SymPresentation(2, 2, [[[4, 0], [0, 4]], [[0, 1], [1, 0]]])
     q2, rec2 = normalize(p2)
